@@ -298,6 +298,15 @@ def delta_zbar(u: ScalarField, j: int) -> ScalarField:
     return (u.apply_delta(2 * j - 1) + u.apply_delta(2 * j).scale(i_unit)).scale(half)
 
 
+def _fields_from_json(data: list) -> list[ScalarField]:
+    """Read sibling fields; an empty coefficient list reads as exact, so empty
+    fields take the mode of the non-empty ones."""
+    fields = [ScalarField.from_json(f) for f in data]
+    if any(not f.exact for f in fields):
+        fields = [f.to_float() if f.is_zero() else f for f in fields]
+    return fields
+
+
 class _LineForm:
     """Shared implementation of (1,0)- and (0,1)-forms: n complex coefficients."""
 
@@ -392,7 +401,7 @@ class _LineForm:
         expected = cls.frame
         if data.get("frame", expected) != expected:
             raise DomainError(f"expected a {expected} form, got {data.get('frame')!r}")
-        return cls([ScalarField.from_json(c) for c in data["components"]])
+        return cls(_fields_from_json(data["components"]))
 
 
 class Form10(_LineForm):
@@ -584,7 +593,9 @@ class ComplexForm11:
 
     @classmethod
     def from_json(cls, data: dict) -> "ComplexForm11":
-        return cls([[ScalarField.from_json(f) for f in r] for r in data["entries"]])
+        rows = data["entries"]
+        fields = iter(_fields_from_json([f for r in rows for f in r]))
+        return cls([[next(fields) for _ in r] for r in rows])
 
 
 def dbar_function(u: ScalarField) -> Form01:

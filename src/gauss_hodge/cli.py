@@ -9,7 +9,6 @@ Commands
 Exit codes: 0 success, 1 check/solve failure, 2 usage or config error.
 Reports are JSON-lines, one record per check plus a summary record; records
 are sorted by trial so identical (config, seed) runs are byte-identical.
-GAUSS_HODGE_THREADS caps trial-level parallelism (default 1).
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -71,14 +68,6 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if not (0 < self.tolerance < 1):
             raise ValueError("tolerance must be in (0, 1)")
-
-
-def _threads() -> int:
-    raw = os.environ.get("GAUSS_HODGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _render(value):
@@ -188,15 +177,7 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    workers = min(_threads(), config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda t: _verify_trial(config, t),
-                                    range(config.trials)))
-    else:
-        batches = [_verify_trial(config, t) for t in range(config.trials)]
-
-    records = [row for batch in batches for row in batch]
+    records = [row for t in range(config.trials) for row in _verify_trial(config, t)]
     records.sort(key=lambda r: (r["trial"], r["check"]))
     failed = [r for r in records if not r["pass"] and r["check"] != "ddbar_adjoint_identity_report"]
     summary = {

@@ -33,11 +33,8 @@ class NotClosedError(GaussHodgeError):
 
 
 class SolveNumericalError(GaussHodgeError):
-    """A float-mode block solve failed to converge."""
-
-    def __init__(self, message: str, block_degree: int | None = None):
-        super().__init__(message)
-        self.block_degree = block_degree
+    """A float-mode solve cannot be certified: its residual exceeds the
+    tolerance, or the input norm is not finite (overflow to inf, or NaN)."""
 
 
 class InvariantViolationError(GaussHodgeError):

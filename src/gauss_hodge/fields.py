@@ -382,12 +382,6 @@ class Weight:
     m: int
     convexity_constant: int = 2
 
-    def value_at(self, point):
-        return sum(x * x for x in point)
-
-    def gradient_at(self, axis: int, point):
-        return 2 * point[axis - 1]
-
     def hessian(self, j: int, k: int) -> int:
         if min(j, k) < 1 or max(j, k) > self.m:
             raise DomainError(f"hessian indices ({j},{k}) outside 1..{self.m}")
@@ -396,22 +390,3 @@ class Weight:
     @classmethod
     def standard(cls, m: int) -> "Weight":
         return cls(m)
-
-
-# module-level aliases matching the operation names used in tests and docs
-def partial_derivative(field: ScalarField, axis: int) -> ScalarField:
-    return field.partial_derivative(axis)
-
-
-def apply_delta_axis(field: ScalarField, axis: int, weight: Weight) -> ScalarField:
-    if weight.m != field.m:
-        raise DimensionMismatchError(f"weight on R^{weight.m} applied to field on R^{field.m}")
-    return field.apply_delta(axis)
-
-
-def weighted_inner(f: ScalarField, g: ScalarField):
-    return f.weighted_inner(g)
-
-
-def evaluate_field(f: ScalarField, point):
-    return f.evaluate(point)

@@ -1,21 +1,32 @@
-"""Minimum-norm solves of du = f and dbar u = g by degree-block normal equations.
+"""Minimum-norm solves of du = f and dbar u = g by dividing by the Hermite spectrum.
 
-Both solves take the adjoint route: seek beta with (op . op*) beta = f and
-return u = op* beta.  Any solution beta of the normal equations gives the
-same u (two solutions differ by ker(op*), which op* kills), and u = op* beta
-is orthogonal to ker(op), i.e. it is the minimum-norm solution.
+Both solves take the adjoint route: find beta with (op op* + op* op) beta = f
+and return u = op* beta.  For closed f the Laplacian commutes with op, so
+op beta = 0, f = op(op* beta) and u lies in range(op*) = ker(op)^perp: it is
+the minimum-norm solution.
 
-The normal operators d.T* and dbar.dbar* preserve total Hermite degree:
-T* and dbar* raise it by exactly one (pure delta ladders) and d, dbar lower
-it by exactly one.  Each total-degree block therefore solves independently
-and exactly.  Within a block the Gram matrix <op* e_a, op* e_b> is extremely
-sparse; we split it into its connected components and eliminate each small
-dense piece, which is plain block-diagonal elimination of the degree block.
+Under the weight e^{-|x|^2} both Laplacians are diagonal in Hermite bases.
 
-Closed polynomial data is always solvable: a form in the kernel of the
-normal operator is killed by op*, and the coercivity bound (Hessian = 2 Id)
-leaves no harmonic forms, so closed blocks lie in the range.  A least-squares
-defect therefore signals a non-closed input and is reported as such.
+* d: dT* + T*d acts on He_d dx^I as multiplication by 2(|d| + p) for a
+  p-form (the Bochner identity; cf. Witten's Laplacian), so beta divides
+  each coefficient by 2(|d| + p).
+* dbar: on dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component,
+  with L = -sum_j delta^z_j d/dzbar_j and L H_{p,q} = |q| H_{p,q} in the
+  complex Hermite basis H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1
+  (Ito 1952).  beta converts each component to that basis, one complex pair
+  (x_{2j-1}, x_{2j}) at a time, divides by |q| + 1 and converts back.
+
+The per-pair conversions come from the generating function
+e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
+
+    He_a(x) He_b(y) = i^b sum_p K(a,b,p) a! b! / (p! q!) H_{p,q}
+    H_{p,q}         = sum_a (-i)^b K(a,b,p) / 2^{a+b} He_a(x) He_b(y)
+
+over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).
+
+No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
+every closed input solves; a nonzero exact residual means the input was not
+closed after all and is reported as such.
 """
 
 from __future__ import annotations
@@ -23,18 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .calculus import (Form01, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      NotClosedError, SolveNumericalError)
-from .fields import ScalarField, Weight, hermite_sq_norm_vector
-from .multiindex import MultiIndex, insert_axis, remove_axis
-from .scalars import conj, imaginary_unit, scalar_is_zero, zero_scalar
+from .fields import ScalarField, Weight
+from .scalars import QC
 
 FLOAT_BOUND_SLACK = 1e-12
-CG_REL_TOL = 1e-13
-CG_ITER_FACTOR = 10
 
 
 @dataclass
@@ -43,7 +52,8 @@ class SolveReport:
 
     ``residual_norm_sq`` is the squared L2 norm of the equation residual,
     matching the squared convention of the other norm fields (and staying
-    rational in exact mode).
+    rational in exact mode).  ``blocks_solved`` counts the distinct total
+    Hermite degrees in the input's support.
     """
 
     residual_norm_sq: object
@@ -72,9 +82,11 @@ class SolveReport:
 
 
 def bound_holds(ratio, bound, exact: bool) -> bool:
+    """ratio <= bound; in float mode never true for an inf or NaN operand."""
     if exact:
         return ratio <= bound
-    return ratio <= bound * (1 + FLOAT_BOUND_SLACK)
+    return math.isfinite(ratio) and math.isfinite(bound) \
+        and ratio <= bound * (1 + FLOAT_BOUND_SLACK)
 
 
 def _make_report(residual_sq, input_sq, output_sq, bound, blocks, exact) -> SolveReport:
@@ -82,183 +94,34 @@ def _make_report(residual_sq, input_sq, output_sq, bound, blocks, exact) -> Solv
         ratio = Fraction(0) if exact else 0.0
     else:
         ratio = output_sq / input_sq
-    return SolveReport(residual_sq, input_sq, output_sq, bound, ratio,
-                       bound_holds(ratio, bound, exact), blocks, exact)
+    holds = bound_holds(ratio, bound, exact) and (
+        exact or all(map(math.isfinite, (residual_sq, input_sq, output_sq))))
+    return SolveReport(residual_sq, input_sq, output_sq, bound, ratio, holds, blocks, exact)
 
 
-class _Inconsistent(Exception):
-    def __init__(self, defect):
-        self.defect = defect
+def _check_capacity(top: int, capacity: int):
+    if top + 1 > capacity:
+        raise DegreeOverflowError(
+            f"solve needs capacity {top + 1} (one above the data degree {top}), "
+            f"have {capacity}", required_capacity=top + 1)
 
 
-def _solve_exact_gram(matrix, rhs, zero):
-    """Rational Gaussian elimination with free variables pinned to zero."""
-    k = len(matrix)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(k)]
-    piv_cols: list[int] = []
-    piv_r = 0
-    for c in range(k):
-        pr = None
-        for i in range(piv_r, k):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        pivot = rows[piv_r][c]
-        for i in range(piv_r + 1, k):
-            lead = rows[i][c]
-            if lead != 0:
-                factor = lead / pivot
-                for cc in range(c, k + 1):
-                    rows[i][cc] = rows[i][cc] - factor * rows[piv_r][cc]
-        piv_cols.append(c)
-        piv_r += 1
-    for i in range(piv_r, k):
-        if rows[i][k] != 0:
-            raise _Inconsistent(rows[i][k])
-    x = [zero] * k
-    for rr in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[rr]
-        s = rows[rr][k]
-        for cc in range(c + 1, k):
-            coeff = rows[rr][cc]
-            if coeff != 0:
-                s = s - coeff * x[cc]
-        x[c] = s / rows[rr][c]
-    return x
+def _degree_levels(fields) -> int:
+    return len({sum(deg) for field in fields for deg in field.coeffs})
 
 
-def _hdot(a, b):
-    total = 0.0
-    for x, y in zip(a, b):
-        total = total + conj(x) * y
-    return total
-
-
-def _solve_cg_gram(matrix, rhs, block_degree: int):
-    """Conjugate gradients on one Hermitian positive semidefinite block.
-
-    Runs CG on the squared system A.A x = A r (Jacobi-scaled), which is
-    consistent even when the right-hand side carries a tiny component outside
-    range(A) -- sub-tolerance closedness dust in the input ends up there.
-    The iterates stay in range(A), so the returned x is the least-squares
-    solution with no kernel component; the caller's equation-level residual
-    check judges any leftover defect.
-    """
-    k = len(matrix)
-    # symmetric Jacobi scaling; Gram diagonals are strictly positive, but
-    # guard anyway so the helper stands alone
-    scale = [1.0 / math.sqrt(matrix[i][i].real) if matrix[i][i].real > 0.0 else 1.0
-             for i in range(k)]
-    a = [[matrix[i][j] * (scale[i] * scale[j]) for j in range(k)] for i in range(k)]
-    b = [rhs[i] * scale[i] for i in range(k)]
-
-    def matvec(vec):
-        return [sum(a[i][j] * vec[j] for j in range(k)) for i in range(k)]
-
-    x = [0.0 * b[0] for _ in range(k)]
-    res = matvec(b)  # residual of A.A x = A b at x = 0
-    p = list(res)
-    rho = _hdot(res, res).real
-    if rho == 0.0:
-        return x
-    target_sq = (CG_REL_TOL ** 2) * rho
-    for _ in range(CG_ITER_FACTOR * k + 1):
-        if rho <= target_sq:
-            break
-        aap = matvec(matvec(p))
-        pap = _hdot(p, aap).real
-        if pap <= 0.0:
-            break
-        alpha = rho / pap
-        for i in range(k):
-            x[i] = x[i] + alpha * p[i]
-            res[i] = res[i] - alpha * aap[i]
-        rho_new = _hdot(res, res).real
-        beta = rho_new / rho
-        rho = rho_new
-        for i in range(k):
-            p[i] = res[i] + beta * p[i]
-    else:
-        if rho > target_sq:
-            raise SolveNumericalError(
-                f"conjugate gradients failed to converge on degree-{block_degree} "
-                f"block (size {k}, residual^2 {rho:.3e})", block_degree=block_degree)
-    return [x[i] * scale[i] for i in range(k)]
-
-
-def _solve_blocks(support, images_fn, preimages_fn, exact: bool, complex_kind: bool,
-                  equation: str):
-    """Solve the normal equations over each connected Gram component.
-
-    ``support`` maps basis keys to scalar coefficients of the right-hand side.
-    Returns the coefficient map of beta and the number of degree blocks touched.
-    """
-    zero = zero_scalar(exact, complex_kind)
-    solution: dict = {}
-    degrees_seen: set[int] = set()
-    visited: set = set()
-    for seed in sorted(support):
-        if seed in visited:
-            continue
-        block_degree = sum(_deg_of(seed))
-        degrees_seen.add(block_degree)
-        # breadth-first closure of the Gram sparsity graph
-        comp = [seed]
-        visited.add(seed)
-        cursor = 0
-        while cursor < len(comp):
-            elem = comp[cursor]
-            cursor += 1
-            for key, _ in images_fn(elem):
-                for nb in preimages_fn(key):
-                    if nb not in visited:
-                        visited.add(nb)
-                        comp.append(nb)
-        comp.sort()
-        k = len(comp)
-        images = [images_fn(e) for e in comp]
-        by_key: dict = {}
-        for a, img in enumerate(images):
-            for key, coeff in img:
-                by_key.setdefault(key, []).append((a, coeff))
-        matrix = [[zero for _ in range(k)] for _ in range(k)]
-        for key, hits in by_key.items():
-            weight = hermite_sq_norm_vector(_deg_of(key))
-            if not exact:
-                weight = float(weight)
-            for a, ca in hits:
-                for b, cb in hits:
-                    matrix[b][a] = matrix[b][a] + ca * conj(cb) * weight
-        rhs = []
-        for e in comp:
-            c = support.get(e)
-            if c is None:
-                rhs.append(zero)
-            else:
-                weight = hermite_sq_norm_vector(_deg_of(e))
-                rhs.append(c * (weight if exact else float(weight)))
-        if exact:
-            try:
-                x = _solve_exact_gram(matrix, rhs, zero)
-            except _Inconsistent as exc:
-                raise NotClosedError(
-                    f"{equation}-solve: degree-{block_degree} block has a "
-                    f"least-squares defect (input not closed?)",
-                    residual_norm_sq=exc.defect) from None
-        else:
-            x = _solve_cg_gram(matrix, rhs, block_degree)
-        for e, val in zip(comp, x):
-            if not scalar_is_zero(val):
-                solution[e] = val
-    return solution, len(degrees_seen)
-
-
-def _deg_of(key):
-    # basis/image keys end with the degree vector
-    return key[-1]
+def _finish(u, residual, f, bound, blocks: int, exact: bool, tolerance: float) -> SolveReport:
+    """Gate the equation residual and report; f is the right-hand side."""
+    res_sq = residual.norm_sq()
+    f_sq = f.norm_sq()
+    if exact and res_sq != 0:
+        raise NotClosedError("exact solve left a nonzero residual; input is not closed",
+                             residual_norm_sq=res_sq)
+    if not exact and not (math.isfinite(f_sq) and res_sq <= (tolerance ** 2) * f_sq):
+        raise SolveNumericalError(
+            f"float solve residual^2 {res_sq:.3e} against input norm^2 {f_sq:.3e} "
+            f"exceeds the tolerance or is not finite")
+    return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -266,44 +129,11 @@ def _deg_of(key):
 # ---------------------------------------------------------------------------
 
 
-def _d_images(n: int):
-    idx_cache: dict = {}
-
-    def images(elem):
-        axes, deg = elem
-        out = idx_cache.get(elem)
-        if out is None:
-            out = []
-            M = MultiIndex(axes, n)
-            for j in axes:
-                sign, tgt = remove_axis(j, M)
-                lifted = deg[:j - 1] + (deg[j - 1] + 1,) + deg[j:]
-                out.append(((tgt.axes, lifted), sign))
-            idx_cache[elem] = out
-        return out
-
-    return images
-
-
-def _d_preimages(n: int):
-    def preimages(key):
-        axes, deg = key
-        I = MultiIndex(axes, n)
-        out = []
-        for k in range(1, n + 1):
-            if k in I or deg[k - 1] < 1:
-                continue
-            ins = insert_axis(k, I)
-            assert ins is not None
-            lowered = deg[:k - 1] + (deg[k - 1] - 1,) + deg[k:]
-            out.append((ins[1].axes, lowered))
-        return out
-
-    return preimages
-
-
 def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
-    """Solve du = f with the weighted Poincare bound; returns (u, beta, report)."""
+    """Solve du = f with the weighted Poincare bound; returns (u, beta, report).
+
+    beta = Delta^{-1} f for the weighted Hodge Laplacian Delta = dT* + T*d.
+    """
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
     if weight.m != f.n:
@@ -327,38 +157,15 @@ def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
                 f"du = f needs df = 0; relative closedness residual "
                 f"{math.sqrt(df.norm_sq() / f.norm_sq()):.3e} exceeds {tolerance:.1e}",
                 residual_norm_sq=df.norm_sq())
+    _check_capacity(f.degree, f.max_total_degree)
 
-    top = f.degree
-    if top + 1 > f.max_total_degree:
-        raise DegreeOverflowError(
-            f"solve needs capacity {top + 1} (one above the data degree {top}), "
-            f"have {f.max_total_degree}", required_capacity=top + 1)
-
-    support = {}
-    for idx, field in f.components.items():
-        for deg, val in field.coeffs.items():
-            support[(idx.axes, deg)] = val
-    coeffs, blocks = _solve_blocks(support, _d_images(f.n), _d_preimages(f.n),
-                                   f.exact, f.kind == "complex", "d")
-
-    comp_fields: dict[MultiIndex, dict] = {}
-    for (axes, deg), val in coeffs.items():
-        comp_fields.setdefault(MultiIndex(axes, f.n), {})[deg] = val
     beta = PForm(f.n, f.p, f.max_total_degree, f.kind, f.exact,
-                 {idx: ScalarField(f.n, f.max_total_degree, f.kind, f.exact, cc)
-                  for idx, cc in comp_fields.items()})
+                 {idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
+                                      for deg, val in field.coeffs.items()})
+                  for idx, field in f.components.items()})
     u = codifferential(beta, weight)
-
-    residual = exterior_d(u) - f
-    res_sq = residual.norm_sq()
-    if f.exact and res_sq != 0:
-        raise NotClosedError("exact solve left a nonzero residual; input is not closed",
-                             residual_norm_sq=res_sq)
-    if not f.exact and res_sq > (tolerance ** 2) * f.norm_sq():
-        raise SolveNumericalError(
-            f"float solve residual^2 {res_sq:.3e} exceeds tolerance", block_degree=None)
-    report = _make_report(res_sq, f.norm_sq(), u.norm_sq(), bound, blocks, f.exact)
-    return u, beta, report
+    return u, beta, _finish(u, exterior_d(u) - f, f, bound,
+                          _degree_levels(f.components.values()), f.exact, tolerance)
 
 
 def solve_d_min_norm(f: PForm, weight: Weight, tolerance: float = 1e-10):
@@ -371,36 +178,69 @@ def solve_d_min_norm(f: PForm, weight: Weight, tolerance: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _dbar_images(exact: bool):
-    half = Fraction(1, 2) if exact else 0.5
-    minus_half_i = -imaginary_unit(exact) * half
-
-    def images(elem):
-        j, deg = elem
-        a = 2 * j - 2  # zero-based real axis pair (a, a+1)
-        lifted_x = deg[:a] + (deg[a] + 1,) + deg[a + 1:]
-        lifted_y = deg[:a + 1] + (deg[a + 1] + 1,) + deg[a + 2:]
-        return [((lifted_x,), half), ((lifted_y,), minus_half_i)]
-
-    return images
+def _k(a: int, b: int, p: int) -> int:
+    """K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j) with q = a + b - p."""
+    q = a + b - p
+    return sum((-1) ** (p - j) * math.comb(p, j) * math.comb(q, a - j)
+               for j in range(max(0, a - q), min(p, a) + 1))
 
 
-def _dbar_preimages(n: int):
-    def preimages(key):
-        (deg,) = key
-        out = []
-        for j in range(1, n + 1):
-            for axis in (2 * j - 2, 2 * j - 1):
-                if deg[axis] >= 1:
-                    lowered = deg[:axis] + (deg[axis] - 1,) + deg[axis + 1:]
-                    out.append((j, lowered))
-        return out
+def _times_i_power(r: Fraction, k: int, exact: bool):
+    """The scalar i^k r."""
+    re, im = ((r, 0), (0, r), (-r, 0), (0, -r))[k % 4]
+    return QC(re, im) if exact else complex(re, im)
 
-    return preimages
+
+@lru_cache(maxsize=None)
+def he_to_complex_hermite(a: int, b: int, exact: bool) -> tuple:
+    """He_a(x) He_b(y) as ((p, q), coefficient) pairs over H_{p,q}, p + q = a + b."""
+    s = a + b
+    out = []
+    for p in range(s + 1):
+        k = _k(a, b, p)
+        if k:
+            r = Fraction(k * math.factorial(a) * math.factorial(b),
+                         math.factorial(p) * math.factorial(s - p))
+            out.append(((p, s - p), _times_i_power(r, b, exact)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
+    """H_{p,q} as ((a, b), coefficient) pairs over He_a(x) He_b(y), a + b = p + q."""
+    s = p + q
+    out = []
+    for a in range(s + 1):
+        k = _k(a, s - a, p)
+        if k:
+            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s, exact)))
+    return tuple(out)
+
+
+def _convert_pairs(coeffs: dict, table, m: int, exact: bool) -> dict:
+    """Apply a per-pair basis conversion to every complex pair of a coefficient map."""
+    for j in range(0, m, 2):
+        out: dict = {}
+        for deg, val in coeffs.items():
+            for pair, t in table(deg[j], deg[j + 1], exact):
+                key = deg[:j] + pair + deg[j + 2:]
+                out[key] = out[key] + val * t if key in out else val * t
+        coeffs = {key: val for key, val in out.items() if val}
+    return coeffs
+
+
+def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
+    """(L + 1)^{-1} on one component, through the H_{p,q} basis."""
+    spectral = _convert_pairs(field.coeffs, he_to_complex_hermite, field.m, field.exact)
+    spectral = {key: val / (sum(key[1::2]) + 1) for key, val in spectral.items()}
+    return field.replace(_convert_pairs(spectral, complex_hermite_to_he, field.m, field.exact))
 
 
 def solve_dbar_min_norm_full(g: Form01, weight: Weight, tolerance: float = 1e-10):
-    """Solve dbar u = g with the Hormander-type bound 2; returns (u, beta, report)."""
+    """Solve dbar u = g with the Hormander-type bound 2; returns (u, beta, report).
+
+    beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g.
+    """
     if weight.m != 2 * g.n:
         raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{g.n}")
     exact = g.exact
@@ -422,37 +262,12 @@ def solve_dbar_min_norm_full(g: Form01, weight: Weight, tolerance: float = 1e-10
                 raise NotClosedError(
                     f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
                     residual_norm_sq=dg.norm_sq())
+    _check_capacity(g.degree, g.max_total_degree)
 
-    top = g.degree
-    if top + 1 > g.max_total_degree:
-        raise DegreeOverflowError(
-            f"solve needs capacity {top + 1} (one above the data degree {top}), "
-            f"have {g.max_total_degree}", required_capacity=top + 1)
-
-    support = {}
-    for j, field in enumerate(g.components, start=1):
-        for deg, val in field.coeffs.items():
-            support[(j, deg)] = val
-    coeffs, blocks = _solve_blocks(support, _dbar_images(exact), _dbar_preimages(g.n),
-                                   exact, True, "dbar")
-
-    per_component: list[dict] = [{} for _ in range(g.n)]
-    for (j, deg), val in coeffs.items():
-        per_component[j - 1][deg] = val
-    beta = Form01([ScalarField(2 * g.n, g.max_total_degree, "complex", exact, cc)
-                   for cc in per_component])
+    beta = Form01([_inverse_dbar_laplacian(field) for field in g.components])
     u = dbar_adjoint(beta, weight)
-
-    residual = dbar_function(u) - g
-    res_sq = residual.norm_sq()
-    if exact and res_sq != 0:
-        raise NotClosedError("exact solve left a nonzero residual; input is not closed",
-                             residual_norm_sq=res_sq)
-    if not exact and res_sq > (tolerance ** 2) * g.norm_sq():
-        raise SolveNumericalError(
-            f"float solve residual^2 {res_sq:.3e} exceeds tolerance", block_degree=None)
-    report = _make_report(res_sq, g.norm_sq(), u.norm_sq(), bound, blocks, exact)
-    return u, beta, report
+    return u, beta, _finish(u, dbar_function(u) - g, g, bound,
+                          _degree_levels(g.components), exact, tolerance)
 
 
 def solve_dbar_min_norm(g: Form01, weight: Weight, tolerance: float = 1e-10):

@@ -313,3 +313,16 @@ def test_pform_json_roundtrip(rng):
     assert Form01.from_json(g.to_json()) == g
     f11 = ComplexForm11([[random_complex_function(rng, 1, 6, 3)]])
     assert ComplexForm11.from_json(f11.to_json()) == f11
+
+
+def test_float_json_roundtrip_with_zero_entry(rng):
+    # a zero field serializes as an empty coefficient list; read back, it
+    # takes the float mode of its siblings instead of defaulting to exact
+    zero = ScalarField.zero(4, 6, "complex", exact=False)
+    fields = [random_complex_function(rng, 2, 6, 3, exact=False) for _ in range(3)]
+    f11 = ComplexForm11([[fields[0], zero], [fields[1], fields[2]]])
+    back = ComplexForm11.from_json(f11.to_json())
+    assert back == f11 and not back.exact
+    g = Form01([zero, fields[0]])
+    back = Form01.from_json(g.to_json())
+    assert back == g and not back.exact

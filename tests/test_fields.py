@@ -184,22 +184,10 @@ def test_complex_parts_and_conjugate():
         + x(1, kind="complex").scale(QC(0, -1))
 
 
-def test_apply_delta_axis_alias_checks_weight_dimension():
-    from gauss_hodge.fields import apply_delta_axis, evaluate_field, weighted_inner
-    w2 = Weight.standard(2)
-    assert apply_delta_axis(const(1), 1, w2) == x(1).scale(-2)
-    with pytest.raises(DimensionMismatchError):
-        apply_delta_axis(const(1), 1, Weight.standard(3))
-    assert weighted_inner(x(1), x(1)) == Fraction(1, 2)
-    assert evaluate_field(x(1), (Fraction(3), 0)) == 3
-
-
 def test_weight_data():
     w = Weight.standard(3)
     assert w.convexity_constant == 2
     assert w.hessian(1, 1) == 2 and w.hessian(1, 2) == 0
-    assert w.value_at((1, 2, 3)) == 14
-    assert w.gradient_at(2, (1, 2, 3)) == 4
     # Hessian quadratic form equals 2|w|^2 on sample vectors
     for vec in ((1, 0, 0), (1, -2, 3), (Fraction(1, 2), Fraction(1, 3), 0)):
         quad = sum(w.hessian(j, k) * vec[j - 1] * vec[k - 1]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gauss_hodge.calculus import (Form01, PForm, codifferential, dbar_adjoint,
-                                  dbar_function, exterior_d)
+                                  dbar_function, delta_z, delta_zbar, exterior_d)
 from gauss_hodge.errors import DegreeOverflowError, NotClosedError
 from gauss_hodge.fields import ScalarField, Weight, hermite_sq_norm_vector
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
 from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
                                      random_pform)
-from gauss_hodge.solver import (solve_d_min_norm, solve_d_min_norm_full,
-                                solve_dbar_min_norm, solve_dbar_min_norm_full)
+from gauss_hodge.solver import (_make_report, bound_holds, complex_hermite_to_he,
+                                he_to_complex_hermite, solve_d_min_norm,
+                                solve_d_min_norm_full, solve_dbar_min_norm,
+                                solve_dbar_min_norm_full)
 
 from conftest import nullspace, rref, zzbar_poly_field
 
@@ -135,6 +138,43 @@ def test_d_solve_random_residuals_and_bounds(rng):
             assert rep.bound_constant == Fraction(1, 2 * p1)
             # u is exactly the codifferential of beta
             assert codifferential(beta, Weight.standard(n)) == u
+
+
+def test_d_beta_inverts_the_hodge_laplacian(rng):
+    # beta = Delta^{-1} f, checked by applying dT* + T*d rather than the
+    # solver's 2(|d| + p) division
+    for n, p1 in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3)):
+        w = Weight.standard(n)
+        for _ in range(3):
+            f = random_closed_pform(rng, n, p1, CAP, 5)
+            _, beta, _ = solve_d_min_norm_full(f, w)
+            assert exterior_d(codifferential(beta, w)) \
+                + codifferential(exterior_d(beta), w) == f
+
+
+def test_complex_hermite_tables():
+    """For each pair degree a + b <= 8 the two conversion tables are inverse,
+    and H_{p,q} read from the table is the ladder (-delta^zbar)^p (-delta^z)^q 1
+    with ||H_{p,q}||^2 = p! q!."""
+    for s in range(9):
+        for p in range(s + 1):
+            q = s - p
+            ladder = ScalarField.constant(1, 2, s, "complex")
+            for _ in range(q):
+                ladder = -delta_z(ladder, 1)
+            for _ in range(p):
+                ladder = -delta_zbar(ladder, 1)
+            table = ScalarField(2, s, "complex", True, dict(complex_hermite_to_he(p, q, True)))
+            assert table == ladder
+            assert table.norm_sq() == math.factorial(p) * math.factorial(q)
+        for first, second in ((complex_hermite_to_he, he_to_complex_hermite),
+                              (he_to_complex_hermite, complex_hermite_to_he)):
+            for a in range(s + 1):
+                composed: dict = {}
+                for mid, c in first(a, s - a, True):
+                    for key, d in second(*mid, True):
+                        composed[key] = composed.get(key, 0) + c * d
+                assert {k: v for k, v in composed.items() if v} == {(a, s - a): 1}
 
 
 def test_d_solution_is_minimum_norm_against_dense_oracle(rng):
@@ -351,27 +391,6 @@ def test_poincare_bound_property(f):
     assert rep.ratio <= Fraction(1, 4)
 
 
-def test_cg_direct_singular_consistent():
-    from gauss_hodge.solver import _solve_cg_gram
-    # positive semidefinite with a kernel; rhs in the range
-    x = _solve_cg_gram([[2.0, 0.0], [0.0, 0.0]], [2.0, 0.0], block_degree=0)
-    assert abs(x[0] - 1.0) < 1e-12 and x[1] == 0.0
-    # Hermitian PSD singular complex system, rhs = A @ [1, 0]
-    a = [[1.0 + 0j, 0 + 1j], [0 - 1j, 1.0 + 0j]]
-    rhs = [1.0 + 0j, 0 - 1j]
-    x = _solve_cg_gram(a, rhs, block_degree=0)
-    resid = [rhs[i] - sum(a[i][j] * x[j] for j in range(2)) for i in range(2)]
-    assert max(abs(v) for v in resid) < 1e-12
-
-
-def test_cg_direct_inconsistent_returns_least_squares():
-    # an out-of-range rhs component is invariant under CG; the least-squares
-    # iterate comes back and the equation-level residual check judges it
-    from gauss_hodge.solver import _solve_cg_gram
-    x = _solve_cg_gram([[1.0, 0.0], [0.0, 0.0]], [0.5, 1.0], block_degree=3)
-    assert abs(x[0] - 0.5) < 1e-12 and x[1] == 0.0
-
-
 def test_exact_and_float_modes_agree(rng):
     # identical integer data solved both ways; float matches exact to 1e-9
     f_exact = random_closed_pform(rng, 4, 2, CAP, 5, terms=6)
@@ -419,6 +438,18 @@ def test_float_mode_solves(rng):
     u2, rep2 = solve_dbar_min_norm(g, w4)
     assert rep2.residual_norm_sq <= 1e-20 * max(rep2.input_norm_sq, 1.0)
     assert rep2.bound_satisfied
+
+
+def test_float_report_never_certifies_inf_or_nan():
+    inf, nan = float("inf"), float("nan")
+    assert not bound_holds(inf, 2.0, exact=False)
+    assert not bound_holds(nan, 2.0, exact=False)
+    assert not bound_holds(1.0, inf, exact=False)
+    # an overflowed input norm makes the ratio 0.0, which alone would pass
+    assert not _make_report(0.0, inf, 1.0, 2.0, 1, exact=False).bound_satisfied
+    assert not _make_report(0.0, 1.0, nan, 2.0, 1, exact=False).bound_satisfied
+    assert not _make_report(nan, 1.0, 1.0, 2.0, 1, exact=False).bound_satisfied
+    assert _make_report(0.0, 1.0, 1.0, 2.0, 1, exact=False).bound_satisfied
 
 
 def test_report_json_keys():
