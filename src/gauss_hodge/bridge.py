@@ -34,7 +34,8 @@ from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
 from .fields import COMPLEX, REAL, ScalarField, Weight
 from .multiindex import MultiIndex
 from .scalars import imaginary_unit
-from .solver import SolveReport, bound_holds, solve_d_min_norm_full, solve_dbar_min_norm_full
+from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
+                     solve_dbar_min_norm_full)
 
 
 def _add_wedge(store: dict, a: int, b: int, n2: int, f: ScalarField):
@@ -227,12 +228,10 @@ def solve_poincare_lelong_full(f: ComplexForm11, weight: Optional[Weight] = None
     two = Fraction(2) if exact else 2.0
     if f.is_zero():
         u = ScalarField.zero(2 * n, f.max_total_degree, COMPLEX, exact)
-        empty = SolveReport(zero_s, zero_s, zero_s,
-                            Fraction(1, 4) if exact else 0.25,
-                            zero_s, True, 0, exact)
-        empty_dbar = SolveReport(zero_s, zero_s, zero_s, two, zero_s, True, 0, exact)
-        final = SolveReport(zero_s, zero_s, zero_s, two, zero_s, True, 0, exact)
-        return u, PipelineReport(empty, empty, empty_dbar, empty_dbar, final)
+        empty = _make_report(zero_s, zero_s, zero_s, Fraction(1, 4) if exact else 0.25,
+                             0, exact)
+        empty_dbar = _make_report(zero_s, zero_s, zero_s, two, 0, exact)
+        return u, PipelineReport(empty, empty, empty_dbar, empty_dbar, empty_dbar)
 
     top = f.degree
     if top + 2 > f.max_total_degree:
@@ -310,16 +309,13 @@ def solve_poincare_lelong_full(f: ComplexForm11, weight: Optional[Weight] = None
         raise InvariantViolationError("final_residual", "ddbar u residual exceeds tolerance",
                                       lhs=res_sq, rhs=f_sq)
 
-    u_sq = u.norm_sq()
-    ratio = u_sq / f_sq if f_sq != 0 else zero_s
-    final = SolveReport(res_sq, f_sq, u_sq, two, ratio,
-                        bound_holds(ratio, two, exact),
-                        rep_d1.blocks_solved + rep_d2.blocks_solved
-                        + dbar_reports[0].blocks_solved + dbar_reports[1].blocks_solved,
-                        exact)
+    final = _make_report(res_sq, f_sq, u.norm_sq(), two,
+                         rep_d1.blocks_solved + rep_d2.blocks_solved
+                         + dbar_reports[0].blocks_solved + dbar_reports[1].blocks_solved,
+                         exact)
     if not final.bound_satisfied:
         raise InvariantViolationError("final_bound", "||u||^2 > 2 ||f||^2",
-                                      lhs=u_sq, rhs=f_sq)
+                                      lhs=final.output_norm_sq, rhs=f_sq)
     report = PipelineReport(rep_d1, rep_d2, dbar_reports[0], dbar_reports[1],
                             final, conj_ratios)
     return u, report

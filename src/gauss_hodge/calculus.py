@@ -16,8 +16,15 @@ Wirtinger ladders
     d/dzbar_j = (d/dx_{2j-1} + i d/dx_{2j}) / 2
 
 and their Gaussian-twisted versions delta^z_j = d/dz_j - zbar_j,
-delta^zbar_j = d/dzbar_j - z_j, both pure raising ladders in the Hermite
-basis, which is what keeps every operator here degree-graded and exact.
+delta^zbar_j = d/dzbar_j - z_j.  With d/dx He_a = 2a He_{a-1} and
+delta He_a = -He_{a+1}, all four act on the pair (x_{2j-1}, x_{2j}) by one
+rule, with sign -1 for z and +1 for zbar:
+
+    lowering  He_a He_b -> a He_{a-1} He_b + sign i b He_a He_{b-1}
+    raising   He_a He_b -> -1/2 He_{a+1} He_b - sign (i/2) He_a He_{b+1}
+
+so each sends a term to at most two terms and keeps every operator here
+degree-graded and exact.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import COMPLEX, REAL, ScalarField, Weight
+from .fields import COMPLEX, REAL, ScalarField, Weight, _shift
 from .multiindex import MultiIndex, insert_axis, remove_axis
 from .scalars import imaginary_unit
 
@@ -212,12 +219,7 @@ def exterior_d(u: PForm) -> PForm:
                 continue
             if sign == -1:
                 term = -term
-            cur = out.get(tgt)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = s
+            out[tgt] = out[tgt] + term if tgt in out else term
     return PForm(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact, out)
 
 
@@ -235,12 +237,7 @@ def codifferential(alpha: PForm, weight: Weight) -> PForm:
             term = field.apply_delta(j)
             if sign == 1:
                 term = -term
-            cur = out.get(tgt)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = s
+            out[tgt] = out[tgt] + term if tgt in out else term
     return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact, out)
 
 
@@ -260,42 +257,39 @@ def _require_complex(field: ScalarField):
         raise DomainError("complex calculus needs complex scalar fields")
 
 
-def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
-    """d/dz_j = (d/dx_{2j-1} - i d/dx_{2j}) / 2."""
+def _pair_ladder(u: ScalarField, j: int, raising: bool, sign: int) -> ScalarField:
+    """(op_{2j-1} + sign i op_{2j}) / 2 in one pass over the pair (x_{2j-1}, x_{2j}),
+    with op = d/dx (lowering) or delta (raising); see the module docstring."""
     _require_complex(u)
     n = complex_dimension(u)
     if j < 1 or j > n:
         raise DomainError(f"complex axis {j} outside 1..{n}")
-    i_unit = imaginary_unit(u.exact)
-    half = Fraction(1, 2) if u.exact else 0.5
-    return (u.partial_derivative(2 * j - 1) - u.partial_derivative(2 * j).scale(i_unit)).scale(half)
+    axes = ((2 * j - 2, 1), (2 * j - 1, imaginary_unit(u.exact) * sign))
+    if raising:
+        half = Fraction(1, 2) if u.exact else 0.5
+        weights = [(i, -half * w) for i, w in axes]
+        return u._map(lambda d: [(_shift(d, i, 1), w) for i, w in weights])
+    return u._map(lambda d: [(_shift(d, i, -1), d[i] * w) for i, w in axes if d[i]])
+
+
+def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
+    """d/dz_j = (d/dx_{2j-1} - i d/dx_{2j}) / 2."""
+    return _pair_ladder(u, j, False, -1)
 
 
 def wirtinger_dzbar(u: ScalarField, j: int) -> ScalarField:
     """d/dzbar_j = (d/dx_{2j-1} + i d/dx_{2j}) / 2."""
-    _require_complex(u)
-    n = complex_dimension(u)
-    if j < 1 or j > n:
-        raise DomainError(f"complex axis {j} outside 1..{n}")
-    i_unit = imaginary_unit(u.exact)
-    half = Fraction(1, 2) if u.exact else 0.5
-    return (u.partial_derivative(2 * j - 1) + u.partial_derivative(2 * j).scale(i_unit)).scale(half)
+    return _pair_ladder(u, j, False, 1)
 
 
 def delta_z(u: ScalarField, j: int) -> ScalarField:
     """d/dz_j - zbar_j = (delta_{2j-1} - i delta_{2j}) / 2, a raising ladder."""
-    _require_complex(u)
-    i_unit = imaginary_unit(u.exact)
-    half = Fraction(1, 2) if u.exact else 0.5
-    return (u.apply_delta(2 * j - 1) - u.apply_delta(2 * j).scale(i_unit)).scale(half)
+    return _pair_ladder(u, j, True, -1)
 
 
 def delta_zbar(u: ScalarField, j: int) -> ScalarField:
     """d/dzbar_j - z_j = (delta_{2j-1} + i delta_{2j}) / 2, a raising ladder."""
-    _require_complex(u)
-    i_unit = imaginary_unit(u.exact)
-    half = Fraction(1, 2) if u.exact else 0.5
-    return (u.apply_delta(2 * j - 1) + u.apply_delta(2 * j).scale(i_unit)).scale(half)
+    return _pair_ladder(u, j, True, 1)
 
 
 def _fields_from_json(data: list) -> list[ScalarField]:

@@ -28,8 +28,9 @@ from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
 from .calculus import ComplexForm11, Form01, PForm, codifferential, ddbar, exterior_d
 from .errors import DegreeOverflowError, GaussHodgeError, NotClosedError
 from .fields import REAL, Weight
-from .identities import (bochner_identity_report, conjugation_identities_check,
-                         d_norm_expansion_report, ddbar_adjoint_identity_report)
+from .identities import (_tol_equal, bochner_identity_report,
+                         conjugation_identities_check, d_norm_expansion_report,
+                         ddbar_adjoint_identity_report)
 from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
@@ -82,13 +83,6 @@ def _render(value):
     return float(value)
 
 
-def _close(lhs, rhs, exact: bool, tol: float) -> bool:
-    if exact:
-        return lhs == rhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= tol * scale
-
-
 def _norm_is_small(norm_sq, scale_sq, exact: bool, tol: float) -> bool:
     if exact:
         return norm_sq == 0
@@ -127,7 +121,7 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
         alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL, exact)
         lhs = exterior_d(u).weighted_inner(alpha)
         rhs = u.weighted_inner(codifferential(alpha, weight))
-        rec("adjoint_duality", _close(lhs, rhs, exact, tol), n=n, p=p, lhs=lhs, rhs=rhs)
+        rec("adjoint_duality", _tol_equal(lhs, rhs, exact, tol), n=n, p=p, lhs=lhs, rhs=rhs)
 
         expansion = d_norm_expansion_report(alpha, rel_tol=tol if not exact else 1e-12)
         rec("d_norm_expansion", expansion.equal, n=n, p=p,
@@ -146,7 +140,7 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     f1, f2 = decompose_11(f11)
     lhs = f1.norm_sq() + f2.norm_sq()
     rhs = 4 * f11.norm_sq()
-    rec("decompose_norm_identity", _close(lhs, rhs, exact, tol), n=n, lhs=lhs, rhs=rhs)
+    rec("decompose_norm_identity", _tol_equal(lhs, rhs, exact, tol), n=n, lhs=lhs, rhs=rhs)
     back = recompose_11(f1, f2)
     diff_sq = (back - f11).norm_sq()
     rec("decompose_roundtrip", _norm_is_small(diff_sq, f11.norm_sq(), exact, tol),
@@ -156,8 +150,8 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     v10, v01 = split_bidegree(v)
     lhs = v10.norm_sq()
     quarter = v.norm_sq() / 4
-    rec("split_norm_identity", _close(lhs, quarter, exact, tol)
-        and _close(v01.norm_sq(), quarter, exact, tol),
+    rec("split_norm_identity", _tol_equal(lhs, quarter, exact, tol)
+        and _tol_equal(v01.norm_sq(), quarter, exact, tol),
         n=n, lhs=lhs, rhs=quarter)
 
     u_c = random_complex_function(rng, n, cap, data_degree, exact)
@@ -209,9 +203,16 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def _read_input(path: str, cls, command: str):
+    """Decode an --input file with cls.from_json; malformed content is a
+    usage error (ValueError), so it exits 2 with one line and no traceback."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return cls.from_json(json.load(fh))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise ValueError(f"{command}: bad input {path}: "
+                             f"{type(exc).__name__}: {exc}") from None
 
 
 def _resolve_mode(form, requested: str | None, command: str):
@@ -226,15 +227,16 @@ def _resolve_mode(form, requested: str | None, command: str):
 
 def cmd_solve(config: RunConfig, equation: str, input_path: str,
               requested_mode: str | None) -> int:
-    data = _load_json(input_path)
     try:
         if equation == "d":
-            form = _resolve_mode(PForm.from_json(data), requested_mode, "solve")
+            form = _resolve_mode(_read_input(input_path, PForm, "solve"),
+                                 requested_mode, "solve")
             u, report = solve_d_min_norm(form, Weight.standard(form.n),
                                          config.tolerance)
             solution = u.to_json()
         elif equation == "dbar":
-            form = _resolve_mode(Form01.from_json(data), requested_mode, "solve")
+            form = _resolve_mode(_read_input(input_path, Form01, "solve"),
+                                 requested_mode, "solve")
             u, report = solve_dbar_min_norm(form, Weight.standard(2 * form.n),
                                             config.tolerance)
             solution = u.to_json()
@@ -274,7 +276,7 @@ def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
             w = parse_potential(potential, config.n, config.degree, config.exact)
             form = ddbar(w)
         else:
-            form = _resolve_mode(ComplexForm11.from_json(_load_json(input_path)),
+            form = _resolve_mode(_read_input(input_path, ComplexForm11, "lelong"),
                                  requested_mode, "lelong")
         u, report = solve_poincare_lelong_full(form, tolerance=config.tolerance)
     except ValueError as exc:
@@ -440,7 +442,7 @@ def main(argv=None) -> int:
             return cmd_solve(config, args.equation, args.input, args.mode)
         if args.command == "lelong":
             return cmd_lelong(config, args.input, args.from_potential, args.mode)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         print(f"{args.command}: bad input: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
     except GaussHodgeError as exc:

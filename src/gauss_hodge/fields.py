@@ -48,6 +48,39 @@ def hermite_product_1d(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _shift(deg: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+    """The degree vector deg with entry i moved by k."""
+    return deg[:i] + (deg[i] + k,) + deg[i + 1:]
+
+
+def _map_terms(terms, rule, capacity: int) -> dict:
+    """Apply the linear map He_d -> sum_{(t, w) in rule(d)} w He_t.
+
+    ``terms`` yields (source, coefficient) pairs; colliding targets are summed
+    and zero sums dropped.  Every operator that moves Hermite degrees runs
+    through here, so a target above ``capacity`` raises DegreeOverflowError.
+    """
+    out: dict = {}
+    for src, val in terms:
+        for tgt, w in rule(src):
+            term = val * w
+            out[tgt] = out[tgt] + term if tgt in out else term
+    top = max(map(sum, out), default=0)
+    if top > capacity:
+        raise DegreeOverflowError(f"result needs capacity {top}, have {capacity}",
+                                  required_capacity=top)
+    return {tgt: val for tgt, val in out.items() if val}
+
+
+def _product_terms(pair) -> list:
+    """He_da He_db as (degree, integer weight) pairs, one 1-D linearization per axis."""
+    terms = [((), 1)]
+    for a, b in zip(*pair):
+        terms = [(prefix + (k,), w * c) for prefix, w in terms
+                 for k, c in hermite_product_1d(a, b)]
+    return terms
+
+
 class ScalarField:
     """A sparse multivariate Hermite expansion with bounded total degree."""
 
@@ -205,67 +238,27 @@ class ScalarField:
         if axis < 1 or axis > self.m:
             raise DomainError(f"axis {axis} outside 1..{self.m}")
 
+    def _map(self, rule) -> "ScalarField":
+        return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree))
+
     def partial_derivative(self, axis: int) -> "ScalarField":
-        """d/dx_axis: lowers the axis degree by one (2k ladder)."""
+        """d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
         self._axis_check(axis)
         i = axis - 1
-        out: dict[tuple[int, ...], object] = {}
-        for deg, val in self.coeffs.items():
-            k = deg[i]
-            if k == 0:
-                continue
-            tgt = deg[:i] + (k - 1,) + deg[i + 1:]
-            cur = out.get(tgt, self._zero()) + (2 * k) * val
-            if scalar_is_zero(cur):
-                out.pop(tgt, None)
-            else:
-                out[tgt] = cur
-        return self.replace(out)
+        return self._map(lambda d: ((_shift(d, i, -1), 2 * d[i]),) if d[i] else ())
 
     def apply_delta(self, axis: int) -> "ScalarField":
-        """delta_axis = d/dx_axis - 2 x_axis: raises the axis degree by one."""
+        """delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1} along the axis."""
         self._axis_check(axis)
         i = axis - 1
-        out: dict[tuple[int, ...], object] = {}
-        for deg, val in self.coeffs.items():
-            if sum(deg) + 1 > self.max_total_degree:
-                raise DegreeOverflowError(
-                    f"delta on axis {axis} needs capacity {sum(deg) + 1}, "
-                    f"have {self.max_total_degree}",
-                    required_capacity=sum(deg) + 1)
-            tgt = deg[:i] + (deg[i] + 1,) + deg[i + 1:]
-            cur = out.get(tgt, self._zero()) - val
-            if scalar_is_zero(cur):
-                out.pop(tgt, None)
-            else:
-                out[tgt] = cur
-        return self.replace(out)
+        return self._map(lambda d: ((_shift(d, i, 1), -1),))
 
     def multiply_by_coordinate(self, axis: int) -> "ScalarField":
-        """x_axis action: x H_k = 1/2 H_{k+1} + k H_{k-1} along the axis."""
+        """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
         self._axis_check(axis)
         i = axis - 1
         half = Fraction(1, 2) if self.exact else 0.5
-        out: dict[tuple[int, ...], object] = {}
-
-        def bump(tgt, inc):
-            cur = out.get(tgt, self._zero()) + inc
-            if scalar_is_zero(cur):
-                out.pop(tgt, None)
-            else:
-                out[tgt] = cur
-
-        for deg, val in self.coeffs.items():
-            k = deg[i]
-            if sum(deg) + 1 > self.max_total_degree:
-                raise DegreeOverflowError(
-                    f"coordinate multiplication on axis {axis} needs capacity "
-                    f"{sum(deg) + 1}, have {self.max_total_degree}",
-                    required_capacity=sum(deg) + 1)
-            bump(deg[:i] + (k + 1,) + deg[i + 1:], half * val)
-            if k >= 1:
-                bump(deg[:i] + (k - 1,) + deg[i + 1:], k * val)
-        return self.replace(out)
+        return self._map(lambda d: [(_shift(d, i, k), w) for k, w in ((1, half), (-1, d[i])) if w])
 
     def multiply(self, other: "ScalarField") -> "ScalarField":
         """Exact product via the 1-D Hermite linearization, applied per axis.
@@ -275,26 +268,10 @@ class ScalarField:
         """
         self._compatible(other)
         cap = self.max_total_degree + other.max_total_degree
-        out: dict[tuple[int, ...], object] = {}
-        zero = self._zero()
-        for da, va in self.coeffs.items():
-            for db, vb in other.coeffs.items():
-                # expansions[i] lists (degree, integer weight) for axis i
-                terms = [(tuple(), 1)]
-                for a, b in zip(da, db):
-                    nxt = []
-                    for prefix, w in terms:
-                        for dk, ck in hermite_product_1d(a, b):
-                            nxt.append((prefix + (dk,), w * ck))
-                    terms = nxt
-                base = va * vb
-                for deg, w in terms:
-                    cur = out.get(deg, zero) + base * (w if self.exact else float(w))
-                    if scalar_is_zero(cur):
-                        out.pop(deg, None)
-                    else:
-                        out[deg] = cur
-        return ScalarField(self.m, cap, self.kind, self.exact, out)
+        products = (((da, db), va * vb) for da, va in self.coeffs.items()
+                    for db, vb in other.coeffs.items())
+        return ScalarField(self.m, cap, self.kind, self.exact,
+                           _map_terms(products, _product_terms, cap))
 
     # -- metric and evaluation -------------------------------------------------------
 

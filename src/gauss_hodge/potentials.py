@@ -58,6 +58,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def check_degree(self, degree: int):
+        """Refuse a product before it is built when its degree, which is the
+        sum of its factors' degrees, exceeds the capacity."""
+        if degree > self.capacity:
+            raise DomainError(f"potential degree {degree} exceeds capacity {self.capacity}")
+
     def constant(self, value) -> ScalarField:
         return ScalarField.constant(value, 2 * self.n, self.capacity, COMPLEX, self.exact)
 
@@ -89,6 +95,7 @@ class _Parser:
             rhs = self.factor()
             if op == "*":
                 # multiply() widens the capacity; clamped once at the end
+                self.check_degree((out.degree or 0) + (rhs.degree or 0))
                 out = out.multiply(rhs)
             else:
                 const = _as_constant(rhs)
@@ -113,6 +120,7 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise DomainError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             k = int(exp_tok)
+            self.check_degree((base.degree or 0) * k)
             out = self.constant(1)
             for _ in range(k):
                 out = out.multiply(base)

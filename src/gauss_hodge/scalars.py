@@ -12,6 +12,7 @@ which is the only interface the rest of the package relies on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -221,6 +222,8 @@ def scalar_from_json(re, im, exact: bool, complex_kind: bool):
         return re_f
     re_v = float(Fraction(re)) if isinstance(re, str) else float(re)
     im_v = float(Fraction(im)) if isinstance(im, str) else float(im)
+    if not (math.isfinite(re_v) and math.isfinite(im_v)):
+        raise DomainError(f"non-finite float coefficient ({re_v}, {im_v})")
     if complex_kind:
         return complex(re_v, im_v)
     if im_v != 0:

@@ -40,7 +40,7 @@ from .calculus import (Form01, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      NotClosedError, SolveNumericalError)
-from .fields import ScalarField, Weight
+from .fields import ScalarField, Weight, _map_terms
 from .scalars import QC
 
 FLOAT_BOUND_SLACK = 1e-12
@@ -217,23 +217,20 @@ def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
     return tuple(out)
 
 
-def _convert_pairs(coeffs: dict, table, m: int, exact: bool) -> dict:
+def _convert_pairs(field: ScalarField, coeffs: dict, table) -> dict:
     """Apply a per-pair basis conversion to every complex pair of a coefficient map."""
-    for j in range(0, m, 2):
-        out: dict = {}
-        for deg, val in coeffs.items():
-            for pair, t in table(deg[j], deg[j + 1], exact):
-                key = deg[:j] + pair + deg[j + 2:]
-                out[key] = out[key] + val * t if key in out else val * t
-        coeffs = {key: val for key, val in out.items() if val}
+    for j in range(0, field.m, 2):
+        coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
+            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], field.exact)],
+            field.max_total_degree)
     return coeffs
 
 
 def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
     """(L + 1)^{-1} on one component, through the H_{p,q} basis."""
-    spectral = _convert_pairs(field.coeffs, he_to_complex_hermite, field.m, field.exact)
+    spectral = _convert_pairs(field, field.coeffs, he_to_complex_hermite)
     spectral = {key: val / (sum(key[1::2]) + 1) for key, val in spectral.items()}
-    return field.replace(_convert_pairs(spectral, complex_hermite_to_he, field.m, field.exact))
+    return field.replace(_convert_pairs(field, spectral, complex_hermite_to_he))
 
 
 def solve_dbar_min_norm_full(g: Form01, weight: Weight, tolerance: float = 1e-10):

@@ -6,7 +6,8 @@ import pytest
 
 from gauss_hodge.calculus import (ComplexForm11, Form01, PForm,
                                   codifferential, dbar_adjoint, dbar_function,
-                                  dbar_of_01, dbar_of_10, ddbar, exterior_d,
+                                  dbar_of_01, dbar_of_10, ddbar, delta_z, delta_zbar,
+                                  exterior_d,
                                   partial_function, partial_of_01, partial_of_10,
                                   wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DomainError
@@ -212,6 +213,28 @@ def test_wirtinger_matches_symbolic_oracle(rng):
                 expected = zzbar_poly_field(n, u.max_total_degree,
                                             zzbar_wirtinger_dzbar(terms, j))
                 assert wirtinger_dzbar(u, j) == expected
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("op, axis_op, sign", [
+    (wirtinger_dz, "partial_derivative", -1),
+    (wirtinger_dzbar, "partial_derivative", 1),
+    (delta_z, "apply_delta", -1),
+    (delta_zbar, "apply_delta", 1),
+])
+def test_pair_ladders_match_two_axis_definition(rng, exact, op, axis_op, sign):
+    # (op_{2j-1} + sign i op_{2j}) / 2 built from single-axis ladders; the
+    # integer data keeps float mode exact, so both modes compare with ==
+    i_unit = QC(0, 1) if exact else 1j
+    half = Fraction(1, 2) if exact else 0.5
+    for n in (1, 2, 3):
+        for _ in range(4):
+            u = random_complex_function(rng, n, CAP, CAP - 1, exact, terms=6)
+            for j in range(1, n + 1):
+                along_x = getattr(u, axis_op)(2 * j - 1)
+                along_y = getattr(u, axis_op)(2 * j).scale(i_unit)
+                expected = (along_x + along_y if sign == 1 else along_x - along_y).scale(half)
+                assert op(u, j) == expected
 
 
 def test_dbar_adjoint_examples():

@@ -134,6 +134,47 @@ def test_solve_missing_input_is_usage_error(tmp_path):
                  str(tmp_path / "missing.json")]) == 2
 
 
+def _one_term_text(equation: str, **entry) -> str:
+    """A one-term input for solve --equation as JSON, its coefficient entry
+    overridden: dx1^dx2 for d, dzbar for dbar."""
+    if equation == "d":
+        one = ScalarField.constant(1, 2, 6)
+        data = PForm(2, 2, 6, components={MultiIndex((1, 2), 2): one}).to_json()
+        field = data["components"][0]["field"]
+    else:
+        data = Form01([ScalarField.constant(1, 2, 6, "complex")]).to_json()
+        field = data["components"][0]
+    field["coeffs"][0].update(entry)
+    return json.dumps(data)
+
+
+SOLVE_D = ["solve", "--equation", "d", "--input"]
+SOLVE_DBAR = ["solve", "--equation", "dbar", "--input"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (SOLVE_D, "[1, 2]"),
+    (SOLVE_DBAR, "[1, 2]"),
+    (["lelong", "--input"], "[1, 2]"),
+    (SOLVE_D, _one_term_text("d", re="1/0")),
+    (SOLVE_D, _one_term_text("d", deg=None)),
+    (SOLVE_D, _one_term_text("d", re=float("nan"), im=0.0)),
+    (SOLVE_D, _one_term_text("d", re=float("inf"), im=0.0)),
+    (SOLVE_DBAR, _one_term_text("dbar", re=1.0, im=float("-inf"))),
+    (["lelong", "--n", "1", "--degree", "8", "--from-potential", "z**99999"], None),
+], ids=["list-d", "list-dbar", "list-lelong", "zero-denominator", "null-degree",
+        "nan", "inf", "minus-inf-imag", "potential-degree"])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
+    if text is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_lelong_from_potential(tmp_path):
     out = tmp_path / "lelong.json"
     code = main(["lelong", "--from-potential", "z*conj(z)", "--n", "1",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gauss_hodge.calculus import delta_z, delta_zbar
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from gauss_hodge.fields import ScalarField, Weight
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
@@ -157,10 +158,12 @@ def test_multiply_matches_pointwise_evaluation(f, g):
 
 def test_capacity_overflow_loud():
     top = ScalarField(1, 2, "real", True, {(2,): 1})
-    with pytest.raises(DegreeOverflowError):
-        top.apply_delta(1)
-    with pytest.raises(DegreeOverflowError):
-        top.multiply_by_coordinate(1)
+    top_c = ScalarField(2, 2, "complex", True, {(1, 1): 1})
+    for raising in (top.apply_delta, top.multiply_by_coordinate,
+                    lambda j: delta_z(top_c, j), lambda j: delta_zbar(top_c, j)):
+        with pytest.raises(DegreeOverflowError) as err:
+            raising(1)
+        assert err.value.required_capacity == 3
     with pytest.raises(DegreeOverflowError):
         ScalarField(1, 1, "real", True, {(2,): 1})
 
