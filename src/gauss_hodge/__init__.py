@@ -8,10 +8,9 @@ norm bounds, and the constructive pipeline for ddbar u = f.
 from .bridge import (PipelineReport, decompose_11, recompose_11, split_bidegree,
                      solve_poincare_lelong, solve_poincare_lelong_full,
                      two_form_complex_parts)
-from .calculus import (ComplexForm11, Form01, Form02, Form10, Form20, PForm,
-                       codifferential, dbar_adjoint, dbar_function, dbar_of_01,
-                       dbar_of_10, ddbar, exterior_d, partial_function,
-                       partial_of_01, partial_of_10, wirtinger_dz, wirtinger_dzbar)
+from .calculus import (ComplexForm, PForm, codifferential, dbar, dbar_adjoint,
+                       dbar_function, dbar_of_01, ddbar, exterior_d, partial,
+                       partial_of_10, wirtinger_dz, wirtinger_dzbar)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      GaussHodgeError, InvariantViolationError, NotClosedError,
                      SolveNumericalError)
@@ -35,10 +34,9 @@ __all__ = [
     "HermiteSeries", "differentiate", "apply_delta", "multiply_by_coordinate",
     "inner_product_1d", "evaluate",
     "ScalarField", "Weight",
-    "PForm", "Form10", "Form01", "Form20", "Form02", "ComplexForm11",
-    "exterior_d", "codifferential",
-    "dbar_function", "partial_function", "ddbar", "dbar_adjoint",
-    "dbar_of_01", "dbar_of_10", "partial_of_01", "partial_of_10",
+    "PForm", "ComplexForm",
+    "exterior_d", "codifferential", "partial", "dbar",
+    "dbar_function", "ddbar", "dbar_adjoint", "dbar_of_01", "partial_of_10",
     "wirtinger_dz", "wirtinger_dzbar",
     "SolveReport", "solve_d_min_norm", "solve_d_min_norm_full",
     "solve_dbar_min_norm", "solve_dbar_min_norm_full",

@@ -1,16 +1,24 @@
-"""Conversion between (1,1)-forms on C^n and real forms on R^{2n}, and the
+"""Conversion between forms on C^n and real forms on R^{2n}, and the
 end-to-end pipeline solving the Poincare-Lelong equation ddbar u = f.
 
-Coordinates are paired as z_j = x_{2j-1} + i x_{2j}.  Writing each entry
-f_{ij} = A_{ij} + i B_{ij} and expanding dz_i ^ dzbar_j in the real frame
-gives the decomposition f = f1 + i f2 into real 2-forms with
+Coordinates are paired as z_j = x_{2j-1} + i x_{2j}.  Every conversion is
+one frame change: each frame 1-form is expanded through a per-axis table,
+
+    dz_j = dx_{2j-1} + i dx_{2j},     dzbar_j = dx_{2j-1} - i dx_{2j},
+    dx_{2j-1} = (dz_j + dzbar_j)/2,   dx_{2j} = (dz_j - dzbar_j)/(2i),
+
+and the wedge of the images is re-sorted into increasing indices.  Into the
+real frame a (1,1)-form f becomes f = f1 + i f2 with real 2-forms f1, f2
+(decompose_11); writing f_{ij} = A_{ij} + i B_{ij} this gives
 
     f1 = sum_{i<j} (A_{ij} - A_{ji}) (dx_i^dx_j + dy_i^dy_j)
          + sum_{i,j} (B_{ij} + B_{ji}) dx_i^dy_j
     f2 = sum_{i<j} (B_{ij} - B_{ji}) (dx_i^dx_j + dy_i^dy_j)
          - sum_{i,j} (A_{ij} + A_{ji}) dx_i^dy_j
 
-and the pointwise identity |f1|^2 + |f2|^2 = 4 |f|^2.
+and the pointwise identity |f1|^2 + |f2|^2 = 4 |f|^2.  Into the complex frame
+a real 1- or 2-form splits by bidegree (split_bidegree,
+two_form_complex_parts).
 
 The pipeline runs the constructive proof: solve d v_k = f_k with bound 1/4,
 split v_k by bidegree (each half carrying a quarter of the squared norm),
@@ -23,69 +31,84 @@ are mathematically guaranteed and must never fire.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .calculus import (ComplexForm11, Form01, Form02, Form10, Form20, PForm,
-                       dbar_of_01, ddbar, exterior_d, partial_of_10)
+from .calculus import (ComplexForm, PForm, _accumulate, dbar_of_01, ddbar, exterior_d,
+                       partial_of_10, require_bidegree)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      InvariantViolationError, NotClosedError)
 from .fields import COMPLEX, REAL, ScalarField, Weight
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit
 from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
                      solve_dbar_min_norm_full)
 
 
-def _add_wedge(store: dict, a: int, b: int, n2: int, f: ScalarField):
-    """Accumulate f dx_a ^ dx_b into increasing-index storage (antisymmetric)."""
-    if f.is_zero():
-        return
-    if a == b:
-        return
-    if a > b:
-        a, b = b, a
-        f = -f
-    key = MultiIndex((a, b), n2)
-    cur = store.get(key)
-    s = f if cur is None else cur + f
-    if s.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = s
+def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
+    """Each frame 1-form as (axis, weight) pairs over the other frame:
+
+        dx_{2j-1} = (dz_j + dzbar_j)/2,   dx_{2j} = (dz_j - dzbar_j)/(2i),
+        dz_j = dx_{2j-1} + i dx_{2j},     dzbar_j = dx_{2j-1} - i dx_{2j}.
+    """
+    i_unit = imaginary_unit(exact)
+    half = Fraction(1, 2) if exact else 0.5
+    table = {}
+    for j in range(1, n + 1):
+        if to_complex:
+            table[2 * j - 1] = ((j, half), (n + j, half))
+            table[2 * j] = ((j, -i_unit * half), (n + j, i_unit * half))
+        else:
+            table[j] = ((2 * j - 1, 1), (2 * j, i_unit))
+            table[n + j] = ((2 * j - 1, 1), (2 * j, -i_unit))
+    return table
 
 
-def decompose_11(f: ComplexForm11) -> tuple[PForm, PForm]:
+def _frame_change(form: PForm, table: dict) -> dict:
+    """The components of a form in the other frame: each frame 1-form e_a
+    becomes sum_{(b, w) in table[a]} w e_b, and insert_axis re-sorts the
+    wedge of the images."""
+    out: dict = {}
+    empty = MultiIndex((), form.n)
+    for idx, field in form.components.items():
+        for picks in itertools.product(*(table[a] for a in idx)):
+            key, weight = empty, 1
+            for b, w in reversed(picks):
+                ins = insert_axis(b, key)
+                if ins is None:
+                    break
+                sign, key = ins
+                weight = weight * w if sign == 1 else -weight * w
+            else:
+                term = field if weight == 1 else -field if weight == -1 else field.scale(weight)
+                _accumulate(out, key, term)
+    return out
+
+
+def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
     """Split a (1,1)-form into real 2-forms with f = f1 + i f2."""
-    n = f.n
-    n2 = 2 * n
-    cap = f.max_total_degree
-    exact = f.exact
-    parts_a = [[f.entry(i, j).real_part() for j in range(1, n + 1)] for i in range(1, n + 1)]
-    parts_b = [[f.entry(i, j).imag_part() for j in range(1, n + 1)] for i in range(1, n + 1)]
-    store1: dict = {}
-    store2: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            A_ij = parts_a[i - 1][j - 1]
-            A_ji = parts_a[j - 1][i - 1]
-            B_ij = parts_b[i - 1][j - 1]
-            B_ji = parts_b[j - 1][i - 1]
-            if i < j:
-                diff_a = A_ij - A_ji
-                diff_b = B_ij - B_ji
-                for (a, b) in ((2 * i - 1, 2 * j - 1), (2 * i, 2 * j)):
-                    _add_wedge(store1, a, b, n2, diff_a)
-                    _add_wedge(store2, a, b, n2, diff_b)
-            _add_wedge(store1, 2 * i - 1, 2 * j, n2, B_ij + B_ji)
-            _add_wedge(store2, 2 * i - 1, 2 * j, n2, -(A_ij + A_ji))
-    f1 = PForm(n2, 2, cap, REAL, exact, store1)
-    f2 = PForm(n2, 2, cap, REAL, exact, store2)
+    g = _frame_change(f, _frame_table(f.n // 2, f.exact, to_complex=False))
+    f1 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
+               {idx: c.real_part() for idx, c in g.items()})
+    f2 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
+               {idx: c.imag_part() for idx, c in g.items()})
     return f1, f2
 
 
-def two_form_complex_parts(g: PForm) -> tuple[Form20, ComplexForm11, Form02]:
+def _complex_parts(v: PForm) -> tuple[ComplexForm, ...]:
+    """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}."""
+    n = v.n // 2
+    comps = _frame_change(v.promote_complex(), _frame_table(n, v.exact, to_complex=True))
+    parts: dict = {}
+    for idx, field in comps.items():
+        parts.setdefault(sum(a <= n for a in idx), {})[idx] = field
+    return tuple(ComplexForm(n, (p, v.p - p), v.max_total_degree, v.exact, parts.get(p))
+                 for p in range(v.p, -1, -1))
+
+
+def two_form_complex_parts(g: PForm) -> tuple[ComplexForm, ComplexForm, ComplexForm]:
     """Write a real-frame 2-form in the complex frame.
 
     Returns the (2,0), (1,1) and (0,2) parts, using
@@ -93,61 +116,10 @@ def two_form_complex_parts(g: PForm) -> tuple[Form20, ComplexForm11, Form02]:
     """
     if g.p != 2 or g.n % 2 != 0:
         raise DomainError("need a 2-form on an even-dimensional real space")
-    n = g.n // 2
-    gc = g.promote_complex()
-    exact = g.exact
-    cap = g.max_total_degree
-    i_unit = imaginary_unit(exact)
-    half = Fraction(1, 2) if exact else 0.5
-    zero = ScalarField.zero(2 * n, cap, COMPLEX, exact)
-
-    def frame_weights(axis: int):
-        # dx_axis = wz * dz_pair + wzbar * dzbar_pair
-        pair = (axis + 1) // 2
-        if axis % 2 == 1:
-            return pair, half, half
-        return pair, -i_unit * half, i_unit * half
-
-    part20: dict = {}
-    part11 = [[zero for _ in range(n)] for _ in range(n)]
-    part02: dict = {}
-
-    def add20(i, k, fld):
-        if i == k:
-            return
-        if i > k:
-            i, k = k, i
-            fld = -fld
-        cur = part20.get((i, k), zero)
-        part20[(i, k)] = cur + fld
-
-    def add02(j, l, fld):
-        if j == l:
-            return
-        if j > l:
-            j, l = l, j
-            fld = -fld
-        cur = part02.get((j, l), zero)
-        part02[(j, l)] = cur + fld
-
-    for idx, fld in gc.components.items():
-        a, b = idx.axes
-        pa, za, zba = frame_weights(a)
-        pb, zb, zbb = frame_weights(b)
-        # dz ^ dz
-        add20(pa, pb, fld.scale(za * zb))
-        # dzbar ^ dzbar
-        add02(pa, pb, fld.scale(zba * zbb))
-        # dz_pa ^ dzbar_pb and dz_pb ^ dzbar_pa (the latter from dzbar_pa ^ dz_pb)
-        t = fld.scale(za * zbb)
-        part11[pa - 1][pb - 1] = part11[pa - 1][pb - 1] + t
-        t = fld.scale(zba * zb)
-        part11[pb - 1][pa - 1] = part11[pb - 1][pa - 1] - t
-    return (Form20(n, cap, exact, part20), ComplexForm11(part11),
-            Form02(n, cap, exact, part02))
+    return _complex_parts(g)
 
 
-def recompose_11(f1: PForm, f2: PForm) -> ComplexForm11:
+def recompose_11(f1: PForm, f2: PForm) -> ComplexForm:
     """Rebuild the complex frame from the two real 2-forms; the (2,0) and
     (0,2) parts of f1 + i f2 must vanish for a genuine (1,1)-form."""
     combined = f1.promote_complex() + f2.promote_complex().scale(imaginary_unit(f1.exact))
@@ -157,27 +129,14 @@ def recompose_11(f1: PForm, f2: PForm) -> ComplexForm11:
     return part11
 
 
-def split_bidegree(v: PForm) -> tuple[Form10, Form01]:
+def split_bidegree(v: PForm) -> tuple[ComplexForm, ComplexForm]:
     """Split a real-frame 1-form into its (1,0) and (0,1) parts:
 
     v10_j = v_{2j-1}/2 + v_{2j}/(2i),   v01_j = v_{2j-1}/2 - v_{2j}/(2i).
     """
     if v.p != 1 or v.n % 2 != 0:
         raise DomainError("need a 1-form on an even-dimensional real space")
-    n = v.n // 2
-    vc = v.promote_complex()
-    exact = v.exact
-    half = Fraction(1, 2) if exact else 0.5
-    i_unit = imaginary_unit(exact)
-    comps10 = []
-    comps01 = []
-    for j in range(1, n + 1):
-        vx = vc.component(MultiIndex((2 * j - 1,), v.n))
-        vy = vc.component(MultiIndex((2 * j,), v.n))
-        # 1/(2i) = -i/2
-        comps10.append(vx.scale(half) + vy.scale(-i_unit * half))
-        comps01.append(vx.scale(half) + vy.scale(i_unit * half))
-    return Form10(comps10), Form01(comps01)
+    return _complex_parts(v)
 
 
 @dataclass
@@ -214,20 +173,20 @@ def _check_stage_bound(report: SolveReport, stage: str):
             lhs=report.output_norm_sq, rhs=report.input_norm_sq)
 
 
-def solve_poincare_lelong_full(f: ComplexForm11, weight: Optional[Weight] = None,
+def solve_poincare_lelong_full(f: ComplexForm, weight: Optional[Weight] = None,
                                tolerance: float = 1e-10):
     """Run the full constructive solve of ddbar u = f; returns (u, report)."""
-    n = f.n
+    require_bidegree(f, (1, 1), "ddbar u = f")
     exact = f.exact
     if weight is None:
-        weight = Weight.standard(2 * n)
-    if weight.m != 2 * n:
-        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{n}")
+        weight = Weight.standard(f.n)
+    if weight.m != f.n:
+        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{f.n // 2}")
 
     zero_s = Fraction(0) if exact else 0.0
     two = Fraction(2) if exact else 2.0
     if f.is_zero():
-        u = ScalarField.zero(2 * n, f.max_total_degree, COMPLEX, exact)
+        u = ScalarField.zero(f.n, f.max_total_degree, COMPLEX, exact)
         empty = _make_report(zero_s, zero_s, zero_s, Fraction(1, 4) if exact else 0.25,
                              0, exact)
         empty_dbar = _make_report(zero_s, zero_s, zero_s, two, 0, exact)
@@ -321,7 +280,7 @@ def solve_poincare_lelong_full(f: ComplexForm11, weight: Optional[Weight] = None
     return u, report
 
 
-def solve_poincare_lelong(f: ComplexForm11, weight: Optional[Weight] = None,
+def solve_poincare_lelong(f: ComplexForm, weight: Optional[Weight] = None,
                           tolerance: float = 1e-10):
     """Solve ddbar u = f; returns (u, final SolveReport) with bound constant 2."""
     u, report = solve_poincare_lelong_full(f, weight, tolerance)

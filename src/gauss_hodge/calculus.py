@@ -1,24 +1,37 @@
-"""Operators on forms: d, its weighted formal adjoint, and the complex split.
+"""Operators on forms: d and its weighted adjoint on R^n, and partial, dbar
+and the adjoint of dbar on C^n, all through one wedge rule and one
+contraction rule.
 
-Real side (R^n):  for u = sum' u_I dx^I,
+A p-form is a map from increasing multi-indices over frame axes to scalar
+fields.  Each first-order operator wedges with frame 1-forms e_j, and each
+weighted adjoint contracts with them:
 
-    (du)_M   = sum_{j in M} sign(j, M\\j -> M) du_{M\\j}/dx_j
-    (T* a)_I = - sum_j delta_j a_{jI},     delta_j = d/dx_j - 2 x_j
+    (L u)      = sum_j e_j ^ L_j u
+    (L* a)_I   = - sum_j L'_j a_{jI}
 
 where a_{jI} vanishes when j is in I and otherwise carries the sign of
-sorting j into I.  T* is adjoint to d in the Gaussian-weighted inner
-product: <du, a> = <u, T* a> exactly on polynomial data.
+sorting j into I; insert_axis and remove_axis supply every sign.
 
-Complex side (C^n realized on R^{2n} with z_j = x_{2j-1} + i x_{2j}):
-Wirtinger ladders
+Real side (R^n), frame dx_1..dx_n:
 
-    d/dz_j    = (d/dx_{2j-1} - i d/dx_{2j}) / 2
-    d/dzbar_j = (d/dx_{2j-1} + i d/dx_{2j}) / 2
+    d:  L_j = d/dx_j,    T*: L'_j = delta_j = d/dx_j - 2 x_j
 
-and their Gaussian-twisted versions delta^z_j = d/dz_j - zbar_j,
-delta^zbar_j = d/dzbar_j - z_j.  With d/dx He_a = 2a He_{a-1} and
-delta He_a = -He_{a+1}, all four act on the pair (x_{2j-1}, x_{2j}) by one
-rule, with sign -1 for z and +1 for zbar:
+T* is adjoint to d in the Gaussian-weighted inner product: <du, a> = <u, T* a>
+exactly on polynomial data.
+
+Complex side (C^n realized on R^{2n} with z_j = x_{2j-1} + i x_{2j}), frame
+dz_1..dz_n, dzbar_1..dzbar_n: axis j is dz_j and axis n + j is dzbar_j, so
+dz^I ^ dzbar^J is keyed by the increasing index I + (n + J).  A ComplexForm
+is a PForm over these 2n axes that also stores its bidegree (p, q).
+
+    partial: e_j = dz_j,     L_j  = d/dz_j    = (d/dx_{2j-1} - i d/dx_{2j}) / 2
+    dbar:    e_j = dzbar_j,  L_j  = d/dzbar_j = (d/dx_{2j-1} + i d/dx_{2j}) / 2
+    dbar*:   e_j = dzbar_j,  L'_j = delta^z_j = d/dz_j - zbar_j
+
+under e^{-|z|^2}; the twisted ladder of partial is delta^zbar_j = d/dzbar_j
+- z_j.  With d/dx He_a = 2a He_{a-1} and delta He_a = -He_{a+1}, all four
+Wirtinger ladders act on the pair (x_{2j-1}, x_{2j}) by one rule, with sign
+-1 for z and +1 for zbar:
 
     lowering  He_a He_b -> a He_{a-1} He_b + sign i b He_a He_{b-1}
     raising   He_a He_b -> -1/2 He_{a+1} He_b - sign (i/2) He_a He_{b+1}
@@ -30,7 +43,7 @@ degree-graded and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
 from .fields import COMPLEX, REAL, ScalarField, Weight, _shift
@@ -75,10 +88,12 @@ class PForm:
                         if field.max_total_degree != max_total_degree else field
         self.components = store
 
-    @classmethod
-    def zero(cls, n: int, p: int, max_total_degree: int, kind: str = REAL,
-             exact: bool = True) -> "PForm":
-        return cls(n, p, max_total_degree, kind, exact)
+    def replace(self, components, max_total_degree: Optional[int] = None,
+                exact: Optional[bool] = None) -> "PForm":
+        """A form of this shape with other components (and capacity or mode)."""
+        return PForm(self.n, self.p,
+                     self.max_total_degree if max_total_degree is None else max_total_degree,
+                     self.kind, self.exact if exact is None else exact, components)
 
     def component(self, idx: MultiIndex | tuple) -> ScalarField:
         if not isinstance(idx, MultiIndex):
@@ -98,10 +113,13 @@ class PForm:
             return ScalarField.zero(self.n, self.max_total_degree, self.kind, self.exact)
         return field if sign == 1 else -field
 
+    def _shape(self) -> tuple:
+        return (type(self), self.n, self.p, self.kind, self.exact)
+
     def _compatible(self, other: "PForm"):
         if not isinstance(other, PForm):
             raise DimensionMismatchError(f"expected PForm, got {type(other).__name__}")
-        if (self.n, self.p, self.kind, self.exact) != (other.n, other.p, other.kind, other.exact):
+        if self._shape() != other._shape():
             raise DimensionMismatchError("incompatible forms")
 
     def __add__(self, other: "PForm") -> "PForm":
@@ -114,25 +132,21 @@ class PForm:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        return PForm(self.n, self.p, max(self.max_total_degree, other.max_total_degree),
-                     self.kind, self.exact, out)
+        return self.replace(out, max(self.max_total_degree, other.max_total_degree))
 
     def __sub__(self, other: "PForm") -> "PForm":
         return self + (-other)
 
     def __neg__(self) -> "PForm":
-        return PForm(self.n, self.p, self.max_total_degree, self.kind, self.exact,
-                     {i: -f for i, f in self.components.items()})
+        return self.replace({i: -f for i, f in self.components.items()})
 
     def scale(self, s) -> "PForm":
-        return PForm(self.n, self.p, self.max_total_degree, self.kind, self.exact,
-                     {i: f.scale(s) for i, f in self.components.items()})
+        return self.replace({i: f.scale(s) for i, f in self.components.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PForm):
             return NotImplemented
-        return (self.n == other.n and self.p == other.p and self.kind == other.kind
-                and self.exact == other.exact and self.components == other.components)
+        return self._shape() == other._shape() and self.components == other.components
 
     def is_zero(self) -> bool:
         return not self.components
@@ -151,12 +165,10 @@ class PForm:
     def to_float(self) -> "PForm":
         if not self.exact:
             return self
-        return PForm(self.n, self.p, self.max_total_degree, self.kind, False,
-                     {i: f.to_float() for i, f in self.components.items()})
+        return self.replace({i: f.to_float() for i, f in self.components.items()}, exact=False)
 
     def conjugate(self) -> "PForm":
-        return PForm(self.n, self.p, self.max_total_degree, self.kind, self.exact,
-                     {i: f.conjugate() for i, f in self.components.items()})
+        return self.replace({i: f.conjugate() for i, f in self.components.items()})
 
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
@@ -174,11 +186,18 @@ class PForm:
             total = total + field.norm_sq()
         return total
 
+    def pointwise_norm_sq_field(self) -> ScalarField:
+        """|f|^2 = sum_I f_I conj(f_I) as an exact polynomial field."""
+        out = ScalarField.zero(self.n, 2 * self.max_total_degree, self.kind, self.exact)
+        for field in self.components.values():
+            out = out + field.multiply(field.conjugate())
+        return out
+
     def evaluate(self, point) -> dict[tuple[int, ...], object]:
         return {idx.axes: f.evaluate(point) for idx, f in self.components.items()}
 
     def __repr__(self):
-        return f"PForm(n={self.n}, p={self.p}, components={len(self.components)})"
+        return f"{type(self).__name__}(n={self.n}, p={self.p}, components={len(self.components)})"
 
     def to_json(self) -> dict:
         comps = []
@@ -203,42 +222,60 @@ class PForm:
         return cls(n, p, cap, kind, exact, comps)
 
 
-def exterior_d(u: PForm) -> PForm:
-    """The distributional exterior derivative, sign-exact on increasing indices."""
-    if u.p >= u.n:
-        return PForm.zero(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact)
+def _accumulate(out: dict, key: MultiIndex, term: ScalarField):
+    out[key] = out[key] + term if key in out else term
+
+
+def _wedge(u: PForm, offset: int, count: int, ladder) -> dict:
+    """Components of sum_j e_{offset+j} ^ ladder(u, j) over j = 1..count."""
     out: dict[MultiIndex, ScalarField] = {}
     for idx, field in u.components.items():
-        for j in range(1, u.n + 1):
-            ins = insert_axis(j, idx)
+        for j in range(1, count + 1):
+            ins = insert_axis(offset + j, idx)
             if ins is None:
                 continue
             sign, tgt = ins
-            term = field.partial_derivative(j)
-            if term.is_zero():
-                continue
-            if sign == -1:
-                term = -term
-            out[tgt] = out[tgt] + term if tgt in out else term
-    return PForm(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact, out)
+            term = ladder(field, j)
+            if not term.is_zero():
+                _accumulate(out, tgt, term if sign == 1 else -term)
+    return out
+
+
+def _contract(alpha: PForm, offset: int, count: int, ladder) -> dict:
+    """Components of the contraction: I gets -sum_j ladder(a_{(offset+j) I}, j)
+    over j = 1..count."""
+    out: dict[MultiIndex, ScalarField] = {}
+    for idx, field in alpha.components.items():
+        for axis in idx:
+            if 0 < axis - offset <= count:
+                sign, tgt = remove_axis(axis, idx)
+                term = ladder(field, axis - offset)
+                _accumulate(out, tgt, -term if sign == 1 else term)
+    return out
+
+
+def _require_real_frame(u: PForm):
+    if isinstance(u, ComplexForm):
+        raise DomainError("d and T* act on real-frame forms; use partial and dbar")
+
+
+def exterior_d(u: PForm) -> PForm:
+    """The distributional exterior derivative, sign-exact on increasing indices."""
+    _require_real_frame(u)
+    return PForm(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact,
+                 _wedge(u, 0, u.n, ScalarField.partial_derivative))
 
 
 def codifferential(alpha: PForm, weight: Weight) -> PForm:
     """The weighted formal adjoint of d: component I gets -sum_j delta_j a_{jI}."""
+    _require_real_frame(alpha)
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
     if weight.m != alpha.n:
         raise DimensionMismatchError(
             f"weight on R^{weight.m} applied to form on R^{alpha.n}")
-    out: dict[MultiIndex, ScalarField] = {}
-    for idx, field in alpha.components.items():
-        for j in idx:
-            sign, tgt = remove_axis(j, idx)
-            term = field.apply_delta(j)
-            if sign == 1:
-                term = -term
-            out[tgt] = out[tgt] + term if tgt in out else term
-    return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact, out)
+    return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
+                 _contract(alpha, 0, alpha.n, ScalarField.apply_delta))
 
 
 # ---------------------------------------------------------------------------
@@ -301,365 +338,161 @@ def _fields_from_json(data: list) -> list[ScalarField]:
     return fields
 
 
-class _LineForm:
-    """Shared implementation of (1,0)- and (0,1)-forms: n complex coefficients."""
-
-    __slots__ = ("n", "components")
-
-    frame = ""
-
-    def __init__(self, components: Iterable[ScalarField]):
-        comps = tuple(components)
-        if not comps:
-            raise DomainError("a line form needs at least one component")
-        m = comps[0].m
-        for f in comps:
-            if f.m != m or f.kind != COMPLEX or f.exact != comps[0].exact \
-                    or f.max_total_degree != comps[0].max_total_degree:
-                raise DimensionMismatchError("line form components must match")
-        if m != 2 * len(comps):
-            raise DomainError(f"{len(comps)} components need real dimension {2 * len(comps)}, got {m}")
-        self.n = len(comps)
-        self.components = comps
-
-    @classmethod
-    def zero(cls, n: int, max_total_degree: int, exact: bool = True):
-        z = ScalarField.zero(2 * n, max_total_degree, COMPLEX, exact)
-        return cls([z] * n)
-
-    @property
-    def exact(self) -> bool:
-        return self.components[0].exact
-
-    @property
-    def max_total_degree(self) -> int:
-        return self.components[0].max_total_degree
-
-    @property
-    def degree(self) -> Optional[int]:
-        return max((f.degree for f in self.components if f.degree is not None), default=None)
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components)
-
-    def _compatible(self, other):
-        if type(self) is not type(other) or self.n != other.n or self.exact != other.exact:
-            raise DimensionMismatchError("incompatible line forms")
-
-    def __add__(self, other):
-        self._compatible(other)
-        return type(self)([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return type(self)([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return type(self)([-a for a in self.components])
-
-    def scale(self, s):
-        return type(self)([a.scale(s) for a in self.components])
-
-    def to_float(self):
-        if not self.exact:
-            return self
-        return type(self)([a.to_float() for a in self.components])
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.components == other.components
-
-    def weighted_inner(self, other):
-        self._compatible(other)
-        total = self.components[0]._zero()
-        for a, b in zip(self.components, other.components):
-            total = total + a.weighted_inner(b)
-        return total
-
-    def norm_sq(self):
-        total = Fraction(0) if self.exact else 0.0
-        for f in self.components:
-            total = total + f.norm_sq()
-        return total
-
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self.n})"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "frame": self.frame,
-                "components": [f.to_json() for f in self.components]}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        expected = cls.frame
-        if data.get("frame", expected) != expected:
-            raise DomainError(f"expected a {expected} form, got {data.get('frame')!r}")
-        return cls(_fields_from_json(data["components"]))
+_FRAMES = {(1, 0): "dz", (0, 1): "dzbar"}
 
 
-class Form10(_LineForm):
-    """A (1,0)-form sum_j h_j dz_j."""
-
-    frame = "dz"
-
-    def conjugate(self) -> "Form01":
-        return Form01([f.conjugate() for f in self.components])
-
-
-class Form01(_LineForm):
-    """A (0,1)-form sum_j g_j dzbar_j."""
-
-    frame = "dzbar"
-
-    def conjugate(self) -> "Form10":
-        return Form10([f.conjugate() for f in self.components])
+def _layout(n: int, bidegree: tuple[int, int]) -> list:
+    """Frame keys in file order: over j for (1,0) and (0,1), and an n x n
+    matrix over (i, j) for the dz_i ^ dzbar_j of (1,1)."""
+    if n < 1:
+        raise DomainError("a form on C^n needs n >= 1")
+    rng = range(1, n + 1)
+    if bidegree == (1, 1):
+        return [[MultiIndex((i, n + j), 2 * n) for j in rng] for i in rng]
+    if bidegree not in _FRAMES:
+        raise DomainError(f"bidegree {bidegree} has no file layout")
+    shift = n * bidegree[1]
+    return [MultiIndex((shift + j,), 2 * n) for j in rng]
 
 
-class _TwoIndexForm:
-    """Shared implementation of (2,0)- and (0,2)-forms: components on j < k."""
-
-    __slots__ = ("n", "components", "max_total_degree", "exact")
-
-    frame = ""
-
-    def __init__(self, n: int, max_total_degree: int, exact: bool = True,
-                 components: Optional[Mapping[tuple[int, int], ScalarField]] = None):
-        self.n = n
-        self.max_total_degree = max_total_degree
-        self.exact = exact
-        store: dict[tuple[int, int], ScalarField] = {}
-        if components:
-            for (j, k), f in components.items():
-                if not (1 <= j < k <= n):
-                    raise DomainError(f"two-index component ({j},{k}) must satisfy 1<=j<k<=n")
-                if not f.is_zero():
-                    store[(j, k)] = f
-        self.components = store
-
-    def component(self, j: int, k: int) -> ScalarField:
-        # antisymmetric access for j > k
-        if j == k:
-            raise DomainError("repeated index in a two-index form")
-        if j < k:
-            got = self.components.get((j, k))
-            if got is not None:
-                return got
-        else:
-            got = self.components.get((k, j))
-            if got is not None:
-                return -got
-        first = next(iter(self.components.values()), None)
-        m = first.m if first is not None else 2 * self.n
-        return ScalarField.zero(m, self.max_total_degree, COMPLEX, self.exact)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def norm_sq(self):
-        total = Fraction(0) if self.exact else 0.0
-        for f in self.components.values():
-            total = total + f.norm_sq()
-        return total
-
-
-class Form20(_TwoIndexForm):
-    """A (2,0)-form sum_{j<k} c_{jk} dz_j ^ dz_k."""
-
-    frame = "dz^dz"
-
-
-class Form02(_TwoIndexForm):
-    """A (0,2)-form sum_{j<k} c_{jk} dzbar_j ^ dzbar_k."""
-
-    frame = "dzbar^dzbar"
-
-
-class ComplexForm11:
-    """A (1,1)-form sum_{i,j} f_{ij} dz_i ^ dzbar_j as an n x n field matrix.
-
-    The squared pointwise norm is the plain coefficient square-sum over all
-    ordered pairs (i, j), with no combinatorial frame weighting.
+class ComplexForm(PForm):
+    """A (p,q)-form on C^n: a PForm over the 2n frame axes dz_1..dz_n,
+    dzbar_1..dzbar_n (axis n + j is dzbar_j), with complex coefficient fields
+    on R^{2n}.  ``n`` is inherited and counts the 2n frame axes; the stored
+    ``bidegree`` keeps the type of zero forms.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("bidegree",)
 
-    def __init__(self, entries: Iterable[Iterable[ScalarField]]):
-        rows = tuple(tuple(r) for r in entries)
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise DomainError("entries must form a square matrix")
-        first = rows[0][0]
-        for r in rows:
-            for f in r:
-                if (f.m, f.kind, f.exact, f.max_total_degree) != \
-                        (first.m, COMPLEX, first.exact, first.max_total_degree):
-                    raise DimensionMismatchError("entries must share shape, kind and mode")
-        if first.m != 2 * n:
-            raise DomainError(f"{n}x{n} entries need real dimension {2 * n}, got {first.m}")
-        self.n = n
-        self.entries = rows
+    def __init__(self, n: int, bidegree: tuple[int, int], max_total_degree: int,
+                 exact: bool = True, components: Optional[Mapping] = None):
+        """``n`` is the complex dimension."""
+        p, q = bidegree
+        if p < 0 or q < 0:
+            raise DomainError(f"bidegree must be non-negative, got {bidegree}")
+        super().__init__(2 * n, p + q, max_total_degree, COMPLEX, exact, components)
+        for idx in self.components:
+            if sum(a <= n for a in idx) != p:
+                raise DomainError(f"frame index {idx.axes} is not of bidegree ({p},{q})")
+        self.bidegree = (p, q)
 
     @classmethod
-    def zero(cls, n: int, max_total_degree: int, exact: bool = True) -> "ComplexForm11":
-        z = ScalarField.zero(2 * n, max_total_degree, COMPLEX, exact)
-        return cls([[z] * n for _ in range(n)])
+    def function(cls, u: ScalarField) -> "ComplexForm":
+        """The complex function u as a (0,0)-form."""
+        return cls(complex_dimension(u), (0, 0), u.max_total_degree, u.exact, {(): u})
 
-    def entry(self, i: int, j: int) -> ScalarField:
-        return self.entries[i - 1][j - 1]
+    @classmethod
+    def from_layout(cls, bidegree: tuple[int, int], fields) -> "ComplexForm":
+        """A (1,0)- or (0,1)-form from its n coefficients on dz_j or dzbar_j,
+        or a (1,1)-form from its n x n coefficients on dz_i ^ dzbar_j."""
+        n = len(fields)
+        keys = _layout(n, bidegree)
+        if bidegree == (1, 1):
+            if any(len(row) != n for row in fields):
+                raise DomainError("entries must form a square matrix")
+            keys, fields = sum(keys, []), [f for row in fields for f in row]
+        cap = max(f.max_total_degree for f in fields)
+        return cls(n, bidegree, cap, fields[0].exact, dict(zip(keys, fields)))
 
-    @property
-    def exact(self) -> bool:
-        return self.entries[0][0].exact
+    def replace(self, components, max_total_degree: Optional[int] = None,
+                exact: Optional[bool] = None) -> "ComplexForm":
+        return ComplexForm(self.n // 2, self.bidegree,
+                           self.max_total_degree if max_total_degree is None else max_total_degree,
+                           self.exact if exact is None else exact, components)
 
-    @property
-    def max_total_degree(self) -> int:
-        return self.entries[0][0].max_total_degree
+    def _shape(self) -> tuple:
+        return super()._shape() + (self.bidegree,)
 
-    @property
-    def degree(self) -> Optional[int]:
-        degs = [f.degree for r in self.entries for f in r if f.degree is not None]
-        return max(degs, default=None)
+    def coefficient(self, dz=(), dzbar=()) -> ScalarField:
+        """The coefficient of dz^I ^ dzbar^J for increasing I = dz, J = dzbar."""
+        return self.component(tuple(dz) + tuple(self.n // 2 + j for j in dzbar))
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for r in self.entries for f in r)
-
-    def _compatible(self, other: "ComplexForm11"):
-        if not isinstance(other, ComplexForm11) or self.n != other.n \
-                or self.exact != other.exact:
-            raise DimensionMismatchError("incompatible (1,1)-forms")
-
-    def __add__(self, other: "ComplexForm11") -> "ComplexForm11":
-        self._compatible(other)
-        return ComplexForm11([[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "ComplexForm11") -> "ComplexForm11":
-        self._compatible(other)
-        return ComplexForm11([[a - b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "ComplexForm11":
-        return ComplexForm11([[-a for a in r] for r in self.entries])
-
-    def scale(self, s) -> "ComplexForm11":
-        return ComplexForm11([[a.scale(s) for a in r] for r in self.entries])
-
-    def to_float(self) -> "ComplexForm11":
-        if not self.exact:
-            return self
-        return ComplexForm11([[a.to_float() for a in r] for r in self.entries])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexForm11):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def weighted_inner(self, other: "ComplexForm11"):
-        self._compatible(other)
-        total = self.entries[0][0]._zero()
-        for ra, rb in zip(self.entries, other.entries):
-            for a, b in zip(ra, rb):
-                total = total + a.weighted_inner(b)
-        return total
-
-    def norm_sq(self):
-        total = Fraction(0) if self.exact else 0.0
-        for r in self.entries:
-            for f in r:
-                total = total + f.norm_sq()
-        return total
-
-    def pointwise_norm_sq_field(self) -> ScalarField:
-        """|f|^2 = sum_{ij} f_{ij} conj(f_{ij}) as an exact polynomial field."""
-        out = None
-        for r in self.entries:
-            for f in r:
-                term = f.multiply(f.conjugate())
-                out = term if out is None else out + term
-        return out
-
-    def __repr__(self):
-        return f"ComplexForm11(n={self.n})"
+    def conjugate(self) -> "ComplexForm":
+        """conj(f dz^I ^ dzbar^J) = (-1)^{pq} conj(f) dz^J ^ dzbar^I."""
+        n = self.n // 2
+        p, q = self.bidegree
+        comps = {}
+        for idx, field in self.components.items():
+            key = tuple(sorted(a + n if a <= n else a - n for a in idx))
+            comps[key] = -field.conjugate() if p * q % 2 else field.conjugate()
+        return ComplexForm(n, (q, p), self.max_total_degree, self.exact, comps)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "entries": [[f.to_json() for f in r] for r in self.entries]}
+        n = self.n // 2
+        keys = _layout(n, self.bidegree)
+        if self.bidegree == (1, 1):
+            return {"n": n, "entries": [[self.component(k).to_json() for k in row]
+                                        for row in keys]}
+        return {"n": n, "frame": _FRAMES[self.bidegree],
+                "components": [self.component(k).to_json() for k in keys]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ComplexForm11":
-        rows = data["entries"]
-        fields = iter(_fields_from_json([f for r in rows for f in r]))
-        return cls([[next(fields) for _ in r] for r in rows])
+    def from_json(cls, data: dict, bidegree: tuple[int, int]) -> "ComplexForm":
+        """Read the file layout of a form of the given bidegree: (1,0), (0,1) or (1,1)."""
+        if bidegree == (1, 1):
+            rows = data["entries"]
+            fields = iter(_fields_from_json([f for r in rows for f in r]))
+            return cls.from_layout(bidegree, [[next(fields) for _ in r] for r in rows])
+        frame = _FRAMES[bidegree]
+        if data.get("frame", frame) != frame:
+            raise DomainError(f"expected a {frame} form, got {data.get('frame')!r}")
+        return cls.from_layout(bidegree, _fields_from_json(data["components"]))
 
 
-def dbar_function(u: ScalarField) -> Form01:
+def require_bidegree(form, bidegree: tuple[int, int], context: str):
+    """Refuse anything but a ComplexForm of the given bidegree."""
+    if getattr(form, "bidegree", None) != bidegree:
+        got = getattr(form, "bidegree", type(form).__name__)
+        raise DomainError(f"{context} needs a {bidegree}-form, got {got}")
+
+
+def partial(u: ComplexForm) -> ComplexForm:
+    """partial u = sum_j dz_j ^ du/dz_j, of bidegree (p+1, q)."""
+    n = u.n // 2
+    p, q = u.bidegree
+    return ComplexForm(n, (p + 1, q), u.max_total_degree, u.exact,
+                       _wedge(u, 0, n, wirtinger_dz))
+
+
+def dbar(u: ComplexForm) -> ComplexForm:
+    """dbar u = sum_j dzbar_j ^ du/dzbar_j, of bidegree (p, q+1)."""
+    n = u.n // 2
+    p, q = u.bidegree
+    return ComplexForm(n, (p, q + 1), u.max_total_degree, u.exact,
+                       _wedge(u, n, n, wirtinger_dzbar))
+
+
+def dbar_function(u: ScalarField) -> ComplexForm:
     """dbar u = sum_j (du/dzbar_j) dzbar_j."""
-    n = complex_dimension(u)
-    return Form01([wirtinger_dzbar(u, j) for j in range(1, n + 1)])
+    return dbar(ComplexForm.function(u))
 
 
-def partial_function(u: ScalarField) -> Form10:
-    """partial u = sum_j (du/dz_j) dz_j."""
-    n = complex_dimension(u)
-    return Form10([wirtinger_dz(u, j) for j in range(1, n + 1)])
+def ddbar(u: ScalarField) -> ComplexForm:
+    """partial dbar u: the coefficient of dz_i ^ dzbar_j is d^2 u / dz_i dzbar_j."""
+    return partial(dbar(ComplexForm.function(u)))
 
 
-def ddbar(u: ScalarField) -> ComplexForm11:
-    """partial dbar u: entry (i,j) = d^2 u / dz_i dzbar_j."""
-    n = complex_dimension(u)
-    dbar_u = [wirtinger_dzbar(u, j) for j in range(1, n + 1)]
-    return ComplexForm11([[wirtinger_dz(dbar_u[j], i) for j in range(n)]
-                          for i in range(1, n + 1)])
-
-
-def dbar_adjoint(g: Form01, weight: Weight) -> ScalarField:
-    """The formal adjoint of dbar under e^{-|z|^2}:
+def dbar_adjoint(g: ComplexForm, weight: Weight) -> ScalarField:
+    """The formal adjoint of dbar under e^{-|z|^2} on a (0,1)-form:
 
     dbar* g = - sum_j (dg_j/dz_j - zbar_j g_j) = - sum_j delta^z_j g_j.
     """
-    if weight.m != 2 * g.n:
+    require_bidegree(g, (0, 1), "dbar*")
+    if weight.m != g.n:
         raise DimensionMismatchError(
-            f"weight on R^{weight.m} applied to a form on C^{g.n}")
-    total = None
-    for j, comp in enumerate(g.components, start=1):
-        term = -delta_z(comp, j)
-        total = term if total is None else total + term
-    return total
+            f"weight on R^{weight.m} applied to a form on C^{g.n // 2}")
+    n = g.n // 2
+    return ComplexForm(n, (0, 0), g.max_total_degree, g.exact,
+                       _contract(g, n, n, delta_z)).component(())
 
 
-def partial_of_01(g: Form01) -> ComplexForm11:
-    """partial applied to a (0,1)-form: entry (i,j) = dg_j/dz_i."""
-    return ComplexForm11([[wirtinger_dz(g.components[j], i) for j in range(g.n)]
-                          for i in range(1, g.n + 1)])
+def dbar_of_01(g: ComplexForm) -> ComplexForm:
+    """dbar of a (0,1)-form: the coefficient of dzbar_j ^ dzbar_k (j<k) is
+    dg_k/dzbar_j - dg_j/dzbar_k."""
+    return dbar(g)
 
 
-def dbar_of_10(h: Form10) -> ComplexForm11:
-    """dbar applied to a (1,0)-form, written in the dz_i ^ dzbar_j frame:
-
-    dbar(sum h_i dz_i) = - sum_{ij} (dh_i/dzbar_j) dz_i ^ dzbar_j.
-    """
-    return ComplexForm11([[-wirtinger_dzbar(h.components[i - 1], j)
-                           for j in range(1, h.n + 1)]
-                          for i in range(1, h.n + 1)])
-
-
-def dbar_of_01(g: Form01) -> Form02:
-    """dbar of a (0,1)-form: components (j<k) of dzbar_j ^ dzbar_k."""
-    comps = {}
-    for j in range(1, g.n + 1):
-        for k in range(j + 1, g.n + 1):
-            f = wirtinger_dzbar(g.components[k - 1], j) - wirtinger_dzbar(g.components[j - 1], k)
-            if not f.is_zero():
-                comps[(j, k)] = f
-    return Form02(g.n, g.max_total_degree, g.exact, comps)
-
-
-def partial_of_10(h: Form10) -> Form20:
-    """partial of a (1,0)-form: components (j<k) of dz_j ^ dz_k."""
-    comps = {}
-    for j in range(1, h.n + 1):
-        for k in range(j + 1, h.n + 1):
-            f = wirtinger_dz(h.components[k - 1], j) - wirtinger_dz(h.components[j - 1], k)
-            if not f.is_zero():
-                comps[(j, k)] = f
-    return Form20(h.n, h.max_total_degree, h.exact, comps)
+def partial_of_10(h: ComplexForm) -> ComplexForm:
+    """partial of a (1,0)-form: the coefficient of dz_j ^ dz_k (j<k) is
+    dh_k/dz_j - dh_j/dz_k."""
+    return partial(h)

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
                      split_bidegree)
-from .calculus import ComplexForm11, Form01, PForm, codifferential, ddbar, exterior_d
+from .calculus import ComplexForm, PForm, codifferential, ddbar, exterior_d
 from .errors import DegreeOverflowError, GaussHodgeError, NotClosedError
 from .fields import REAL, Weight
 from .identities import (_tol_equal, bochner_identity_report,
@@ -203,14 +203,15 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_input(path: str, cls, command: str):
-    """Decode an --input file with cls.from_json; malformed content is a
-    usage error (ValueError), so it exits 2 with one line and no traceback."""
+def _read_input(path: str, decode, command: str):
+    """Decode an --input file with decode(data); malformed content, including
+    a coefficient degree above its field's own capacity, is a usage error
+    (ValueError), so it exits 2 with one line and no traceback."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return cls.from_json(json.load(fh))
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-                ZeroDivisionError) as exc:
+            return decode(json.load(fh))
+        except (AttributeError, DegreeOverflowError, IndexError, KeyError, TypeError,
+                ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{command}: bad input {path}: "
                              f"{type(exc).__name__}: {exc}") from None
 
@@ -229,15 +230,16 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
               requested_mode: str | None) -> int:
     try:
         if equation == "d":
-            form = _resolve_mode(_read_input(input_path, PForm, "solve"),
+            form = _resolve_mode(_read_input(input_path, PForm.from_json, "solve"),
                                  requested_mode, "solve")
             u, report = solve_d_min_norm(form, Weight.standard(form.n),
                                          config.tolerance)
             solution = u.to_json()
         elif equation == "dbar":
-            form = _resolve_mode(_read_input(input_path, Form01, "solve"),
-                                 requested_mode, "solve")
-            u, report = solve_dbar_min_norm(form, Weight.standard(2 * form.n),
+            form = _resolve_mode(
+                _read_input(input_path, lambda data: ComplexForm.from_json(data, (0, 1)),
+                            "solve"), requested_mode, "solve")
+            u, report = solve_dbar_min_norm(form, Weight.standard(form.n),
                                             config.tolerance)
             solution = u.to_json()
         else:
@@ -276,8 +278,9 @@ def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
             w = parse_potential(potential, config.n, config.degree, config.exact)
             form = ddbar(w)
         else:
-            form = _resolve_mode(_read_input(input_path, ComplexForm11, "lelong"),
-                                 requested_mode, "lelong")
+            form = _resolve_mode(
+                _read_input(input_path, lambda data: ComplexForm.from_json(data, (1, 1)),
+                            "lelong"), requested_mode, "lelong")
         u, report = solve_poincare_lelong_full(form, tolerance=config.tolerance)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -375,32 +378,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, trials_default=20):
+    def add_common(p: argparse.ArgumentParser):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
                        help="exact rational or double-precision arithmetic "
                             "(default: exact; solve/lelong infer the mode from "
                             "input files, and --mode float lowers exact input)")
+        p.add_argument("--tolerance", type=float, default=1e-10,
+                       help="float-mode relative tolerance (ignored in exact mode)")
+        p.add_argument("--output", default=None, help="report file path")
+
+    def add_size(p: argparse.ArgumentParser):
         p.add_argument("--n", type=int, default=2,
                        help="real dimension for d-suites, complex dimension for "
                             "dbar/lelong suites")
         p.add_argument("--degree", type=int, default=8,
                        help="Hermite capacity (max total degree)")
-        p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-10,
-                       help="float-mode relative tolerance (ignored in exact mode)")
-        p.add_argument("--output", default=None, help="report file path")
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     add_common(p_verify)
+    add_size(p_verify)
+    p_verify.add_argument("--trials", type=int, default=20)
+    p_verify.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="solve du=f or dbar u=g from a JSON form")
-    add_common(p_solve, trials_default=1)
+    add_common(p_solve)
     p_solve.add_argument("--equation", choices=("d", "dbar"), required=True)
     p_solve.add_argument("--input", required=True)
 
     p_lelong = sub.add_parser("lelong", help="solve ddbar u = f")
-    add_common(p_lelong, trials_default=1)
+    add_common(p_lelong)
+    add_size(p_lelong)
     group = p_lelong.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", default=None, help="(1,1)-form JSON file")
     group.add_argument("--from-potential", default=None,
@@ -426,9 +433,10 @@ def main(argv=None) -> int:
             print(f"report: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    config = RunConfig(mode=args.mode or "exact", n=args.n, degree=args.degree,
-                       trials=args.trials, seed=args.seed,
-                       tolerance=args.tolerance, output=args.output)
+    sizes = {key: getattr(args, key) for key in ("n", "degree", "trials", "seed")
+             if hasattr(args, key)}
+    config = RunConfig(mode=args.mode or "exact", tolerance=args.tolerance,
+                       output=args.output, **sizes)
     try:
         config.validate()
     except ValueError as exc:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import (ComplexForm11, PForm, complex_dimension, dbar_function,
-                       dbar_of_10, ddbar, delta_z, delta_zbar, exterior_d,
-                       partial_function, partial_of_01, wirtinger_dz,
+from .calculus import (ComplexForm, PForm, complex_dimension, dbar, dbar_function,
+                       ddbar, delta_z, delta_zbar, exterior_d, partial, wirtinger_dz,
                        wirtinger_dzbar)
 from .errors import DomainError
 from .fields import COMPLEX, ScalarField, Weight, hermite_sq_norm_vector
@@ -131,29 +130,29 @@ def bochner_identity_report(alpha: PForm, weight: Weight,
 # ---------------------------------------------------------------------------
 
 
-def ddbar_formal_adjoint(alpha: ComplexForm11) -> ScalarField:
+def ddbar_formal_adjoint(alpha: ComplexForm) -> ScalarField:
     """T* a = sum_{ij} delta^zbar_i delta^z_j a_{ij} for T = ddbar under e^{-|z|^2}.
 
     Two integrations by parts move d/dz_i and d/dzbar_j off the test function
     and each picks up its Gaussian-twisted raising ladder.
     """
     total = None
-    for i in range(1, alpha.n + 1):
-        for j in range(1, alpha.n + 1):
-            term = delta_zbar(delta_z(alpha.entry(i, j), j), i)
+    n = alpha.n // 2
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            term = delta_zbar(delta_z(alpha.coefficient((i,), (j,)), j), i)
             total = term if total is None else total + term
     return total
 
 
-def ddbar_adjoint_dual_basis(alpha: ComplexForm11) -> ScalarField:
+def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     """Independent construction of the same adjoint from duality alone.
 
     Expands T* a in the Hermite basis by pairing against every basis function
     up to the attainable degree: the coefficient on He_d is
     conj(<ddbar He_d, a>) / ||He_d||^2.
     """
-    n = alpha.n
-    m = 2 * n
+    m = alpha.n
     top = alpha.degree
     exact = alpha.exact
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
@@ -205,47 +204,10 @@ class DdbarAdjointReport:
                 "terms": {k: r(v) for k, v in self.terms.items()}}
 
 
-def _partial_norm_sq_11(alpha: ComplexForm11):
-    """||partial a||^2 over the increasing frame dz_k ^ dz_i ^ dzbar_j (k < i)."""
-    total = Fraction(0) if alpha.exact else 0.0
-    for k in range(1, alpha.n + 1):
-        for i in range(k + 1, alpha.n + 1):
-            for j in range(1, alpha.n + 1):
-                c = wirtinger_dz(alpha.entry(i, j), k) - wirtinger_dz(alpha.entry(k, j), i)
-                total = total + c.norm_sq()
-    return total
-
-
-def _dbar_norm_sq_11(alpha: ComplexForm11):
-    """||dbar a||^2 over the frame dz_i ^ dzbar_j ^ dzbar_l (j < l)."""
-    total = Fraction(0) if alpha.exact else 0.0
-    for i in range(1, alpha.n + 1):
-        for j in range(1, alpha.n + 1):
-            for l in range(j + 1, alpha.n + 1):
-                c = wirtinger_dzbar(alpha.entry(i, j), l) - wirtinger_dzbar(alpha.entry(i, l), j)
-                total = total + c.norm_sq()
-    return total
-
-
-def _ddbar_norm_sq_11(alpha: ComplexForm11):
-    """||ddbar a||^2 over the frame dz_k ^ dz_i ^ dzbar_j ^ dzbar_l (k<i, j<l)."""
-    total = Fraction(0) if alpha.exact else 0.0
-    for k in range(1, alpha.n + 1):
-        for i in range(k + 1, alpha.n + 1):
-            for j in range(1, alpha.n + 1):
-                for l in range(j + 1, alpha.n + 1):
-                    c = (wirtinger_dz(wirtinger_dzbar(alpha.entry(i, j), l), k)
-                         - wirtinger_dz(wirtinger_dzbar(alpha.entry(i, l), j), k)
-                         - wirtinger_dz(wirtinger_dzbar(alpha.entry(k, j), l), i)
-                         + wirtinger_dz(wirtinger_dzbar(alpha.entry(k, l), j), i))
-                    total = total + c.norm_sq()
-    return total
-
-
-def ddbar_adjoint_identity_report(alpha: ComplexForm11,
+def ddbar_adjoint_identity_report(alpha: ComplexForm,
                                   check_duality: bool = True) -> DdbarAdjointReport:
     """Evaluate both sides of the eight-term adjoint-norm identity for ddbar."""
-    n = alpha.n
+    n = alpha.n // 2
     exact = alpha.exact
     zero = Fraction(0) if exact else 0.0
     if alpha.is_zero():
@@ -259,9 +221,12 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm11,
         duality_ok = (oracle.coeffs == adj.coeffs) if exact else _fields_close(oracle, adj)
 
     t_norm = alpha.norm_sq()
-    t_ddbar = _ddbar_norm_sq_11(alpha)
-    t_partial = _partial_norm_sq_11(alpha)
-    t_dbar = _dbar_norm_sq_11(alpha)
+    t_ddbar = partial(dbar(alpha)).norm_sq()
+    t_partial = partial(alpha).norm_sq()
+    t_dbar = dbar(alpha).norm_sq()
+
+    def a(i, j):
+        return alpha.coefficient((i,), (j,))
 
     t_mixed_sq = zero
     t_cross = zero
@@ -269,12 +234,12 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm11,
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    second = wirtinger_dz(wirtinger_dzbar(alpha.entry(i, j), l), k)
+                    second = wirtinger_dz(wirtinger_dzbar(a(i, j), l), k)
                     if second.is_zero():
                         continue
                     t_mixed_sq = t_mixed_sq + second.norm_sq()
-                    other = (wirtinger_dz(wirtinger_dzbar(alpha.entry(i, l), j), k)
-                             + wirtinger_dz(wirtinger_dzbar(alpha.entry(k, j), l), i))
+                    other = (wirtinger_dz(wirtinger_dzbar(a(i, l), j), k)
+                             + wirtinger_dz(wirtinger_dzbar(a(k, j), l), i))
                     # the full ijkl sum is conjugate-symmetric, so it is real
                     cross = second.weighted_inner(other)
                     t_cross = t_cross + cross.real
@@ -283,12 +248,12 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm11,
     for i in range(1, n + 1):
         for l in range(1, n + 1):
             for k in range(1, n + 1):
-                t_grad_z = t_grad_z + wirtinger_dz(alpha.entry(i, l), k).norm_sq()
+                t_grad_z = t_grad_z + wirtinger_dz(a(i, l), k).norm_sq()
     t_grad_zbar = zero
     for k in range(1, n + 1):
         for j in range(1, n + 1):
             for l in range(1, n + 1):
-                t_grad_zbar = t_grad_zbar + wirtinger_dzbar(alpha.entry(k, j), l).norm_sq()
+                t_grad_zbar = t_grad_zbar + wirtinger_dzbar(a(k, j), l).norm_sq()
 
     terms = {"norm_sq": t_norm, "ddbar_sq": t_ddbar, "partial_sq": t_partial,
              "dbar_sq": t_dbar, "mixed_second_sq": t_mixed_sq, "cross": t_cross,
@@ -317,7 +282,7 @@ def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
     (c) ddbar(u) equals partial applied to dbar(u).
     """
     complex_dimension(u)  # validates evenness
-    a = partial_function(u.conjugate()) == dbar_function(u).conjugate()
-    b = dbar_of_10(partial_function(u)) == ddbar(u).scale(-1)
-    c = ddbar(u) == partial_of_01(dbar_function(u))
+    a = partial(ComplexForm.function(u.conjugate())) == dbar_function(u).conjugate()
+    b = dbar(partial(ComplexForm.function(u))) == ddbar(u).scale(-1)
+    c = ddbar(u) == partial(dbar_function(u))
     return a, b, c

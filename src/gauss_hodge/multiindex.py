@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import DomainError
@@ -83,6 +84,7 @@ def enumerate_indices(n: int, p: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex(c, n) for c in itertools.combinations(range(1, n + 1), p))
 
 
+@lru_cache(maxsize=4096)
 def insert_axis(j: int, index: MultiIndex) -> Optional[tuple[int, MultiIndex]]:
     """Sort axis j into an increasing index, tracking the permutation sign.
 
@@ -102,6 +104,7 @@ def insert_axis(j: int, index: MultiIndex) -> Optional[tuple[int, MultiIndex]]:
     return sign, MultiIndex(axes, index.n)
 
 
+@lru_cache(maxsize=4096)
 def remove_axis(j: int, index: MultiIndex) -> tuple[int, MultiIndex]:
     """Remove axis j from an increasing index, returning the same sign
 

@@ -121,9 +121,14 @@ class _Parser:
                 raise DomainError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             k = int(exp_tok)
             self.check_degree((base.degree or 0) * k)
+            # by squaring; every square has degree at most that of the result
             out = self.constant(1)
-            for _ in range(k):
-                out = out.multiply(base)
+            while k:
+                if k & 1:
+                    out = out.multiply(base)
+                k >>= 1
+                if k:
+                    base = base.multiply(base)
             return out
         return base
 

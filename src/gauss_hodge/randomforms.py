@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .calculus import (ComplexForm11, Form01, PForm, dbar_function, ddbar,
-                       exterior_d)
+from .calculus import ComplexForm, PForm, dbar_function, ddbar, exterior_d
 from .fields import COMPLEX, REAL, ScalarField
 from .multiindex import enumerate_indices
 from .scalars import QC
@@ -76,14 +75,15 @@ def random_complex_function(rng: random.Random, n: int, capacity: int, max_degre
 
 
 def random_form01(rng: random.Random, n: int, capacity: int, max_degree: int,
-                  exact: bool = True, terms: int = 2) -> Form01:
-    return Form01([random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX,
-                                       exact, terms) for _ in range(n)])
+                  exact: bool = True, terms: int = 2) -> ComplexForm:
+    return ComplexForm.from_layout((0, 1), [
+        random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, exact, terms)
+        for _ in range(n)])
 
 
 def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
                               max_degree: int, exact: bool = True,
-                              terms: int = 3) -> Form01:
+                              terms: int = 3) -> ComplexForm:
     """A dbar-closed (0,1)-form, built as dbar of a random function."""
     for _ in range(64):
         u = random_complex_function(rng, n, capacity, max_degree + 1, exact, terms)
@@ -95,15 +95,16 @@ def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
 
 
 def random_complexform11(rng: random.Random, n: int, capacity: int, max_degree: int,
-                         exact: bool = True, terms: int = 2) -> ComplexForm11:
-    return ComplexForm11([[random_scalar_field(rng, 2 * n, capacity, max_degree,
-                                               COMPLEX, exact, terms)
-                           for _ in range(n)] for _ in range(n)])
+                         exact: bool = True, terms: int = 2) -> ComplexForm:
+    return ComplexForm.from_layout((1, 1), [[random_scalar_field(rng, 2 * n, capacity,
+                                                                 max_degree, COMPLEX,
+                                                                 exact, terms)
+                                             for _ in range(n)] for _ in range(n)])
 
 
 def random_closed_complexform11(rng: random.Random, n: int, capacity: int,
                                 potential_degree: int, exact: bool = True,
-                                terms: int = 3) -> tuple[ScalarField, ComplexForm11]:
+                                terms: int = 3) -> tuple[ScalarField, ComplexForm]:
     """A d-closed (1,1)-form as ddbar of a random potential (returned with it)."""
     for _ in range(64):
         w = random_complex_function(rng, n, capacity, potential_degree, exact, terms)

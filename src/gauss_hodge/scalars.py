@@ -158,12 +158,6 @@ def zero_scalar(exact: bool, complex_kind: bool):
     return 0j if complex_kind else 0.0
 
 
-def one_scalar(exact: bool, complex_kind: bool):
-    if exact:
-        return QC(1) if complex_kind else Fraction(1)
-    return (1 + 0j) if complex_kind else 1.0
-
-
 def coerce_scalar(value, exact: bool, complex_kind: bool):
     """Bring an arbitrary numeric literal into the requested scalar universe."""
     if exact:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import (Form01, PForm, codifferential, dbar_adjoint,
-                       dbar_function, dbar_of_01, exterior_d)
+from .calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
+                       dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      NotClosedError, SolveNumericalError)
 from .fields import ScalarField, Weight, _map_terms
@@ -142,8 +142,8 @@ def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
     bound = Fraction(1, 2 * f.p) if f.exact else 1.0 / (2 * f.p)
     zero_in = Fraction(0) if f.exact else 0.0
     if f.is_zero():
-        u = PForm.zero(f.n, p_out, f.max_total_degree, f.kind, f.exact)
-        beta = PForm.zero(f.n, f.p, f.max_total_degree, f.kind, f.exact)
+        u = PForm(f.n, p_out, f.max_total_degree, f.kind, f.exact)
+        beta = f.replace({})
         return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, f.exact)
 
     df = exterior_d(f)
@@ -159,10 +159,9 @@ def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
                 residual_norm_sq=df.norm_sq())
     _check_capacity(f.degree, f.max_total_degree)
 
-    beta = PForm(f.n, f.p, f.max_total_degree, f.kind, f.exact,
-                 {idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
-                                      for deg, val in field.coeffs.items()})
-                  for idx, field in f.components.items()})
+    beta = f.replace({idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
+                                          for deg, val in field.coeffs.items()})
+                      for idx, field in f.components.items()})
     u = codifferential(beta, weight)
     return u, beta, _finish(u, exterior_d(u) - f, f, bound,
                           _degree_levels(f.components.values()), f.exact, tolerance)
@@ -233,40 +232,40 @@ def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
     return field.replace(_convert_pairs(field, spectral, complex_hermite_to_he))
 
 
-def solve_dbar_min_norm_full(g: Form01, weight: Weight, tolerance: float = 1e-10):
+def solve_dbar_min_norm_full(g: ComplexForm, weight: Weight, tolerance: float = 1e-10):
     """Solve dbar u = g with the Hormander-type bound 2; returns (u, beta, report).
 
     beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g.
     """
-    if weight.m != 2 * g.n:
-        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{g.n}")
+    require_bidegree(g, (0, 1), "dbar u = g")
+    if weight.m != g.n:
+        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{g.n // 2}")
     exact = g.exact
     bound = Fraction(2) if exact else 2.0
     zero_in = Fraction(0) if exact else 0.0
     if g.is_zero():
-        u = ScalarField.zero(2 * g.n, g.max_total_degree, "complex", exact)
-        beta = Form01.zero(g.n, g.max_total_degree, exact)
+        u = ScalarField.zero(g.n, g.max_total_degree, "complex", exact)
+        beta = g.replace({})
         return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, exact)
 
-    if g.n >= 2:
-        dg = dbar_of_01(g)
-        if exact:
-            if not dg.is_zero():
-                raise NotClosedError("dbar u = g needs dbar g = 0",
-                                     residual_norm_sq=dg.norm_sq())
-        else:
-            if dg.norm_sq() > (tolerance ** 2) * g.norm_sq():
-                raise NotClosedError(
-                    f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
-                    residual_norm_sq=dg.norm_sq())
+    dg = dbar_of_01(g)
+    if exact:
+        if not dg.is_zero():
+            raise NotClosedError("dbar u = g needs dbar g = 0",
+                                 residual_norm_sq=dg.norm_sq())
+    elif dg.norm_sq() > (tolerance ** 2) * g.norm_sq():
+        raise NotClosedError(
+            f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
+            residual_norm_sq=dg.norm_sq())
     _check_capacity(g.degree, g.max_total_degree)
 
-    beta = Form01([_inverse_dbar_laplacian(field) for field in g.components])
+    beta = g.replace({idx: _inverse_dbar_laplacian(field)
+                      for idx, field in g.components.items()})
     u = dbar_adjoint(beta, weight)
     return u, beta, _finish(u, dbar_function(u) - g, g, bound,
-                          _degree_levels(g.components), exact, tolerance)
+                          _degree_levels(g.components.values()), exact, tolerance)
 
 
-def solve_dbar_min_norm(g: Form01, weight: Weight, tolerance: float = 1e-10):
+def solve_dbar_min_norm(g: ComplexForm, weight: Weight, tolerance: float = 1e-10):
     u, _, report = solve_dbar_min_norm_full(g, weight, tolerance)
     return u, report

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from gauss_hodge.bridge import decompose_11, solve_poincare_lelong_full, split_bidegree
-from gauss_hodge.calculus import (Form01, PForm, codifferential, dbar_adjoint,
+from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                                   dbar_function, ddbar, exterior_d)
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField, Weight
@@ -123,10 +123,11 @@ def test_criterion_4_hormander_bound():
             assert (dbar_function(u) - g).is_zero()
             assert rep.ratio <= 2
     w1 = Weight.standard(2)
-    _, rep = solve_dbar_min_norm(Form01([ScalarField.constant(1, 2, cap, "complex")]), w1)
+    _, rep = solve_dbar_min_norm(
+        ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, cap, "complex")]), w1)
     assert rep.ratio == 1
     z = zzbar_poly_field(1, cap, {((1,), (0,)): 1})
-    _, rep = solve_dbar_min_norm(Form01([z]), w1)
+    _, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]), w1)
     assert rep.ratio == 1
     print("\nACCEPTANCE 4 Hormander bound 2: PASS "
           "(50 solves; dzbar and z dzbar give ratio exactly 1)")
@@ -189,7 +190,7 @@ def test_criterion_6_conversion_identities():
             v_sq_poly = sq if v_sq_poly is None else v_sq_poly + sq
         for half in (v10, v01):
             half_sq = None
-            for comp in half.components:
+            for comp in half.components.values():
                 sq = comp.multiply(comp.conjugate())
                 half_sq = sq if half_sq is None else half_sq + sq
             assert half_sq.real_part().scale(4) == v_sq_poly
@@ -200,12 +201,12 @@ def test_criterion_6_conversion_identities():
                           for _ in range(2 * n))
             lhs = sum(val * val for val in f1.evaluate(point).values()) \
                 + sum(val * val for val in f2.evaluate(point).values())
-            rhs = sum(f.entry(i, j).evaluate(point).modulus_sq()
+            rhs = sum(f.coefficient((i,), (j,)).evaluate(point).modulus_sq()
                       for i in range(1, n + 1) for j in range(1, n + 1))
             assert lhs == 4 * rhs
             v_vals = v.evaluate(point)
             v_total = sum(val * val for val in v_vals.values())
-            v10_total = sum(c.evaluate(point).modulus_sq() for c in v10.components)
+            v10_total = sum(c.evaluate(point).modulus_sq() for c in v10.components.values())
             assert 4 * v10_total == v_total
     print("\nACCEPTANCE 6 conversion norm identities: PASS "
           "(coefficient-exact + 100 sample points x 10 trials)")
@@ -247,8 +248,8 @@ def test_criterion_8_degree_block_preservation():
                 for deg in compositions(level, 2 * n):
                     comps = [zero] * n
                     comps[j] = ScalarField(2 * n, cap, "complex", True, {deg: 1})
-                    out = dbar_function(dbar_adjoint(Form01(comps), w))
-                    assert {f.degree for f in out.components
+                    out = dbar_function(dbar_adjoint(ComplexForm.from_layout((0, 1), comps), w))
+                    assert {f.degree for f in out.components.values()
                             if not f.is_zero()} <= {level}
                     checked += 1
     print(f"\nACCEPTANCE 8 degree-block preservation: PASS "

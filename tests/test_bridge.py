@@ -6,7 +6,7 @@ import pytest
 from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelong,
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
-from gauss_hodge.calculus import ComplexForm11, PForm, ddbar
+from gauss_hodge.calculus import ComplexForm, PForm, ddbar
 from gauss_hodge.errors import NotClosedError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
@@ -22,7 +22,7 @@ CAP = 10
 
 def const11(value, n=1):
     e = ScalarField.constant(value, 2 * n, CAP, "complex")
-    return ComplexForm11([[e]])
+    return ComplexForm.from_layout((1, 1), [[e]])
 
 
 def test_decompose_dz_dzbar():
@@ -42,7 +42,7 @@ def test_decompose_i_dz_dzbar():
 
 
 def test_decompose_zero():
-    f1, f2 = decompose_11(ComplexForm11.zero(2, CAP))
+    f1, f2 = decompose_11(ComplexForm(2, (1, 1), CAP))
     assert f1.is_zero() and f2.is_zero()
 
 
@@ -76,7 +76,7 @@ def test_decompose_norm_identity_at_sample_points(rng):
             rhs = 0
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    val = f.entry(i, j).evaluate(point)
+                    val = f.coefficient((i,), (j,)).evaluate(point)
                     rhs += val.modulus_sq()
             assert lhs == 4 * rhs
 
@@ -94,12 +94,12 @@ def test_split_bidegree_examples():
     vdx = PForm(2, 1, CAP, components={MultiIndex((1,), 2): one})
     v10, v01 = split_bidegree(vdx)
     half = ScalarField.constant(Fraction(1, 2), 2, CAP, "complex")
-    assert v10.components[0] == half and v01.components[0] == half
+    assert v10.coefficient((1,)) == half and v01.coefficient((), (1,)) == half
     vdy = PForm(2, 1, CAP, components={MultiIndex((2,), 2): one})
     v10, v01 = split_bidegree(vdy)
-    assert v10.components[0] == half.scale(QC(0, -1))
-    assert v01.components[0] == half.scale(QC(0, 1))
-    zero = PForm.zero(2, 1, CAP)
+    assert v10.coefficient((1,)) == half.scale(QC(0, -1))
+    assert v01.coefficient((), (1,)) == half.scale(QC(0, 1))
+    zero = PForm(2, 1, CAP)
     v10, v01 = split_bidegree(zero)
     assert v10.is_zero() and v01.is_zero()
 
@@ -122,7 +122,7 @@ def test_split_norm_identity_pointwise(rng):
         point = (Fraction(rng.randint(-5, 5), 2), Fraction(rng.randint(-5, 5), 3))
         vals = v.evaluate(point)
         total = sum(val * val for val in vals.values())
-        v10_val = v10.components[0].evaluate(point)
+        v10_val = v10.coefficient((1,)).evaluate(point)
         assert v10_val.modulus_sq() == Fraction(total, 4)
 
 
@@ -132,11 +132,11 @@ def test_two_form_complex_parts_mixed_types_on_c2():
     g = PForm(4, 2, CAP, components={MultiIndex((1, 3), 4): one})
     part20, part11, part02 = two_form_complex_parts(g)
     q = ScalarField.constant(Fraction(1, 4), 4, CAP, "complex")
-    assert part20.components == {(1, 2): q}
-    assert part02.components == {(1, 2): q}
-    assert part11.entry(1, 2) == q
-    assert part11.entry(2, 1) == -q
-    assert part11.entry(1, 1).is_zero() and part11.entry(2, 2).is_zero()
+    assert {i.axes: x for i, x in part20.components.items()} == {(1, 2): q}
+    assert {i.axes: x for i, x in part02.components.items()} == {(3, 4): q}
+    assert part11.coefficient((1,), (2,)) == q
+    assert part11.coefficient((2,), (1,)) == -q
+    assert part11.coefficient((1,), (1,)).is_zero() and part11.coefficient((2,), (2,)).is_zero()
 
 
 def test_two_form_complex_parts_pure_types():
@@ -146,7 +146,7 @@ def test_two_form_complex_parts_pure_types():
     part20, part11, part02 = two_form_complex_parts(g)
     # dx ^ dy = (i/2) dz ^ dzbar exactly; no (2,0)/(0,2) residue on C^1
     assert part20.is_zero() and part02.is_zero()
-    assert part11.entry(1, 1) == ScalarField.constant(QC(0, Fraction(1, 2)), 2, CAP, "complex")
+    assert part11.coefficient((1,), (1,)) == ScalarField.constant(QC(0, Fraction(1, 2)), 2, CAP, "complex")
 
 
 def test_pipeline_dz_dzbar():
@@ -168,7 +168,7 @@ def test_pipeline_from_potential():
 
 
 def test_pipeline_zero():
-    u, rep = solve_poincare_lelong(ComplexForm11.zero(1, CAP))
+    u, rep = solve_poincare_lelong(ComplexForm(1, (1, 1), CAP))
     assert u.is_zero() and rep.ratio == 0
 
 
@@ -207,7 +207,7 @@ def test_pipeline_rejects_nonclosed():
     # constant entry (1,2) only: f = dz1 ^ dzbar2 with coefficient zbar1 is not closed
     e = zzbar_poly_field(2, CAP, {((0, 0), (1, 0)): 1})
     z = ScalarField.zero(4, CAP, "complex")
-    f = ComplexForm11([[z, e], [z, z]])
+    f = ComplexForm.from_layout((1, 1), [[z, e], [z, z]])
     with pytest.raises(NotClosedError):
         solve_poincare_lelong(f)
 

@@ -1,9 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
-from gauss_hodge.calculus import Form01, PForm
+from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
@@ -69,7 +70,7 @@ def test_solve_d(dx1dx2_file, tmp_path):
 
 
 def test_solve_dbar(tmp_path):
-    g = Form01([ScalarField.constant(1, 2, 6, "complex")])
+    g = ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, 6, "complex")])
     path = tmp_path / "g.json"
     path.write_text(json.dumps(g.to_json()))
     out = tmp_path / "solution.json"
@@ -118,7 +119,7 @@ def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
     # "ratio 0.0 vs bound 0.25; pass" and wrote bound_satisfied true
     big = ScalarField(2, 6, "complex" if equation == "dbar" else "real", False,
                       {(0, 0): 1e308})
-    form = Form01([big]) if equation == "dbar" else \
+    form = ComplexForm.from_layout((0, 1), [big]) if equation == "dbar" else \
         PForm(2, 2, 6, "real", False, components={MultiIndex((1, 2), 2): big})
     path = tmp_path / "big.json"
     path.write_text(json.dumps(form.to_json()))
@@ -142,7 +143,7 @@ def _one_term_text(equation: str, **entry) -> str:
         data = PForm(2, 2, 6, components={MultiIndex((1, 2), 2): one}).to_json()
         field = data["components"][0]["field"]
     else:
-        data = Form01([ScalarField.constant(1, 2, 6, "complex")]).to_json()
+        data = ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, 6, "complex")]).to_json()
         field = data["components"][0]
     field["coeffs"][0].update(entry)
     return json.dumps(data)
@@ -162,8 +163,9 @@ SOLVE_DBAR = ["solve", "--equation", "dbar", "--input"]
     (SOLVE_D, _one_term_text("d", re=float("inf"), im=0.0)),
     (SOLVE_DBAR, _one_term_text("dbar", re=1.0, im=float("-inf"))),
     (["lelong", "--n", "1", "--degree", "8", "--from-potential", "z**99999"], None),
+    (SOLVE_D, _one_term_text("d", deg=[9, 0])),
 ], ids=["list-d", "list-dbar", "list-lelong", "zero-denominator", "null-degree",
-        "nan", "inf", "minus-inf-imag", "potential-degree"])
+        "nan", "inf", "minus-inf-imag", "potential-degree", "degree-above-capacity"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     if text is not None:
         path = tmp_path / "bad.json"
@@ -173,6 +175,28 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_constant_to_a_huge_power_is_fast(tmp_path):
+    # the power is taken by squaring, so 1**100000 costs 17 squarings
+    start = time.perf_counter()
+    assert main(["lelong", "--from-potential", "z*conj(z) + 1**100000", "--n", "1",
+                 "--degree", "8", "--output", str(tmp_path / "out.json")]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--equation", "d", "--n", "2"],
+    ["solve", "--equation", "d", "--degree", "8"],
+    ["solve", "--equation", "d", "--trials", "1"],
+    ["solve", "--equation", "d", "--seed", "0"],
+    ["lelong", "--from-potential", "z*conj(z)", "--trials", "1"],
+    ["lelong", "--from-potential", "z*conj(z)", "--seed", "0"],
+])
+def test_unused_options_are_rejected(dx1dx2_file, argv):
+    if argv[0] == "solve":
+        argv = argv + ["--input", str(dx1dx2_file)]
+    assert main(argv) == 2
 
 
 def test_lelong_from_potential(tmp_path):
@@ -187,8 +211,7 @@ def test_lelong_from_potential(tmp_path):
 
 
 def test_lelong_from_form_file(tmp_path):
-    from gauss_hodge.calculus import ComplexForm11
-    f = ComplexForm11([[ScalarField.constant(1, 2, 6, "complex")]])
+    f = ComplexForm.from_layout((1, 1), [[ScalarField.constant(1, 2, 6, "complex")]])
     path = tmp_path / "f11.json"
     path.write_text(json.dumps(f.to_json()))
     out = tmp_path / "sol.json"
@@ -203,7 +226,7 @@ def test_lelong_float_input_with_zero_entry(tmp_path):
     from gauss_hodge.calculus import ddbar
     from gauss_hodge.potentials import parse_potential
     f = ddbar(parse_potential("z1*conj(z1)*z2", 2, 5, exact=False))
-    assert f.entry(2, 2).is_zero()
+    assert f.coefficient((2,), (2,)).is_zero()
     path = tmp_path / "f11.json"
     path.write_text(json.dumps(f.to_json()))
     out = tmp_path / "sol.json"
@@ -213,8 +236,7 @@ def test_lelong_float_input_with_zero_entry(tmp_path):
 
 
 def test_lelong_zero_form(tmp_path):
-    from gauss_hodge.calculus import ComplexForm11
-    f = ComplexForm11.zero(1, 6)
+    f = ComplexForm(1, (1, 1), 6)
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(f.to_json()))
     out = tmp_path / "sol.json"
@@ -225,11 +247,10 @@ def test_lelong_zero_form(tmp_path):
 
 
 def test_lelong_rejects_nonclosed(tmp_path):
-    from gauss_hodge.calculus import ComplexForm11
     from conftest import zzbar_poly_field
     e = zzbar_poly_field(2, 6, {((0, 0), (1, 0)): 1})
     z = ScalarField.zero(4, 6, "complex")
-    f = ComplexForm11([[z, e], [z, z]])
+    f = ComplexForm.from_layout((1, 1), [[z, e], [z, z]])
     path = tmp_path / "bad11.json"
     path.write_text(json.dumps(f.to_json()))
     assert main(["lelong", "--input", str(path)]) == 1

@@ -1,6 +1,6 @@
 import random
 
-from gauss_hodge.calculus import ComplexForm11, PForm, ddbar
+from gauss_hodge.calculus import ComplexForm, PForm, ddbar
 from gauss_hodge.fields import ScalarField, Weight
 from gauss_hodge.identities import (bochner_identity_report,
                                     conjugation_identities_check,
@@ -56,7 +56,7 @@ def test_bochner_examples():
     assert (rep.rhs_hessian, rep.rhs_gradient) == (1, 1)
     assert rep.identity_holds and rep.coercivity_margin == 1
 
-    zero = PForm.zero(2, 1, CAP)
+    zero = PForm(2, 1, CAP)
     rep = bochner_identity_report(zero, Weight.standard(2))
     assert rep.lhs_adjoint == 0 and rep.lhs_d == 0 and rep.identity_holds
     assert rep.coercivity_margin == 0
@@ -88,11 +88,11 @@ def test_bochner_constant_forms_attain_margin_zero(rng):
 
 
 def test_ddbar_adjoint_examples():
-    zero_rep = ddbar_adjoint_identity_report(ComplexForm11.zero(1, CAP))
+    zero_rep = ddbar_adjoint_identity_report(ComplexForm(1, (1, 1), CAP))
     assert zero_rep.lhs == 0 and zero_rep.rhs == 0 and zero_rep.discrepancy == 0
 
     one = ScalarField.constant(1, 2, CAP, "complex")
-    rep = ddbar_adjoint_identity_report(ComplexForm11([[one]]))
+    rep = ddbar_adjoint_identity_report(ComplexForm.from_layout((1, 1), [[one]]))
     # all derivative terms vanish; the right side reduces to ||a||^2 = 1
     assert rep.terms["norm_sq"] == 1
     assert rep.rhs == 1
@@ -101,7 +101,7 @@ def test_ddbar_adjoint_examples():
     assert rep.duality_exact
 
     z = zzbar_poly_field(1, CAP, {((1,), (0,)): 1})
-    rep = ddbar_adjoint_identity_report(ComplexForm11([[z]]))
+    rep = ddbar_adjoint_identity_report(ComplexForm.from_layout((1, 1), [[z]]))
     assert rep.lhs == 2 and rep.rhs == 2 and rep.discrepancy == 0
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gauss_hodge.calculus import (Form01, PForm, codifferential, dbar_adjoint,
+from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                                   dbar_function, delta_z, delta_zbar, exterior_d)
 from gauss_hodge.errors import DegreeOverflowError, NotClosedError
 from gauss_hodge.fields import ScalarField, Weight, hermite_sq_norm_vector
@@ -84,7 +84,7 @@ def test_d_solve_constant_form_attains_bound():
 
 
 def test_d_solve_zero():
-    f = PForm.zero(2, 2, CAP)
+    f = PForm(2, 2, CAP)
     u, rep = solve_d_min_norm(f, Weight.standard(2))
     assert u.is_zero() and rep.ratio == 0 and rep.blocks_solved == 0
 
@@ -262,9 +262,9 @@ def test_degree_block_preservation_dbar_small():
                 for deg in compositions(level, 2 * n):
                     comps = [ScalarField.zero(2 * n, cap, "complex")] * n
                     comps[j - 1] = ScalarField(2 * n, cap, "complex", True, {deg: 1})
-                    e = Form01(comps)
+                    e = ComplexForm.from_layout((0, 1), comps)
                     out = dbar_function(dbar_adjoint(e, w))
-                    degrees = {f.degree for f in out.components if not f.is_zero()}
+                    degrees = {f.degree for f in out.components.values() if not f.is_zero()}
                     assert degrees <= {level}
 
 
@@ -307,18 +307,18 @@ def test_every_closed_form_solves_exhaustively():
 
 def test_dbar_solve_examples():
     w = Weight.standard(2)
-    g = Form01([ScalarField.constant(1, 2, CAP, "complex")])
+    g = ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, CAP, "complex")])
     u, rep = solve_dbar_min_norm(g, w)
     assert u == zzbar_poly_field(1, CAP, {((0,), (1,)): 1})
     assert rep.output_norm_sq == 1 and rep.input_norm_sq == 1
     assert rep.ratio == 1 and rep.bound_constant == 2 and rep.bound_satisfied
 
     z = zzbar_poly_field(1, CAP, {((1,), (0,)): 1})
-    u, rep = solve_dbar_min_norm(Form01([z]), w)
+    u, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]), w)
     assert u == zzbar_poly_field(1, CAP, {((1,), (1,)): 1, ((0,), (0,)): -1})
     assert rep.ratio == 1
 
-    u, rep = solve_dbar_min_norm(Form01.zero(1, CAP), w)
+    u, rep = solve_dbar_min_norm(ComplexForm(1, (0, 1), CAP), w)
     assert u.is_zero() and rep.ratio == 0
 
 
@@ -327,7 +327,7 @@ def test_dbar_solution_is_minimum_norm_fock_oracle():
     which span the kernel of dbar on polynomials."""
     w = Weight.standard(2)
     for g_terms in ({((0,), (0,)): 1}, {((1,), (0,)): 1}):
-        g = Form01([zzbar_poly_field(1, CAP, g_terms)])
+        g = ComplexForm.from_layout((0, 1), [zzbar_poly_field(1, CAP, g_terms)])
         u, rep = solve_dbar_min_norm(g, w)
         for k in range(CAP):
             zk = zzbar_poly_field(1, CAP, {((k,), (0,)): 1})
@@ -348,8 +348,8 @@ def test_dbar_solve_random(rng):
 
 def test_dbar_solve_rejects_nonclosed():
     # g = zbar_2 dzbar_1 on C^2 is not dbar-closed
-    g = Form01([zzbar_poly_field(2, CAP, {((0, 0), (0, 1)): 1}),
-                ScalarField.zero(4, CAP, "complex")])
+    g = ComplexForm.from_layout((0, 1), [zzbar_poly_field(2, CAP, {((0, 0), (0, 1)): 1}),
+                                         ScalarField.zero(4, CAP, "complex")])
     with pytest.raises(NotClosedError):
         solve_dbar_min_norm(g, Weight.standard(4))
 
