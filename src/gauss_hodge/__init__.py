@@ -14,7 +14,7 @@ from .calculus import (ComplexForm, PForm, codifferential, dbar, dbar_adjoint,
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      GaussHodgeError, InvariantViolationError, NotClosedError,
                      SolveNumericalError)
-from .fields import ScalarField, Weight
+from .fields import ScalarField
 from .hermite import (HermiteSeries, apply_delta, differentiate, evaluate,
                       inner_product_1d, multiply_by_coordinate)
 from .identities import (BochnerReport, DdbarAdjointReport, DNormExpansionReport,
@@ -33,7 +33,7 @@ __all__ = [
     "QC", "MultiIndex", "enumerate_indices", "insert_axis", "remove_axis",
     "HermiteSeries", "differentiate", "apply_delta", "multiply_by_coordinate",
     "inner_product_1d", "evaluate",
-    "ScalarField", "Weight",
+    "ScalarField",
     "PForm", "ComplexForm",
     "exterior_d", "codifferential", "partial", "dbar",
     "dbar_function", "ddbar", "dbar_adjoint", "dbar_of_01", "partial_of_10",

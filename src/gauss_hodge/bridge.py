@@ -34,13 +34,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
 
 from .calculus import (ComplexForm, PForm, _accumulate, dbar_of_01, ddbar, exterior_d,
                        partial_of_10, require_bidegree)
-from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
-                     InvariantViolationError, NotClosedError)
-from .fields import COMPLEX, REAL, ScalarField, Weight
+from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
+                     NotClosedError)
+from .fields import COMPLEX, REAL, ScalarField
 from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit
 from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
@@ -173,15 +172,11 @@ def _check_stage_bound(report: SolveReport, stage: str):
             lhs=report.output_norm_sq, rhs=report.input_norm_sq)
 
 
-def solve_poincare_lelong_full(f: ComplexForm, weight: Optional[Weight] = None,
-                               tolerance: float = 1e-10):
-    """Run the full constructive solve of ddbar u = f; returns (u, report)."""
+def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
+    """Run the full constructive solve of ddbar u = f under e^{-|z|^2};
+    returns (u, report)."""
     require_bidegree(f, (1, 1), "ddbar u = f")
     exact = f.exact
-    if weight is None:
-        weight = Weight.standard(f.n)
-    if weight.m != f.n:
-        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{f.n // 2}")
 
     zero_s = Fraction(0) if exact else 0.0
     two = Fraction(2) if exact else 2.0
@@ -213,8 +208,8 @@ def solve_poincare_lelong_full(f: ComplexForm, weight: Optional[Weight] = None,
                                  residual_norm_sq=dfk.norm_sq())
 
     # (2) weighted Poincare solves d v_k = f_k, bound 1/4
-    v1, _, rep_d1 = solve_d_min_norm_full(f1, weight, tolerance)
-    v2, _, rep_d2 = solve_d_min_norm_full(f2, weight, tolerance)
+    v1, _, rep_d1 = solve_d_min_norm_full(f1, tolerance)
+    v2, _, rep_d2 = solve_d_min_norm_full(f2, tolerance)
     _check_stage_bound(rep_d1, "d_solve_re")
     _check_stage_bound(rep_d2, "d_solve_im")
 
@@ -240,7 +235,7 @@ def solve_poincare_lelong_full(f: ComplexForm, weight: Optional[Weight] = None,
                     lhs=purity_20.norm_sq(), rhs=purity_02.norm_sq())
 
         # (4) Hormander solve dbar u_k = v_k^{0,1}, bound 2
-        uk, _, rep_dbar = solve_dbar_min_norm_full(v01, weight, tolerance)
+        uk, _, rep_dbar = solve_dbar_min_norm_full(v01, tolerance)
         _check_stage_bound(rep_dbar, f"dbar_solve_{name}")
         dbar_reports.append(rep_dbar)
 
@@ -280,8 +275,7 @@ def solve_poincare_lelong_full(f: ComplexForm, weight: Optional[Weight] = None,
     return u, report
 
 
-def solve_poincare_lelong(f: ComplexForm, weight: Optional[Weight] = None,
-                          tolerance: float = 1e-10):
+def solve_poincare_lelong(f: ComplexForm, tolerance: float = 1e-10):
     """Solve ddbar u = f; returns (u, final SolveReport) with bound constant 2."""
-    u, report = solve_poincare_lelong_full(f, weight, tolerance)
+    u, report = solve_poincare_lelong_full(f, tolerance)
     return u, report.final

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import COMPLEX, REAL, ScalarField, Weight, _shift
+from .fields import COMPLEX, REAL, ScalarField, _shift
 from .multiindex import MultiIndex, insert_axis, remove_axis
 from .scalars import imaginary_unit
 
@@ -266,14 +266,12 @@ def exterior_d(u: PForm) -> PForm:
                  _wedge(u, 0, u.n, ScalarField.partial_derivative))
 
 
-def codifferential(alpha: PForm, weight: Weight) -> PForm:
-    """The weighted formal adjoint of d: component I gets -sum_j delta_j a_{jI}."""
+def codifferential(alpha: PForm) -> PForm:
+    """The formal adjoint T* of d under e^{-|x|^2}: component I gets
+    -sum_j delta_j a_{jI}, with delta_j = d/dx_j - 2 x_j."""
     _require_real_frame(alpha)
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
-    if weight.m != alpha.n:
-        raise DimensionMismatchError(
-            f"weight on R^{weight.m} applied to form on R^{alpha.n}")
     return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
                  _contract(alpha, 0, alpha.n, ScalarField.apply_delta))
 
@@ -472,15 +470,12 @@ def ddbar(u: ScalarField) -> ComplexForm:
     return partial(dbar(ComplexForm.function(u)))
 
 
-def dbar_adjoint(g: ComplexForm, weight: Weight) -> ScalarField:
+def dbar_adjoint(g: ComplexForm) -> ScalarField:
     """The formal adjoint of dbar under e^{-|z|^2} on a (0,1)-form:
 
     dbar* g = - sum_j (dg_j/dz_j - zbar_j g_j) = - sum_j delta^z_j g_j.
     """
     require_bidegree(g, (0, 1), "dbar*")
-    if weight.m != g.n:
-        raise DimensionMismatchError(
-            f"weight on R^{weight.m} applied to a form on C^{g.n // 2}")
     n = g.n // 2
     return ComplexForm(n, (0, 0), g.max_total_degree, g.exact,
                        _contract(g, n, n, delta_z)).component(())

@@ -27,7 +27,7 @@ from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
                      split_bidegree)
 from .calculus import ComplexForm, PForm, codifferential, ddbar, exterior_d
 from .errors import DegreeOverflowError, GaussHodgeError, NotClosedError
-from .fields import REAL, Weight
+from .fields import REAL
 from .identities import (_tol_equal, bochner_identity_report,
                          conjugation_identities_check, d_norm_expansion_report,
                          ddbar_adjoint_identity_report)
@@ -108,7 +108,6 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
             row[key] = _render(val)
         records.append(row)
 
-    weight = Weight.standard(n)
     data_degree = max(0, cap - 2)
 
     # real-side invariants on R^n, cycling the form degree
@@ -120,15 +119,14 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
 
         alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL, exact)
         lhs = exterior_d(u).weighted_inner(alpha)
-        rhs = u.weighted_inner(codifferential(alpha, weight))
+        rhs = u.weighted_inner(codifferential(alpha))
         rec("adjoint_duality", _tol_equal(lhs, rhs, exact, tol), n=n, p=p, lhs=lhs, rhs=rhs)
 
         expansion = d_norm_expansion_report(alpha, rel_tol=tol if not exact else 1e-12)
         rec("d_norm_expansion", expansion.equal, n=n, p=p,
             lhs=expansion.lhs, rhs=expansion.rhs)
 
-        bochner = bochner_identity_report(alpha, weight,
-                                          rel_tol=tol if not exact else 1e-12)
+        bochner = bochner_identity_report(alpha, rel_tol=tol if not exact else 1e-12)
         rec("bochner_identity", bochner.identity_holds, n=n, p=p,
             lhs=bochner.lhs_adjoint + bochner.lhs_d,
             rhs=bochner.rhs_hessian + bochner.rhs_gradient)
@@ -162,7 +160,7 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
 
     small_degree = max(0, min(data_degree, 3))
     alpha11 = random_complexform11(rng, n, cap, small_degree, exact)
-    adj = ddbar_adjoint_identity_report(alpha11, check_duality=True)
+    adj = ddbar_adjoint_identity_report(alpha11)
     rec("ddbar_adjoint_duality", adj.duality_exact, n=n)
     rec("ddbar_adjoint_identity_report", True, n=n, lhs=adj.lhs, rhs=adj.rhs,
         discrepancy=adj.discrepancy)
@@ -232,15 +230,13 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
         if equation == "d":
             form = _resolve_mode(_read_input(input_path, PForm.from_json, "solve"),
                                  requested_mode, "solve")
-            u, report = solve_d_min_norm(form, Weight.standard(form.n),
-                                         config.tolerance)
+            u, report = solve_d_min_norm(form, config.tolerance)
             solution = u.to_json()
         elif equation == "dbar":
             form = _resolve_mode(
                 _read_input(input_path, lambda data: ComplexForm.from_json(data, (0, 1)),
                             "solve"), requested_mode, "solve")
-            u, report = solve_dbar_min_norm(form, Weight.standard(form.n),
-                                            config.tolerance)
+            u, report = solve_dbar_min_norm(form, config.tolerance)
             solution = u.to_json()
         else:
             raise ValueError(f"unknown equation {equation!r}")

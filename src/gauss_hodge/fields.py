@@ -15,7 +15,6 @@ on overflow; silent projection would break the exactness guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -110,9 +109,7 @@ class ScalarField:
                         required_capacity=sum(deg))
                 val = coerce_scalar(val, exact, kind == COMPLEX)
                 if not scalar_is_zero(val):
-                    store[deg] = store.get(deg, self._zero()) + val
-                    if scalar_is_zero(store[deg]):
-                        del store[deg]
+                    store[deg] = val
         self.coeffs = store
 
     # -- constructors ---------------------------------------------------------
@@ -347,23 +344,3 @@ class ScalarField:
                                            exact, kind == COMPLEX)
         return cls(int(data["m"]), int(data["max_total_degree"]), kind, exact, coeffs)
 
-
-@dataclass(frozen=True)
-class Weight:
-    """The convexity data of phi(x) = |x|^2 on R^m.
-
-    Gradient 2x, Hessian 2*Id, convexity constant c = 2: the Hessian quadratic
-    form is exactly 2|w|^2, so the lower bound holds with equality.
-    """
-
-    m: int
-    convexity_constant: int = 2
-
-    def hessian(self, j: int, k: int) -> int:
-        if min(j, k) < 1 or max(j, k) > self.m:
-            raise DomainError(f"hessian indices ({j},{k}) outside 1..{self.m}")
-        return 2 if j == k else 0
-
-    @classmethod
-    def standard(cls, m: int) -> "Weight":
-        return cls(m)

@@ -12,13 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import (ComplexForm, PForm, complex_dimension, dbar, dbar_function,
-                       ddbar, delta_z, delta_zbar, exterior_d, partial, wirtinger_dz,
-                       wirtinger_dzbar)
+from .calculus import (ComplexForm, PForm, codifferential, complex_dimension, dbar,
+                       dbar_function, ddbar, delta_z, delta_zbar, exterior_d, partial,
+                       wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField, Weight, hermite_sq_norm_vector
+from .fields import COMPLEX, ScalarField, _shift, hermite_sq_norm_vector
 from .multiindex import enumerate_indices
-from .scalars import conj
+from .scalars import conj, imaginary_unit
+
+# phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
+# attained: the Bochner Hessian term is CONVEXITY * sum'_I sum_j ||a_{jI}||^2.
+CONVEXITY = 2
 
 
 def _tol_equal(lhs, rhs, exact: bool, rel_tol: float = 1e-12) -> bool:
@@ -87,32 +91,25 @@ class BochnerReport:
                 "coercivity_margin": r(self.coercivity_margin)}
 
 
-def bochner_identity_report(alpha: PForm, weight: Weight,
-                            rel_tol: float = 1e-12) -> BochnerReport:
-    """Check ||T* a||^2 + ||d a||^2 = Hessian term + gradient term, and report
-    the coercivity margin against c (p+1) ||a||^2 with c = 2."""
+def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerReport:
+    """Check ||T* a||^2 + ||d a||^2 = Hessian term + gradient term for the
+    weight |x|^2, and report the coercivity margin against c (p+1) ||a||^2
+    with c = CONVEXITY."""
     if alpha.p < 1:
         raise DomainError("the identity needs a form of degree >= 1")
-    from .calculus import codifferential
-    lhs_adjoint = codifferential(alpha, weight).norm_sq()
+    lhs_adjoint = codifferential(alpha).norm_sq()
     lhs_d = exterior_d(alpha).norm_sq()
 
     zero = Fraction(0) if alpha.exact else 0.0
     rhs_hessian = zero
     for I in enumerate_indices(alpha.n, alpha.p - 1):
         for j in range(1, alpha.n + 1):
-            for k in range(1, alpha.n + 1):
-                h = weight.hessian(j, k)
-                if h == 0:
-                    continue
-                a_jI = alpha.signed_component(j, I)
-                if a_jI.is_zero():
-                    continue
-                a_kI = alpha.signed_component(k, I)
-                if a_kI.is_zero():
-                    continue
-                term = a_jI.weighted_inner(a_kI)
-                rhs_hessian = rhs_hessian + h * (term.real if alpha.kind == COMPLEX else term)
+            a_jI = alpha.signed_component(j, I)
+            if a_jI.is_zero():
+                continue
+            term = a_jI.weighted_inner(a_jI)
+            rhs_hessian = rhs_hessian + CONVEXITY * (term.real if alpha.kind == COMPLEX
+                                                     else term)
     rhs_gradient = zero
     for field in alpha.components.values():
         for j in range(1, alpha.n + 1):
@@ -120,8 +117,7 @@ def bochner_identity_report(alpha: PForm, weight: Weight,
 
     holds = _tol_equal(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient,
                        alpha.exact, rel_tol)
-    margin = (lhs_adjoint + lhs_d
-              - weight.convexity_constant * alpha.p * alpha.norm_sq())
+    margin = lhs_adjoint + lhs_d - CONVEXITY * alpha.p * alpha.norm_sq()
     return BochnerReport(lhs_adjoint, lhs_d, rhs_hessian, rhs_gradient, holds, margin)
 
 
@@ -148,34 +144,30 @@ def ddbar_formal_adjoint(alpha: ComplexForm) -> ScalarField:
 def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     """Independent construction of the same adjoint from duality alone.
 
-    Expands T* a in the Hermite basis by pairing against every basis function
-    up to the attainable degree: the coefficient on He_d is
-    conj(<ddbar He_d, a>) / ||He_d||^2.
+    Expands T* a in the Hermite basis by pairing against basis functions: the
+    coefficient on He_d is conj(<ddbar He_d, a>) / ||He_d||^2.  Entry (i, j) of
+    ddbar He_d lowers one axis x of pair i and one axis y of pair j, so only
+    d = e + e_x + e_y with e in the support of a_{ij} can pair nonzero.
     """
     m = alpha.n
     top = alpha.degree
     exact = alpha.exact
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
+    candidates = set()
+    for (i, j), field in alpha.components.items():
+        j -= m // 2
+        for e in field.coeffs:
+            for x in (2 * i - 2, 2 * i - 1):
+                for y in (2 * j - 2, 2 * j - 1):
+                    candidates.add(_shift(_shift(e, x, 1), y, 1))
     out: dict = {}
-    if top is None:
-        return ScalarField.zero(m, cap, COMPLEX, exact)
-
-    def degree_vectors(total, length):
-        if length == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in degree_vectors(total - head, length - 1):
-                yield (head,) + rest
-
-    for t in range(top + 3):
-        for deg in degree_vectors(t, m):
-            basis = ScalarField(m, cap, COMPLEX, exact, {deg: 1})
-            pairing = ddbar(basis).weighted_inner(alpha)
-            if not pairing:
-                continue
-            norm = hermite_sq_norm_vector(deg)
-            out[deg] = conj(pairing) / (norm if exact else float(norm))
+    for deg in sorted(candidates, key=lambda d: (sum(d), d)):
+        basis = ScalarField(m, cap, COMPLEX, exact, {deg: 1})
+        pairing = ddbar(basis).weighted_inner(alpha)
+        if not pairing:
+            continue
+        norm = hermite_sq_norm_vector(deg)
+        out[deg] = conj(pairing) / (norm if exact else float(norm))
     return ScalarField(m, cap, COMPLEX, exact, out)
 
 
@@ -204,9 +196,9 @@ class DdbarAdjointReport:
                 "terms": {k: r(v) for k, v in self.terms.items()}}
 
 
-def ddbar_adjoint_identity_report(alpha: ComplexForm,
-                                  check_duality: bool = True) -> DdbarAdjointReport:
-    """Evaluate both sides of the eight-term adjoint-norm identity for ddbar."""
+def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
+    """Evaluate both sides of the eight-term adjoint-norm identity for ddbar and
+    check the adjoint against the dual-basis oracle."""
     n = alpha.n // 2
     exact = alpha.exact
     zero = Fraction(0) if exact else 0.0
@@ -215,10 +207,8 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
 
     adj = ddbar_formal_adjoint(alpha)
     lhs = adj.norm_sq()
-    duality_ok = True
-    if check_duality:
-        oracle = ddbar_adjoint_dual_basis(alpha)
-        duality_ok = (oracle.coeffs == adj.coeffs) if exact else _fields_close(oracle, adj)
+    oracle = ddbar_adjoint_dual_basis(alpha)
+    duality_ok = (oracle.coeffs == adj.coeffs) if exact else _fields_close(oracle, adj)
 
     t_norm = alpha.norm_sq()
     t_ddbar = partial(dbar(alpha)).norm_sq()
@@ -279,10 +269,22 @@ def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
 
     (a) partial(conj u) is the componentwise conjugate of dbar(u);
     (b) dbar(partial u) is the entrywise negation of ddbar(u);
-    (c) ddbar(u) equals partial applied to dbar(u).
+    (c) entry (i, j) of ddbar(u) is
+        (1/4)(d/dx_{2i-1} - i d/dx_{2i})(d/dx_{2j-1} + i d/dx_{2j}) u,
+        built from real partial derivatives alone.
     """
-    complex_dimension(u)  # validates evenness
+    n = complex_dimension(u)  # validates evenness
     a = partial(ComplexForm.function(u.conjugate())) == dbar_function(u).conjugate()
-    b = dbar(partial(ComplexForm.function(u))) == ddbar(u).scale(-1)
-    c = ddbar(u) == partial(dbar_function(u))
+    form = ddbar(u)
+    b = dbar(partial(ComplexForm.function(u))) == form.scale(-1)
+    i_unit = imaginary_unit(u.exact)
+    quarter = Fraction(1, 4) if u.exact else 0.25
+    c = True
+    for j in range(1, n + 1):
+        w = u.partial_derivative(2 * j - 1) + u.partial_derivative(2 * j).scale(i_unit)
+        for i in range(1, n + 1):
+            want = (w.partial_derivative(2 * i - 1)
+                    - w.partial_derivative(2 * i).scale(i_unit)).scale(quarter)
+            got = form.coefficient((i,), (j,))
+            c = c and (got == want if u.exact else _fields_close(got, want))
     return a, b, c

@@ -177,7 +177,8 @@ def coerce_scalar(value, exact: bool, complex_kind: bool):
     if complex_kind:
         if isinstance(value, QC):
             return complex(float(value.re), float(value.im))
-        return complex(value)
+        # + 0j turns a signed zero part into 0.0, so float output never shows -0.0
+        return complex(value) + 0j
     if isinstance(value, complex):
         if value.imag != 0:
             raise DomainError("complex literal in a real float field")

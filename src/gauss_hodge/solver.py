@@ -38,9 +38,8 @@ from functools import lru_cache
 
 from .calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
-from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
-                     NotClosedError, SolveNumericalError)
-from .fields import ScalarField, Weight, _map_terms
+from .errors import DegreeOverflowError, DomainError, NotClosedError, SolveNumericalError
+from .fields import ScalarField, _map_terms
 from .scalars import QC
 
 FLOAT_BOUND_SLACK = 1e-12
@@ -129,15 +128,13 @@ def _finish(u, residual, f, bound, blocks: int, exact: bool, tolerance: float) -
 # ---------------------------------------------------------------------------
 
 
-def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
+def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
     """Solve du = f with the weighted Poincare bound; returns (u, beta, report).
 
-    beta = Delta^{-1} f for the weighted Hodge Laplacian Delta = dT* + T*d.
+    beta = Delta^{-1} f for the Hodge Laplacian Delta = dT* + T*d under e^{-|x|^2}.
     """
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
-    if weight.m != f.n:
-        raise DimensionMismatchError(f"weight on R^{weight.m}, form on R^{f.n}")
     p_out = f.p - 1
     bound = Fraction(1, 2 * f.p) if f.exact else 1.0 / (2 * f.p)
     zero_in = Fraction(0) if f.exact else 0.0
@@ -162,13 +159,13 @@ def solve_d_min_norm_full(f: PForm, weight: Weight, tolerance: float = 1e-10):
     beta = f.replace({idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
                                           for deg, val in field.coeffs.items()})
                       for idx, field in f.components.items()})
-    u = codifferential(beta, weight)
+    u = codifferential(beta)
     return u, beta, _finish(u, exterior_d(u) - f, f, bound,
                           _degree_levels(f.components.values()), f.exact, tolerance)
 
 
-def solve_d_min_norm(f: PForm, weight: Weight, tolerance: float = 1e-10):
-    u, _, report = solve_d_min_norm_full(f, weight, tolerance)
+def solve_d_min_norm(f: PForm, tolerance: float = 1e-10):
+    u, _, report = solve_d_min_norm_full(f, tolerance)
     return u, report
 
 
@@ -232,14 +229,13 @@ def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
     return field.replace(_convert_pairs(field, spectral, complex_hermite_to_he))
 
 
-def solve_dbar_min_norm_full(g: ComplexForm, weight: Weight, tolerance: float = 1e-10):
-    """Solve dbar u = g with the Hormander-type bound 2; returns (u, beta, report).
+def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
+    """Solve dbar u = g with the Hormander-type bound 2 under e^{-|z|^2};
+    returns (u, beta, report).
 
     beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g.
     """
     require_bidegree(g, (0, 1), "dbar u = g")
-    if weight.m != g.n:
-        raise DimensionMismatchError(f"weight on R^{weight.m}, form on C^{g.n // 2}")
     exact = g.exact
     bound = Fraction(2) if exact else 2.0
     zero_in = Fraction(0) if exact else 0.0
@@ -261,11 +257,11 @@ def solve_dbar_min_norm_full(g: ComplexForm, weight: Weight, tolerance: float = 
 
     beta = g.replace({idx: _inverse_dbar_laplacian(field)
                       for idx, field in g.components.items()})
-    u = dbar_adjoint(beta, weight)
+    u = dbar_adjoint(beta)
     return u, beta, _finish(u, dbar_function(u) - g, g, bound,
                           _degree_levels(g.components.values()), exact, tolerance)
 
 
-def solve_dbar_min_norm(g: ComplexForm, weight: Weight, tolerance: float = 1e-10):
-    u, _, report = solve_dbar_min_norm_full(g, weight, tolerance)
+def solve_dbar_min_norm(g: ComplexForm, tolerance: float = 1e-10):
+    u, _, report = solve_dbar_min_norm_full(g, tolerance)
     return u, report

@@ -14,7 +14,7 @@ from gauss_hodge.bridge import decompose_11, solve_poincare_lelong_full, split_b
 from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                                   dbar_function, ddbar, exterior_d)
 from gauss_hodge.cli import main
-from gauss_hodge.fields import ScalarField, Weight
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.identities import (bochner_identity_report,
                                     conjugation_identities_check,
                                     d_norm_expansion_report,
@@ -48,12 +48,11 @@ def test_criterion_1_exactness_core():
     count = 0
     while count < 200:
         n, p = CONFIGS[count % len(CONFIGS)]
-        w = Weight.standard(n)
         u = random_pform(rng, n, p, cap, 8)
         assert exterior_d(exterior_d(u)).is_zero()
         alpha = random_pform(rng, n, p + 1, cap, 8)
         assert exterior_d(u).weighted_inner(alpha) \
-            == u.weighted_inner(codifferential(alpha, w))
+            == u.weighted_inner(codifferential(alpha))
         count += 1
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
@@ -67,11 +66,10 @@ def test_criterion_2_norm_and_bochner_identities():
     worst_float = 0.0
     for exact in (True, False):
         for n, p in CONFIGS:
-            w = Weight.standard(n)
             for _ in range(100):
                 alpha = random_pform(rng, n, p + 1, cap, 8, exact=exact)
                 expansion = d_norm_expansion_report(alpha, rel_tol=1e-12)
-                bochner = bochner_identity_report(alpha, w, rel_tol=1e-12)
+                bochner = bochner_identity_report(alpha, rel_tol=1e-12)
                 if exact:
                     assert expansion.lhs == expansion.rhs
                     assert bochner.lhs_adjoint + bochner.lhs_d \
@@ -93,17 +91,16 @@ def test_criterion_3_poincare_bound():
     """50 closed 2-forms on R^4: exact residual 0, ratio <= 1/4; equality case."""
     rng = random.Random(1003)
     n, cap = 4, 8
-    w = Weight.standard(n)
     bound = Fraction(1, 4)
     for _ in range(50):
         f = random_closed_pform(rng, n, 2, cap, 6)
         assert f.degree <= 6
-        u, rep = solve_d_min_norm(f, w)
+        u, rep = solve_d_min_norm(f)
         assert rep.residual_norm_sq == 0
         assert (exterior_d(u) - f).is_zero()
         assert rep.ratio <= bound
     const = PForm(2, 2, cap, components={MultiIndex((1, 2), 2): ScalarField.constant(1, 2, cap)})
-    _, rep = solve_d_min_norm(const, Weight.standard(2))
+    _, rep = solve_d_min_norm(const)
     assert rep.ratio == bound
     print("\nACCEPTANCE 3 weighted Poincare bound 1/4: PASS "
           "(50 solves, equality attained by the constant form)")
@@ -114,20 +111,18 @@ def test_criterion_4_hormander_bound():
     rng = random.Random(1004)
     cap = 8
     for n, trials in ((1, 25), (2, 25)):
-        w = Weight.standard(2 * n)
         for _ in range(trials):
             g = random_dbar_closed_form01(rng, n, cap, 6)
             assert g.degree <= 6
-            u, rep = solve_dbar_min_norm(g, w)
+            u, rep = solve_dbar_min_norm(g)
             assert rep.residual_norm_sq == 0
             assert (dbar_function(u) - g).is_zero()
             assert rep.ratio <= 2
-    w1 = Weight.standard(2)
     _, rep = solve_dbar_min_norm(
-        ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, cap, "complex")]), w1)
+        ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, cap, "complex")]))
     assert rep.ratio == 1
     z = zzbar_poly_field(1, cap, {((1,), (0,)): 1})
-    _, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]), w1)
+    _, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]))
     assert rep.ratio == 1
     print("\nACCEPTANCE 4 Hormander bound 2: PASS "
           "(50 solves; dzbar and z dzbar give ratio exactly 1)")
@@ -228,7 +223,6 @@ def test_criterion_8_degree_block_preservation():
     exhaustively for levels <= 10 and dimensions <= 3."""
     checked = 0
     for n in (1, 2, 3):
-        w = Weight.standard(n)
         for p1 in range(1, n + 1):
             for level in range(11):
                 cap = level + 1
@@ -236,11 +230,10 @@ def test_criterion_8_degree_block_preservation():
                     for deg in compositions(level, n):
                         e = PForm(n, p1, cap, components={
                             idx: ScalarField(n, cap, "real", True, {deg: 1})})
-                        out = exterior_d(codifferential(e, w))
+                        out = exterior_d(codifferential(e))
                         assert {f.degree for f in out.components.values()} <= {level}
                         checked += 1
     for n in (1, 2, 3):
-        w = Weight.standard(2 * n)
         for level in range(11):
             cap = level + 1
             zero = ScalarField.zero(2 * n, cap, "complex")
@@ -248,7 +241,7 @@ def test_criterion_8_degree_block_preservation():
                 for deg in compositions(level, 2 * n):
                     comps = [zero] * n
                     comps[j] = ScalarField(2 * n, cap, "complex", True, {deg: 1})
-                    out = dbar_function(dbar_adjoint(ComplexForm.from_layout((0, 1), comps), w))
+                    out = dbar_function(dbar_adjoint(ComplexForm.from_layout((0, 1), comps)))
                     assert {f.degree for f in out.components.values()
                             if not f.is_zero()} <= {level}
                     checked += 1
@@ -265,7 +258,7 @@ def test_criterion_9_ddbar_adjoint_report():
     for n, trials in ((1, 13), (2, 12)):
         for _ in range(trials):
             alpha = random_complexform11(rng, n, cap, 2)
-            rep = ddbar_adjoint_identity_report(alpha, check_duality=True)
+            rep = ddbar_adjoint_identity_report(alpha)
             assert rep.duality_exact, "dual-basis oracle disagrees with the ladder adjoint"
             assert rep.discrepancy == rep.lhs - rep.rhs
             data = rep.to_json()

@@ -11,7 +11,7 @@ from gauss_hodge.calculus import (ComplexForm, PForm,
                                   partial, partial_of_10,
                                   wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DomainError
-from gauss_hodge.fields import ScalarField, Weight
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
 from gauss_hodge.randomforms import (random_complex_function, random_pform,
                                      random_scalar_field)
@@ -117,41 +117,37 @@ def test_dd_zero_random(rng):
 
 
 def test_codifferential_examples():
-    w1 = Weight.standard(1)
     # T*(x dx) on R^1 = 2x^2 - 1
     a = PForm(1, 1, CAP, components={MultiIndex((1,), 1): ScalarField.coordinate(1, 1, CAP)})
-    out = codifferential(a, w1)
+    out = codifferential(a)
     x1 = ScalarField.coordinate(1, 1, CAP)
     expected = x1.multiply(x1).with_capacity(CAP).scale(2) - ScalarField.constant(1, 1, CAP)
     assert out.component(()) == expected
 
-    w2 = Weight.standard(2)
     # T*(dx_1) on R^2 = 2 x_1
     b = PForm(2, 1, CAP, components={MultiIndex((1,), 2): const(1)})
-    assert codifferential(b, w2).component(()) == x(1).scale(2)
+    assert codifferential(b).component(()) == x(1).scale(2)
 
     # T*(1/4 dx_1^dx_2) = -x_2/2 dx_1 + x_1/2 dx_2
     c = PForm(2, 2, CAP,
               components={MultiIndex((1, 2), 2): const(Fraction(1, 4))})
-    out = codifferential(c, w2)
+    out = codifferential(c)
     assert out.component((1,)) == x(2).scale(Fraction(-1, 2))
     assert out.component((2,)) == x(1).scale(Fraction(1, 2))
 
 
 def test_codifferential_rejects_functions():
     with pytest.raises(DomainError):
-        codifferential(PForm(2, 0, CAP, components={MultiIndex((), 2): x(1)}),
-                       Weight.standard(2))
+        codifferential(PForm(2, 0, CAP, components={MultiIndex((), 2): x(1)}))
 
 
 def test_adjoint_duality_random(rng):
     # <du, a> = <u, T* a> across shapes
     for n, p in ((1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 1)):
-        w = Weight.standard(n)
         for _ in range(5):
             u = random_pform(rng, n, p, CAP, 5)
             a = random_pform(rng, n, p + 1, CAP, 5)
-            assert exterior_d(u).weighted_inner(a) == u.weighted_inner(codifferential(a, w))
+            assert exterior_d(u).weighted_inner(a) == u.weighted_inner(codifferential(a))
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +234,25 @@ def test_pair_ladders_match_two_axis_definition(rng, exact, op, axis_op, sign):
 
 
 def test_dbar_adjoint_examples():
-    w = Weight.standard(2)
     # g = dzbar -> zbar
     g = ComplexForm.from_layout((0, 1), [const(1, m=2).promote_complex()])
-    assert dbar_adjoint(g, w) == zzbar_poly_field(1, CAP, {((0,), (1,)): 1})
+    assert dbar_adjoint(g) == zzbar_poly_field(1, CAP, {((0,), (1,)): 1})
     # g = z dzbar -> z zbar - 1
     z = zzbar_poly_field(1, CAP, {((1,), (0,)): 1})
     expected = zzbar_poly_field(1, CAP, {((1,), (1,)): 1, ((0,), (0,)): -1})
-    assert dbar_adjoint(ComplexForm.from_layout((0, 1), [z]), w) == expected
+    assert dbar_adjoint(ComplexForm.from_layout((0, 1), [z])) == expected
     # g = 0 -> 0
-    assert dbar_adjoint(ComplexForm(1, (0, 1), CAP), w).is_zero()
+    assert dbar_adjoint(ComplexForm(1, (0, 1), CAP)).is_zero()
 
 
 def test_dbar_duality_random(rng):
     # <dbar u, g> = <u, dbar* g>
     for n in (1, 2):
-        w = Weight.standard(2 * n)
         for _ in range(5):
             u = random_complex_function(rng, n, CAP, 4)
             g = ComplexForm.from_layout((0, 1), [random_complex_function(rng, n, CAP, 4)
                                                  for _ in range(n)])
-            assert dbar_function(u).weighted_inner(g) == u.weighted_inner(dbar_adjoint(g, w))
+            assert dbar_function(u).weighted_inner(g) == u.weighted_inner(dbar_adjoint(g))
 
 
 def test_conjugation_of_dbar(rng):

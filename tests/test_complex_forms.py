@@ -1,6 +1,7 @@
 """The complex forms on C^n: PForms over the frame dz_1..dz_n, dzbar_1..dzbar_n
 with one wedge rule for partial and dbar."""
 
+import inspect
 import itertools
 import json
 
@@ -11,7 +12,7 @@ from gauss_hodge.bridge import solve_poincare_lelong
 from gauss_hodge.calculus import ComplexForm, dbar, dbar_adjoint, partial, wirtinger_dz, \
     wirtinger_dzbar
 from gauss_hodge.errors import DomainError
-from gauss_hodge.fields import ScalarField, Weight
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.randomforms import random_complex_function, random_complexform11
 from gauss_hodge.solver import solve_dbar_min_norm
 
@@ -96,9 +97,9 @@ def test_dbar_solve_rejects_other_bidegrees():
     one = ScalarField.constant(1, 2, CAP, "complex")
     h = ComplexForm.from_layout((1, 0), [one])
     with pytest.raises(DomainError):
-        solve_dbar_min_norm(h, Weight.standard(2))
+        solve_dbar_min_norm(h)
     with pytest.raises(DomainError):
-        dbar_adjoint(h, Weight.standard(2))
+        dbar_adjoint(h)
 
 
 def test_pipeline_rejects_other_bidegrees():
@@ -119,5 +120,15 @@ def test_form10_json_roundtrip(rng):
 
 
 def test_public_names_resolve():
+    # the weight is fixed to |x|^2 and the duality check always runs: no
+    # public name may take either back as a parameter
+    assert "Weight" not in gauss_hodge.__all__ and not hasattr(gauss_hodge, "Weight")
     for name in gauss_hodge.__all__:
-        assert getattr(gauss_hodge, name) is not None, name
+        obj = getattr(gauss_hodge, name)
+        assert obj is not None, name
+        if callable(obj):
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            assert not {"weight", "check_duality"} & set(params), name

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gauss_hodge.calculus import delta_z, delta_zbar
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from gauss_hodge.fields import ScalarField, Weight
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
 from gauss_hodge.scalars import QC
 
@@ -50,7 +51,6 @@ def test_partial_derivative_examples():
 
 
 def test_apply_delta_examples():
-    w = Weight.standard(2)
     # delta_1(1) = -2 x_1
     assert const(1).apply_delta(1) == x(1).scale(-2)
     # delta_1(x_1) = 1 - 2 x_1^2
@@ -187,15 +187,11 @@ def test_complex_parts_and_conjugate():
         + x(1, kind="complex").scale(QC(0, -1))
 
 
-def test_weight_data():
-    w = Weight.standard(3)
-    assert w.convexity_constant == 2
-    assert w.hessian(1, 1) == 2 and w.hessian(1, 2) == 0
-    # Hessian quadratic form equals 2|w|^2 on sample vectors
-    for vec in ((1, 0, 0), (1, -2, 3), (Fraction(1, 2), Fraction(1, 3), 0)):
-        quad = sum(w.hessian(j, k) * vec[j - 1] * vec[k - 1]
-                   for j in range(1, 4) for k in range(1, 4))
-        assert quad == 2 * sum(v * v for v in vec)
+def test_float_complex_coefficients_drop_signed_zeros():
+    # a -0.0 part from float arithmetic is stored, and written, as 0.0
+    f = ScalarField(1, 2, "complex", False, {(1,): complex(-0.0, 1.0), (0,): complex(2.0, -0.0)})
+    parts = [v for e in f.to_json()["coeffs"] for v in (e["re"], e["im"])]
+    assert all(math.copysign(1.0, v) == 1.0 for v in parts if v == 0)
 
 
 def test_json_roundtrip_exact_and_float():

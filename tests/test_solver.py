@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                                   dbar_function, delta_z, delta_zbar, exterior_d)
 from gauss_hodge.errors import DegreeOverflowError, NotClosedError
-from gauss_hodge.fields import ScalarField, Weight, hermite_sq_norm_vector
+from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
 from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
                                      random_pform)
@@ -72,7 +72,7 @@ def weighted_dot(vec_a, vec_b, basis):
 
 def test_d_solve_constant_form_attains_bound():
     f = PForm(2, 2, CAP, components={MultiIndex((1, 2), 2): ScalarField.constant(1, 2, CAP)})
-    u, rep = solve_d_min_norm(f, Weight.standard(2))
+    u, rep = solve_d_min_norm(f)
     x1 = ScalarField.coordinate(1, 2, CAP)
     x2 = ScalarField.coordinate(2, 2, CAP)
     assert u.component((1,)) == x2.scale(Fraction(-1, 2))
@@ -85,7 +85,7 @@ def test_d_solve_constant_form_attains_bound():
 
 def test_d_solve_zero():
     f = PForm(2, 2, CAP)
-    u, rep = solve_d_min_norm(f, Weight.standard(2))
+    u, rep = solve_d_min_norm(f)
     assert u.is_zero() and rep.ratio == 0 and rep.blocks_solved == 0
 
 
@@ -96,7 +96,7 @@ def test_d_solve_supplied_as_dg():
     g = PForm(2, 1, CAP, components={MultiIndex((2,), 2): x1.multiply(x2).with_capacity(CAP)})
     f = exterior_d(g)
     assert f.component((1, 2)) == x2
-    u, rep = solve_d_min_norm(f, Weight.standard(2))
+    u, rep = solve_d_min_norm(f)
     assert (exterior_d(u) - f).is_zero()
     assert rep.residual_norm_sq == 0
     assert rep.ratio <= Fraction(1, 4)
@@ -106,7 +106,7 @@ def test_d_solve_supplied_as_dg():
 def test_d_solve_bound_on_r1():
     # du/dx = 1 -> u = x, equality in the p = 0 bound 1/2
     f = PForm(1, 1, CAP, components={MultiIndex((1,), 1): ScalarField.constant(1, 1, CAP)})
-    u, rep = solve_d_min_norm(f, Weight.standard(1))
+    u, rep = solve_d_min_norm(f)
     assert u.component(()) == ScalarField.coordinate(1, 1, CAP)
     assert rep.ratio == Fraction(1, 2) == rep.bound_constant
 
@@ -115,7 +115,7 @@ def test_d_solve_rejects_nonclosed():
     x3 = ScalarField.coordinate(3, 3, CAP)
     f = PForm(3, 2, CAP, components={MultiIndex((1, 2), 3): x3})
     with pytest.raises(NotClosedError):
-        solve_d_min_norm(f, Weight.standard(3))
+        solve_d_min_norm(f)
 
 
 def test_d_solve_capacity_error_names_requirement():
@@ -123,7 +123,7 @@ def test_d_solve_capacity_error_names_requirement():
     f = PForm(2, 2, 3, components={MultiIndex((1, 2), 2): ScalarField(2, 3, "real", True, {(3, 0): 1})})
     # closed? d of top-degree form is always zero, so only capacity fails
     with pytest.raises(DegreeOverflowError) as err:
-        solve_d_min_norm(f, Weight.standard(2))
+        solve_d_min_norm(f)
     assert err.value.required_capacity == 4
 
 
@@ -131,25 +131,24 @@ def test_d_solve_random_residuals_and_bounds(rng):
     for n, p1 in ((2, 1), (2, 2), (3, 2), (4, 2)):
         for _ in range(4):
             f = random_closed_pform(rng, n, p1, CAP, 5)
-            u, beta, rep = solve_d_min_norm_full(f, Weight.standard(n))
+            u, beta, rep = solve_d_min_norm_full(f)
             assert (exterior_d(u) - f).is_zero()
             assert rep.residual_norm_sq == 0
             assert rep.bound_satisfied
             assert rep.bound_constant == Fraction(1, 2 * p1)
             # u is exactly the codifferential of beta
-            assert codifferential(beta, Weight.standard(n)) == u
+            assert codifferential(beta) == u
 
 
 def test_d_beta_inverts_the_hodge_laplacian(rng):
     # beta = Delta^{-1} f, checked by applying dT* + T*d rather than the
     # solver's 2(|d| + p) division
     for n, p1 in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3)):
-        w = Weight.standard(n)
         for _ in range(3):
             f = random_closed_pform(rng, n, p1, CAP, 5)
-            _, beta, _ = solve_d_min_norm_full(f, w)
-            assert exterior_d(codifferential(beta, w)) \
-                + codifferential(exterior_d(beta), w) == f
+            _, beta, _ = solve_d_min_norm_full(f)
+            assert exterior_d(codifferential(beta)) \
+                + codifferential(exterior_d(beta)) == f
 
 
 def test_complex_hermite_tables():
@@ -185,10 +184,9 @@ def test_d_solution_is_minimum_norm_against_dense_oracle(rng):
     """
     n, p1, deg = 2, 2, 3
     cap = deg + 2
-    w = Weight.standard(n)
     for _ in range(3):
         f = random_closed_pform(rng, n, p1, cap, deg)
-        u, rep = solve_d_min_norm(f, w)
+        u, rep = solve_d_min_norm(f)
 
         u_basis = pform_basis(n, p1 - 1, deg + 1, cap)
         f_basis = pform_basis(n, p1, deg + 2, cap)
@@ -213,12 +211,11 @@ def test_d_solve_matches_dense_normal_equations(rng):
     """Same normal equations assembled densely over the whole space at once."""
     n, p1, deg = 2, 2, 2
     cap = deg + 2
-    w = Weight.standard(n)
     f = random_closed_pform(rng, n, p1, cap, deg)
-    u, rep = solve_d_min_norm(f, w)
+    u, rep = solve_d_min_norm(f)
 
     basis = pform_basis(n, p1, deg + 1, cap)
-    images = [codifferential(basis_pform(n, idx, dvec, cap), w) for idx, dvec in basis]
+    images = [codifferential(basis_pform(n, idx, dvec, cap)) for idx, dvec in basis]
     u_basis = pform_basis(n, p1 - 1, deg + 2, cap)
     img_vecs = [pform_to_vector(img, u_basis) for img in images]
     k = len(basis)
@@ -241,21 +238,19 @@ def test_d_solve_matches_dense_normal_equations(rng):
 def test_degree_block_preservation_d_small():
     # spot check here; the exhaustive level <= 10 sweep runs in acceptance
     for n in (1, 2, 3):
-        w = Weight.standard(n)
         for p1 in range(1, n + 1):
             for level in range(7):
                 cap = level + 1
                 for idx in enumerate_indices(n, p1):
                     for deg in compositions(level, n):
                         e = basis_pform(n, idx, deg, cap)
-                        out = exterior_d(codifferential(e, w))
+                        out = exterior_d(codifferential(e))
                         degrees = {f.degree for f in out.components.values()}
                         assert degrees <= {level}
 
 
 def test_degree_block_preservation_dbar_small():
     for n in (1, 2):
-        w = Weight.standard(2 * n)
         for level in range(7):
             cap = level + 1
             for j in range(1, n + 1):
@@ -263,7 +258,7 @@ def test_degree_block_preservation_dbar_small():
                     comps = [ScalarField.zero(2 * n, cap, "complex")] * n
                     comps[j - 1] = ScalarField(2 * n, cap, "complex", True, {deg: 1})
                     e = ComplexForm.from_layout((0, 1), comps)
-                    out = dbar_function(dbar_adjoint(e, w))
+                    out = dbar_function(dbar_adjoint(e))
                     degrees = {f.degree for f in out.components.values() if not f.is_zero()}
                     assert degrees <= {level}
 
@@ -273,7 +268,6 @@ def test_every_closed_form_solves_exhaustively():
     (kernel of the dense d matrix, degrees <= 6, n <= 3) solves with exact
     zero residual.  The finite-dimensional harmonic space is empty."""
     for n in (1, 2, 3):
-        w = Weight.standard(n)
         for p1 in range(1, n + 1):
             deg = 6
             cap = deg + 1
@@ -300,35 +294,33 @@ def test_every_closed_form_solves_exhaustively():
                     i: ScalarField(n, cap, "real", True, cc) for i, cc in comps.items()})
                 if f.is_zero():
                     continue
-                u, rep = solve_d_min_norm(f, w)
+                u, rep = solve_d_min_norm(f)
                 assert rep.residual_norm_sq == 0
                 assert rep.bound_satisfied
 
 
 def test_dbar_solve_examples():
-    w = Weight.standard(2)
     g = ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, CAP, "complex")])
-    u, rep = solve_dbar_min_norm(g, w)
+    u, rep = solve_dbar_min_norm(g)
     assert u == zzbar_poly_field(1, CAP, {((0,), (1,)): 1})
     assert rep.output_norm_sq == 1 and rep.input_norm_sq == 1
     assert rep.ratio == 1 and rep.bound_constant == 2 and rep.bound_satisfied
 
     z = zzbar_poly_field(1, CAP, {((1,), (0,)): 1})
-    u, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]), w)
+    u, rep = solve_dbar_min_norm(ComplexForm.from_layout((0, 1), [z]))
     assert u == zzbar_poly_field(1, CAP, {((1,), (1,)): 1, ((0,), (0,)): -1})
     assert rep.ratio == 1
 
-    u, rep = solve_dbar_min_norm(ComplexForm(1, (0, 1), CAP), w)
+    u, rep = solve_dbar_min_norm(ComplexForm(1, (0, 1), CAP))
     assert u.is_zero() and rep.ratio == 0
 
 
 def test_dbar_solution_is_minimum_norm_fock_oracle():
     """zbar and z zbar - 1 are orthogonal to all holomorphic monomials,
     which span the kernel of dbar on polynomials."""
-    w = Weight.standard(2)
     for g_terms in ({((0,), (0,)): 1}, {((1,), (0,)): 1}):
         g = ComplexForm.from_layout((0, 1), [zzbar_poly_field(1, CAP, g_terms)])
-        u, rep = solve_dbar_min_norm(g, w)
+        u, rep = solve_dbar_min_norm(g)
         for k in range(CAP):
             zk = zzbar_poly_field(1, CAP, {((k,), (0,)): 1})
             assert u.weighted_inner(zk) == 0
@@ -336,14 +328,13 @@ def test_dbar_solution_is_minimum_norm_fock_oracle():
 
 def test_dbar_solve_random(rng):
     for n in (1, 2):
-        w = Weight.standard(2 * n)
         for _ in range(4):
             g = random_dbar_closed_form01(rng, n, CAP, 5)
-            u, beta, rep = solve_dbar_min_norm_full(g, w)
+            u, beta, rep = solve_dbar_min_norm_full(g)
             assert (dbar_function(u) - g).is_zero()
             assert rep.residual_norm_sq == 0
             assert rep.bound_satisfied and rep.bound_constant == 2
-            assert dbar_adjoint(beta, w) == u
+            assert dbar_adjoint(beta) == u
 
 
 def test_dbar_solve_rejects_nonclosed():
@@ -351,14 +342,13 @@ def test_dbar_solve_rejects_nonclosed():
     g = ComplexForm.from_layout((0, 1), [zzbar_poly_field(2, CAP, {((0, 0), (0, 1)): 1}),
                                          ScalarField.zero(4, CAP, "complex")])
     with pytest.raises(NotClosedError):
-        solve_dbar_min_norm(g, Weight.standard(4))
+        solve_dbar_min_norm(g)
 
 
 def test_dbar_min_norm_orthogonal_to_random_closed(rng):
     # <u, v> = 0 for dbar-closed polynomial v (holomorphic polynomials)
-    w = Weight.standard(4)
     g = random_dbar_closed_form01(rng, 2, CAP, 3)
-    u, rep = solve_dbar_min_norm(g, w)
+    u, rep = solve_dbar_min_norm(g)
     for _ in range(10):
         a = rng.randint(0, 2)
         b = rng.randint(0, 2)
@@ -385,7 +375,7 @@ def closed_two_forms_r2(draw):
 @settings(max_examples=40, deadline=None)
 @given(closed_two_forms_r2())
 def test_poincare_bound_property(f):
-    u, rep = solve_d_min_norm(f, Weight.standard(2))
+    u, rep = solve_d_min_norm(f)
     assert rep.residual_norm_sq == 0
     assert (exterior_d(u) - f).is_zero()
     assert rep.ratio <= Fraction(1, 4)
@@ -395,8 +385,8 @@ def test_exact_and_float_modes_agree(rng):
     # identical integer data solved both ways; float matches exact to 1e-9
     f_exact = random_closed_pform(rng, 4, 2, CAP, 5, terms=6)
     f_float = f_exact.to_float()
-    u_e, rep_e = solve_d_min_norm(f_exact, Weight.standard(4))
-    u_f, rep_f = solve_d_min_norm(f_float, Weight.standard(4))
+    u_e, rep_e = solve_d_min_norm(f_exact)
+    u_f, rep_f = solve_d_min_norm(f_float)
     assert abs(rep_f.ratio - float(rep_e.ratio)) <= 1e-9 * max(float(rep_e.ratio), 1.0)
     for idx, field in u_e.components.items():
         approx = u_f.components.get(idx)
@@ -405,8 +395,8 @@ def test_exact_and_float_modes_agree(rng):
             assert abs(approx.coeffs.get(deg, 0.0) - float(val)) <= 1e-9
 
     g_exact = random_dbar_closed_form01(rng, 2, CAP, 5, terms=5)
-    u_ge, rep_ge = solve_dbar_min_norm(g_exact, Weight.standard(4))
-    u_gf, rep_gf = solve_dbar_min_norm(g_exact.to_float(), Weight.standard(4))
+    u_ge, rep_ge = solve_dbar_min_norm(g_exact)
+    u_gf, rep_gf = solve_dbar_min_norm(g_exact.to_float())
     assert abs(rep_gf.ratio - float(rep_ge.ratio)) <= 1e-9
 
 
@@ -417,25 +407,23 @@ def test_float_closedness_tolerance_contract(rng):
     dust = PForm(3, 2, CAP, "real", False, components={
         MultiIndex((1, 2), 3): ScalarField(3, CAP, "real", False, {(0, 0, 1): 1.0})})
     assert not exterior_d(dust).is_zero()
-    w = Weight.standard(3)
     scale = f.norm_sq() ** 0.5
     tiny = f + dust.scale(1e-13 * scale)
-    u, rep = solve_d_min_norm(tiny, w, tolerance=1e-10)
+    u, rep = solve_d_min_norm(tiny, tolerance=1e-10)
     assert rep.residual_norm_sq <= (1e-10) ** 2 * rep.input_norm_sq
     loud = f + dust.scale(1e-6 * scale)
     with pytest.raises(NotClosedError):
-        solve_d_min_norm(loud, w, tolerance=1e-10)
+        solve_d_min_norm(loud, tolerance=1e-10)
 
 
 def test_float_mode_solves(rng):
-    w4 = Weight.standard(4)
     f = random_closed_pform(rng, 4, 2, CAP, 5, exact=False)
-    u, rep = solve_d_min_norm(f, w4)
+    u, rep = solve_d_min_norm(f)
     assert rep.residual_norm_sq <= 1e-20 * max(rep.input_norm_sq, 1.0)
     assert rep.bound_satisfied
 
     g = random_dbar_closed_form01(rng, 2, CAP, 5, exact=False)
-    u2, rep2 = solve_dbar_min_norm(g, w4)
+    u2, rep2 = solve_dbar_min_norm(g)
     assert rep2.residual_norm_sq <= 1e-20 * max(rep2.input_norm_sq, 1.0)
     assert rep2.bound_satisfied
 
@@ -454,7 +442,7 @@ def test_float_report_never_certifies_inf_or_nan():
 
 def test_report_json_keys():
     f = PForm(2, 2, CAP, components={MultiIndex((1, 2), 2): ScalarField.constant(1, 2, CAP)})
-    _, rep = solve_d_min_norm(f, Weight.standard(2))
+    _, rep = solve_d_min_norm(f)
     data = rep.to_json()
     assert set(data) == {"residual", "input_norm_sq", "output_norm_sq",
                          "bound_constant", "ratio", "bound_satisfied", "blocks_solved"}
