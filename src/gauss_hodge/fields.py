@@ -145,8 +145,28 @@ class ScalarField:
                 f"incompatible fields: ({self.m},{self.kind},{self.exact}) vs "
                 f"({other.m},{other.kind},{other.exact})")
 
-    def replace(self, coeffs) -> "ScalarField":
-        return ScalarField(self.m, self.max_total_degree, self.kind, self.exact, coeffs)
+    @classmethod
+    def _trusted(cls, m: int, max_total_degree: int, kind: str, exact: bool,
+                 coeffs: dict) -> "ScalarField":
+        """A field over a coefficient map that internal operations built: its
+        degree vectors fit (m, max_total_degree) and its values already have
+        the field's scalar type, so nothing is re-validated.  Exact values are
+        nonzero; float values are filtered, since a float product or quotient
+        can underflow to zero, and float complex values get + 0j so output
+        never shows -0.0."""
+        if not exact:
+            if kind == COMPLEX:
+                coeffs = {d: v + 0j for d, v in coeffs.items() if v}
+            else:
+                coeffs = {d: v for d, v in coeffs.items() if v}
+        field = object.__new__(cls)
+        field.m, field.max_total_degree, field.kind, field.exact = m, max_total_degree, kind, exact
+        field.coeffs = coeffs
+        return field
+
+    def replace(self, coeffs: dict) -> "ScalarField":
+        """This field's shape over other coefficients of its own scalar type."""
+        return self._trusted(self.m, self.max_total_degree, self.kind, self.exact, coeffs)
 
     def with_capacity(self, max_total_degree: int) -> "ScalarField":
         return ScalarField(self.m, max_total_degree, self.kind, self.exact, self.coeffs)
@@ -157,13 +177,14 @@ class ScalarField:
         self._compatible(other)
         out = dict(self.coeffs)
         for deg, val in other.coeffs.items():
-            cur = out.get(deg, self._zero()) + val
-            if scalar_is_zero(cur):
-                out.pop(deg, None)
-            else:
-                out[deg] = cur
-        return ScalarField(self.m, max(self.max_total_degree, other.max_total_degree),
-                           self.kind, self.exact, out)
+            if deg in out:
+                val = out[deg] + val
+                if not val:
+                    del out[deg]
+                    continue
+            out[deg] = val
+        return self._trusted(self.m, max(self.max_total_degree, other.max_total_degree),
+                             self.kind, self.exact, out)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (-other)
@@ -267,8 +288,8 @@ class ScalarField:
         cap = self.max_total_degree + other.max_total_degree
         products = (((da, db), va * vb) for da, va in self.coeffs.items()
                     for db, vb in other.coeffs.items())
-        return ScalarField(self.m, cap, self.kind, self.exact,
-                           _map_terms(products, _product_terms, cap))
+        return self._trusted(self.m, cap, self.kind, self.exact,
+                             _map_terms(products, _product_terms, cap))
 
     # -- metric and evaluation -------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Scalar arithmetic for the two computation modes.
 
 Exact mode works over the rationals: real scalars are ``fractions.Fraction``
-and complex scalars are :class:`QC`, a complex number with rational real and
-imaginary parts.  Float mode uses the native ``float`` / ``complex`` types.
+and complex scalars are :class:`QC`, stored as (a + b i) / d with one reduced
+integer triple, so complex products and sums run on integers with a single
+gcd.  Float mode uses the native ``float`` / ``complex`` types.
 A mode is never mixed within one computation; containers carry an ``exact``
 flag and coerce their coefficients on construction.
 
@@ -22,74 +23,80 @@ Rat = Union[int, Fraction]
 
 
 class QC:
-    """A complex number with exact rational components."""
+    """A complex number (a + b i) / d with integers a, b and d > 0 in lowest
+    terms, gcd(a, b, d) == 1, so each value has exactly one representation.
 
-    __slots__ = ("re", "im")
+    ``int`` and ``Fraction`` operands enter the integer formulas directly as
+    (n, 0, 1) and (p, 0, q).
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     # -- ring / field operations -------------------------------------------
 
-    def _coerce(self, other) -> "QC | None":
-        if isinstance(other, QC):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QC(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QC(self.re + o.re, self.im + o.im)
+        c, e, f = o
+        d = self._d
+        return _make(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QC(self.re - o.re, self.im - o.im)
+        c, e, f = o
+        d = self._d
+        return _make(self._a * f - c * d, self._b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QC(o.re - self.re, o.im - self.im)
+        c, e, f = o
+        d = self._d
+        return _make(c * d - self._a * f, e * d - self._b * f, d * f)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        c, e, f = o
+        a, b = self._a, self._b
+        return _make(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero QC scalar")
-        return QC((self.re * o.re + self.im * o.im) / den,
-                  (self.im * o.re - self.re * o.im) / den)
+        return _divide((self._a, self._b, self._d), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _divide(o, (self._a, self._b, self._d))
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("QC powers must be non-negative integers")
-        out = QC(1)
+        out = _raw(1, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -101,48 +108,90 @@ class QC:
     # -- complex-number protocol -------------------------------------------
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    real = re
+    imag = im
 
     def modulus_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def to_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b:
             raise DomainError(f"QC value {self!r} has a nonzero imaginary part")
-        return self.re
+        return Fraction(self._a, self._d)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        return f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
+
+
+def _parts(x):
+    """(a, b, d) of an exact scalar with value (a + b i) / d, or None."""
+    if isinstance(x, QC):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> QC:
+    """A QC from parts already in lowest terms with d > 0."""
+    q = _new(QC)
+    q._a, q._b, q._d = a, b, d
+    return q
+
+
+def _make(a: int, b: int, d: int) -> QC:
+    """A QC from any parts with d > 0, reduced by one three-way gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
+def _divide(x: tuple, y: tuple) -> QC:
+    """x / y = f (a + b i)(c - e i) / (d (c^2 + e^2)) for x = (a, b, d), y = (c, e, f)."""
+    (a, b, d), (c, e, f) = x, y
+    den = c * c + e * e
+    if den == 0:
+        raise ZeroDivisionError("division by zero QC scalar")
+    return _make(f * (a * c + b * e), f * (b * c - a * e), d * den)
 
 
 I_EXACT = QC(0, 1)
@@ -208,8 +257,8 @@ def scalar_to_json(x, exact: bool):
 
 def scalar_from_json(re, im, exact: bool, complex_kind: bool):
     if exact:
-        re_f = Fraction(re) if isinstance(re, str) else Fraction(re)
-        im_f = Fraction(im) if isinstance(im, str) else Fraction(im)
+        re_f = Fraction(re)
+        im_f = Fraction(im)
         if complex_kind:
             return QC(re_f, im_f)
         if im_f != 0:

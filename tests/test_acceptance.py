@@ -5,7 +5,6 @@ captured output); a failing assertion marks the criterion red.  Exact-mode
 equalities are checked with ==, never with tolerances.
 """
 
-import json
 import random
 import time
 from fractions import Fraction

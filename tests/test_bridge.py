@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +9,8 @@ from gauss_hodge.calculus import ComplexForm, PForm, ddbar
 from gauss_hodge.errors import NotClosedError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
-from gauss_hodge.randomforms import (random_closed_complexform11,
-                                     random_complex_function,
-                                     random_complexform11, random_pform)
+from gauss_hodge.randomforms import (random_closed_complexform11, random_complexform11,
+                                     random_pform)
 from gauss_hodge.scalars import QC
 
 from conftest import zzbar_poly_field

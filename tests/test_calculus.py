@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +12,7 @@ from gauss_hodge.calculus import (ComplexForm, PForm,
 from gauss_hodge.errors import DomainError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
-from gauss_hodge.randomforms import (random_complex_function, random_pform,
-                                     random_scalar_field)
+from gauss_hodge.randomforms import random_complex_function, random_pform
 from gauss_hodge.scalars import QC
 
 from conftest import (bubble_sort_parity, zzbar_poly_field, zzbar_wirtinger_dz,

@@ -1,14 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gauss_hodge.calculus import delta_z, delta_zbar
+from gauss_hodge.calculus import delta_z, delta_zbar, wirtinger_dz, wirtinger_dzbar
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
+from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
+                                     random_scalar_field)
 from gauss_hodge.scalars import QC
+from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
 
 from conftest import gaussian_moment
 
@@ -201,3 +205,60 @@ def test_json_roundtrip_exact_and_float():
     assert ScalarField.from_json(data) == f
     g = ScalarField(2, 4, "real", False, {(1, 0): 0.5, (0, 2): -1.25})
     assert ScalarField.from_json(g.to_json()) == g
+
+
+SCALAR_TYPES = {(True, "real"): Fraction, (True, "complex"): QC,
+                (False, "real"): float, (False, "complex"): complex}
+
+
+def assert_field_invariants(f: ScalarField):
+    """What the public constructor enforces and internal operations must keep."""
+    for deg, val in f.coeffs.items():
+        assert len(deg) == f.m and all(type(k) is int and k >= 0 for k in deg)
+        assert sum(deg) <= f.max_total_degree
+        assert type(val) is SCALAR_TYPES[(f.exact, f.kind)]
+        assert val
+        if type(val) is complex:
+            assert all(math.copysign(1.0, part) == 1.0 for part in (val.real, val.imag)
+                       if part == 0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_internal_operations_keep_field_invariants(exact):
+    rng = random.Random(17)
+    for kind in ("real", "complex"):
+        def field():
+            f = random_scalar_field(rng, 4, 8, 3, kind, True, terms=5)
+            return f if exact else f.to_float()
+
+        one = 1 if exact else 1.0
+        f, g = field(), field()
+        # real values in a complex field: negating them gives float parts of -0.0
+        h = ScalarField(4, 8, kind, exact, {(1, 0, 0, 0): 2 * one, (0, 0, 0, 1): -one})
+        results = [f + g, f - f, f + (-f), -f, f.scale(3), f.scale(0), f.conjugate(),
+                   f.multiply(g), -h, h.conjugate(), h.scale(-1), h - h.scale(2)]
+        if not exact:
+            # a float product can underflow to zero
+            tiny = ScalarField(4, 8, kind, False, {(0, 0, 0, 0): 1e-200, (1, 0, 0, 0): 1.0})
+            results.append(tiny.scale(1e-200))
+        for axis in range(1, 5):
+            results += [f.partial_derivative(axis), f.apply_delta(axis),
+                        f.multiply_by_coordinate(axis)]
+        if kind == "complex":
+            f = f.scale(QC(1, -1) if exact else 1 - 1j)
+            results += [f.scale(QC(0, 1) if exact else 1j), f.conjugate(), -f]
+            results += [ladder(f, j) for j in (1, 2)
+                        for ladder in (wirtinger_dz, wirtinger_dzbar, delta_z, delta_zbar)]
+        for r in results:
+            assert_field_invariants(r)
+
+    closed = random_closed_pform(rng, 3, 2, 6, 3, exact=True)
+    u, beta, _ = solve_d_min_norm_full(closed if exact else closed.to_float())
+    g = random_dbar_closed_form01(rng, 2, 6, 3, exact=True)
+    v, gamma, _ = solve_dbar_min_norm_full(g if exact else g.to_float())
+    for form in (u, beta, gamma):
+        assert form.components
+        for comp in form.components.values():
+            assert_field_invariants(comp)
+    assert not v.is_zero()
+    assert_field_invariants(v)

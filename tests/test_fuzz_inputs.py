@@ -56,7 +56,7 @@ def _valid_documents() -> list:
         docs.append(("dbar", ComplexForm.from_layout(
             (0, 1), [_field(exact, "complex")]).to_json()))
         docs.append(("lelong", ComplexForm.from_layout(
-            (1, 1), [[_field(exact, "complex").replace({(0, 0): 1})]]).to_json()))
+            (1, 1), [[ScalarField(2, 4, "complex", exact, {(0, 0): 1})]]).to_json()))
     return docs
 
 

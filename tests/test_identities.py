@@ -1,5 +1,4 @@
 import itertools
-import random
 
 from gauss_hodge import calculus
 from gauss_hodge.calculus import ComplexForm, PForm, ddbar

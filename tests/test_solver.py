@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,7 @@ from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoi
 from gauss_hodge.errors import DegreeOverflowError, NotClosedError
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
-from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
-                                     random_pform)
+from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
 from gauss_hodge.solver import (_make_report, bound_holds, complex_hermite_to_he,
                                 he_to_complex_hermite, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
