@@ -41,7 +41,7 @@ from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
 from .fields import COMPLEX, REAL, ScalarField
 from .multiindex import MultiIndex, insert_axis
-from .scalars import imaginary_unit
+from .scalars import imaginary_unit, one_half
 from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
                      solve_dbar_min_norm_full)
 
@@ -53,7 +53,7 @@ def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
         dz_j = dx_{2j-1} + i dx_{2j},     dzbar_j = dx_{2j-1} - i dx_{2j}.
     """
     i_unit = imaginary_unit(exact)
-    half = Fraction(1, 2) if exact else 0.5
+    half = one_half(exact)
     table = {}
     for j in range(1, n + 1):
         if to_complex:
@@ -196,14 +196,14 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     # (1) split into real 2-forms; d-closedness of f is equivalent to
     #     d f1 = d f2 = 0 by type separation.
     f1, f2 = decompose_11(f)
-    f_scale_sq = f.norm_sq()
+    f_sq = f.norm_sq()
     for name, fk in (("re", f1), ("im", f2)):
         dfk = exterior_d(fk)
         if exact:
             if not dfk.is_zero():
                 raise NotClosedError(f"ddbar u = f needs df = 0; the {name} part is not closed",
                                      residual_norm_sq=dfk.norm_sq())
-        elif dfk.norm_sq() > (tolerance ** 2) * f_scale_sq:
+        elif dfk.norm_sq() > (tolerance ** 2) * f_sq:
             raise NotClosedError(f"ddbar u = f needs df = 0; the {name} part is not closed",
                                  residual_norm_sq=dfk.norm_sq())
 
@@ -254,7 +254,6 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
 
     residual = ddbar(u) - f
     res_sq = residual.norm_sq()
-    f_sq = f.norm_sq()
     if exact:
         if res_sq != 0:
             raise InvariantViolationError("final_residual", "ddbar u != f in exact mode",

@@ -48,7 +48,7 @@ from typing import Mapping, Optional
 from .errors import DimensionMismatchError, DomainError
 from .fields import COMPLEX, REAL, ScalarField, _shift
 from .multiindex import MultiIndex, insert_axis, remove_axis
-from .scalars import imaginary_unit
+from .scalars import imaginary_unit, one_half
 
 
 class PForm:
@@ -301,7 +301,7 @@ def _pair_ladder(u: ScalarField, j: int, raising: bool, sign: int) -> ScalarFiel
         raise DomainError(f"complex axis {j} outside 1..{n}")
     axes = ((2 * j - 2, 1), (2 * j - 1, imaginary_unit(u.exact) * sign))
     if raising:
-        half = Fraction(1, 2) if u.exact else 0.5
+        half = one_half(u.exact)
         weights = [(i, -half * w) for i, w in axes]
         return u._map(lambda d: [(_shift(d, i, 1), w) for i, w in weights])
     return u._map(lambda d: [(_shift(d, i, -1), d[i] * w) for i, w in axes if d[i]])

@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import (QC, coerce_scalar, conj, scalar_from_json, scalar_is_zero,
-                      scalar_to_json, zero_scalar)
+from .scalars import (_make, coerce_scalar, conj, one_half, scalar_from_json,
+                      scalar_is_zero, scalar_to_json, zero_scalar)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -131,8 +131,7 @@ class ScalarField:
         if axis < 1 or axis > m:
             raise DomainError(f"axis {axis} outside 1..{m}")
         deg = tuple(1 if i == axis - 1 else 0 for i in range(m))
-        half = Fraction(1, 2) if exact else 0.5
-        return cls(m, max_total_degree, kind, exact, {deg: half})
+        return cls(m, max_total_degree, kind, exact, {deg: one_half(exact)})
 
     def _zero(self):
         return zero_scalar(self.exact, self.kind == COMPLEX)
@@ -222,10 +221,11 @@ class ScalarField:
     # -- kind conversions ---------------------------------------------------------
 
     def promote_complex(self) -> "ScalarField":
+        """The same values as a complex field: a relabel in exact mode, where real
+        coefficients already are QC values."""
         if self.kind == COMPLEX:
             return self
-        vals = {d: QC(v) if self.exact else complex(v) for d, v in self.coeffs.items()}
-        return ScalarField(self.m, self.max_total_degree, COMPLEX, self.exact, vals)
+        return self._trusted(self.m, self.max_total_degree, COMPLEX, self.exact, self.coeffs)
 
     def conjugate(self) -> "ScalarField":
         if self.kind == REAL:
@@ -241,14 +241,20 @@ class ScalarField:
     def real_part(self) -> "ScalarField":
         if self.kind == REAL:
             return self
-        vals = {d: v.real for d, v in self.coeffs.items()}
-        return ScalarField(self.m, self.max_total_degree, REAL, self.exact, vals)
+        if self.exact:
+            vals = {d: _make(v._a, 0, v._d) for d, v in self.coeffs.items() if v._a}
+        else:
+            vals = {d: v.real for d, v in self.coeffs.items()}
+        return self._trusted(self.m, self.max_total_degree, REAL, self.exact, vals)
 
     def imag_part(self) -> "ScalarField":
         if self.kind == REAL:
-            return ScalarField(self.m, self.max_total_degree, REAL, self.exact)
-        vals = {d: v.imag for d, v in self.coeffs.items()}
-        return ScalarField(self.m, self.max_total_degree, REAL, self.exact, vals)
+            return self.replace({})
+        if self.exact:
+            vals = {d: _make(v._b, 0, v._d) for d, v in self.coeffs.items() if v._b}
+        else:
+            vals = {d: v.imag for d, v in self.coeffs.items()}
+        return self._trusted(self.m, self.max_total_degree, REAL, self.exact, vals)
 
     # -- ladder operations ----------------------------------------------------------
 
@@ -275,7 +281,7 @@ class ScalarField:
         """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
         self._axis_check(axis)
         i = axis - 1
-        half = Fraction(1, 2) if self.exact else 0.5
+        half = one_half(self.exact)
         return self._map(lambda d: [(_shift(d, i, k), w) for k, w in ((1, half), (-1, d[i])) if w])
 
     def multiply(self, other: "ScalarField") -> "ScalarField":
@@ -294,28 +300,60 @@ class ScalarField:
     # -- metric and evaluation -------------------------------------------------------
 
     def weighted_inner(self, other: "ScalarField"):
-        """<F, G> = int F conj(G) dmu; the second argument is conjugated."""
+        """<F, G> = int F conj(G) dmu; the second argument is conjugated.
+
+        Exact results are a Fraction for real fields and a QC for complex ones.
+        """
         self._compatible(other)
+        mine, theirs = self.coeffs, other.coeffs
+        if self.exact:
+            # integer numerators over one running denominator, reduced once:
+            # (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)
+            re = im = 0
+            den = 1
+            for deg in mine.keys() & theirs.keys():
+                x, y = mine[deg], theirs[deg]
+                a, b, d = x._a, x._b, x._d
+                c, e, f = y._a, y._b, y._d
+                w = hermite_sq_norm_vector(deg)
+                df = d * f
+                if df != den:
+                    k = df // math.gcd(den, df)
+                    re, im, den = re * k, im * k, den * k
+                    w *= den // df
+                re += (a * c + b * e) * w
+                im += (b * c - a * e) * w
+            return _make(re, im, den) if self.kind == COMPLEX else Fraction(re, den)
         total = self._zero()
-        small, big = (self.coeffs, other.coeffs) if len(self.coeffs) <= len(other.coeffs) \
-            else (other.coeffs, self.coeffs)
+        small = mine if len(mine) <= len(theirs) else theirs
         for deg in small:
-            if deg in self.coeffs and deg in other.coeffs:
-                norm = hermite_sq_norm_vector(deg)
-                total = total + self.coeffs[deg] * conj(other.coeffs[deg]) * \
-                    (norm if self.exact else float(norm))
+            if deg in mine and deg in theirs:
+                total = total + mine[deg] * conj(theirs[deg]) * float(hermite_sq_norm_vector(deg))
         return total
 
     def norm_sq(self):
         """||F||^2 as a real scalar (exact Fraction or float)."""
-        total = Fraction(0) if self.exact else 0.0
+        if self.exact:
+            # sum (a^2 + b^2) ||He_d||^2 / d^2 over one running denominator
+            num, den = 0, 1
+            for deg, v in self.coeffs.items():
+                a, b, d = v._a, v._b, v._d
+                w = hermite_sq_norm_vector(deg)
+                dd = d * d
+                if dd != den:
+                    k = dd // math.gcd(den, dd)
+                    num, den = num * k, den * k
+                    w *= den // dd
+                num += (a * a + b * b) * w
+            return Fraction(num, den)
+        total = 0.0
         for deg, val in self.coeffs.items():
             norm = hermite_sq_norm_vector(deg)
             if self.kind == COMPLEX:
-                mag = val.modulus_sq() if self.exact else (val.real * val.real + val.imag * val.imag)
+                mag = val.real * val.real + val.imag * val.imag
             else:
                 mag = val * val
-            total = total + mag * (norm if self.exact else float(norm))
+            total = total + mag * float(norm)
         return total
 
     def evaluate(self, point) -> object:
@@ -332,8 +370,11 @@ class ScalarField:
                 vals.append(2 * x * vals[k] - 2 * k * vals[k - 1])
             tables.append(vals)
         total = self._zero()
+        # a real exact field evaluates through Fraction values, which also
+        # combine with float points
+        real_exact = self.exact and self.kind == REAL
         for deg, val in self.coeffs.items():
-            prod = val
+            prod = val.re if real_exact else val
             for i, k in enumerate(deg):
                 prod = prod * tables[i][k]
             total = total + prod

@@ -22,6 +22,12 @@ from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from .scalars import coerce_scalar, scalar_is_zero
 
 
+def _scalar(value, exact: bool):
+    """A coefficient of this module: a Fraction in exact mode, a float otherwise."""
+    value = coerce_scalar(value, exact, complex_kind=False)
+    return value.to_fraction() if exact else value
+
+
 class HermiteSeries:
     """A finite expansion sum_k c_k H_k with an optional degree capacity."""
 
@@ -29,7 +35,7 @@ class HermiteSeries:
 
     def __init__(self, coeffs: Sequence = (), capacity: Optional[int] = None,
                  exact: bool = True):
-        vals = [coerce_scalar(c, exact, complex_kind=False) for c in coeffs]
+        vals = [_scalar(c, exact) for c in coeffs]
         while vals and scalar_is_zero(vals[-1]):
             vals.pop()
         if capacity is not None and len(vals) - 1 > capacity:
@@ -62,7 +68,7 @@ class HermiteSeries:
     def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return coerce_scalar(0, self.exact, complex_kind=False)
+        return _scalar(0, self.exact)
 
     def _like(self, other: "HermiteSeries"):
         if self.exact != other.exact:
@@ -84,7 +90,7 @@ class HermiteSeries:
         return HermiteSeries([-c for c in self.coeffs], self.capacity, self.exact)
 
     def scale(self, s) -> "HermiteSeries":
-        s = coerce_scalar(s, self.exact, complex_kind=False)
+        s = _scalar(s, self.exact)
         return HermiteSeries([s * c for c in self.coeffs], self.capacity, self.exact)
 
     def __eq__(self, other) -> bool:
@@ -122,7 +128,7 @@ class HermiteSeries:
 
 def differentiate(s: HermiteSeries) -> HermiteSeries:
     """d/dx via the lowering rule H_k -> 2k H_{k-1}."""
-    out = [coerce_scalar(0, s.exact, False)] * max(len(s.coeffs) - 1, 0)
+    out = [_scalar(0, s.exact)] * max(len(s.coeffs) - 1, 0)
     for k in range(1, len(s.coeffs)):
         out[k - 1] = out[k - 1] + (2 * k) * s.coeffs[k]
     return HermiteSeries(out, s.capacity, s.exact)
@@ -136,7 +142,7 @@ def apply_delta(s: HermiteSeries) -> HermiteSeries:
         raise DegreeOverflowError(
             f"delta would raise degree to {len(s.coeffs)} beyond capacity {s.capacity}",
             required_capacity=len(s.coeffs))
-    out = [coerce_scalar(0, s.exact, False)] * (len(s.coeffs) + 1)
+    out = [_scalar(0, s.exact)] * (len(s.coeffs) + 1)
     for k, c in enumerate(s.coeffs):
         out[k + 1] = out[k + 1] - c
     return HermiteSeries(out, s.capacity, s.exact)
@@ -152,7 +158,7 @@ def multiply_by_coordinate(s: HermiteSeries) -> HermiteSeries:
             f"beyond capacity {s.capacity}",
             required_capacity=len(s.coeffs))
     half = Fraction(1, 2) if s.exact else 0.5
-    out = [coerce_scalar(0, s.exact, False)] * (len(s.coeffs) + 1)
+    out = [_scalar(0, s.exact)] * (len(s.coeffs) + 1)
     for k, c in enumerate(s.coeffs):
         out[k + 1] = out[k + 1] + half * c
         if k >= 1:
@@ -171,7 +177,7 @@ def hermite_sq_norm(k: int) -> int:
 def inner_product_1d(s: HermiteSeries, t: HermiteSeries):
     """<s, t> = sum_k c_k d_k 2^k k!."""
     s._like(t)
-    total = coerce_scalar(0, s.exact, False)
+    total = _scalar(0, s.exact)
     for k in range(min(len(s.coeffs), len(t.coeffs))):
         norm = hermite_sq_norm(k)
         total = total + s.coeffs[k] * t.coeffs[k] * (norm if s.exact else float(norm))
@@ -181,9 +187,9 @@ def inner_product_1d(s: HermiteSeries, t: HermiteSeries):
 def evaluate(s: HermiteSeries, x):
     """Evaluate via the forward recurrence H_{k+1} = 2x H_k - 2k H_{k-1}."""
     if s.is_zero():
-        return coerce_scalar(0, s.exact, False)
-    total = coerce_scalar(0, s.exact, False)
-    h_prev, h_cur = None, coerce_scalar(1, s.exact, False)
+        return _scalar(0, s.exact)
+    total = _scalar(0, s.exact)
+    h_prev, h_cur = None, _scalar(1, s.exact)
     for k in range(len(s.coeffs)):
         if k > 0:
             h_next = 2 * x * h_cur - (2 * (k - 1)) * (h_prev if h_prev is not None else 0)

@@ -1,9 +1,11 @@
 """Scalar arithmetic for the two computation modes.
 
-Exact mode works over the rationals: real scalars are ``fractions.Fraction``
-and complex scalars are :class:`QC`, stored as (a + b i) / d with one reduced
-integer triple, so complex products and sums run on integers with a single
-gcd.  Float mode uses the native ``float`` / ``complex`` types.
+Exact mode has one scalar type, :class:`QC`, stored as (a + b i) / d with one
+reduced integer triple, so products and sums run on integers with a single
+gcd.  Real and complex coefficients alike are ``QC`` values; a real one has
+b == 0.  ``fractions.Fraction`` appears only where real values leave the
+package: ``.re``/``.im``, norms, real inner products, evaluations, reports
+and JSON.  Float mode uses the native ``float`` / ``complex`` types.
 A mode is never mixed within one computation; containers carry an ``exact``
 flag and coerce their coefficients on construction.
 
@@ -126,9 +128,12 @@ class QC:
         return Fraction(a * a + b * b, d * d)
 
     def to_fraction(self) -> Fraction:
-        if self._b:
-            raise DomainError(f"QC value {self!r} has a nonzero imaginary part")
+        _require_real(self)
         return Fraction(self._a, self._d)
+
+    def __float__(self) -> float:
+        _require_real(self)
+        return self._a / self._d
 
     # -- comparisons ---------------------------------------------------------
 
@@ -154,6 +159,11 @@ class QC:
         if im == 0:
             return str(re)
         return f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
+
+
+def _require_real(q: QC):
+    if q._b:
+        raise DomainError(f"QC value {q!r} has a nonzero imaginary part")
 
 
 def _parts(x):
@@ -195,13 +205,19 @@ def _divide(x: tuple, y: tuple) -> QC:
 
 
 I_EXACT = QC(0, 1)
+HALF_EXACT = QC(Fraction(1, 2))
 
 
 def imaginary_unit(exact: bool):
     return I_EXACT if exact else 1j
 
 
+def one_half(exact: bool):
+    return HALF_EXACT if exact else 0.5
+
+
 def zero_scalar(exact: bool, complex_kind: bool):
+    """The zero of the values a field returns: inner products and evaluations."""
     if exact:
         return QC(0) if complex_kind else Fraction(0)
     return 0j if complex_kind else 0.0
@@ -210,19 +226,18 @@ def zero_scalar(exact: bool, complex_kind: bool):
 def coerce_scalar(value, exact: bool, complex_kind: bool):
     """Bring an arbitrary numeric literal into the requested scalar universe."""
     if exact:
-        if complex_kind:
-            if isinstance(value, QC):
-                return value
-            if isinstance(value, (int, Fraction)):
-                return QC(value)
-            if isinstance(value, complex):
-                raise DomainError("float-mode complex literal in an exact field")
-            raise DomainError(f"cannot coerce {value!r} to an exact complex scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
         if isinstance(value, QC):
-            return value.to_fraction()
-        raise DomainError(f"cannot coerce {value!r} to an exact real scalar")
+            if not complex_kind:
+                _require_real(value)
+            return value
+        if isinstance(value, int):
+            return _raw(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _raw(value.numerator, 0, value.denominator)
+        if complex_kind and isinstance(value, complex):
+            raise DomainError("float-mode complex literal in an exact field")
+        kind = "complex" if complex_kind else "real"
+        raise DomainError(f"cannot coerce {value!r} to an exact {kind} scalar")
     if complex_kind:
         if isinstance(value, QC):
             return complex(float(value.re), float(value.im))
@@ -232,8 +247,6 @@ def coerce_scalar(value, exact: bool, complex_kind: bool):
         if value.imag != 0:
             raise DomainError("complex literal in a real float field")
         return value.real
-    if isinstance(value, QC):
-        return float(value.to_fraction())
     return float(value)
 
 
@@ -248,9 +261,7 @@ def scalar_is_zero(x) -> bool:
 def scalar_to_json(x, exact: bool):
     """Render one scalar as (re, im) JSON values; strings in exact mode."""
     if exact:
-        if isinstance(x, QC):
-            return str(x.re), str(x.im)
-        return str(Fraction(x)), "0"
+        return str(x.real), str(x.imag)
     xc = complex(x)
     return xc.real, xc.imag
 
@@ -259,11 +270,9 @@ def scalar_from_json(re, im, exact: bool, complex_kind: bool):
     if exact:
         re_f = Fraction(re)
         im_f = Fraction(im)
-        if complex_kind:
-            return QC(re_f, im_f)
-        if im_f != 0:
+        if not complex_kind and im_f != 0:
             raise DomainError("nonzero imaginary part in a real field")
-        return re_f
+        return QC(re_f, im_f)
     re_v = float(Fraction(re)) if isinstance(re, str) else float(re)
     im_v = float(Fraction(im)) if isinstance(im, str) else float(im)
     if not (math.isfinite(re_v) and math.isfinite(im_v)):

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from gauss_hodge.calculus import delta_z, delta_zbar, wirtinger_dz, wirtinger_dzbar
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from gauss_hodge.fields import ScalarField
+from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
 from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
                                      random_scalar_field)
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import QC, conj
 from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
 
 from conftest import gaussian_moment
@@ -191,6 +191,95 @@ def test_complex_parts_and_conjugate():
         + x(1, kind="complex").scale(QC(0, -1))
 
 
+def test_complex_parts_come_out_in_lowest_terms():
+    # (2 + i)/4 has real part 2/4, stored reduced as 1/2
+    f = ScalarField(2, 4, "complex", True, {(1, 0): QC(Fraction(1, 2), Fraction(1, 4)),
+                                            (0, 1): QC(0, 3), (0, 0): QC(5)})
+    assert f.real_part() == ScalarField(2, 4, "real", True, {(1, 0): Fraction(1, 2), (0, 0): 5})
+    assert f.imag_part() == ScalarField(2, 4, "real", True, {(1, 0): Fraction(1, 4), (0, 1): 3})
+    i = QC(0, 1)
+    assert f.real_part().promote_complex() + f.imag_part().promote_complex().scale(i) == f
+
+
+def test_real_exact_coefficients_behave_as_rationals():
+    f = ScalarField(2, 4, "real", True, {(1, 0): Fraction(3, 4), (0, 2): 2})
+    c, two = f.coeffs[(1, 0)], f.coeffs[(0, 2)]
+    assert float(c) == 0.75 and float(two) == 2.0
+    assert c == Fraction(3, 4) and Fraction(3, 4) == c and two == 2
+    assert hash(c) == hash(Fraction(3, 4)) and hash(two) == hash(Fraction(2))
+
+
+def test_exact_real_field_evaluates_at_float_and_exact_points():
+    f = ScalarField(2, 4, "real", True, {(1, 0): 1, (0, 2): 2})
+    # He_1(1/2) + 2 He_2(1/4) = 1 + 2 (4/16 - 2)
+    at_float = f.evaluate((0.5, 0.25))
+    assert type(at_float) is float and at_float == -2.5
+    at_exact = f.evaluate((Fraction(1, 2), Fraction(1, 4)))
+    assert type(at_exact) is Fraction and at_exact == Fraction(-5, 2)
+
+
+# degree vectors on R^2 for the integer-reduction properties
+DEGREES = [(i, j) for i in range(4) for j in range(4)]
+# denominators 1..12, so running denominators meet, divide and miss each other
+small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def field_pairs(draw):
+    """Two exact fields of one kind whose supports are equal, overlapping or disjoint."""
+    kind = draw(st.sampled_from(("real", "complex")))
+
+    def field(support):
+        coeffs = {d: QC(draw(small_rationals),
+                        draw(small_rationals) if kind == "complex" else 0)
+                  for d in sorted(support)}
+        return ScalarField(2, 6, kind, True, coeffs)
+
+    support = draw(st.sets(st.sampled_from(DEGREES), max_size=8))
+    rest = [d for d in DEGREES if d not in support]
+    relation = draw(st.sampled_from(("equal", "overlapping", "disjoint")))
+    if relation == "equal":
+        other = set(support)
+    else:
+        other = draw(st.sets(st.sampled_from(rest), max_size=6))
+        if relation == "overlapping" and support:
+            other |= draw(st.sets(st.sampled_from(sorted(support)), min_size=1))
+    return field(support), field(other)
+
+
+def naive_norm_sq(f):
+    return sum(((v.real * v.real + v.imag * v.imag) * hermite_sq_norm_vector(d)
+                for d, v in f.coeffs.items()), Fraction(0))
+
+
+def naive_inner(f, g):
+    """(re, im) of <f, g> summed term by term in Fraction."""
+    re = im = Fraction(0)
+    for d, x in f.coeffs.items():
+        if d in g.coeffs:
+            y, w = g.coeffs[d], hermite_sq_norm_vector(d)
+            re += (x.real * y.real + x.imag * y.imag) * w
+            im += (x.imag * y.real - x.real * y.imag) * w
+    return re, im
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field_pairs())
+def test_exact_norms_and_inner_products_match_naive_fraction_sums(pair):
+    f, g = pair
+    for h in (f, g):
+        norm = h.norm_sq()
+        assert type(norm) is Fraction and norm == naive_norm_sq(h)
+        assert h.weighted_inner(h) == norm
+    inner = f.weighted_inner(g)
+    re, im = naive_inner(f, g)
+    if f.kind == "real":
+        assert type(inner) is Fraction and inner == re and im == 0
+    else:
+        assert type(inner) is QC and inner.re == re and inner.im == im
+    assert g.weighted_inner(f) == conj(inner)
+
+
 def test_float_complex_coefficients_drop_signed_zeros():
     # a -0.0 part from float arithmetic is stored, and written, as 0.0
     f = ScalarField(1, 2, "complex", False, {(1,): complex(-0.0, 1.0), (0,): complex(2.0, -0.0)})
@@ -207,7 +296,8 @@ def test_json_roundtrip_exact_and_float():
     assert ScalarField.from_json(g.to_json()) == g
 
 
-SCALAR_TYPES = {(True, "real"): Fraction, (True, "complex"): QC,
+# exact mode has one scalar type: a real coefficient is a QC with zero imaginary part
+SCALAR_TYPES = {(True, "real"): QC, (True, "complex"): QC,
                 (False, "real"): float, (False, "complex"): complex}
 
 
@@ -218,6 +308,8 @@ def assert_field_invariants(f: ScalarField):
         assert sum(deg) <= f.max_total_degree
         assert type(val) is SCALAR_TYPES[(f.exact, f.kind)]
         assert val
+        if f.kind == "real":
+            assert val.imag == 0
         if type(val) is complex:
             assert all(math.copysign(1.0, part) == 1.0 for part in (val.real, val.imag)
                        if part == 0)
@@ -236,7 +328,9 @@ def test_internal_operations_keep_field_invariants(exact):
         # real values in a complex field: negating them gives float parts of -0.0
         h = ScalarField(4, 8, kind, exact, {(1, 0, 0, 0): 2 * one, (0, 0, 0, 1): -one})
         results = [f + g, f - f, f + (-f), -f, f.scale(3), f.scale(0), f.conjugate(),
-                   f.multiply(g), -h, h.conjugate(), h.scale(-1), h - h.scale(2)]
+                   f.multiply(g), -h, h.conjugate(), h.scale(-1), h - h.scale(2),
+                   f.real_part(), f.imag_part(), f.promote_complex(), h.promote_complex(),
+                   ScalarField.from_json(f.to_json())]
         if not exact:
             # a float product can underflow to zero
             tiny = ScalarField(4, 8, kind, False, {(0, 0, 0, 0): 1e-200, (1, 0, 0, 0): 1.0})

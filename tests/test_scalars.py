@@ -126,9 +126,12 @@ def test_unary_operations_match_reference(x, k):
     assert type(xv.modulus_sq()) is Fraction
     if xr[1] == 0:
         assert xv.to_fraction() == xr[0]
+        assert float(xv) == float(xr[0])
     else:
         with pytest.raises(DomainError):
             xv.to_fraction()
+        with pytest.raises(DomainError):
+            float(xv)
     assert bool(xv) == (xr != (ZERO, ZERO))
     assert str(xv) == ref_str(xr)
     assert repr(xv) == f"QC({xr[0]}, {xr[1]})"
