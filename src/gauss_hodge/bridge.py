@@ -34,12 +34,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
-from .calculus import (ComplexForm, PForm, _accumulate, dbar_of_01, ddbar, exterior_d,
+from .calculus import (ComplexForm, PForm, _components, dbar_of_01, ddbar, exterior_d,
                        partial_of_10, require_bidegree)
 from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
-from .fields import COMPLEX, REAL, ScalarField
+from .fields import COMPLEX, REAL, ScalarField, _accumulate
 from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit, one_half
 from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
@@ -65,30 +66,45 @@ def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
     return table
 
 
-def _frame_change(form: PForm, table: dict) -> dict:
-    """The components of a form in the other frame: each frame 1-form e_a
-    becomes sum_{(b, w) in table[a]} w e_b, and insert_axis re-sorts the
-    wedge of the images."""
-    out: dict = {}
-    empty = MultiIndex((), form.n)
+def _identity_rule(d):
+    """A frame change keeps every Hermite degree."""
+    return ((d, 1),)
+
+
+@lru_cache(maxsize=None)
+def _frame_weights(idx: MultiIndex, exact: bool, to_complex: bool) -> tuple:
+    """The frame element e_idx in the other frame, as (index, weight) pairs:
+    each e_a becomes sum_{(b, w) in table[a]} w e_b, insert_axis re-sorts the
+    wedge of the images, and the weights of one index are summed."""
+    table = _frame_table(idx.n // 2, exact, to_complex)
+    weights: dict = {}
+    for picks in itertools.product(*(table[a] for a in idx)):
+        key, weight = MultiIndex((), idx.n), 1
+        for b, w in reversed(picks):
+            ins = insert_axis(b, key)
+            if ins is None:
+                break
+            sign, key = ins
+            weight = weight * w if sign == 1 else -weight * w
+        else:
+            weights[key] = weights[key] + weight if key in weights else weight
+    return tuple((key, weight) for key, weight in weights.items() if weight)
+
+
+def _frame_change(form: PForm, to_complex: bool) -> dict:
+    """The components of a form in the other frame: each component is summed
+    once, with its total weight, straight into each target's coefficients."""
+    acc: dict = {}
     for idx, field in form.components.items():
-        for picks in itertools.product(*(table[a] for a in idx)):
-            key, weight = empty, 1
-            for b, w in reversed(picks):
-                ins = insert_axis(b, key)
-                if ins is None:
-                    break
-                sign, key = ins
-                weight = weight * w if sign == 1 else -weight * w
-            else:
-                term = field if weight == 1 else -field if weight == -1 else field.scale(weight)
-                _accumulate(out, key, term)
-    return out
+        for key, weight in _frame_weights(idx, form.exact, to_complex):
+            _accumulate(acc.setdefault(key, {}), field.coeffs.items(), _identity_rule,
+                        form.exact, weight)
+    return _components(acc, form)
 
 
 def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
     """Split a (1,1)-form into real 2-forms with f = f1 + i f2."""
-    g = _frame_change(f, _frame_table(f.n // 2, f.exact, to_complex=False))
+    g = _frame_change(f, to_complex=False)
     f1 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
                {idx: c.real_part() for idx, c in g.items()})
     f2 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
@@ -99,7 +115,7 @@ def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
 def _complex_parts(v: PForm) -> tuple[ComplexForm, ...]:
     """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}."""
     n = v.n // 2
-    comps = _frame_change(v.promote_complex(), _frame_table(n, v.exact, to_complex=True))
+    comps = _frame_change(v.promote_complex(), to_complex=True)
     parts: dict = {}
     for idx, field in comps.items():
         parts.setdefault(sum(a <= n for a in idx), {})[idx] = field

@@ -10,7 +10,11 @@ weighted adjoint contracts with them:
     (L* a)_I   = - sum_j L'_j a_{jI}
 
 where a_{jI} vanishes when j is in I and otherwise carries the sign of
-sorting j into I; insert_axis and remove_axis supply every sign.
+sorting j into I; insert_axis and remove_axis supply every sign.  Each L_j
+is a coefficient rule (see fields), and an operator is one accumulation:
+every (component, axis) contribution, its sign folded into the coefficient,
+is summed straight into its target component's coefficients, each reduced
+once.  The single-field ladders apply the same rules to one field.
 
 Real side (R^n), frame dx_1..dx_n:
 
@@ -42,11 +46,12 @@ degree-graded and exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import COMPLEX, REAL, ScalarField, _shift
+from .fields import (COMPLEX, REAL, ScalarField, _accumulate, _delta_rule, _derivative_rule,
+                     _exact_inner, _exact_norm_sq, _finish, _shift)
 from .multiindex import MultiIndex, insert_axis, remove_axis
 from .scalars import imaginary_unit, one_half
 
@@ -173,7 +178,12 @@ class PForm:
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
         self._compatible(other)
-        total = ScalarField.zero(self.n, 0, self.kind, self.exact)._zero()
+        if self.exact:
+            theirs = other.components
+            return _exact_inner(((f.coeffs, theirs[idx].coeffs)
+                                for idx, f in self.components.items() if idx in theirs),
+                               self.kind == COMPLEX)
+        total = 0j if self.kind == COMPLEX else 0.0
         for idx, field in self.components.items():
             g = other.components.get(idx)
             if g is not None:
@@ -181,7 +191,9 @@ class PForm:
         return total
 
     def norm_sq(self):
-        total = Fraction(0) if self.exact else 0.0
+        if self.exact:
+            return _exact_norm_sq(f.coeffs for f in self.components.values())
+        total = 0.0
         for field in self.components.values():
             total = total + field.norm_sq()
         return total
@@ -222,36 +234,46 @@ class PForm:
         return cls(n, p, cap, kind, exact, comps)
 
 
-def _accumulate(out: dict, key: MultiIndex, term: ScalarField):
-    out[key] = out[key] + term if key in out else term
+def _components(acc: dict, form: PForm) -> dict:
+    """The target components of an accumulation over the shape of ``form``,
+    each finished into a field."""
+    cap = form.max_total_degree
+    return {tgt: ScalarField._trusted(form.n, cap, form.kind, form.exact,
+                                      _finish(coeffs, cap, form.exact))
+            for tgt, coeffs in acc.items()}
 
 
-def _wedge(u: PForm, offset: int, count: int, ladder) -> dict:
-    """Components of sum_j e_{offset+j} ^ ladder(u, j) over j = 1..count."""
-    out: dict[MultiIndex, ScalarField] = {}
+def _wedge(u: PForm, offset: int, rules) -> dict:
+    """Components of sum_j e_{offset+j} ^ L_j u, where rules[j-1] is the
+    coefficient rule of L_j: each (component, axis) contribution is summed,
+    with its permutation sign, straight into its target's coefficients."""
+    acc: dict = {}
     for idx, field in u.components.items():
-        for j in range(1, count + 1):
-            ins = insert_axis(offset + j, idx)
-            if ins is None:
-                continue
-            sign, tgt = ins
-            term = ladder(field, j)
-            if not term.is_zero():
-                _accumulate(out, tgt, term if sign == 1 else -term)
-    return out
+        for axis, rule in enumerate(rules, offset + 1):
+            ins = insert_axis(axis, idx)
+            if ins is not None:
+                sign, tgt = ins
+                _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(), rule, u.exact, sign)
+    return _components(acc, u)
 
 
-def _contract(alpha: PForm, offset: int, count: int, ladder) -> dict:
-    """Components of the contraction: I gets -sum_j ladder(a_{(offset+j) I}, j)
-    over j = 1..count."""
-    out: dict[MultiIndex, ScalarField] = {}
+def _contract(alpha: PForm, offset: int, rules) -> dict:
+    """Components of the contraction: I gets -sum_j L'_j a_{(offset+j) I},
+    where rules[j-1] is the coefficient rule of L'_j."""
+    acc: dict = {}
     for idx, field in alpha.components.items():
         for axis in idx:
-            if 0 < axis - offset <= count:
+            if 0 < axis - offset <= len(rules):
                 sign, tgt = remove_axis(axis, idx)
-                term = ladder(field, axis - offset)
-                _accumulate(out, tgt, -term if sign == 1 else term)
-    return out
+                _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(),
+                            rules[axis - offset - 1], alpha.exact, -sign)
+    return _components(acc, alpha)
+
+
+@lru_cache(maxsize=None)
+def _axis_rules(n: int, rule) -> tuple:
+    """The rules rule(1), ..., rule(n) of one real ladder on every axis."""
+    return tuple(rule(axis) for axis in range(1, n + 1))
 
 
 def _require_real_frame(u: PForm):
@@ -263,7 +285,7 @@ def exterior_d(u: PForm) -> PForm:
     """The distributional exterior derivative, sign-exact on increasing indices."""
     _require_real_frame(u)
     return PForm(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact,
-                 _wedge(u, 0, u.n, ScalarField.partial_derivative))
+                 _wedge(u, 0, _axis_rules(u.n, _derivative_rule)))
 
 
 def codifferential(alpha: PForm) -> PForm:
@@ -273,7 +295,7 @@ def codifferential(alpha: PForm) -> PForm:
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
     return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
-                 _contract(alpha, 0, alpha.n, ScalarField.apply_delta))
+                 _contract(alpha, 0, _axis_rules(alpha.n, _delta_rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,39 +314,58 @@ def _require_complex(field: ScalarField):
         raise DomainError("complex calculus needs complex scalar fields")
 
 
-def _pair_ladder(u: ScalarField, j: int, raising: bool, sign: int) -> ScalarField:
-    """(op_{2j-1} + sign i op_{2j}) / 2 in one pass over the pair (x_{2j-1}, x_{2j}),
-    with op = d/dx (lowering) or delta (raising); see the module docstring."""
+# The four Wirtinger ladders as (raising, sign); see the module docstring.
+DZ, DZBAR, DELTA_Z, DELTA_ZBAR = (False, -1), (False, 1), (True, -1), (True, 1)
+
+
+@lru_cache(maxsize=None)
+def _pair_rules(n: int, ladder: tuple, exact: bool) -> tuple:
+    """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n,
+    (op_{2j-1} + sign i op_{2j}) / 2 with op = d/dx (lowering) or delta
+    (raising); its weights are built once per ladder and mode."""
+    raising, sign = ladder
+    i_sign = imaginary_unit(exact) * sign
+    if raising:
+        half = one_half(exact)
+        wx, wy = -half, -half * i_sign
+        return tuple(lambda d, x=x: ((_shift(d, x, 1), wx), (_shift(d, x + 1, 1), wy))
+                     for x in range(0, 2 * n, 2))
+    # the lowering weights are k on x_{2j-1} and k sign i on x_{2j}, for k = d_i;
+    # each k sign i is built once
+    times_i = lru_cache(maxsize=None)(lambda k: k * i_sign)
+    return tuple(lambda d, x=x: [(_shift(d, i, -1), w(d[i]))
+                                 for i, w in ((x, int), (x + 1, times_i)) if d[i]]
+                 for x in range(0, 2 * n, 2))
+
+
+def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
+    """One Wirtinger ladder along complex axis j, in one pass over the pair
+    (x_{2j-1}, x_{2j})."""
     _require_complex(u)
     n = complex_dimension(u)
     if j < 1 or j > n:
         raise DomainError(f"complex axis {j} outside 1..{n}")
-    axes = ((2 * j - 2, 1), (2 * j - 1, imaginary_unit(u.exact) * sign))
-    if raising:
-        half = one_half(u.exact)
-        weights = [(i, -half * w) for i, w in axes]
-        return u._map(lambda d: [(_shift(d, i, 1), w) for i, w in weights])
-    return u._map(lambda d: [(_shift(d, i, -1), d[i] * w) for i, w in axes if d[i]])
+    return u._map(_pair_rules(n, ladder, u.exact)[j - 1])
 
 
 def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
     """d/dz_j = (d/dx_{2j-1} - i d/dx_{2j}) / 2."""
-    return _pair_ladder(u, j, False, -1)
+    return _pair_ladder(u, j, DZ)
 
 
 def wirtinger_dzbar(u: ScalarField, j: int) -> ScalarField:
     """d/dzbar_j = (d/dx_{2j-1} + i d/dx_{2j}) / 2."""
-    return _pair_ladder(u, j, False, 1)
+    return _pair_ladder(u, j, DZBAR)
 
 
 def delta_z(u: ScalarField, j: int) -> ScalarField:
     """d/dz_j - zbar_j = (delta_{2j-1} - i delta_{2j}) / 2, a raising ladder."""
-    return _pair_ladder(u, j, True, -1)
+    return _pair_ladder(u, j, DELTA_Z)
 
 
 def delta_zbar(u: ScalarField, j: int) -> ScalarField:
     """d/dzbar_j - z_j = (delta_{2j-1} + i delta_{2j}) / 2, a raising ladder."""
-    return _pair_ladder(u, j, True, 1)
+    return _pair_ladder(u, j, DELTA_ZBAR)
 
 
 def _fields_from_json(data: list) -> list[ScalarField]:
@@ -449,7 +490,7 @@ def partial(u: ComplexForm) -> ComplexForm:
     n = u.n // 2
     p, q = u.bidegree
     return ComplexForm(n, (p + 1, q), u.max_total_degree, u.exact,
-                       _wedge(u, 0, n, wirtinger_dz))
+                       _wedge(u, 0, _pair_rules(n, DZ, u.exact)))
 
 
 def dbar(u: ComplexForm) -> ComplexForm:
@@ -457,7 +498,7 @@ def dbar(u: ComplexForm) -> ComplexForm:
     n = u.n // 2
     p, q = u.bidegree
     return ComplexForm(n, (p, q + 1), u.max_total_degree, u.exact,
-                       _wedge(u, n, n, wirtinger_dzbar))
+                       _wedge(u, n, _pair_rules(n, DZBAR, u.exact)))
 
 
 def dbar_function(u: ScalarField) -> ComplexForm:
@@ -478,7 +519,7 @@ def dbar_adjoint(g: ComplexForm) -> ScalarField:
     require_bidegree(g, (0, 1), "dbar*")
     n = g.n // 2
     return ComplexForm(n, (0, 0), g.max_total_degree, g.exact,
-                       _contract(g, n, n, delta_z)).component(())
+                       _contract(g, n, _pair_rules(n, DELTA_Z, g.exact))).component(())
 
 
 def dbar_of_01(g: ComplexForm) -> ComplexForm:

@@ -10,6 +10,12 @@ Total-degree truncation is used rather than per-axis truncation: the normal
 operators in the solver preserve total Hermite degree, which makes truncated
 solves exact instead of approximate.  Degree-raising operations fail loudly
 on overflow; silent projection would break the exactness guarantees.
+
+Every linear map on coefficients is a rule sending a degree vector to
+(target, weight) pairs, applied as one accumulation per operator:
+_accumulate sums scaled contributions into a target map the caller owns,
+exact ones as unreduced integer numerators over a running denominator, and
+_finish checks the capacity and reduces each target coefficient once.
 """
 
 from __future__ import annotations
@@ -52,23 +58,82 @@ def _shift(deg: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
     return deg[:i] + (deg[i] + k,) + deg[i + 1:]
 
 
-def _map_terms(terms, rule, capacity: int) -> dict:
-    """Apply the linear map He_d -> sum_{(t, w) in rule(d)} w He_t.
+def _derivative_rule(axis: int):
+    """The coefficient rule of d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
+    i = axis - 1
+    return lambda d: ((_shift(d, i, -1), 2 * d[i]),) if d[i] else ()
 
-    ``terms`` yields (source, coefficient) pairs; colliding targets are summed
-    and zero sums dropped.  Every operator that moves Hermite degrees runs
-    through here, so a target above ``capacity`` raises DegreeOverflowError.
+
+def _delta_rule(axis: int):
+    """The coefficient rule of delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1}."""
+    i = axis - 1
+    return lambda d: ((_shift(d, i, 1), -1),)
+
+
+def _accumulate(acc: dict, terms, rule, exact: bool, scale=1):
+    """Add scale * sum_{(src, val) in terms} sum_{(t, w) in rule(src)} val w He_t
+    into ``acc``, a map from target degree vectors that the caller owns.
+
+    Weights and ``scale`` are ints or scalars of the mode.  Exact terms are
+    summed as unreduced integer entries [re, im, den] for (re + im i)/den, so
+    no term pays a gcd until _finish reduces each target once; float terms
+    are summed as they are.
     """
-    out: dict = {}
+    scaled = scale != 1
+    if not exact:
+        for src, val in terms:
+            if scaled:
+                val = val * scale
+            for tgt, w in rule(src):
+                term = val * w
+                acc[tgt] = acc[tgt] + term if tgt in acc else term
+        return
+    sc, se, sf = (scale, 0, 1) if type(scale) is int else (scale._a, scale._b, scale._d)
     for src, val in terms:
+        a, b, d = val._a, val._b, val._d
+        if scaled:
+            a, b, d = a * sc - b * se, a * se + b * sc, d * sf
         for tgt, w in rule(src):
-            term = val * w
-            out[tgt] = out[tgt] + term if tgt in out else term
-    top = max(map(sum, out), default=0)
+            if type(w) is int:
+                x, y, f = a * w, b * w, d
+            else:
+                c, e, f = w._a, w._b, w._d
+                x, y, f = a * c - b * e, a * e + b * c, d * f
+            entry = acc.get(tgt)
+            if entry is None:
+                acc[tgt] = [x, y, f]
+            elif entry[2] == f:
+                entry[0] += x
+                entry[1] += y
+            else:
+                den = entry[2]
+                g = math.gcd(den, f)
+                k, m = f // g, den // g
+                entry[0] = entry[0] * k + x * m
+                entry[1] = entry[1] * k + y * m
+                entry[2] = den * k
+
+
+def _finish(acc: dict, capacity: int, exact: bool) -> dict:
+    """The coefficient map of an accumulation: a target above ``capacity``
+    raises DegreeOverflowError, even if its sum cancels; then exact entries
+    are reduced once each and zero sums dropped."""
+    top = max(map(sum, acc), default=0)
     if top > capacity:
         raise DegreeOverflowError(f"result needs capacity {top}, have {capacity}",
                                   required_capacity=top)
-    return {tgt: val for tgt, val in out.items() if val}
+    if exact:
+        return {tgt: _make(re, im, den) for tgt, (re, im, den) in acc.items() if re or im}
+    return {tgt: val for tgt, val in acc.items() if val}
+
+
+def _map_terms(terms, rule, capacity: int, exact: bool) -> dict:
+    """Apply the linear map He_d -> sum_{(t, w) in rule(d)} w He_t to the
+    (source, coefficient) pairs ``terms``: one accumulation, then _finish.
+    Every single-field operator that moves Hermite degrees runs through here."""
+    acc: dict = {}
+    _accumulate(acc, terms, rule, exact)
+    return _finish(acc, capacity, exact)
 
 
 def _product_terms(pair) -> list:
@@ -78,6 +143,48 @@ def _product_terms(pair) -> list:
         terms = [(prefix + (k,), w * c) for prefix, w in terms
                  for k, c in hermite_product_1d(a, b)]
     return terms
+
+
+def _exact_inner(map_pairs, complex_kind: bool):
+    """sum_d x_d conj(y_d) ||He_d||^2 over every pair (x, y) of exact
+    coefficient maps, on integer numerators over one running denominator
+    and reduced once: a QC for complex kinds, a Fraction for real ones.
+
+    (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)
+    """
+    re = im = 0
+    den = 1
+    for mine, theirs in map_pairs:
+        for deg in mine.keys() & theirs.keys():
+            x, y = mine[deg], theirs[deg]
+            a, b, d = x._a, x._b, x._d
+            c, e, f = y._a, y._b, y._d
+            w = hermite_sq_norm_vector(deg)
+            df = d * f
+            if df != den:
+                k = df // math.gcd(den, df)
+                re, im, den = re * k, im * k, den * k
+                w *= den // df
+            re += (a * c + b * e) * w
+            im += (b * c - a * e) * w
+    return _make(re, im, den) if complex_kind else Fraction(re, den)
+
+
+def _exact_norm_sq(maps) -> Fraction:
+    """sum_d |x_d|^2 ||He_d||^2 over every exact coefficient map, as
+    sum (a^2 + b^2) ||He_d||^2 / d^2 over one running denominator."""
+    num, den = 0, 1
+    for coeffs in maps:
+        for deg, v in coeffs.items():
+            a, b, d = v._a, v._b, v._d
+            w = hermite_sq_norm_vector(deg)
+            dd = d * d
+            if dd != den:
+                k = dd // math.gcd(den, dd)
+                num, den = num * k, den * k
+                w *= den // dd
+            num += (a * a + b * b) * w
+    return Fraction(num, den)
 
 
 class ScalarField:
@@ -263,19 +370,18 @@ class ScalarField:
             raise DomainError(f"axis {axis} outside 1..{self.m}")
 
     def _map(self, rule) -> "ScalarField":
-        return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree))
+        return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree,
+                                       self.exact))
 
     def partial_derivative(self, axis: int) -> "ScalarField":
         """d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
         self._axis_check(axis)
-        i = axis - 1
-        return self._map(lambda d: ((_shift(d, i, -1), 2 * d[i]),) if d[i] else ())
+        return self._map(_derivative_rule(axis))
 
     def apply_delta(self, axis: int) -> "ScalarField":
         """delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1} along the axis."""
         self._axis_check(axis)
-        i = axis - 1
-        return self._map(lambda d: ((_shift(d, i, 1), -1),))
+        return self._map(_delta_rule(axis))
 
     def multiply_by_coordinate(self, axis: int) -> "ScalarField":
         """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
@@ -295,7 +401,7 @@ class ScalarField:
         products = (((da, db), va * vb) for da, va in self.coeffs.items()
                     for db, vb in other.coeffs.items())
         return self._trusted(self.m, cap, self.kind, self.exact,
-                             _map_terms(products, _product_terms, cap))
+                             _map_terms(products, _product_terms, cap, self.exact))
 
     # -- metric and evaluation -------------------------------------------------------
 
@@ -307,23 +413,7 @@ class ScalarField:
         self._compatible(other)
         mine, theirs = self.coeffs, other.coeffs
         if self.exact:
-            # integer numerators over one running denominator, reduced once:
-            # (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)
-            re = im = 0
-            den = 1
-            for deg in mine.keys() & theirs.keys():
-                x, y = mine[deg], theirs[deg]
-                a, b, d = x._a, x._b, x._d
-                c, e, f = y._a, y._b, y._d
-                w = hermite_sq_norm_vector(deg)
-                df = d * f
-                if df != den:
-                    k = df // math.gcd(den, df)
-                    re, im, den = re * k, im * k, den * k
-                    w *= den // df
-                re += (a * c + b * e) * w
-                im += (b * c - a * e) * w
-            return _make(re, im, den) if self.kind == COMPLEX else Fraction(re, den)
+            return _exact_inner(((mine, theirs),), self.kind == COMPLEX)
         total = self._zero()
         small = mine if len(mine) <= len(theirs) else theirs
         for deg in small:
@@ -334,18 +424,7 @@ class ScalarField:
     def norm_sq(self):
         """||F||^2 as a real scalar (exact Fraction or float)."""
         if self.exact:
-            # sum (a^2 + b^2) ||He_d||^2 / d^2 over one running denominator
-            num, den = 0, 1
-            for deg, v in self.coeffs.items():
-                a, b, d = v._a, v._b, v._d
-                w = hermite_sq_norm_vector(deg)
-                dd = d * d
-                if dd != den:
-                    k = dd // math.gcd(den, dd)
-                    num, den = num * k, den * k
-                    w *= den // dd
-                num += (a * a + b * b) * w
-            return Fraction(num, den)
+            return _exact_norm_sq((self.coeffs,))
         total = 0.0
         for deg, val in self.coeffs.items():
             norm = hermite_sq_norm_vector(deg)

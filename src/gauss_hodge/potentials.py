@@ -98,6 +98,8 @@ class _Parser:
                 self.check_degree((out.degree or 0) + (rhs.degree or 0))
                 out = out.multiply(rhs)
             else:
+                if rhs.is_zero():
+                    raise DomainError("division by zero in potential")
                 const = _as_constant(rhs)
                 if const is None:
                     raise DomainError("division is only allowed by constants")
@@ -157,8 +159,6 @@ class _Parser:
 
 
 def _as_constant(field: ScalarField):
-    if field.is_zero():
-        return None
     deg = field.degree
     if deg != 0:
         return None

@@ -218,7 +218,7 @@ def _convert_pairs(field: ScalarField, coeffs: dict, table) -> dict:
     for j in range(0, field.m, 2):
         coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
             (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], field.exact)],
-            field.max_total_degree)
+            field.max_total_degree, field.exact)
     return coeffs
 
 

@@ -163,8 +163,10 @@ SOLVE_DBAR = ["solve", "--equation", "dbar", "--input"]
     (SOLVE_DBAR, _one_term_text("dbar", re=1.0, im=float("-inf"))),
     (["lelong", "--n", "1", "--degree", "8", "--from-potential", "z**99999"], None),
     (SOLVE_D, _one_term_text("d", deg=[9, 0])),
+    (["lelong", "--n", "1", "--degree", "6", "--from-potential", "z*conj(z)/0"], None),
 ], ids=["list-d", "list-dbar", "list-lelong", "zero-denominator", "null-degree",
-        "nan", "inf", "minus-inf-imag", "potential-degree", "degree-above-capacity"])
+        "nan", "inf", "minus-inf-imag", "potential-degree", "degree-above-capacity",
+        "potential-division-by-zero"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     if text is not None:
         path = tmp_path / "bad.json"

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gauss_hodge.calculus import delta_z, delta_zbar, wirtinger_dz, wirtinger_dzbar
+from gauss_hodge.bridge import decompose_11, split_bidegree, two_form_complex_parts
+from gauss_hodge.calculus import (codifferential, dbar, dbar_adjoint, delta_z, delta_zbar,
+                                  exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
-from gauss_hodge.randomforms import (random_closed_pform, random_dbar_closed_form01,
+from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
+                                     random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
 from gauss_hodge.scalars import QC, conj
 from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
@@ -308,6 +311,8 @@ def assert_field_invariants(f: ScalarField):
         assert sum(deg) <= f.max_total_degree
         assert type(val) is SCALAR_TYPES[(f.exact, f.kind)]
         assert val
+        if f.exact:
+            assert val._d > 0 and math.gcd(val._a, val._b, val._d) == 1
         if f.kind == "real":
             assert val.imag == 0
         if type(val) is complex:
@@ -345,6 +350,26 @@ def test_internal_operations_keep_field_invariants(exact):
                         for ladder in (wirtinger_dz, wirtinger_dzbar, delta_z, delta_zbar)]
         for r in results:
             assert_field_invariants(r)
+
+    # the fused operators and the frame changes build their fields in one accumulation
+    forms = []
+    for kind in ("real", "complex"):
+        a = random_pform(rng, 4, 2, 8, 5, kind, True, terms=3)
+        a = a if exact else a.to_float()
+        forms += [exterior_d(a), codifferential(a)]
+    f11 = random_complexform11(rng, 2, 8, 5, exact=True, terms=3)
+    f11 = f11 if exact else f11.to_float()
+    g01 = random_form01(rng, 2, 8, 5, exact=True, terms=3)
+    g01 = g01 if exact else g01.to_float()
+    forms += [partial(f11), dbar(f11), dbar(g01), partial(g01), *decompose_11(f11),
+              two_form_complex_parts(decompose_11(f11)[0])[1],
+              *split_bidegree(codifferential(decompose_11(f11)[1]))]
+    fields = [dbar_adjoint(g01)]
+    for form in forms:
+        assert form.components
+        fields += form.components.values()
+    for r in fields:
+        assert_field_invariants(r)
 
     closed = random_closed_pform(rng, 3, 2, 6, 3, exact=True)
     u, beta, _ = solve_d_min_norm_full(closed if exact else closed.to_float())

@@ -174,7 +174,7 @@ def test_conjugation_identities_random(rng):
 def test_ddbar_composes_detects_a_wrong_dbar_ladder(rng, monkeypatch):
     # check (c) builds ddbar from real partial derivatives, so it must notice
     # a dbar that differentiates along dz
-    monkeypatch.setattr(calculus, "wirtinger_dzbar", calculus.wirtinger_dz)
+    monkeypatch.setattr(calculus, "DZBAR", calculus.DZ)
     zzb = zzbar_poly_field(1, CAP, {((1,), (1,)): 1})
     assert conjugation_identities_check(zzb)[2] is False
     for n in (1, 2):

@@ -1,0 +1,47 @@
+"""Byte-identity guard: exact outputs of fixed runs are pinned by sha256.
+
+Exact arithmetic has one answer, so a change to how an operator sums its
+terms must not move a single byte of what ``lelong`` and ``verify`` write.
+The digests were taken from the package before the operators were fused
+into one accumulation each.
+"""
+
+import hashlib
+
+import pytest
+
+from gauss_hodge.cli import main
+
+LELONG_DIGESTS = {
+    "C1": (["--n", "1", "--degree", "6", "--from-potential",
+            "z**3*conj(z)**3 - 3*z**3*conj(z) + 2/3*z*conj(z)**4 + i*z*conj(z)**2"],
+           "456905fe61d82072d8911c1a461d244c1c6d69652e787d2aa60c8873483084f5"),
+    "C2": (["--n", "2", "--degree", "5", "--from-potential",
+            "z1**2*conj(z2)**2*conj(z1) - 5*z1*z2*conj(z2)**2"
+            " + (2-i)/7*z2**2*conj(z1)**2 + z1*conj(z1)"],
+           "e4b308471f549bc512ecb28921b6270ea8529eefa9560f4b04ac9c503da046ab"),
+    "C3": (["--n", "3", "--degree", "4", "--from-potential",
+            "z1*z2*conj(z3)**2 + 3*z3*conj(z1)*conj(z2)"
+            " - i/2*z2**2*conj(z2)*conj(z3) + z1*conj(z1)*z3*conj(z3)"],
+           "b65d47e0f6b8f25aa04f969ba1ca419bdec71537ec333809edcc1e7f681ce6e9"),
+}
+
+VERIFY_ARGV = ["verify", "--mode", "exact", "--n", "2", "--degree", "6",
+               "--trials", "2", "--seed", "3"]
+VERIFY_DIGEST = "99a80188c528c374169661216840741fd5d8c5c87c2f1c0d098b0041ded65d8e"
+
+
+def _digest(tmp_path, argv) -> str:
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("space", sorted(LELONG_DIGESTS))
+def test_exact_lelong_output_bytes_are_pinned(tmp_path, space):
+    argv, expected = LELONG_DIGESTS[space]
+    assert _digest(tmp_path, ["lelong", "--mode", "exact"] + argv) == expected
+
+
+def test_exact_verify_output_bytes_are_pinned(tmp_path):
+    assert _digest(tmp_path, VERIFY_ARGV) == VERIFY_DIGEST

@@ -59,6 +59,15 @@ def test_parse_errors():
         parse_potential("z**10", 1, 4)  # degree above capacity
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_division_by_zero_is_named(exact):
+    for text in ("z*conj(z)/0", "z/(1 - 1)", "z/(i*i + 1)"):
+        with pytest.raises(DomainError, match="division by zero"):
+            parse_potential(text, 1, CAP, exact)
+    with pytest.raises(DomainError, match="only allowed by constants"):
+        parse_potential("z/conj(z)", 1, CAP, exact)
+
+
 def test_parse_nested_conj_and_signs():
     assert parse_potential("conj(conj(z))", 1, CAP) == \
         zzbar_poly_field(1, CAP, {((1,), (0,)): 1})
