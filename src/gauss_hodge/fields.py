@@ -148,7 +148,8 @@ def _product_terms(pair) -> list:
 def _exact_inner(map_pairs, complex_kind: bool):
     """sum_d x_d conj(y_d) ||He_d||^2 over every pair (x, y) of exact
     coefficient maps, on integer numerators over one running denominator
-    and reduced once: a QC for complex kinds, a Fraction for real ones.
+    and reduced once: a QC when ``complex_kind`` is true, else its real part
+    as a Fraction (the whole value for real maps).
 
     (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)
     """

@@ -16,13 +16,38 @@ from .calculus import (ComplexForm, PForm, codifferential, complex_dimension, db
                        dbar_function, ddbar, delta_z, delta_zbar, exterior_d, partial,
                        wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField, _shift, hermite_sq_norm_vector
+from .fields import (COMPLEX, ScalarField, _exact_inner, _exact_norm_sq, _shift,
+                     hermite_sq_norm_vector)
 from .multiindex import enumerate_indices
 from .scalars import conj, imaginary_unit
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
 # attained: the Bochner Hessian term is CONVEXITY * sum'_I sum_j ||a_{jI}||^2.
 CONVEXITY = 2
+
+
+def _real_sum(exact: bool, fields=(), pairs=(), sign: int = 1):
+    """sum ||F||^2 over fields plus sign * sum Re <F, G> over pairs (F, G).
+
+    Exact mode sums on integers over one denominator (_exact_norm_sq and
+    _exact_inner); float mode adds one norm, then one inner product, at a
+    time in order."""
+    if exact:
+        return (_exact_norm_sq(field.coeffs for field in fields)
+                + sign * _exact_inner(((f.coeffs, g.coeffs) for f, g in pairs), False))
+    total = 0.0
+    for field in fields:
+        total = total + field.norm_sq()
+    for f, g in pairs:
+        term = f.weighted_inner(g).real
+        total = total + term if sign == 1 else total - term
+    return total
+
+
+def _gradients(alpha: PForm) -> list:
+    """d a_J / dx_j for every component a_J and every axis j, in that order."""
+    return [field.partial_derivative(j) for field in alpha.components.values()
+            for j in range(1, alpha.n + 1)]
 
 
 def _tol_equal(lhs, rhs, exact: bool, rel_tol: float = 1e-12) -> bool:
@@ -53,10 +78,7 @@ def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpans
     if alpha.p < 1:
         raise DomainError("the expansion needs a form of degree >= 1")
     lhs = exterior_d(alpha).norm_sq()
-    rhs = Fraction(0) if alpha.exact else 0.0
-    for field in alpha.components.values():
-        for j in range(1, alpha.n + 1):
-            rhs = rhs + field.partial_derivative(j).norm_sq()
+    pairs = []
     for I in enumerate_indices(alpha.n, alpha.p - 1):
         for j in range(1, alpha.n + 1):
             for k in range(1, alpha.n + 1):
@@ -66,8 +88,8 @@ def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpans
                 a_jI = alpha.signed_component(j, I)
                 if a_jI.is_zero():
                     continue
-                term = a_kI.partial_derivative(j).weighted_inner(a_jI.partial_derivative(k))
-                rhs = rhs - (term.real if alpha.kind == COMPLEX else term)
+                pairs.append((a_kI.partial_derivative(j), a_jI.partial_derivative(k)))
+    rhs = _real_sum(alpha.exact, _gradients(alpha), pairs, -1)
     return DNormExpansionReport(lhs, rhs, _tol_equal(lhs, rhs, alpha.exact, rel_tol))
 
 
@@ -100,20 +122,15 @@ def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerRepo
     lhs_adjoint = codifferential(alpha).norm_sq()
     lhs_d = exterior_d(alpha).norm_sq()
 
-    zero = Fraction(0) if alpha.exact else 0.0
-    rhs_hessian = zero
+    pairs = []
     for I in enumerate_indices(alpha.n, alpha.p - 1):
         for j in range(1, alpha.n + 1):
             a_jI = alpha.signed_component(j, I)
-            if a_jI.is_zero():
-                continue
-            term = a_jI.weighted_inner(a_jI)
-            rhs_hessian = rhs_hessian + CONVEXITY * (term.real if alpha.kind == COMPLEX
-                                                     else term)
-    rhs_gradient = zero
-    for field in alpha.components.values():
-        for j in range(1, alpha.n + 1):
-            rhs_gradient = rhs_gradient + field.partial_derivative(j).norm_sq()
+            if not a_jI.is_zero():
+                pairs.append((a_jI, a_jI))
+    # CONVEXITY = 2, so scaling the sum rounds as scaling each term did
+    rhs_hessian = CONVEXITY * _real_sum(alpha.exact, pairs=pairs)
+    rhs_gradient = _real_sum(alpha.exact, _gradients(alpha))
 
     holds = _tol_equal(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient,
                        alpha.exact, rel_tol)
@@ -218,8 +235,8 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     def a(i, j):
         return alpha.coefficient((i,), (j,))
 
-    t_mixed_sq = zero
-    t_cross = zero
+    seconds = []
+    crosses = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -227,23 +244,17 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
                     second = wirtinger_dz(wirtinger_dzbar(a(i, j), l), k)
                     if second.is_zero():
                         continue
-                    t_mixed_sq = t_mixed_sq + second.norm_sq()
+                    seconds.append(second)
                     other = (wirtinger_dz(wirtinger_dzbar(a(i, l), j), k)
                              + wirtinger_dz(wirtinger_dzbar(a(k, j), l), i))
-                    # the full ijkl sum is conjugate-symmetric, so it is real
-                    cross = second.weighted_inner(other)
-                    t_cross = t_cross + cross.real
-
-    t_grad_z = zero
-    for i in range(1, n + 1):
-        for l in range(1, n + 1):
-            for k in range(1, n + 1):
-                t_grad_z = t_grad_z + wirtinger_dz(a(i, l), k).norm_sq()
-    t_grad_zbar = zero
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            for l in range(1, n + 1):
-                t_grad_zbar = t_grad_zbar + wirtinger_dzbar(a(k, j), l).norm_sq()
+                    crosses.append((second, other))
+    t_mixed_sq = _real_sum(exact, seconds)
+    # the full ijkl sum is conjugate-symmetric, so it is real
+    t_cross = _real_sum(exact, pairs=crosses)
+    t_grad_z = _real_sum(exact, [wirtinger_dz(a(i, l), k) for i in range(1, n + 1)
+                                 for l in range(1, n + 1) for k in range(1, n + 1)])
+    t_grad_zbar = _real_sum(exact, [wirtinger_dzbar(a(k, j), l) for k in range(1, n + 1)
+                                    for j in range(1, n + 1) for l in range(1, n + 1)])
 
     terms = {"norm_sq": t_norm, "ddbar_sq": t_ddbar, "partial_sq": t_partial,
              "dbar_sq": t_dbar, "mixed_second_sq": t_mixed_sq, "cross": t_cross,

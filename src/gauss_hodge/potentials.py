@@ -9,17 +9,31 @@ Grammar (case-sensitive):
     atom   := integer | 'i' | variable | 'conj' '(' expr ')' | '(' expr ')'
 
 Variables are ``z`` (only when n = 1) or ``z1`` .. ``zn``.  Division is only
-allowed by constant subexpressions, keeping everything polynomial.  The
-result is an exact complex field on R^{2n} under z_j = x_{2j-1} + i x_{2j}.
+allowed by constant subexpressions, keeping everything polynomial.
+
+The parser's values are sparse polynomials in z and zbar: maps from keys
+(a_1, b_1, ..., a_n, b_n) for prod_j z_j^{a_j} zbar_j^{b_j} to coefficients.
+Products add exponents, conj swaps each (a_j, b_j) and conjugates the
+coefficient, and sums act on coefficients.  The result is converted to a
+complex field on R^{2n} under z_j = x_{2j-1} + i x_{2j} once, at the end,
+one complex pair at a time through the cached table of
+
+    z^a zbar^b = sum_k k! C(a,k) C(b,k) H_{a-k,b-k}
+
+(Ito 1952) and the complex Hermite functions H_{p,q} in He_x He_y.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from functools import lru_cache
+from operator import add
 
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField
-from .scalars import QC
+from .fields import COMPLEX, ScalarField, _accumulate, _finish
+from .scalars import QC, coerce_scalar, conj, imaginary_unit
+from .solver import _convert_pairs, complex_hermite_to_he
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
 
@@ -36,6 +50,16 @@ def _tokenize(text: str) -> list[str]:
         out.append(m.group(1))
         pos = m.end()
     return out
+
+
+def _keep(key):
+    """The rule of a sum: every monomial stays where it is."""
+    return ((key, 1),)
+
+
+def _degree(poly: dict):
+    """Largest total degree present, or None for the zero polynomial."""
+    return max(map(sum, poly), default=None)
 
 
 class _Parser:
@@ -64,57 +88,73 @@ class _Parser:
         if degree > self.capacity:
             raise DomainError(f"potential degree {degree} exceeds capacity {self.capacity}")
 
-    def constant(self, value) -> ScalarField:
-        return ScalarField.constant(value, 2 * self.n, self.capacity, COMPLEX, self.exact)
+    def constant(self, value) -> dict:
+        if not self.exact:
+            try:
+                value = complex(value)
+            except OverflowError:
+                raise DomainError(f"integer {str(value)[:12]}... in potential is too large "
+                                  f"for float mode") from None
+        value = coerce_scalar(value, self.exact, True)
+        return {(0,) * (2 * self.n): value} if value else {}
 
-    def variable(self, j: int) -> ScalarField:
+    def variable(self, j: int) -> dict:
         if j < 1 or j > self.n:
             raise DomainError(f"variable z{j} outside 1..{self.n}")
-        x = ScalarField.coordinate(2 * j - 1, 2 * self.n, self.capacity, COMPLEX, self.exact)
-        y = ScalarField.coordinate(2 * j, 2 * self.n, self.capacity, COMPLEX, self.exact)
-        return x + y.scale(QC(0, 1) if self.exact else 1j)
+        key = [0] * (2 * self.n)
+        key[2 * j - 2] = 1
+        return {tuple(key): QC(1) if self.exact else 1 + 0j}
 
-    def parse(self) -> ScalarField:
+    def multiply(self, p: dict, q: dict) -> dict:
+        """The product: each pair of monomials adds its exponents."""
+        acc: dict = {}
+        for kp, vp in p.items():
+            _accumulate(acc, q.items(), lambda kq: ((tuple(map(add, kp, kq)), 1),),
+                        self.exact, vp)
+        return _finish(acc, self.capacity, self.exact)
+
+    def parse(self) -> dict:
         out = self.expr()
         if self.peek() is not None:
             raise DomainError(f"trailing tokens in potential: {self.tokens[self.pos:]}")
         return out
 
-    def expr(self) -> ScalarField:
+    def expr(self) -> dict:
         out = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            acc: dict = {}
+            _accumulate(acc, out.items(), _keep, self.exact)
+            _accumulate(acc, self.term().items(), _keep, self.exact, 1 if op == "+" else -1)
+            out = _finish(acc, self.capacity, self.exact)
         return out
 
-    def term(self) -> ScalarField:
+    def term(self) -> dict:
         out = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
             if op == "*":
-                # multiply() widens the capacity; clamped once at the end
-                self.check_degree((out.degree or 0) + (rhs.degree or 0))
-                out = out.multiply(rhs)
+                self.check_degree((_degree(out) or 0) + (_degree(rhs) or 0))
+                out = self.multiply(out, rhs)
             else:
-                if rhs.is_zero():
+                if not rhs:
                     raise DomainError("division by zero in potential")
-                const = _as_constant(rhs)
-                if const is None:
+                if _degree(rhs) != 0:
                     raise DomainError("division is only allowed by constants")
-                out = out.scale(QC(1) / const if self.exact else 1 / const)
+                const = next(iter(rhs.values()))
+                out = _scale(out, QC(1) / const if self.exact else 1 / const)
         return out
 
-    def factor(self) -> ScalarField:
+    def factor(self) -> dict:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
         out = self.power()
-        return out if sign == 1 else -out
+        return out if sign == 1 else _scale(out, -1)
 
-    def power(self) -> ScalarField:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek() in ("**", "^"):
             self.take()
@@ -122,29 +162,29 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise DomainError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             k = int(exp_tok)
-            self.check_degree((base.degree or 0) * k)
+            self.check_degree((_degree(base) or 0) * k)
             # by squaring; every square has degree at most that of the result
             out = self.constant(1)
             while k:
                 if k & 1:
-                    out = out.multiply(base)
+                    out = self.multiply(out, base)
                 k >>= 1
                 if k:
-                    base = base.multiply(base)
+                    base = self.multiply(base, base)
             return out
         return base
 
-    def atom(self) -> ScalarField:
+    def atom(self) -> dict:
         tok = self.take()
         if tok.isdigit():
             return self.constant(int(tok))
         if tok == "i":
-            return self.constant(QC(0, 1) if self.exact else 1j)
+            return self.constant(imaginary_unit(self.exact))
         if tok == "conj":
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return inner.conjugate()
+            return {_swap_pairs(key): conj(val) for key, val in inner.items()}
         if tok == "(":
             inner = self.expr()
             self.take(")")
@@ -158,11 +198,30 @@ class _Parser:
         raise DomainError(f"unexpected token {tok!r} in potential")
 
 
-def _as_constant(field: ScalarField):
-    deg = field.degree
-    if deg != 0:
-        return None
-    return next(iter(field.coeffs.values()))
+def _scale(poly: dict, s) -> dict:
+    """s times a polynomial; a float product that underflows to zero is dropped."""
+    return {key: v for key, v in ((key, s * val) for key, val in poly.items()) if v}
+
+
+def _swap_pairs(key: tuple) -> tuple:
+    """The key of the conjugate monomial: each (a_j, b_j) becomes (b_j, a_j)."""
+    out = [0] * len(key)
+    out[0::2], out[1::2] = key[1::2], key[0::2]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _monomial_to_he(a: int, b: int, exact: bool) -> tuple:
+    """z^a zbar^b in one complex pair as ((x, y), weight) pairs over He_x He_y:
+    sum_k k! C(a,k) C(b,k) H_{a-k,b-k}, each H_{p,q} from complex_hermite_to_he.
+    Float weights are the exact ones lowered to complex doubles."""
+    if not exact:
+        return tuple((t, coerce_scalar(w, False, True)) for t, w in _monomial_to_he(a, b, True))
+    acc: dict = {}
+    for k in range(min(a, b) + 1):
+        _accumulate(acc, complex_hermite_to_he(a - k, b - k, True), _keep, True,
+                    math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+    return tuple(_finish(acc, a + b, True).items())
 
 
 def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> ScalarField:
@@ -173,7 +232,8 @@ def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> Sca
     if not tokens:
         raise DomainError("empty potential expression")
     parsed = _Parser(tokens, n, capacity, exact).parse()
-    top = parsed.degree or 0
+    top = _degree(parsed) or 0
     if top > capacity:
         raise DomainError(f"potential degree {top} exceeds capacity {capacity}")
-    return parsed.with_capacity(capacity)
+    return ScalarField._trusted(2 * n, capacity, COMPLEX, exact,
+                                _convert_pairs(parsed, 2 * n, _monomial_to_he, exact))

@@ -13,8 +13,10 @@ Under the weight e^{-|x|^2} both Laplacians are diagonal in Hermite bases.
 * dbar: on dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component,
   with L = -sum_j delta^z_j d/dzbar_j and L H_{p,q} = |q| H_{p,q} in the
   complex Hermite basis H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1
-  (Ito 1952).  beta converts each component to that basis, one complex pair
-  (x_{2j-1}, x_{2j}) at a time, divides by |q| + 1 and converts back.
+  (Ito 1952).  (L + 1)^{-1} is one linear rule per degree vector,
+  He_d -> sum_t w_t He_t, built once in exact arithmetic and cached: convert
+  He_d to that basis one complex pair (x_{2j-1}, x_{2j}) at a time, divide by
+  |q| + 1 and convert back.  Float mode lowers the exact weights to doubles.
 
 The per-pair conversions come from the generating function
 e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
@@ -25,8 +27,10 @@ e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
 over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).
 
 No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
-every closed input solves; a nonzero exact residual means the input was not
-closed after all and is reported as such.
+every closed input solves.  The exact residual gate compares op(u) with f
+under ``==``; only when they differ is op(u) - f built, to report its norm,
+since a nonzero exact residual means the input was not closed after all.
+Float mode measures the residual against a tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import DegreeOverflowError, DomainError, NotClosedError, SolveNumericalError
 from .fields import ScalarField, _map_terms
-from .scalars import QC
+from .scalars import QC, coerce_scalar
 
 FLOAT_BOUND_SLACK = 1e-12
 
@@ -109,9 +113,10 @@ def _degree_levels(fields) -> int:
     return len({sum(deg) for field in fields for deg in field.coeffs})
 
 
-def _finish(u, residual, f, bound, blocks: int, exact: bool, tolerance: float) -> SolveReport:
-    """Gate the equation residual and report; f is the right-hand side."""
-    res_sq = residual.norm_sq()
+def _finish(u, image, f, bound, blocks: int, exact: bool, tolerance: float) -> SolveReport:
+    """Gate the equation residual image - f and report; image = op(u) and f
+    is the right-hand side.  Exact mode builds the residual only if image != f."""
+    res_sq = Fraction(0) if exact and image == f else (image - f).norm_sq()
     f_sq = f.norm_sq()
     if exact and res_sq != 0:
         raise NotClosedError("exact solve left a nonzero residual; input is not closed",
@@ -160,7 +165,7 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
                                           for deg, val in field.coeffs.items()})
                       for idx, field in f.components.items()})
     u = codifferential(beta)
-    return u, beta, _finish(u, exterior_d(u) - f, f, bound,
+    return u, beta, _finish(u, exterior_d(u), f, bound,
                           _degree_levels(f.components.values()), f.exact, tolerance)
 
 
@@ -213,20 +218,33 @@ def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
     return tuple(out)
 
 
-def _convert_pairs(field: ScalarField, coeffs: dict, table) -> dict:
-    """Apply a per-pair basis conversion to every complex pair of a coefficient map."""
-    for j in range(0, field.m, 2):
+def _convert_pairs(coeffs: dict, m: int, table, exact: bool) -> dict:
+    """Apply a per-pair basis conversion table(a, b, exact) to every complex
+    pair of a coefficient map on R^m; the total degree is kept or lowered."""
+    top = max(map(sum, coeffs), default=0)
+    for j in range(0, m, 2):
         coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
-            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], field.exact)],
-            field.max_total_degree, field.exact)
+            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], exact)],
+            top, exact)
     return coeffs
 
 
-def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
-    """(L + 1)^{-1} on one component, through the H_{p,q} basis."""
-    spectral = _convert_pairs(field, field.coeffs, he_to_complex_hermite)
+@lru_cache(maxsize=None)
+def _dbar_inverse_rule(d: tuple, exact: bool) -> tuple:
+    """(L + 1)^{-1} He_d as (degree, weight) pairs: He_d converted to the
+    H_{p,q} basis, divided by |q| + 1 and converted back, in exact arithmetic;
+    float weights are the exact ones lowered to complex doubles."""
+    if not exact:
+        return tuple((t, coerce_scalar(w, False, True)) for t, w in _dbar_inverse_rule(d, True))
+    spectral = _convert_pairs({d: QC(1)}, len(d), he_to_complex_hermite, True)
     spectral = {key: val / (sum(key[1::2]) + 1) for key, val in spectral.items()}
-    return field.replace(_convert_pairs(field, spectral, complex_hermite_to_he))
+    return tuple(_convert_pairs(spectral, len(d), complex_hermite_to_he, True).items())
+
+
+def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
+    """(L + 1)^{-1} on one component: one cached rule per degree vector."""
+    exact = field.exact
+    return field._map(lambda d: _dbar_inverse_rule(d, exact))
 
 
 def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
@@ -258,7 +276,7 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
     beta = g.replace({idx: _inverse_dbar_laplacian(field)
                       for idx, field in g.components.items()})
     u = dbar_adjoint(beta)
-    return u, beta, _finish(u, dbar_function(u) - g, g, bound,
+    return u, beta, _finish(u, dbar_function(u), g, bound,
                           _degree_levels(g.components.values()), exact, tolerance)
 
 

@@ -164,9 +164,14 @@ SOLVE_DBAR = ["solve", "--equation", "dbar", "--input"]
     (["lelong", "--n", "1", "--degree", "8", "--from-potential", "z**99999"], None),
     (SOLVE_D, _one_term_text("d", deg=[9, 0])),
     (["lelong", "--n", "1", "--degree", "6", "--from-potential", "z*conj(z)/0"], None),
+    (["lelong", "--n", "1", "--degree", "6", "--mode", "float", "--from-potential",
+      "9" * 400 + "*z*conj(z)"], None),
+    (["lelong", "--n", "1", "--degree", "6", "--mode", "float", "--from-potential",
+      "z*conj(z)/" + "9" * 400], None),
 ], ids=["list-d", "list-dbar", "list-lelong", "zero-denominator", "null-degree",
         "nan", "inf", "minus-inf-imag", "potential-degree", "degree-above-capacity",
-        "potential-division-by-zero"])
+        "potential-division-by-zero", "float-potential-huge-factor",
+        "float-potential-huge-divisor"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     if text is not None:
         path = tmp_path / "bad.json"

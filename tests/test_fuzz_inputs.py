@@ -113,7 +113,8 @@ def test_valid_seed_files_solve(tmp_path, capsys, command, document):
 
 
 POTENTIAL_TOKENS = ["z", "z1", "z2", "z0", "conj", "(", ")", "+", "-", "*", "/", "**",
-                    "^", "i", "0", "1", "2", "12", " ", "x", "99999"]
+                    "^", "i", "0", "1", "2", "12", " ", "x", "99999",
+                    "9" * 400]  # too large for a double: float mode must refuse it
 
 
 @settings(FUZZ, max_examples=60)

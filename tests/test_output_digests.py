@@ -2,8 +2,10 @@
 
 Exact arithmetic has one answer, so a change to how an operator sums its
 terms must not move a single byte of what ``lelong`` and ``verify`` write.
-The digests were taken from the package before the operators were fused
-into one accumulation each.
+The C1..C3 digests were taken from the package before the operators were
+fused into one accumulation each; the ``-sums`` digests were taken before
+potentials were parsed as z/zbar monomials and the dbar inverse became one
+cached rule per degree vector.
 """
 
 import hashlib
@@ -24,6 +26,16 @@ LELONG_DIGESTS = {
             "z1*z2*conj(z3)**2 + 3*z3*conj(z1)*conj(z2)"
             " - i/2*z2**2*conj(z2)*conj(z3) + z1*conj(z1)*z3*conj(z3)"],
            "b65d47e0f6b8f25aa04f969ba1ca419bdec71537ec333809edcc1e7f681ce6e9"),
+    # conj of a sum, a power of a sum, division by a constant and unary minus
+    "C1-sums": (["--n", "1", "--degree", "6", "--from-potential",
+                 "conj(z + 2*z**2)**2*(z - i)**2/3 - (z*conj(z) + 1)**3/5"],
+                "60a3f62a4055c775134fec692036b0688d16282f08ecfca2fcd8522283aa7463"),
+    "C2-sums": (["--n", "2", "--degree", "5", "--from-potential",
+                 "conj(z1 + i*z2)**2*(z1 - 2*z2)**2*z1/7 + -(z1*conj(z2) - i)**2/3"],
+                "c4c45cd78fcc499a9f237a19fbf7b4ae37f77c44f4f4eb01445e3ea84de94147"),
+    "C3-sums": (["--n", "3", "--degree", "4", "--from-potential",
+                 "conj(z1 + z2 - i*z3)**2*(z2 + 3*z3)**2/6 - (z1*conj(z1) + z3)**2/2"],
+                "9e8f9191d1226aac8dfaa4caaceb424594f59b551765b1f50906ba8cb5db536b"),
 }
 
 VERIFY_ARGV = ["verify", "--mode", "exact", "--n", "2", "--degree", "6",

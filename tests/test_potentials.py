@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from gauss_hodge import potentials
 from gauss_hodge.errors import DomainError
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.potentials import parse_potential
 from gauss_hodge.scalars import QC
 
@@ -85,3 +88,196 @@ def test_parse_float_mode():
     got = parse_potential("z*conj(z)", 1, CAP, exact=False)
     assert not got.exact
     assert abs(got.evaluate((1.0, 1.0)) - 2.0) < 1e-12
+
+
+# -- the parser against the old construction -----------------------------------
+#
+# A random expression is a tree of tuples.  It is rendered to text for the
+# parser and evaluated independently by multiplying coordinate fields (the
+# construction of conftest.zzbar_poly_field), the way potentials were built
+# before the parser worked on z/zbar monomials.
+
+FLOAT_TOL = 1e-12  # largest coefficient deviation, relative to the largest coefficient
+SIZES = ((1, 6), (2, 5), (3, 4))  # (n, capacity)
+
+
+def _degree(node) -> int:
+    kind = node[0]
+    if kind in ("const", "i"):
+        return 0
+    if kind == "var":
+        return 1
+    if kind in ("conj", "neg", "div"):
+        return _degree(node[1])
+    if kind in ("add", "sub"):
+        return max(_degree(node[1]), _degree(node[2]))
+    if kind == "mul":
+        return _degree(node[1]) + _degree(node[2])
+    return _degree(node[1]) * node[2]  # pow
+
+
+def _divisor(rng):
+    """A nonzero constant: k or (k - m*i) with k >= 1."""
+    k = ("const", rng.randint(1, 9))
+    if rng.random() < 0.5:
+        return k
+    return ("sub", k, ("mul", ("const", rng.randint(1, 4)), ("i",)))
+
+
+def _random_tree(rng, n: int, budget: int, depth: int):
+    if depth == 0 or (depth < 3 and rng.random() < 0.25):
+        pick = rng.random()
+        if budget >= 1 and pick < 0.7:
+            return ("var", rng.randint(1, n), rng.random() < 0.4)
+        return ("i",) if pick < 0.85 else ("const", rng.randint(0, 9))
+    kind = rng.choice(["add", "sub", "mul", "mul", "mul", "pow", "pow", "conj", "neg", "div"])
+    if kind in ("add", "sub"):
+        return (kind, _random_tree(rng, n, budget, depth - 1),
+                _random_tree(rng, n, budget, depth - 1))
+    if kind == "mul":
+        left = _random_tree(rng, n, budget // 2 + budget % 2, depth - 1)
+        return (kind, left, _random_tree(rng, n, budget - _degree(left), depth - 1))
+    if kind == "pow":
+        k = rng.choice([0, 1, 2, 2, 3])
+        part = budget // max(k, 1)
+        base = (rng.choice(["add", "sub"]), _random_tree(rng, n, part, depth - 1),
+                _random_tree(rng, n, part, depth - 1))
+        return (kind, base, k)
+    if kind == "div":
+        return (kind, _random_tree(rng, n, budget, depth - 1), _divisor(rng))
+    return (kind, _random_tree(rng, n, budget, depth - 1))
+
+
+def _render(node, n: int) -> str:
+    kind = node[0]
+    if kind == "const":
+        return str(node[1])
+    if kind == "i":
+        return "i"
+    if kind == "var":
+        name = "z" if n == 1 else f"z{node[1]}"
+        return f"conj({name})" if node[2] else name
+    if kind == "conj":
+        return f"conj({_render(node[1], n)})"
+    if kind == "neg":
+        return f"-({_render(node[1], n)})"
+    if kind == "pow":
+        return f"({_render(node[1], n)})**{node[2]}"
+    op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[kind]
+    return f"({_render(node[1], n)}){op}({_render(node[2], n)})"
+
+
+def _features(node) -> set:
+    """The constructs the test must cover, found in one tree."""
+    found = {node[0]}
+    if node[0] in ("conj", "pow") and node[1][0] in ("add", "sub"):
+        found.add(f"{node[0]}-of-sum")
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            found |= _features(child)
+    return found
+
+
+def _build(node, n: int, cap: int, exact: bool) -> ScalarField:
+    """The tree's value as a field, from products of coordinate fields."""
+    def const(value):
+        return ScalarField.constant(value, 2 * n, cap, "complex", exact)
+
+    kind = node[0]
+    if kind == "const":
+        return const(node[1])
+    if kind == "i":
+        return const(QC(0, 1) if exact else 1j)
+    if kind == "var":
+        j = node[1]
+        exps = (tuple(int(i == j - 1) for i in range(n)), (0,) * n)
+        field = zzbar_poly_field(n, cap, {exps[::-1] if node[2] else exps: 1})
+        return field if exact else field.to_float()
+    if kind == "conj":
+        return _build(node[1], n, cap, exact).conjugate()
+    if kind == "neg":
+        return -_build(node[1], n, cap, exact)
+    if kind == "pow":
+        base = _build(node[1], n, cap, exact)
+        out = const(1)
+        for _ in range(node[2]):
+            out = out.multiply(base)
+        return out
+    left, right = _build(node[1], n, cap, exact), _build(node[2], n, cap, exact)
+    if kind == "add":
+        return left + right
+    if kind == "sub":
+        return left - right
+    if kind == "mul":
+        return left.multiply(right)
+    divisor = right.coeffs[(0,) * (2 * n)]
+    return left.scale(QC(1) / divisor if exact else 1 / divisor)
+
+
+def _random_potentials(seed: int, count: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        n, cap = SIZES[k % len(SIZES)]
+        tree = _random_tree(rng, n, cap, 4)
+        for _ in range(rng.randint(1, 2)):
+            tree = (rng.choice(["add", "sub"]), tree, _random_tree(rng, n, cap, 4))
+        yield n, cap, tree
+
+
+def test_random_potentials_cover_the_grammar():
+    found = set().union(*(_features(tree) for _, _, tree in _random_potentials(5, 90)))
+    assert {"conj-of-sum", "pow-of-sum", "i", "div", "neg", "sub", "const"} <= found
+
+
+def test_random_potentials_equal_the_old_construction_exactly():
+    for n, cap, tree in _random_potentials(5, 90):
+        text = _render(tree, n)
+        assert parse_potential(text, n, cap) == _build(tree, n, cap, True), text
+
+
+def test_random_float_potentials_match_the_old_construction():
+    for n, cap, tree in _random_potentials(5, 90):
+        text = _render(tree, n)
+        got = parse_potential(text, n, cap, exact=False).coeffs
+        want = _build(tree, n, cap, False).coeffs
+        scale = max(map(abs, list(got.values()) + list(want.values())), default=0.0)
+        for deg in got.keys() | want.keys():
+            assert abs(got.get(deg, 0) - want.get(deg, 0)) <= FLOAT_TOL * max(scale, 1.0), text
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_error_messages_are_unchanged(exact):
+    cases = [("z**7", 6, "potential degree 7 exceeds capacity 6"),
+             ("(z + conj(z))**4*z**3", 6, "potential degree 7 exceeds capacity 6"),
+             ("z", 0, "potential degree 1 exceeds capacity 0"),
+             ("z*conj(z)/(2 - 2)", 6, "division by zero in potential"),
+             ("z/conj(z)", 6, "division is only allowed by constants")]
+    for text, cap, message in cases:
+        with pytest.raises(DomainError) as err:
+            parse_potential(text, 1, cap, exact)
+        assert str(err.value) == message
+
+
+def test_degree_above_capacity_fails_before_any_product(monkeypatch):
+    built = []
+    multiply = potentials._Parser.multiply
+
+    def spy(self, p, q):
+        out = multiply(self, p, q)
+        built.append(max(map(sum, out), default=0))
+        return out
+
+    def refuse(*_):
+        raise AssertionError("the parser must not multiply fields")
+
+    monkeypatch.setattr(potentials._Parser, "multiply", spy)
+    monkeypatch.setattr(ScalarField, "multiply", refuse)
+    for text in ("z**99999", "(z + conj(z))**7", "(1 + z)**4*(conj(z) - i)**3"):
+        built.clear()
+        with pytest.raises(DomainError, match="exceeds capacity 6"):
+            parse_potential(text, 1, 6)
+        assert all(degree <= 6 for degree in built)
+        if "*(" not in text:
+            assert built == []
+    parse_potential("(1 + z)**3*(conj(z) - i)**3", 1, 6)
+    assert max(built) == 6

@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gauss_hodge import bridge, solver
 from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
-                                  dbar_function, delta_z, delta_zbar, exterior_d)
-from gauss_hodge.errors import DegreeOverflowError, NotClosedError
+                                  dbar_function, ddbar, delta_z, delta_zbar, exterior_d,
+                                  wirtinger_dzbar)
+from gauss_hodge.errors import DegreeOverflowError, InvariantViolationError, NotClosedError
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
-from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
-from gauss_hodge.solver import (_make_report, bound_holds, complex_hermite_to_he,
+from gauss_hodge.randomforms import (random_closed_pform, random_complex_function,
+                                     random_dbar_closed_form01)
+from gauss_hodge.scalars import QC
+from gauss_hodge.solver import (_convert_pairs, _dbar_inverse_rule, _inverse_dbar_laplacian,
+                                _make_report, bound_holds, complex_hermite_to_he,
                                 he_to_complex_hermite, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
                                 solve_dbar_min_norm_full)
@@ -172,6 +177,81 @@ def test_complex_hermite_tables():
                     for key, d in second(*mid, True):
                         composed[key] = composed.get(key, 0) + c * d
                 assert {k: v for k, v in composed.items() if v} == {(a, s - a): 1}
+
+
+def _two_pass_inverse(coeffs: dict, m: int) -> dict:
+    """(L + 1)^{-1} by converting the whole coefficient map to the H_{p,q}
+    basis, dividing by |q| + 1 and converting back."""
+    spectral = _convert_pairs(coeffs, m, he_to_complex_hermite, True)
+    spectral = {key: val / (sum(key[1::2]) + 1) for key, val in spectral.items()}
+    return _convert_pairs(spectral, m, complex_hermite_to_he, True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_dbar_rule_is_the_two_pass_conversion(n):
+    """For every degree vector up to total degree 6: the cached rule equals the
+    two-pass conversion under ==, (L + 1) maps it back to He_d with
+    L = -sum_j delta^z_j d/dzbar_j, and the float rule is the exact one lowered."""
+    m = 2 * n
+    for d in degree_vectors(m, 6):
+        rule = _dbar_inverse_rule(d, True)
+        assert dict(rule) == _two_pass_inverse({d: QC(1)}, m)
+        u = ScalarField(m, 6, "complex", True, dict(rule))
+        image = u
+        for j in range(1, n + 1):
+            image = image - delta_z(wirtinger_dzbar(u, j), j)
+        assert image == ScalarField(m, 6, "complex", True, {d: 1})
+        assert _dbar_inverse_rule(d, False) == tuple(
+            (t, complex(float(w.re), float(w.im))) for t, w in rule)
+
+
+def test_inverse_dbar_laplacian_of_random_fields(rng):
+    for n in (1, 2, 3):
+        for _ in range(4):
+            field = random_complex_function(rng, n, 6, 6, terms=5)
+            assert _inverse_dbar_laplacian(field).coeffs == _two_pass_inverse(field.coeffs, 2 * n)
+            lowered = _inverse_dbar_laplacian(field.to_float()).coeffs
+            exact = _inverse_dbar_laplacian(field).to_float().coeffs
+            assert lowered.keys() == exact.keys()
+            assert all(abs(lowered[d] - exact[d]) <= 1e-12 * abs(exact[d]) for d in exact)
+
+
+def _mutated(op, applies=lambda *args: True):
+    """op with its result doubled whenever applies(*args); the last doubled
+    result is kept in .image."""
+    def wrapper(*args):
+        out = op(*args)
+        if applies(*args):
+            out = wrapper.image = out.scale(2)
+        return out
+    return wrapper
+
+
+def test_exact_gates_report_the_subtracted_residual(monkeypatch, rng):
+    """With a mutated operator the exact gates still fail, and report the
+    squared norm of op(u) - f as subtracting and taking the norm gives it."""
+    g = random_dbar_closed_form01(rng, 2, 6, 3)
+    bad_dbar = _mutated(dbar_function)
+    monkeypatch.setattr(solver, "dbar_function", bad_dbar)
+    with pytest.raises(NotClosedError) as err:
+        solve_dbar_min_norm(g)
+    assert err.value.residual_norm_sq == (bad_dbar.image - g).norm_sq() != 0
+
+    f = random_closed_pform(rng, 3, 2, 6, 3)
+    bad_d = _mutated(exterior_d, lambda u: u.p == 1)  # not the closedness check on f
+    monkeypatch.setattr(solver, "exterior_d", bad_d)
+    with pytest.raises(NotClosedError) as err:
+        solve_d_min_norm(f)
+    assert err.value.residual_norm_sq == (bad_d.image - f).norm_sq() != 0
+
+    monkeypatch.undo()
+    form = ddbar(zzbar_poly_field(2, 6, {((1, 1), (2, 0)): 3, ((0, 1), (1, 1)): QC(1, -2)}))
+    bad_ddbar = _mutated(ddbar)
+    monkeypatch.setattr(bridge, "ddbar", bad_ddbar)
+    with pytest.raises(InvariantViolationError) as err:
+        bridge.solve_poincare_lelong(form)
+    assert err.value.stage == "final_residual"
+    assert err.value.lhs == (bad_ddbar.image - form).norm_sq() != 0
 
 
 def test_d_solution_is_minimum_norm_against_dense_oracle(rng):
