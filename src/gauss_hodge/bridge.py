@@ -24,9 +24,14 @@ The pipeline runs the constructive proof: solve d v_k = f_k with bound 1/4,
 split v_k by bidegree (each half carrying a quarter of the squared norm),
 solve dbar u_k = v_k^{0,1} with bound 2, and assemble
 u = (u_1 - conj u_1) + i (u_2 - conj u_2), giving ||u||^2 <= 2 ||f||^2.
-Every stage bound and every type-purity identity is checked on the way and
-raises InvariantViolationError if it fails; for valid closed inputs these
-are mathematically guaranteed and must never fire.
+
+Each identity is checked once, through ``solver.negligible`` (float scale in
+brackets): df_k = 0 by the d solve of f_k [||f_k||^2], raising NotClosedError
+(df = 0 iff df_1 = df_2 = 0 by type separation); dbar v_k^{0,1} = 0 by the
+dbar solve [||v_k^{0,1}||^2]; partial v_k^{1,0} = 0 here [max(||v_k||^2, 1)];
+ddbar u = f here [||f||^2].  Past the d solves these and the stage bounds hold
+for closed input by construction, so a failure, a NotClosedError from a dbar
+solve included, raises InvariantViolationError naming its stage.
 """
 
 from __future__ import annotations
@@ -36,15 +41,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import (ComplexForm, PForm, _components, dbar_of_01, ddbar, exterior_d,
-                       partial_of_10, require_bidegree)
+from .calculus import (ComplexForm, PForm, _components, ddbar, partial_of_10,
+                       require_bidegree)
 from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
 from .fields import COMPLEX, REAL, ScalarField, _accumulate
 from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit, one_half
-from .solver import (SolveReport, _make_report, bound_holds, solve_d_min_norm_full,
-                     solve_dbar_min_norm_full)
+from .solver import (SolveReport, _make_report, bound_holds, negligible,
+                     solve_d_min_norm_full, solve_dbar_min_norm_full)
 
 
 def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
@@ -209,21 +214,12 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
             f"pipeline needs capacity {top + 2} (two above the data degree {top}), "
             f"have {f.max_total_degree}", required_capacity=top + 2)
 
-    # (1) split into real 2-forms; d-closedness of f is equivalent to
-    #     d f1 = d f2 = 0 by type separation.
+    # (1) split into real 2-forms
     f1, f2 = decompose_11(f)
     f_sq = f.norm_sq()
-    for name, fk in (("re", f1), ("im", f2)):
-        dfk = exterior_d(fk)
-        if exact:
-            if not dfk.is_zero():
-                raise NotClosedError(f"ddbar u = f needs df = 0; the {name} part is not closed",
-                                     residual_norm_sq=dfk.norm_sq())
-        elif dfk.norm_sq() > (tolerance ** 2) * f_sq:
-            raise NotClosedError(f"ddbar u = f needs df = 0; the {name} part is not closed",
-                                 residual_norm_sq=dfk.norm_sq())
 
-    # (2) weighted Poincare solves d v_k = f_k, bound 1/4
+    # (2) weighted Poincare solves d v_k = f_k, bound 1/4; each refuses a
+    #     non-closed f_k
     v1, _, rep_d1 = solve_d_min_norm_full(f1, tolerance)
     v2, _, rep_d2 = solve_d_min_norm_full(f2, tolerance)
     _check_stage_bound(rep_d1, "d_solve_re")
@@ -232,33 +228,29 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     us = []
     dbar_reports = []
     conj_ratios = {}
-    for name, vk in (("re", v1), ("im", v2)):
-        # (3) bidegree split; the (2,0) and (0,2) pieces of d v_k must vanish
+    for name, vk, rep_d in (("re", v1, rep_d1), ("im", v2, rep_d2)):
+        # (3) bidegree split; the (2,0) piece of d v_k must vanish (the dbar
+        #     solve checks the (0,2) piece)
         v10, v01 = split_bidegree(vk)
-        purity_20 = partial_of_10(v10)
-        purity_02 = dbar_of_01(v01)
-        if exact:
-            if not purity_20.is_zero() or not purity_02.is_zero():
-                raise InvariantViolationError(
-                    f"type_purity_{name}", "partial v10 or dbar v01 is nonzero",
-                    lhs=purity_20.norm_sq(), rhs=purity_02.norm_sq())
-        else:
-            scale = max(vk.norm_sq(), 1.0)
-            if purity_20.norm_sq() > (tolerance ** 2) * scale \
-                    or purity_02.norm_sq() > (tolerance ** 2) * scale:
-                raise InvariantViolationError(
-                    f"type_purity_{name}", "partial v10 or dbar v01 exceeds tolerance",
-                    lhs=purity_20.norm_sq(), rhs=purity_02.norm_sq())
+        purity_sq = partial_of_10(v10).norm_sq()
+        if not negligible(purity_sq, max(rep_d.output_norm_sq, 1.0), exact, tolerance):
+            raise InvariantViolationError(
+                f"type_purity_{name}", "partial v10 is not negligible",
+                lhs=purity_sq, rhs=rep_d.output_norm_sq)
 
         # (4) Hormander solve dbar u_k = v_k^{0,1}, bound 2
-        uk, _, rep_dbar = solve_dbar_min_norm_full(v01, tolerance)
+        try:
+            uk, _, rep_dbar = solve_dbar_min_norm_full(v01, tolerance)
+        except NotClosedError as exc:
+            raise InvariantViolationError(
+                f"dbar_solve_{name}", str(exc), lhs=exc.residual_norm_sq) from exc
         _check_stage_bound(rep_dbar, f"dbar_solve_{name}")
         dbar_reports.append(rep_dbar)
 
         # (5) u_k - conj(u_k) obeys the Cauchy-Schwarz factor 4
         wk = uk - uk.conjugate()
         wk_sq = wk.norm_sq()
-        uk_sq = uk.norm_sq()
+        uk_sq = rep_dbar.output_norm_sq
         if not bound_holds(wk_sq, 4 * uk_sq, exact):
             raise InvariantViolationError(
                 f"conjugation_{name}", "||u - conj u||^2 > 4 ||u||^2",
@@ -271,13 +263,10 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     # exact mode compares ddbar u with f; the residual is built only to report it
     image = ddbar(u)
     res_sq = zero_s if exact and image == f else (image - f).norm_sq()
-    if exact:
-        if res_sq != 0:
-            raise InvariantViolationError("final_residual", "ddbar u != f in exact mode",
-                                          lhs=res_sq, rhs=f_sq)
-    elif res_sq > (tolerance ** 2) * f_sq:
-        raise InvariantViolationError("final_residual", "ddbar u residual exceeds tolerance",
-                                      lhs=res_sq, rhs=f_sq)
+    if not negligible(res_sq, f_sq, exact, tolerance):
+        raise InvariantViolationError(
+            "final_residual", "ddbar u != f in exact mode" if exact
+            else "ddbar u residual exceeds tolerance", lhs=res_sq, rhs=f_sq)
 
     final = _make_report(res_sq, f_sq, u.norm_sq(), two,
                          rep_d1.blocks_solved + rep_d2.blocks_solved

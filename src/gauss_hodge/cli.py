@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -35,7 +36,7 @@ from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
 from .scalars import QC
-from .solver import solve_d_min_norm, solve_dbar_min_norm
+from .solver import negligible, solve_d_min_norm, solve_dbar_min_norm
 
 MEASURE_NOTE = "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx"
 
@@ -83,12 +84,6 @@ def _render(value):
     return float(value)
 
 
-def _norm_is_small(norm_sq, scale_sq, exact: bool, tol: float) -> bool:
-    if exact:
-        return norm_sq == 0
-    return norm_sq <= (tol ** 2) * max(scale_sq, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -113,9 +108,9 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     # real-side invariants on R^n, cycling the form degree
     for p in range(0, min(n, 3)):
         u = random_pform(rng, n, p, cap, data_degree, REAL, exact)
-        ddu = exterior_d(exterior_d(u))
-        rec("dd_zero", _norm_is_small(ddu.norm_sq(), u.norm_sq(), exact, tol),
-            n=n, p=p, residual_sq=ddu.norm_sq())
+        ddu_sq = exterior_d(exterior_d(u)).norm_sq()
+        rec("dd_zero", negligible(ddu_sq, max(u.norm_sq(), 1.0), exact, tol),
+            n=n, p=p, residual_sq=ddu_sq)
 
         alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL, exact)
         lhs = exterior_d(u).weighted_inner(alpha)
@@ -136,12 +131,13 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     # complex-side invariants on C^n
     f11 = random_complexform11(rng, n, cap, data_degree, exact)
     f1, f2 = decompose_11(f11)
+    f11_sq = f11.norm_sq()
     lhs = f1.norm_sq() + f2.norm_sq()
-    rhs = 4 * f11.norm_sq()
+    rhs = 4 * f11_sq
     rec("decompose_norm_identity", _tol_equal(lhs, rhs, exact, tol), n=n, lhs=lhs, rhs=rhs)
     back = recompose_11(f1, f2)
     diff_sq = (back - f11).norm_sq()
-    rec("decompose_roundtrip", _norm_is_small(diff_sq, f11.norm_sq(), exact, tol),
+    rec("decompose_roundtrip", negligible(diff_sq, max(f11_sq, 1.0), exact, tol),
         n=n, residual_sq=diff_sq)
 
     v = random_pform(rng, 2 * n, 1, cap, data_degree, REAL, exact)
@@ -251,13 +247,14 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
         print(f"solve: {exc} (required capacity {exc.required_capacity})", file=sys.stderr)
         return EXIT_FAIL
 
+    rendered = report.to_json()
     payload = {"equation": equation, "measure": MEASURE_NOTE,
-               "solution": solution, "report": report.to_json()}
+               "solution": solution, "report": rendered}
     _write_json(payload, config.output)
     ok = report.bound_satisfied and (report.residual_norm_sq == 0 if report.exact
                                      else True)
-    print(f"solve {equation}: ratio {report.to_json()['ratio']} vs bound "
-          f"{report.to_json()['bound_constant']}; "
+    print(f"solve {equation}: ratio {rendered['ratio']} vs bound "
+          f"{rendered['bound_constant']}; "
           f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -366,7 +363,10 @@ def _write_json(payload: dict, output: str | None):
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="gauss-hodge",
         description="Exactly verified weighted exterior calculus and solvers "

@@ -20,6 +20,7 @@ from .fields import (COMPLEX, ScalarField, _exact_inner, _exact_norm_sq, _shift,
                      hermite_sq_norm_vector)
 from .multiindex import enumerate_indices
 from .scalars import conj, imaginary_unit
+from .solver import SolveReport, negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
 # attained: the Bochner Hessian term is CONVEXITY * sum'_I sum_j ||a_{jI}||^2.
@@ -66,7 +67,6 @@ class DNormExpansionReport:
     equal: bool
 
     def to_json(self) -> dict:
-        from .solver import SolveReport
         return {"lhs": SolveReport._render(self.lhs),
                 "rhs": SolveReport._render(self.rhs),
                 "equal": self.equal}
@@ -105,7 +105,6 @@ class BochnerReport:
     coercivity_margin: object
 
     def to_json(self) -> dict:
-        from .solver import SolveReport
         r = SolveReport._render
         return {"lhs_adjoint": r(self.lhs_adjoint), "lhs_d": r(self.lhs_d),
                 "rhs_hessian": r(self.rhs_hessian), "rhs_gradient": r(self.rhs_gradient),
@@ -205,7 +204,6 @@ class DdbarAdjointReport:
     terms: dict
 
     def to_json(self) -> dict:
-        from .solver import SolveReport
         r = SolveReport._render
         return {"lhs": r(self.lhs), "rhs": r(self.rhs),
                 "discrepancy": r(self.discrepancy),
@@ -265,9 +263,7 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
 
 
 def _fields_close(a: ScalarField, b: ScalarField, rel_tol: float = 1e-10) -> bool:
-    diff = (a - b).norm_sq()
-    scale = max(a.norm_sq(), b.norm_sq(), 1.0)
-    return diff <= (rel_tol ** 2) * scale
+    return negligible((a - b).norm_sq(), max(a.norm_sq(), b.norm_sq(), 1.0), False, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
 over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).
 
 No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
-every closed input solves.  The exact residual gate compares op(u) with f
-under ``==``; only when they differ is op(u) - f built, to report its norm,
-since a nonzero exact residual means the input was not closed after all.
-Float mode measures the residual against a tolerance.
+every closed input solves.  Each solve checks the closedness of its input
+(df = 0, dbar g = 0) once before solving and the residual op(u) - f once
+after, both through ``negligible``: zero in exact mode, at most
+tolerance^2 ||f||^2 in float mode, with ||f||^2 computed once.  Exact mode
+compares op(u) with f under ``==`` and builds op(u) - f only to report a
+nonzero residual, which means the input was not closed after all.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ def _make_report(residual_sq, input_sq, output_sq, bound, blocks, exact) -> Solv
     return SolveReport(residual_sq, input_sq, output_sq, bound, ratio, holds, blocks, exact)
 
 
+def negligible(norm_sq, scale_sq, exact: bool, tolerance: float) -> bool:
+    """The one exact-or-tolerance gate on a squared norm: norm_sq == 0 in exact
+    mode, norm_sq <= tolerance^2 scale_sq in float mode, which NaN fails."""
+    if exact:
+        return norm_sq == 0
+    return norm_sq <= tolerance ** 2 * scale_sq
+
+
 def _check_capacity(top: int, capacity: int):
     if top + 1 > capacity:
         raise DegreeOverflowError(
@@ -113,15 +123,15 @@ def _degree_levels(fields) -> int:
     return len({sum(deg) for field in fields for deg in field.coeffs})
 
 
-def _finish(u, image, f, bound, blocks: int, exact: bool, tolerance: float) -> SolveReport:
+def _finish(u, image, f, f_sq, bound, blocks, exact, tolerance) -> SolveReport:
     """Gate the equation residual image - f and report; image = op(u) and f
-    is the right-hand side.  Exact mode builds the residual only if image != f."""
+    is the right-hand side, f_sq = ||f||^2.  Exact mode builds the residual
+    only if image != f."""
     res_sq = Fraction(0) if exact and image == f else (image - f).norm_sq()
-    f_sq = f.norm_sq()
     if exact and res_sq != 0:
         raise NotClosedError("exact solve left a nonzero residual; input is not closed",
                              residual_norm_sq=res_sq)
-    if not exact and not (math.isfinite(f_sq) and res_sq <= (tolerance ** 2) * f_sq):
+    if not exact and not (math.isfinite(f_sq) and negligible(res_sq, f_sq, exact, tolerance)):
         raise SolveNumericalError(
             f"float solve residual^2 {res_sq:.3e} against input norm^2 {f_sq:.3e} "
             f"exceeds the tolerance or is not finite")
@@ -148,24 +158,21 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
         beta = f.replace({})
         return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, f.exact)
 
-    df = exterior_d(f)
-    if f.exact:
-        if not df.is_zero():
-            raise NotClosedError("du = f needs df = 0; exterior derivative is nonzero",
-                                 residual_norm_sq=df.norm_sq())
-    else:
-        if df.norm_sq() > (tolerance ** 2) * f.norm_sq():
-            raise NotClosedError(
-                f"du = f needs df = 0; relative closedness residual "
-                f"{math.sqrt(df.norm_sq() / f.norm_sq()):.3e} exceeds {tolerance:.1e}",
-                residual_norm_sq=df.norm_sq())
+    f_sq = f.norm_sq()
+    df_sq = exterior_d(f).norm_sq()
+    if not negligible(df_sq, f_sq, f.exact, tolerance):
+        raise NotClosedError(
+            "du = f needs df = 0; exterior derivative is nonzero" if f.exact else
+            f"du = f needs df = 0; closedness residual^2 {df_sq:.3e} against input "
+            f"norm^2 {f_sq:.3e} exceeds tolerance {tolerance:.1e}",
+            residual_norm_sq=df_sq)
     _check_capacity(f.degree, f.max_total_degree)
 
     beta = f.replace({idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
                                           for deg, val in field.coeffs.items()})
                       for idx, field in f.components.items()})
     u = codifferential(beta)
-    return u, beta, _finish(u, exterior_d(u), f, bound,
+    return u, beta, _finish(u, exterior_d(u), f, f_sq, bound,
                           _degree_levels(f.components.values()), f.exact, tolerance)
 
 
@@ -262,21 +269,19 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
         beta = g.replace({})
         return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, exact)
 
-    dg = dbar_of_01(g)
-    if exact:
-        if not dg.is_zero():
-            raise NotClosedError("dbar u = g needs dbar g = 0",
-                                 residual_norm_sq=dg.norm_sq())
-    elif dg.norm_sq() > (tolerance ** 2) * g.norm_sq():
+    g_sq = g.norm_sq()
+    dg_sq = dbar_of_01(g).norm_sq()
+    if not negligible(dg_sq, g_sq, exact, tolerance):
         raise NotClosedError(
+            "dbar u = g needs dbar g = 0" if exact else
             f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
-            residual_norm_sq=dg.norm_sq())
+            residual_norm_sq=dg_sq)
     _check_capacity(g.degree, g.max_total_degree)
 
     beta = g.replace({idx: _inverse_dbar_laplacian(field)
                       for idx, field in g.components.items()})
     u = dbar_adjoint(beta)
-    return u, beta, _finish(u, dbar_function(u), g, bound,
+    return u, beta, _finish(u, dbar_function(u), g, g_sq, bound,
                           _degree_levels(g.components.values()), exact, tolerance)
 
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from gauss_hodge import bridge
 from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelong,
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
 from gauss_hodge.calculus import ComplexForm, PForm, ddbar
-from gauss_hodge.errors import NotClosedError
+from gauss_hodge.errors import InvariantViolationError, NotClosedError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
 from gauss_hodge.randomforms import (random_closed_complexform11, random_complexform11,
@@ -208,6 +209,30 @@ def test_pipeline_rejects_nonclosed():
     f = ComplexForm.from_layout((1, 1), [[z, e], [z, z]])
     with pytest.raises(NotClosedError):
         solve_poincare_lelong(f)
+
+
+@pytest.mark.parametrize("part, stage", [(0, "type_purity_re"), (1, "dbar_solve_re")])
+def test_pipeline_faults_past_the_d_solves_are_invariant_violations(monkeypatch, part, stage):
+    """The d solves accept closed input; a (1,0) part that is not partial-closed
+    or a (0,1) part that is not dbar-closed after them is the pipeline's own
+    fault, never a NotClosedError about the input."""
+    # z2 dz1 and zbar2 dzbar1 on C^2: partial = dz2 ^ dz1, dbar = dzbar2 ^ dzbar1
+    bump = zzbar_poly_field(2, CAP, {((0, 1), (0, 0)) if part == 0 else ((0, 0), (0, 1)): 1})
+    zero = ScalarField.zero(4, CAP, "complex")
+    bad = ComplexForm.from_layout((1, 0) if part == 0 else (0, 1), [bump, zero])
+    honest = bridge.split_bidegree
+
+    def split_with_a_bump(v):
+        pieces = list(honest(v))
+        pieces[part] = pieces[part] + bad
+        return tuple(pieces)
+
+    monkeypatch.setattr(bridge, "split_bidegree", split_with_a_bump)
+    f = ddbar(zzbar_poly_field(2, CAP, {((1, 0), (1, 1)): 1, ((1, 1), (0, 1)): QC(2, -1)}))
+    with pytest.raises(InvariantViolationError) as err:
+        solve_poincare_lelong(f)
+    assert err.value.stage == stage
+    assert err.value.lhs != 0
 
 
 def test_pipeline_random_exact(rng):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gauss_hodge
+from gauss_hodge import cli
 from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField
@@ -127,6 +133,19 @@ def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
                  "--output", str(out)]) == 1
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()  # no report, so no bound_satisfied true
+
+
+def test_solve_float_nonclosed_input_whose_norm_underflows(tmp_path, capsys):
+    # f = c He_3(x2) dx1 with c = 1e-162: c^2 underflows, so ||f||^2 reads 0.0,
+    # while df = -6c He_2(x2) dx1^dx2 keeps a nonzero subnormal norm^2
+    field = ScalarField(2, 6, "real", False, {(0, 3): 1e-162})
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(PForm(2, 1, 6, "real", False,
+                                     components={MultiIndex((1,), 2): field}).to_json()))
+    assert main(["solve", "--equation", "d", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: input is not closed: du = f needs df = 0")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_solve_missing_input_is_usage_error(tmp_path):
@@ -260,6 +279,49 @@ def test_lelong_rejects_nonclosed(tmp_path):
     path = tmp_path / "bad11.json"
     path.write_text(json.dumps(f.to_json()))
     assert main(["lelong", "--input", str(path)]) == 1
+
+
+def test_lelong_float_input_with_nonclosed_imaginary_part(tmp_path, capsys):
+    # f = i Re(zbar1 dz1 ^ dzbar2): f1 = 0 and f2 is not closed, so the d solve
+    # of f2 refuses it
+    from conftest import zzbar_poly_field
+    from gauss_hodge.bridge import decompose_11, recompose_11
+    e = zzbar_poly_field(2, 6, {((0, 0), (1, 0)): 1})
+    z = ScalarField.zero(4, 6, "complex")
+    h1, _ = decompose_11(ComplexForm.from_layout((1, 1), [[z, e], [z, z]]))
+    f = recompose_11(PForm(4, 2, 6), h1).to_float()
+    path = tmp_path / "bad11.json"
+    path.write_text(json.dumps(f.to_json()))
+    assert main(["lelong", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lelong: input is not closed: du = f needs df = 0")
+
+
+def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(gauss_hodge.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "gauss_hodge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; a usage error followed by a
+    valid run writes the bytes and exit codes of two fresh processes."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    assert cli._build_parser() is cli._build_parser()
+    runs = [["lelong", "--from-potential", "z*conj(z)", "--seed", "0"],
+            ["lelong", "--n", "2", "--degree", "5", "--from-potential",
+             "z1*conj(z2)**2 + 3*z2*conj(z2)"]]
+    codes = []
+    for k, argv in enumerate(runs):
+        here, there = tmp_path / f"here{k}.json", tmp_path / f"there{k}.json"
+        codes.append(main(argv + ["--output", str(here)]))
+        out, err = capsys.readouterr()
+        fresh = _run_fresh(argv + ["--output", str(there)])
+        assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert here.exists() == there.exists() == (codes[-1] == 0)
+        if here.exists():
+            assert here.read_bytes() == there.read_bytes()
+    assert codes == [2, 0]
 
 
 def test_verify_failure_exit_and_first_record(tmp_path, monkeypatch, capsys):

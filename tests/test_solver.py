@@ -16,7 +16,7 @@ from gauss_hodge.randomforms import (random_closed_pform, random_complex_functio
 from gauss_hodge.scalars import QC
 from gauss_hodge.solver import (_convert_pairs, _dbar_inverse_rule, _inverse_dbar_laplacian,
                                 _make_report, bound_holds, complex_hermite_to_he,
-                                he_to_complex_hermite, solve_d_min_norm,
+                                he_to_complex_hermite, negligible, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
                                 solve_dbar_min_norm_full)
 
@@ -504,6 +504,24 @@ def test_float_mode_solves(rng):
     u2, rep2 = solve_dbar_min_norm(g)
     assert rep2.residual_norm_sq <= 1e-20 * max(rep2.input_norm_sq, 1.0)
     assert rep2.bound_satisfied
+
+
+def test_negligible_is_zero_exactly_and_the_squared_tolerance_in_float():
+    # exact mode ignores the scale and the tolerance: only zero passes
+    assert negligible(Fraction(0), Fraction(0), True, 1e-10)
+    assert negligible(0, Fraction(7), True, 1e-10)
+    assert not negligible(Fraction(1, 10 ** 60), Fraction(10 ** 60), True, 0.5)
+    # float mode: norm_sq <= tolerance^2 * scale_sq, equality passing
+    tol, scale = 1e-3, 3.0
+    bound = tol ** 2 * scale
+    assert negligible(bound, scale, False, tol)
+    assert not negligible(math.nextafter(bound, math.inf), scale, False, tol)
+    assert negligible(0.0, 0.0, False, tol)
+    # a NaN residual or scale never passes
+    nan = float("nan")
+    assert not negligible(nan, 1.0, False, tol)
+    assert not negligible(nan, math.inf, False, tol)
+    assert not negligible(0.0, nan, False, tol)
 
 
 def test_float_report_never_certifies_inf_or_nan():
