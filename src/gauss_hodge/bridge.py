@@ -47,7 +47,7 @@ from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
 from .fields import COMPLEX, REAL, ScalarField, _accumulate
 from .multiindex import MultiIndex, insert_axis
-from .scalars import imaginary_unit, one_half
+from .scalars import imaginary_unit, one_half, render_value
 from .solver import (SolveReport, _make_report, bound_holds, negligible,
                      solve_d_min_norm_full, solve_dbar_min_norm_full)
 
@@ -178,10 +178,10 @@ class PipelineReport:
                 "dbar_solve_re": self.dbar_solve_re.to_json(),
                 "dbar_solve_im": self.dbar_solve_im.to_json(),
             },
-            "conjugation_ratios": {k: SolveReport._render(v)
+            "conjugation_ratios": {k: render_value(v)
                                    for k, v in self.conjugation_ratios.items()},
             "final": self.final.to_json(),
-            "final_ratio": SolveReport._render(self.final.ratio),
+            "final_ratio": render_value(self.final.ratio),
         }
 
 

@@ -172,9 +172,6 @@ class PForm:
             return self
         return self.replace({i: f.to_float() for i, f in self.components.items()}, exact=False)
 
-    def conjugate(self) -> "PForm":
-        return self.replace({i: f.conjugate() for i, f in self.components.items()})
-
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
         self._compatible(other)
@@ -220,18 +217,13 @@ class PForm:
     @classmethod
     def from_json(cls, data: dict) -> "PForm":
         n, p = int(data["n"]), int(data["p"])
-        comps = {}
-        cap = 0
-        kind, exact = REAL, True
-        fields = [(MultiIndex.from_json(c["index"], n), ScalarField.from_json(c["field"]))
-                  for c in data.get("components", [])]
-        if fields:
-            cap = max(f.max_total_degree for _, f in fields)
-            kind = fields[0][1].kind
-            exact = fields[0][1].exact
-        for idx, f in fields:
-            comps[idx] = f.with_capacity(cap)
-        return cls(n, p, cap, kind, exact, comps)
+        comps = data.get("components", [])
+        keys = [MultiIndex.from_json(c["index"], n) for c in comps]
+        fields = _fields_from_json([c["field"] for c in comps])
+        if not fields:
+            return cls(n, p, 0)
+        cap = max(f.max_total_degree for f in fields)
+        return cls(n, p, cap, fields[0].kind, fields[0].exact, dict(zip(keys, fields)))
 
 
 def _components(acc: dict, form: PForm) -> dict:

@@ -20,7 +20,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +34,7 @@ from .identities import (_tol_equal, bochner_identity_report,
 from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
-from .scalars import QC
+from .scalars import render_value
 from .solver import negligible, solve_d_min_norm, solve_dbar_min_norm
 
 MEASURE_NOTE = "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx"
@@ -72,18 +71,6 @@ class RunConfig:
             raise ValueError("tolerance must be in (0, 1)")
 
 
-def _render(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (Fraction, int)):
-        return str(value)
-    if isinstance(value, QC):
-        return [str(value.re), str(value.im)]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -100,7 +87,7 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     def rec(check: str, ok: bool, **extra):
         row = {"trial": trial, "check": check, "pass": bool(ok)}
         for key, val in extra.items():
-            row[key] = _render(val)
+            row[key] = render_value(val)
         records.append(row)
 
     data_degree = max(0, cap - 2)
@@ -117,11 +104,11 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
         rhs = u.weighted_inner(codifferential(alpha))
         rec("adjoint_duality", _tol_equal(lhs, rhs, exact, tol), n=n, p=p, lhs=lhs, rhs=rhs)
 
-        expansion = d_norm_expansion_report(alpha, rel_tol=tol if not exact else 1e-12)
+        expansion = d_norm_expansion_report(alpha, rel_tol=tol)
         rec("d_norm_expansion", expansion.equal, n=n, p=p,
             lhs=expansion.lhs, rhs=expansion.rhs)
 
-        bochner = bochner_identity_report(alpha, rel_tol=tol if not exact else 1e-12)
+        bochner = bochner_identity_report(alpha, rel_tol=tol)
         rec("bochner_identity", bochner.identity_holds, n=n, p=p,
             lhs=bochner.lhs_adjoint + bochner.lhs_d,
             rhs=bochner.rhs_hessian + bochner.rhs_gradient)
@@ -197,62 +184,20 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_input(path: str, decode, command: str):
-    """Decode an --input file with decode(data); malformed content, including
-    a coefficient degree above its field's own capacity, is a usage error
-    (ValueError), so it exits 2 with one line and no traceback."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return decode(json.load(fh))
-        except (AttributeError, DegreeOverflowError, IndexError, KeyError, TypeError,
-                ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{command}: bad input {path}: "
-                             f"{type(exc).__name__}: {exc}") from None
-
-
-def _resolve_mode(form, requested: str | None, command: str):
-    """Forms infer their mode from the file; an explicit --mode may lower
-    exact data to floats but cannot promote float data to exact."""
-    if requested is None or (requested == "exact") == form.exact:
-        return form
-    if requested == "float":
-        return form.to_float()
-    raise ValueError(f"{command}: --mode exact cannot be applied to float-mode input")
-
-
 def cmd_solve(config: RunConfig, equation: str, input_path: str,
               requested_mode: str | None) -> int:
-    try:
-        if equation == "d":
-            form = _resolve_mode(_read_input(input_path, PForm.from_json, "solve"),
-                                 requested_mode, "solve")
-            u, report = solve_d_min_norm(form, config.tolerance)
-            solution = u.to_json()
-        elif equation == "dbar":
-            form = _resolve_mode(
-                _read_input(input_path, lambda data: ComplexForm.from_json(data, (0, 1)),
-                            "solve"), requested_mode, "solve")
-            u, report = solve_dbar_min_norm(form, config.tolerance)
-            solution = u.to_json()
-        else:
-            raise ValueError(f"unknown equation {equation!r}")
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except NotClosedError as exc:
-        print(f"solve: input is not closed: {exc} "
-              f"(residual_sq={exc.residual_norm_sq})", file=sys.stderr)
-        return EXIT_FAIL
-    except DegreeOverflowError as exc:
-        print(f"solve: {exc} (required capacity {exc.required_capacity})", file=sys.stderr)
-        return EXIT_FAIL
-
+    if equation == "d":
+        read, solve = PForm.from_json, solve_d_min_norm
+    else:
+        read = functools.partial(ComplexForm.from_json, bidegree=(0, 1))
+        solve = solve_dbar_min_norm
+    form = _read_input(input_path, lambda text: read(json.loads(text)), requested_mode)
+    u, report = solve(form, config.tolerance)
     rendered = report.to_json()
     payload = {"equation": equation, "measure": MEASURE_NOTE,
-               "solution": solution, "report": rendered}
+               "solution": u.to_json(), "report": rendered}
     _write_json(payload, config.output)
-    ok = report.bound_satisfied and (report.residual_norm_sq == 0 if report.exact
-                                     else True)
+    ok = report.bound_satisfied
     print(f"solve {equation}: ratio {rendered['ratio']} vs bound "
           f"{rendered['bound_constant']}; "
           f"{'pass' if ok else 'FAIL'}")
@@ -266,26 +211,12 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
 
 def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
                requested_mode: str | None) -> int:
-    try:
-        if potential is not None:
-            w = parse_potential(potential, config.n, config.degree, config.exact)
-            form = ddbar(w)
-        else:
-            form = _resolve_mode(
-                _read_input(input_path, lambda data: ComplexForm.from_json(data, (1, 1)),
-                            "lelong"), requested_mode, "lelong")
-        u, report = solve_poincare_lelong_full(form, tolerance=config.tolerance)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except NotClosedError as exc:
-        print(f"lelong: input is not closed: {exc} "
-              f"(residual_sq={exc.residual_norm_sq})", file=sys.stderr)
-        return EXIT_FAIL
-    except DegreeOverflowError as exc:
-        print(f"lelong: {exc} (required capacity {exc.required_capacity})", file=sys.stderr)
-        return EXIT_FAIL
-
+    if potential is not None:
+        form = ddbar(parse_potential(potential, config.n, config.degree, config.exact))
+    else:
+        form = _read_input(input_path, lambda text: ComplexForm.from_json(
+            json.loads(text), (1, 1)), requested_mode)
+    u, report = solve_poincare_lelong_full(form, tolerance=config.tolerance)
     payload = {"equation": "ddbar", "measure": MEASURE_NOTE,
                "solution": u.to_json(), "report": report.to_json()}
     if potential is not None:
@@ -303,13 +234,18 @@ def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
 # ---------------------------------------------------------------------------
 
 
+def _records(text: str) -> list[dict]:
+    """The records of a JSON-lines report, one per non-blank line: JSON
+    objects whose "check", if present, is a string."""
+    rows = [json.loads(line) for line in text.split("\n") if line.strip()]
+    for row in rows:
+        if not isinstance(row, dict) or not isinstance(row.get("check", ""), str):
+            raise TypeError("each line must be a JSON object whose check is a string")
+    return rows
+
+
 def cmd_report(input_path: str, output: str | None) -> int:
-    rows = []
-    with open(input_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    rows = _read_input(input_path, _records)
     if not rows:
         print("report: input is empty", file=sys.stderr)
         return EXIT_FAIL
@@ -344,6 +280,25 @@ def cmd_report(input_path: str, output: str | None) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
+
+
+def _read_input(path: str, decode, requested_mode: str | None = None):
+    """decode(text) of an --input file.  Malformed content, including a
+    coefficient degree above its field's own capacity, is a usage error
+    (ValueError).  A form keeps the mode of its file unless requested_mode
+    differs: --mode float lowers exact data, --mode exact cannot promote
+    float data."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = decode(fh.read())
+        except (AttributeError, DegreeOverflowError, IndexError, KeyError, TypeError,
+                ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad input {path}: {type(exc).__name__}: {exc}") from None
+    if requested_mode is None or (requested_mode == "exact") == value.exact:
+        return value
+    if requested_mode == "float":
+        return value.to_float()
+    raise ValueError("--mode exact cannot be applied to float-mode input")
 
 
 def _write_jsonl(records: list[dict], output: str | None):
@@ -416,44 +371,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every failure prints one stderr line starting with
+    the command name: bad input or configuration exits 2, an input that is
+    not closed, a capacity overflow or a failed certificate exits 1."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    if args.command == "report":
-        try:
+    try:
+        if args.command == "report":
             return cmd_report(args.input, args.output)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    sizes = {key: getattr(args, key) for key in ("n", "degree", "trials", "seed")
-             if hasattr(args, key)}
-    config = RunConfig(mode=args.mode or "exact", tolerance=args.tolerance,
-                       output=args.output, **sizes)
-    try:
+        sizes = {key: getattr(args, key) for key in ("n", "degree", "trials", "seed")
+                 if hasattr(args, key)}
+        config = RunConfig(mode=args.mode or "exact", tolerance=args.tolerance,
+                           output=args.output, **sizes)
         config.validate()
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "solve":
             return cmd_solve(config, args.equation, args.input, args.mode)
-        if args.command == "lelong":
-            return cmd_lelong(config, args.input, args.from_potential, args.mode)
+        return cmd_lelong(config, args.input, args.from_potential, args.mode)
+    except NotClosedError as exc:
+        code, message = EXIT_FAIL, (f"input is not closed: {exc} "
+                                    f"(residual_sq={exc.residual_norm_sq})")
+    except DegreeOverflowError as exc:
+        code, message = EXIT_FAIL, f"{exc} (required capacity {exc.required_capacity})"
+    except ValueError as exc:  # bad input or configuration, DomainError included
+        code, message = EXIT_USAGE, str(exc)
     except OSError as exc:
-        print(f"{args.command}: bad input: {exc!r}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"bad input: {exc!r}"
     except GaussHodgeError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+        code, message = EXIT_FAIL, str(exc)
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

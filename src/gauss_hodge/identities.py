@@ -19,8 +19,8 @@ from .errors import DomainError
 from .fields import (COMPLEX, ScalarField, _exact_inner, _exact_norm_sq, _shift,
                      hermite_sq_norm_vector)
 from .multiindex import enumerate_indices
-from .scalars import conj, imaginary_unit
-from .solver import SolveReport, negligible
+from .scalars import conj, imaginary_unit, render_value
+from .solver import negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
 # attained: the Bochner Hessian term is CONVEXITY * sum'_I sum_j ||a_{jI}||^2.
@@ -66,11 +66,6 @@ class DNormExpansionReport:
     rhs: object
     equal: bool
 
-    def to_json(self) -> dict:
-        return {"lhs": SolveReport._render(self.lhs),
-                "rhs": SolveReport._render(self.rhs),
-                "equal": self.equal}
-
 
 def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpansionReport:
     """Check ||d a||^2 = sum'_J sum_j ||da_J/dx_j||^2
@@ -103,13 +98,6 @@ class BochnerReport:
     rhs_gradient: object
     identity_holds: bool
     coercivity_margin: object
-
-    def to_json(self) -> dict:
-        r = SolveReport._render
-        return {"lhs_adjoint": r(self.lhs_adjoint), "lhs_d": r(self.lhs_d),
-                "rhs_hessian": r(self.rhs_hessian), "rhs_gradient": r(self.rhs_gradient),
-                "identity_holds": self.identity_holds,
-                "coercivity_margin": r(self.coercivity_margin)}
 
 
 def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerReport:
@@ -204,7 +192,7 @@ class DdbarAdjointReport:
     terms: dict
 
     def to_json(self) -> dict:
-        r = SolveReport._render
+        r = render_value
         return {"lhs": r(self.lhs), "rhs": r(self.rhs),
                 "discrepancy": r(self.discrepancy),
                 "duality_exact": self.duality_exact,

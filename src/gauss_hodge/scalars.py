@@ -266,6 +266,21 @@ def scalar_to_json(x, exact: bool):
     return xc.real, xc.imag
 
 
+def render_value(value):
+    """One report value as JSON: a bool stays a bool (tested first, since a
+    bool is an int), an int or Fraction becomes its string, a QC or complex
+    its [re, im] pair, and anything else a float."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (Fraction, int)):
+        return str(value)
+    if isinstance(value, QC):
+        return [str(value.re), str(value.im)]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return float(value)
+
+
 def scalar_from_json(re, im, exact: bool, complex_kind: bool):
     if exact:
         re_f = Fraction(re)

@@ -46,7 +46,7 @@ from .calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import DegreeOverflowError, DomainError, NotClosedError, SolveNumericalError
 from .fields import ScalarField, _map_terms
-from .scalars import QC, coerce_scalar
+from .scalars import QC, coerce_scalar, render_value
 
 FLOAT_BOUND_SLACK = 1e-12
 
@@ -70,17 +70,13 @@ class SolveReport:
     blocks_solved: int
     exact: bool = True
 
-    @staticmethod
-    def _render(v):
-        return str(v) if isinstance(v, (Fraction, int)) else float(v)
-
     def to_json(self) -> dict:
         return {
-            "residual": self._render(self.residual_norm_sq),
-            "input_norm_sq": self._render(self.input_norm_sq),
-            "output_norm_sq": self._render(self.output_norm_sq),
-            "bound_constant": self._render(self.bound_constant),
-            "ratio": self._render(self.ratio),
+            "residual": render_value(self.residual_norm_sq),
+            "input_norm_sq": render_value(self.input_norm_sq),
+            "output_norm_sq": render_value(self.output_norm_sq),
+            "bound_constant": render_value(self.bound_constant),
+            "ratio": render_value(self.ratio),
             "bound_satisfied": self.bound_satisfied,
             "blocks_solved": self.blocks_solved,
         }
@@ -112,8 +108,9 @@ def negligible(norm_sq, scale_sq, exact: bool, tolerance: float) -> bool:
     return norm_sq <= tolerance ** 2 * scale_sq
 
 
-def _check_capacity(top: int, capacity: int):
-    if top + 1 > capacity:
+def _check_capacity(top: int | None, capacity: int):
+    """A solve raises the degree by one; a zero form (top None) fits any capacity."""
+    if top is not None and top + 1 > capacity:
         raise DegreeOverflowError(
             f"solve needs capacity {top + 1} (one above the data degree {top}), "
             f"have {capacity}", required_capacity=top + 1)
@@ -150,14 +147,7 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
     """
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
-    p_out = f.p - 1
     bound = Fraction(1, 2 * f.p) if f.exact else 1.0 / (2 * f.p)
-    zero_in = Fraction(0) if f.exact else 0.0
-    if f.is_zero():
-        u = PForm(f.n, p_out, f.max_total_degree, f.kind, f.exact)
-        beta = f.replace({})
-        return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, f.exact)
-
     f_sq = f.norm_sq()
     df_sq = exterior_d(f).norm_sq()
     if not negligible(df_sq, f_sq, f.exact, tolerance):
@@ -263,12 +253,6 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
     require_bidegree(g, (0, 1), "dbar u = g")
     exact = g.exact
     bound = Fraction(2) if exact else 2.0
-    zero_in = Fraction(0) if exact else 0.0
-    if g.is_zero():
-        u = ScalarField.zero(g.n, g.max_total_degree, "complex", exact)
-        beta = g.replace({})
-        return u, beta, _make_report(zero_in, zero_in, zero_in, bound, 0, exact)
-
     g_sq = g.norm_sq()
     dg_sq = dbar_of_01(g).norm_sq()
     if not negligible(dg_sq, g_sq, exact, tolerance):

@@ -200,6 +200,42 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert err.startswith(argv[0] + ": ")
+
+
+@pytest.mark.parametrize("empty", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_solve_form_with_an_empty_component(tmp_path, capsys, exact, empty):
+    """An empty coefficient list takes the mode of its form's other fields."""
+    one = 1 if exact else 1.0
+    fields = {(1,): ScalarField(3, 6, "real", exact, {(0, 0, 0): one}),
+              (2,): ScalarField(3, 6, "real", exact, {(0, 0, 0): -one}),
+              (3,): ScalarField(3, 6, "real", exact, {(0, 0, 0): one})}
+    data = PForm(3, 1, 6, "real", exact, fields).to_json()
+    data["components"][empty]["field"]["coeffs"] = []
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--equation", "d", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert PForm.from_json(json.loads(out.read_text())["solution"]).exact == exact
+
+
+@pytest.mark.parametrize("data", [
+    b'[1, 2]\n',
+    b'{"check": "dd_zero", "pass": true}\n["not", "a", "record"]\n',
+    b'\xff\xfe\n',
+    b'{"check": {}}\n',
+    b'{"check": "dd_zero", "pass": true}\n{"check": 3, "pass": true}\n',
+    b'{"check": "dd_zero"\n',
+], ids=["list", "list-after-record", "invalid-utf8", "dict-check", "int-check", "truncated"])
+def test_report_bad_input_is_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(data)
+    assert main(["report", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"report: bad input {path}: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_constant_to_a_huge_power_is_fast(tmp_path):
@@ -359,8 +395,9 @@ def test_report_summary_and_csv(tmp_path, capsys):
         len(report.read_text().splitlines()) + 1
 
 
-def test_report_missing_file():
+def test_report_missing_file(capsys):
     assert main(["report", "--input", "/nonexistent/file.jsonl"]) == 2
+    assert capsys.readouterr().err.startswith("report: bad input: FileNotFoundError")
 
 
 def test_version_flag():

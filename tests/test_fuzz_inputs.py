@@ -1,6 +1,6 @@
 """Fuzzing main: arbitrary JSON documents and mutated valid files given to
---input, and arbitrary potential expressions, must exit 0, 1 or 2, never
-with a traceback.
+--input, arbitrary JSON lines given to report, and arbitrary potential
+expressions, must exit 0, 1 or 2, never with a traceback.
 
 Integers drawn here stay small.  A large degree or capacity is valid input
 whose solve takes long, which is not what these tests look for.
@@ -110,6 +110,20 @@ def test_valid_seed_files_solve(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
     assert main(COMMANDS[command] + [str(path), "--output", str(tmp_path / "o.json")]) == 0
+
+
+@FUZZ
+@given(lines=st.lists(json_values, max_size=4), csv=st.booleans())
+def test_arbitrary_report_lines_never_crash(tmp_path, capsys, lines, csv):
+    path = tmp_path / "report.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    argv = ["report", "--input", str(path)]
+    code = main(argv + ["--output", str(tmp_path / "out.csv")] if csv else argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("report: ") and len(err.strip().splitlines()) == 1
 
 
 POTENTIAL_TOKENS = ["z", "z1", "z2", "z0", "conj", "(", ")", "+", "-", "*", "/", "**",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gauss_hodge.errors import DomainError
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import QC, render_value
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -164,3 +164,11 @@ def test_bad_powers_and_operands_are_rejected():
     with pytest.raises(TypeError):
         1j * QC(1)
     assert QC(1) != 1.0
+
+
+def test_render_value_keeps_bools_and_writes_exact_values_as_strings():
+    assert render_value(True) is True and render_value(False) is False
+    assert render_value(3) == "3" and render_value(Fraction(-1, 2)) == "-1/2"
+    assert render_value(QC(Fraction(1, 3), -2)) == ["1/3", "-2"]
+    assert render_value(complex(0.5, -1.0)) == [0.5, -1.0]
+    assert render_value(0.25) == 0.25 and isinstance(render_value(0.25), float)

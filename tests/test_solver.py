@@ -92,6 +92,32 @@ def test_d_solve_zero():
     assert u.is_zero() and rep.ratio == 0 and rep.blocks_solved == 0
 
 
+def _zero_report_json(bound, exact: bool) -> dict:
+    zero = "0" if exact else 0.0
+    return {"residual": zero, "input_norm_sq": zero, "output_norm_sq": zero,
+            "bound_constant": str(bound) if exact else float(bound), "ratio": zero,
+            "bound_satisfied": True, "blocks_solved": 0}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("cap", [0, 1, 4])
+def test_zero_input_solves_to_zero_at_any_capacity(cap, exact):
+    """Zero input runs the general solve: u and beta are the zero forms of
+    the input's shape and capacity, and the report is all zeros with the
+    solve's bound."""
+    for p in (1, 2):
+        f = PForm(2, p, cap, "real", exact)
+        u, beta, rep = solve_d_min_norm_full(f)
+        assert u == PForm(2, p - 1, cap, "real", exact) and u.max_total_degree == cap
+        assert beta == f and beta.max_total_degree == cap
+        assert rep.to_json() == _zero_report_json(Fraction(1, 2 * p), exact)
+    g = ComplexForm(2, (0, 1), cap, exact)
+    u, beta, rep = solve_dbar_min_norm_full(g)
+    assert u == ScalarField.zero(4, cap, "complex", exact) and u.max_total_degree == cap
+    assert beta == g and beta.max_total_degree == cap
+    assert rep.to_json() == _zero_report_json(2, exact)
+
+
 def test_d_solve_supplied_as_dg():
     # f = x_2 dx_1^dx_2 = d(x_1 x_2 dx_2)
     x1 = ScalarField.coordinate(1, 2, CAP)
