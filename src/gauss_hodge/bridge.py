@@ -45,7 +45,7 @@ from .calculus import (ComplexForm, PForm, _components, ddbar, partial_of_10,
                        require_bidegree)
 from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
-from .fields import COMPLEX, REAL, ScalarField, _accumulate
+from .fields import COMPLEX, REAL, ScalarField, _accumulate, _identity_rule
 from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit, one_half, render_value
 from .solver import (SolveReport, _make_report, bound_holds, negligible,
@@ -69,11 +69,6 @@ def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
             table[j] = ((2 * j - 1, 1), (2 * j, i_unit))
             table[n + j] = ((2 * j - 1, 1), (2 * j, -i_unit))
     return table
-
-
-def _identity_rule(d):
-    """A frame change keeps every Hermite degree."""
-    return ((d, 1),)
 
 
 @lru_cache(maxsize=None)

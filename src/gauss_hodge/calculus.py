@@ -51,7 +51,7 @@ from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
 from .fields import (COMPLEX, REAL, ScalarField, _accumulate, _delta_rule, _derivative_rule,
-                     _exact_inner, _exact_norm_sq, _finish, _shift)
+                     _finish, _inner, _norm_sq, _shift)
 from .multiindex import MultiIndex, insert_axis, remove_axis
 from .scalars import imaginary_unit, one_half
 
@@ -175,25 +175,13 @@ class PForm:
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
         self._compatible(other)
-        if self.exact:
-            theirs = other.components
-            return _exact_inner(((f.coeffs, theirs[idx].coeffs)
-                                for idx, f in self.components.items() if idx in theirs),
-                               self.kind == COMPLEX)
-        total = 0j if self.kind == COMPLEX else 0.0
-        for idx, field in self.components.items():
-            g = other.components.get(idx)
-            if g is not None:
-                total = total + field.weighted_inner(g)
-        return total
+        theirs = other.components
+        return _inner(((f.coeffs, theirs[idx].coeffs)
+                       for idx, f in self.components.items() if idx in theirs),
+                      self.exact, self.kind == COMPLEX)
 
     def norm_sq(self):
-        if self.exact:
-            return _exact_norm_sq(f.coeffs for f in self.components.values())
-        total = 0.0
-        for field in self.components.values():
-            total = total + field.norm_sq()
-        return total
+        return _norm_sq((f.coeffs for f in self.components.values()), self.exact)
 
     def pointwise_norm_sq_field(self) -> ScalarField:
         """|f|^2 = sum_I f_I conj(f_I) as an exact polynomial field."""

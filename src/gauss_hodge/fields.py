@@ -16,6 +16,10 @@ Every linear map on coefficients is a rule sending a degree vector to
 _accumulate sums scaled contributions into a target map the caller owns,
 exact ones as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
+
+Every weighted norm and inner product in the package is one call of _norm_sq
+or _inner over coefficient maps; float sums add each map's terms in its own
+order, then the per-map totals in order.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import (_make, coerce_scalar, conj, one_half, scalar_from_json,
-                      scalar_is_zero, scalar_to_json, zero_scalar)
+from .scalars import (_make, coerce_scalar, one_half, scalar_from_json, scalar_to_json,
+                      zero_scalar)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -56,6 +60,12 @@ def hermite_product_1d(a: int, b: int) -> tuple[tuple[int, int], ...]:
 def _shift(deg: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
     """The degree vector deg with entry i moved by k."""
     return deg[:i] + (deg[i] + k,) + deg[i + 1:]
+
+
+def _identity_rule(d):
+    """The rule that keeps every term where it is: a sum, or a change of
+    frame that keeps every Hermite degree."""
+    return ((d, 1),)
 
 
 def _derivative_rule(axis: int):
@@ -145,14 +155,23 @@ def _product_terms(pair) -> list:
     return terms
 
 
-def _exact_inner(map_pairs, complex_kind: bool):
-    """sum_d x_d conj(y_d) ||He_d||^2 over every pair (x, y) of exact
-    coefficient maps, on integer numerators over one running denominator
-    and reduced once: a QC when ``complex_kind`` is true, else its real part
-    as a Fraction (the whole value for real maps).
-
-    (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)
-    """
+def _inner(map_pairs, exact: bool, complex_kind: bool):
+    """sum_d x_d conj(y_d) ||He_d||^2 over every pair (x, y) of coefficient
+    maps: a QC or complex if ``complex_kind``, else the real part.  Exact pairs
+    sum integer numerators over one running denominator, reduced once, as
+    (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df); float pairs
+    are each summed from zero over the smaller map in its order, and the
+    per-pair totals then added in order."""
+    if not exact:
+        total = zero = 0j if complex_kind else 0.0
+        for mine, theirs in map_pairs:
+            part = zero
+            for deg in (mine if len(mine) <= len(theirs) else theirs):
+                if deg in mine and deg in theirs:
+                    part = part + (mine[deg] * theirs[deg].conjugate()
+                                   * float(hermite_sq_norm_vector(deg)))
+            total = total + (part if complex_kind else part.real)
+        return total
     re = im = 0
     den = 1
     for mine, theirs in map_pairs:
@@ -171,9 +190,19 @@ def _exact_inner(map_pairs, complex_kind: bool):
     return _make(re, im, den) if complex_kind else Fraction(re, den)
 
 
-def _exact_norm_sq(maps) -> Fraction:
-    """sum_d |x_d|^2 ||He_d||^2 over every exact coefficient map, as
-    sum (a^2 + b^2) ||He_d||^2 / d^2 over one running denominator."""
+def _norm_sq(maps, exact: bool):
+    """sum_d |x_d|^2 ||He_d||^2 over every coefficient map: exact maps as one
+    Fraction sum (a^2 + b^2) ||He_d||^2 / d^2 over a running denominator, float
+    maps each summed from zero in their order and the totals then added."""
+    if not exact:
+        total = 0.0
+        for coeffs in maps:
+            part = 0.0
+            for deg, v in coeffs.items():
+                mag = v.real * v.real + v.imag * v.imag
+                part = part + mag * float(hermite_sq_norm_vector(deg))
+            total = total + part
+        return total
     num, den = 0, 1
     for coeffs in maps:
         for deg, v in coeffs.items():
@@ -216,7 +245,7 @@ class ScalarField:
                         f"degree vector {deg} exceeds capacity {max_total_degree}",
                         required_capacity=sum(deg))
                 val = coerce_scalar(val, exact, kind == COMPLEX)
-                if not scalar_is_zero(val):
+                if val:
                     store[deg] = val
         self.coeffs = store
 
@@ -301,7 +330,7 @@ class ScalarField:
 
     def scale(self, s) -> "ScalarField":
         s = coerce_scalar(s, self.exact, self.kind == COMPLEX)
-        if scalar_is_zero(s):
+        if not s:
             return self.replace({})
         return self.replace({d: s * v for d, v in self.coeffs.items()})
 
@@ -338,7 +367,7 @@ class ScalarField:
     def conjugate(self) -> "ScalarField":
         if self.kind == REAL:
             return self
-        return self.replace({d: conj(v) for d, v in self.coeffs.items()})
+        return self.replace({d: v.conjugate() for d, v in self.coeffs.items()})
 
     def to_float(self) -> "ScalarField":
         """Lower exact coefficients to doubles (identity on float fields)."""
@@ -412,29 +441,11 @@ class ScalarField:
         Exact results are a Fraction for real fields and a QC for complex ones.
         """
         self._compatible(other)
-        mine, theirs = self.coeffs, other.coeffs
-        if self.exact:
-            return _exact_inner(((mine, theirs),), self.kind == COMPLEX)
-        total = self._zero()
-        small = mine if len(mine) <= len(theirs) else theirs
-        for deg in small:
-            if deg in mine and deg in theirs:
-                total = total + mine[deg] * conj(theirs[deg]) * float(hermite_sq_norm_vector(deg))
-        return total
+        return _inner(((self.coeffs, other.coeffs),), self.exact, self.kind == COMPLEX)
 
     def norm_sq(self):
         """||F||^2 as a real scalar (exact Fraction or float)."""
-        if self.exact:
-            return _exact_norm_sq((self.coeffs,))
-        total = 0.0
-        for deg, val in self.coeffs.items():
-            norm = hermite_sq_norm_vector(deg)
-            if self.kind == COMPLEX:
-                mag = val.real * val.real + val.imag * val.imag
-            else:
-                mag = val * val
-            total = total + mag * float(norm)
-        return total
+        return _norm_sq((self.coeffs,), self.exact)
 
     def evaluate(self, point) -> object:
         if len(point) != self.m:

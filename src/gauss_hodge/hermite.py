@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import coerce_scalar, scalar_is_zero
+from .scalars import coerce_scalar
 
 
 def _scalar(value, exact: bool):
@@ -36,7 +36,7 @@ class HermiteSeries:
     def __init__(self, coeffs: Sequence = (), capacity: Optional[int] = None,
                  exact: bool = True):
         vals = [_scalar(c, exact) for c in coeffs]
-        while vals and scalar_is_zero(vals[-1]):
+        while vals and not vals[-1]:
             vals.pop()
         if capacity is not None and len(vals) - 1 > capacity:
             raise DegreeOverflowError(
@@ -104,14 +104,14 @@ class HermiteSeries:
     def __repr__(self):
         if not self.coeffs:
             return "HermiteSeries(0)"
-        terms = " + ".join(f"({c})*H{k}" for k, c in enumerate(self.coeffs) if not scalar_is_zero(c))
+        terms = " + ".join(f"({c})*H{k}" for k, c in enumerate(self.coeffs) if c)
         return f"HermiteSeries({terms})"
 
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
         out = {}
         for k, c in enumerate(self.coeffs):
-            if not scalar_is_zero(c):
+            if c:
                 re, _ = scalar_to_json(c, self.exact)
                 out[str(k)] = re
         return out

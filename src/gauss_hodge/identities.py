@@ -5,21 +5,25 @@ which integration by parts is exact (all boundary terms vanish), so the
 identities hold with zero discrepancy in exact mode even though they are
 classically stated for compactly supported smooth forms.  See the README
 notes for the implementer-verified argument.
+
+Each sum of norms and real inner products is one fields._inner call, and
+fields and forms are compared through _same: == in exact mode, else
+solver.negligible at the caller's tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .calculus import (ComplexForm, PForm, codifferential, complex_dimension, dbar,
                        dbar_function, ddbar, delta_z, delta_zbar, exterior_d, partial,
                        wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
-from .fields import (COMPLEX, ScalarField, _exact_inner, _exact_norm_sq, _shift,
-                     hermite_sq_norm_vector)
+from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
 from .multiindex import enumerate_indices
-from .scalars import conj, imaginary_unit, render_value
+from .scalars import imaginary_unit, render_value
 from .solver import negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
@@ -27,28 +31,25 @@ from .solver import negligible
 CONVEXITY = 2
 
 
-def _real_sum(exact: bool, fields=(), pairs=(), sign: int = 1):
-    """sum ||F||^2 over fields plus sign * sum Re <F, G> over pairs (F, G).
-
-    Exact mode sums on integers over one denominator (_exact_norm_sq and
-    _exact_inner); float mode adds one norm, then one inner product, at a
-    time in order."""
-    if exact:
-        return (_exact_norm_sq(field.coeffs for field in fields)
-                + sign * _exact_inner(((f.coeffs, g.coeffs) for f, g in pairs), False))
-    total = 0.0
-    for field in fields:
-        total = total + field.norm_sq()
-    for f, g in pairs:
-        term = f.weighted_inner(g).real
-        total = total + term if sign == 1 else total - term
-    return total
+def _real_sum(exact: bool, fields=(), pairs=()):
+    """sum ||F||^2 over fields plus sum Re <F, G> over pairs (F, G), in that
+    order, with each ||F||^2 taken as <F, F>."""
+    return _inner(chain(((f.coeffs, f.coeffs) for f in fields),
+                        ((f.coeffs, g.coeffs) for f, g in pairs)), exact, False)
 
 
 def _gradients(alpha: PForm) -> list:
     """d a_J / dx_j for every component a_J and every axis j, in that order."""
     return [field.partial_derivative(j) for field in alpha.components.values()
             for j in range(1, alpha.n + 1)]
+
+
+def _same(a, b, exact: bool, tolerance: float) -> bool:
+    """Two fields or forms agree: a == b in exact mode; in float mode
+    ||a - b||^2 is negligible against the largest of ||a||^2, ||b||^2 and 1."""
+    if exact:
+        return a == b
+    return negligible((a - b).norm_sq(), max(a.norm_sq(), b.norm_sq(), 1.0), False, tolerance)
 
 
 def _tol_equal(lhs, rhs, exact: bool, rel_tol: float = 1e-12) -> bool:
@@ -83,8 +84,8 @@ def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpans
                 a_jI = alpha.signed_component(j, I)
                 if a_jI.is_zero():
                     continue
-                pairs.append((a_kI.partial_derivative(j), a_jI.partial_derivative(k)))
-    rhs = _real_sum(alpha.exact, _gradients(alpha), pairs, -1)
+                pairs.append((a_kI.partial_derivative(j), -a_jI.partial_derivative(k)))
+    rhs = _real_sum(alpha.exact, _gradients(alpha), pairs)
     return DNormExpansionReport(lhs, rhs, _tol_equal(lhs, rhs, alpha.exact, rel_tol))
 
 
@@ -171,7 +172,7 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
         if not pairing:
             continue
         norm = hermite_sq_norm_vector(deg)
-        out[deg] = conj(pairing) / (norm if exact else float(norm))
+        out[deg] = pairing.conjugate() / (norm if exact else float(norm))
     return ScalarField(m, cap, COMPLEX, exact, out)
 
 
@@ -199,9 +200,11 @@ class DdbarAdjointReport:
                 "terms": {k: r(v) for k, v in self.terms.items()}}
 
 
-def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
+def ddbar_adjoint_identity_report(alpha: ComplexForm,
+                                  tolerance: float = 1e-10) -> DdbarAdjointReport:
     """Evaluate both sides of the eight-term adjoint-norm identity for ddbar and
-    check the adjoint against the dual-basis oracle."""
+    check the adjoint against the dual-basis oracle (within ``tolerance`` in
+    float mode)."""
     n = alpha.n // 2
     exact = alpha.exact
     zero = Fraction(0) if exact else 0.0
@@ -211,7 +214,7 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     adj = ddbar_formal_adjoint(alpha)
     lhs = adj.norm_sq()
     oracle = ddbar_adjoint_dual_basis(alpha)
-    duality_ok = (oracle.coeffs == adj.coeffs) if exact else _fields_close(oracle, adj)
+    duality_ok = _same(oracle, adj, exact, tolerance)
 
     t_norm = alpha.norm_sq()
     t_ddbar = partial(dbar(alpha)).norm_sq()
@@ -250,17 +253,15 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     return DdbarAdjointReport(lhs, rhs, lhs - rhs, duality_ok, terms)
 
 
-def _fields_close(a: ScalarField, b: ScalarField, rel_tol: float = 1e-10) -> bool:
-    return negligible((a - b).norm_sq(), max(a.norm_sq(), b.norm_sq(), 1.0), False, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # Conjugation identities for the complex operators
 # ---------------------------------------------------------------------------
 
 
-def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
-    """Check, on one complex function:
+def conjugation_identities_check(u: ScalarField,
+                                 tolerance: float = 1e-10) -> tuple[bool, bool, bool]:
+    """Check, on one complex function, each with ``==`` in exact mode and
+    within ``tolerance`` in float mode:
 
     (a) partial(conj u) is the componentwise conjugate of dbar(u);
     (b) dbar(partial u) is the entrywise negation of ddbar(u);
@@ -269,11 +270,13 @@ def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
         built from real partial derivatives alone.
     """
     n = complex_dimension(u)  # validates evenness
-    a = partial(ComplexForm.function(u.conjugate())) == dbar_function(u).conjugate()
+    exact = u.exact
+    a = _same(partial(ComplexForm.function(u.conjugate())), dbar_function(u).conjugate(),
+              exact, tolerance)
     form = ddbar(u)
-    b = dbar(partial(ComplexForm.function(u))) == form.scale(-1)
-    i_unit = imaginary_unit(u.exact)
-    quarter = Fraction(1, 4) if u.exact else 0.25
+    b = _same(dbar(partial(ComplexForm.function(u))), form.scale(-1), exact, tolerance)
+    i_unit = imaginary_unit(exact)
+    quarter = Fraction(1, 4) if exact else 0.25
     c = True
     for j in range(1, n + 1):
         w = u.partial_derivative(2 * j - 1) + u.partial_derivative(2 * j).scale(i_unit)
@@ -281,5 +284,5 @@ def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
             want = (w.partial_derivative(2 * i - 1)
                     - w.partial_derivative(2 * i).scale(i_unit)).scale(quarter)
             got = form.coefficient((i,), (j,))
-            c = c and (got == want if u.exact else _fields_close(got, want))
+            c = c and _same(got, want, exact, tolerance)
     return a, b, c

@@ -31,8 +31,8 @@ from functools import lru_cache
 from operator import add
 
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField, _accumulate, _finish
-from .scalars import QC, coerce_scalar, conj, imaginary_unit
+from .fields import COMPLEX, ScalarField, _accumulate, _finish, _identity_rule
+from .scalars import QC, coerce_scalar, imaginary_unit
 from .solver import _convert_pairs, complex_hermite_to_he
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
@@ -50,11 +50,6 @@ def _tokenize(text: str) -> list[str]:
         out.append(m.group(1))
         pos = m.end()
     return out
-
-
-def _keep(key):
-    """The rule of a sum: every monomial stays where it is."""
-    return ((key, 1),)
 
 
 def _degree(poly: dict):
@@ -124,8 +119,9 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             acc: dict = {}
-            _accumulate(acc, out.items(), _keep, self.exact)
-            _accumulate(acc, self.term().items(), _keep, self.exact, 1 if op == "+" else -1)
+            _accumulate(acc, out.items(), _identity_rule, self.exact)
+            _accumulate(acc, self.term().items(), _identity_rule, self.exact,
+                        1 if op == "+" else -1)
             out = _finish(acc, self.capacity, self.exact)
         return out
 
@@ -184,7 +180,7 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return {_swap_pairs(key): conj(val) for key, val in inner.items()}
+            return {_swap_pairs(key): val.conjugate() for key, val in inner.items()}
         if tok == "(":
             inner = self.expr()
             self.take(")")
@@ -219,7 +215,7 @@ def _monomial_to_he(a: int, b: int, exact: bool) -> tuple:
         return tuple((t, coerce_scalar(w, False, True)) for t, w in _monomial_to_he(a, b, True))
     acc: dict = {}
     for k in range(min(a, b) + 1):
-        _accumulate(acc, complex_hermite_to_he(a - k, b - k, True), _keep, True,
+        _accumulate(acc, complex_hermite_to_he(a - k, b - k, True), _identity_rule, True,
                     math.factorial(k) * math.comb(a, k) * math.comb(b, k))
     return tuple(_finish(acc, a + b, True).items())
 

@@ -250,14 +250,6 @@ def coerce_scalar(value, exact: bool, complex_kind: bool):
     return float(value)
 
 
-def conj(x):
-    return x.conjugate()
-
-
-def scalar_is_zero(x) -> bool:
-    return not bool(x)
-
-
 def scalar_to_json(x, exact: bool):
     """Render one scalar as (re, im) JSON values; strings in exact mode."""
     if exact:

@@ -102,10 +102,20 @@ def _make_report(residual_sq, input_sq, output_sq, bound, blocks, exact) -> Solv
 
 def negligible(norm_sq, scale_sq, exact: bool, tolerance: float) -> bool:
     """The one exact-or-tolerance gate on a squared norm: norm_sq == 0 in exact
-    mode, norm_sq <= tolerance^2 scale_sq in float mode, which NaN fails."""
+    mode, norm_sq <= tolerance^2 scale_sq in float mode, which NaN and an inf
+    or NaN scale fail."""
     if exact:
         return norm_sq == 0
-    return norm_sq <= tolerance ** 2 * scale_sq
+    return math.isfinite(scale_sq) and norm_sq <= tolerance ** 2 * scale_sq
+
+
+def _input_norm_sq(form):
+    """||form||^2 of a solve's right-hand side; a float solve refuses an input
+    whose norm is inf or NaN before it checks closedness."""
+    norm_sq = form.norm_sq()
+    if not form.exact and not math.isfinite(norm_sq):
+        raise SolveNumericalError(f"float solve input norm^2 {norm_sq} is not finite")
+    return norm_sq
 
 
 def _check_capacity(top: int | None, capacity: int):
@@ -128,7 +138,7 @@ def _finish(u, image, f, f_sq, bound, blocks, exact, tolerance) -> SolveReport:
     if exact and res_sq != 0:
         raise NotClosedError("exact solve left a nonzero residual; input is not closed",
                              residual_norm_sq=res_sq)
-    if not exact and not (math.isfinite(f_sq) and negligible(res_sq, f_sq, exact, tolerance)):
+    if not exact and not negligible(res_sq, f_sq, exact, tolerance):
         raise SolveNumericalError(
             f"float solve residual^2 {res_sq:.3e} against input norm^2 {f_sq:.3e} "
             f"exceeds the tolerance or is not finite")
@@ -148,7 +158,7 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
     bound = Fraction(1, 2 * f.p) if f.exact else 1.0 / (2 * f.p)
-    f_sq = f.norm_sq()
+    f_sq = _input_norm_sq(f)
     df_sq = exterior_d(f).norm_sq()
     if not negligible(df_sq, f_sq, f.exact, tolerance):
         raise NotClosedError(
@@ -253,7 +263,7 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
     require_bidegree(g, (0, 1), "dbar u = g")
     exact = g.exact
     bound = Fraction(2) if exact else 2.0
-    g_sq = g.norm_sq()
+    g_sq = _input_norm_sq(g)
     dg_sq = dbar_of_01(g).norm_sq()
     if not negligible(dg_sq, g_sq, exact, tolerance):
         raise NotClosedError(

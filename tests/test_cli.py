@@ -203,6 +203,17 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert err.startswith(argv[0] + ": ")
 
 
+@pytest.mark.parametrize("argv", [SOLVE_D, ["lelong", "--input"], ["report", "--input"]],
+                         ids=["solve", "lelong", "report"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: bad input {path}: RecursionError: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("empty", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_solve_form_with_an_empty_component(tmp_path, capsys, exact, empty):

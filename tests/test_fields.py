@@ -14,7 +14,7 @@ from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner
 from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
                                      random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
-from gauss_hodge.scalars import QC, conj
+from gauss_hodge.scalars import QC
 from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
 
 from conftest import gaussian_moment
@@ -280,7 +280,7 @@ def test_exact_norms_and_inner_products_match_naive_fraction_sums(pair):
         assert type(inner) is Fraction and inner == re and im == 0
     else:
         assert type(inner) is QC and inner.re == re and inner.im == im
-    assert g.weighted_inner(f) == conj(inner)
+    assert g.weighted_inner(f) == inner.conjugate()
 
 
 def test_float_complex_coefficients_drop_signed_zeros():

@@ -1,7 +1,9 @@
 import itertools
+import math
 
-from gauss_hodge import calculus
+from gauss_hodge import calculus, identities
 from gauss_hodge.calculus import ComplexForm, PForm, ddbar
+from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.identities import (bochner_identity_report,
                                     conjugation_identities_check,
@@ -169,6 +171,32 @@ def test_conjugation_identities_random(rng):
         for _ in range(10):
             u = random_complex_function(rng, n, CAP, 6)
             assert conjugation_identities_check(u) == (True, True, True)
+
+
+def test_float_verify_passes_its_tolerance_to_every_field_comparison(tmp_path, monkeypatch):
+    seen = []
+    real = identities.negligible
+    monkeypatch.setattr(identities, "negligible",
+                        lambda *args: seen.append(args[3]) or real(*args))
+    assert main(["verify", "--mode", "float", "--n", "1", "--degree", "4", "--trials", "1",
+                 "--tolerance", "1e-7", "--output", str(tmp_path / "out")]) == 0
+    # conjugation checks (a), (b) and (c) on C^1, then the ddbar adjoint duality
+    assert seen == [1e-7] * 4
+
+
+def test_float_conjugation_check_forgives_a_one_ulp_difference(rng, monkeypatch):
+    real = identities.dbar_function
+
+    def one_ulp_off(u):
+        form = real(u)
+        return form.replace({idx: field.replace(
+            {d: complex(math.nextafter(v.real, math.inf), v.imag)
+             for d, v in field.coeffs.items()}) for idx, field in form.components.items()})
+
+    u = random_complex_function(rng, 1, CAP, 6, exact=False)
+    assert real(u) != one_ulp_off(u)
+    monkeypatch.setattr(identities, "dbar_function", one_ulp_off)
+    assert conjugation_identities_check(u) == (True, True, True)
 
 
 def test_ddbar_composes_detects_a_wrong_dbar_ladder(rng, monkeypatch):

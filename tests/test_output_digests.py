@@ -1,4 +1,4 @@
-"""Byte-identity guard: exact outputs of fixed runs are pinned by sha256.
+"""Byte-identity guard: outputs of fixed runs are pinned by sha256.
 
 Exact arithmetic has one answer, so a change to how an operator sums its
 terms must not move a single byte of what ``lelong`` and ``verify`` write.
@@ -6,6 +6,12 @@ The C1..C3 digests were taken from the package before the operators were
 fused into one accumulation each; the ``-sums`` digests were taken before
 potentials were parsed as z/zbar monomials and the dbar inverse became one
 cached rule per degree vector.
+
+Float mode uses only + - * / on doubles, so on one platform its output is
+deterministic too, and a change that keeps the order of every float sum
+keeps its bytes.  The
+float digests were taken before every weighted norm and inner product was
+routed through ``fields._norm_sq`` and ``fields._inner``.
 """
 
 import hashlib
@@ -38,9 +44,18 @@ LELONG_DIGESTS = {
                 "9e8f9191d1226aac8dfaa4caaceb424594f59b551765b1f50906ba8cb5db536b"),
 }
 
-VERIFY_ARGV = ["verify", "--mode", "exact", "--n", "2", "--degree", "6",
-               "--trials", "2", "--seed", "3"]
+FLOAT_LELONG_DIGESTS = {
+    "C1": "b79f522da8c7652097ab870c0b338d1490f7d383276f7e8e6c84d08272824786",
+    "C2": "1376de3b07118d994a13f0020080fb2f4be6d1fa3d58edaa659114dac3bda2d6",
+    "C3": "0e1cea002d6ac1a1d08c25325a3a623afddb38f233427c9b98882b3fa53ce31a",
+    "C1-sums": "9605b7a1cc59a353edb75a7ade85f8c6af7828067587c50f3e789e247a53ac96",
+    "C2-sums": "19f6c584745ae8db0224987e1d86feb8b00330578c03f3b4eb604dc4b5d47b73",
+    "C3-sums": "ff75560592e9c52721f20e4641bcb329d8d492b8f1f5837121413b4477a9d256",
+}
+
+VERIFY_ARGV = ["verify", "--n", "2", "--degree", "6", "--trials", "2", "--seed", "3"]
 VERIFY_DIGEST = "99a80188c528c374169661216840741fd5d8c5c87c2f1c0d098b0041ded65d8e"
+FLOAT_VERIFY_DIGEST = "6c0ab3ba65eeb3a7e42c3277a12568e2fe5be0784254817f5eda76b04b4eff02"
 
 
 def _digest(tmp_path, argv) -> str:
@@ -55,5 +70,15 @@ def test_exact_lelong_output_bytes_are_pinned(tmp_path, space):
     assert _digest(tmp_path, ["lelong", "--mode", "exact"] + argv) == expected
 
 
+@pytest.mark.parametrize("space", sorted(FLOAT_LELONG_DIGESTS))
+def test_float_lelong_output_bytes_are_pinned(tmp_path, space):
+    argv = LELONG_DIGESTS[space][0]
+    assert _digest(tmp_path, ["lelong", "--mode", "float"] + argv) == FLOAT_LELONG_DIGESTS[space]
+
+
 def test_exact_verify_output_bytes_are_pinned(tmp_path):
-    assert _digest(tmp_path, VERIFY_ARGV) == VERIFY_DIGEST
+    assert _digest(tmp_path, VERIFY_ARGV + ["--mode", "exact"]) == VERIFY_DIGEST
+
+
+def test_float_verify_output_bytes_are_pinned(tmp_path):
+    assert _digest(tmp_path, VERIFY_ARGV + ["--mode", "float"]) == FLOAT_VERIFY_DIGEST

@@ -8,7 +8,8 @@ from gauss_hodge import bridge, solver
 from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
                                   dbar_function, ddbar, delta_z, delta_zbar, exterior_d,
                                   wirtinger_dzbar)
-from gauss_hodge.errors import DegreeOverflowError, InvariantViolationError, NotClosedError
+from gauss_hodge.errors import (DegreeOverflowError, InvariantViolationError, NotClosedError,
+                                SolveNumericalError)
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
 from gauss_hodge.randomforms import (random_closed_pform, random_complex_function,
@@ -548,6 +549,36 @@ def test_negligible_is_zero_exactly_and_the_squared_tolerance_in_float():
     assert not negligible(nan, 1.0, False, tol)
     assert not negligible(nan, math.inf, False, tol)
     assert not negligible(0.0, nan, False, tol)
+    # nor does any residual against an inf scale
+    assert not negligible(math.inf, math.inf, False, tol)
+    assert not negligible(0.0, math.inf, False, tol)
+
+
+def _overflowing_nonclosed(equation: str):
+    """A float input near 1e200 whose norm^2 and closedness residual^2 both
+    overflow to inf: c He_1(x2) dx1 on R^2 (df != 0), or c He_1(x1) dzbar_2
+    on C^2 (dbar g != 0)."""
+    c = 1e200
+    if equation == "d":
+        return PForm(2, 1, 6, "real", False,
+                     {MultiIndex((1,), 2): ScalarField(2, 6, "real", False, {(0, 1): c})})
+    zero = ScalarField.zero(4, 6, "complex", False)
+    return ComplexForm.from_layout((0, 1), [zero, ScalarField(4, 6, "complex", False,
+                                                              {(1, 0, 0, 0): c})])
+
+
+@pytest.mark.parametrize("equation, solve, adjoint", [
+    ("d", solve_d_min_norm, "codifferential"),
+    ("dbar", solve_dbar_min_norm, "dbar_adjoint"),
+], ids=["d", "dbar"])
+def test_float_solve_refuses_a_nonfinite_input_norm_before_solving(monkeypatch, equation,
+                                                                  solve, adjoint):
+    calls = []
+    real = getattr(solver, adjoint)
+    monkeypatch.setattr(solver, adjoint, lambda form: calls.append(form) or real(form))
+    with pytest.raises(SolveNumericalError, match="input norm"):
+        solve(_overflowing_nonclosed(equation))
+    assert calls == []
 
 
 def test_float_report_never_certifies_inf_or_nan():
