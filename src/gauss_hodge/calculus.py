@@ -298,24 +298,43 @@ def _require_complex(field: ScalarField):
 DZ, DZBAR, DELTA_Z, DELTA_ZBAR = (False, -1), (False, 1), (True, -1), (True, 1)
 
 
+class _PerDegree(dict):
+    """A coefficient rule whose (target, weight) tuple is built once per
+    degree vector: its ``__getitem__`` is the rule.  A dict keyed by the
+    degree vector itself keeps less per entry than lru_cache, which also
+    keeps each call's argument tuple."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, d):
+        out = self[d] = self.rule(d)
+        return out
+
+
 @lru_cache(maxsize=None)
 def _pair_rules(n: int, ladder: tuple, exact: bool) -> tuple:
     """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n,
     (op_{2j-1} + sign i op_{2j}) / 2 with op = d/dx (lowering) or delta
-    (raising); its weights are built once per ladder and mode."""
+    (raising), each built once per degree vector; the weights are built once
+    per ladder and mode."""
     raising, sign = ladder
     i_sign = imaginary_unit(exact) * sign
     if raising:
         half = one_half(exact)
         wx, wy = -half, -half * i_sign
-        return tuple(lambda d, x=x: ((_shift(d, x, 1), wx), (_shift(d, x + 1, 1), wy))
-                     for x in range(0, 2 * n, 2))
-    # the lowering weights are k on x_{2j-1} and k sign i on x_{2j}, for k = d_i;
-    # each k sign i is built once
-    times_i = lru_cache(maxsize=None)(lambda k: k * i_sign)
-    return tuple(lambda d, x=x: [(_shift(d, i, -1), w(d[i]))
-                                 for i, w in ((x, int), (x + 1, times_i)) if d[i]]
+        rules = (lambda d, x=x: ((_shift(d, x, 1), wx), (_shift(d, x + 1, 1), wy))
                  for x in range(0, 2 * n, 2))
+    else:
+        # the lowering weights are k on x_{2j-1} and k sign i on x_{2j}, for
+        # k = d_i; each k sign i is built once
+        times_i = lru_cache(maxsize=None)(lambda k: k * i_sign)
+        rules = (lambda d, x=x: tuple((_shift(d, i, -1), w(d[i]))
+                                      for i, w in ((x, int), (x + 1, times_i)) if d[i])
+                 for x in range(0, 2 * n, 2))
+    return tuple(_PerDegree(rule).__getitem__ for rule in rules)
 
 
 def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .calculus import (ComplexForm, PForm, codifferential, complex_dimension, dbar,
-                       dbar_function, ddbar, delta_z, delta_zbar, exterior_d, partial,
-                       wirtinger_dz, wirtinger_dzbar)
+from .calculus import (DZ, DZBAR, ComplexForm, PForm, _pair_rules, codifferential,
+                       complex_dimension, dbar, dbar_function, ddbar, delta_z, delta_zbar,
+                       exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
 from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
 from .multiindex import enumerate_indices
-from .scalars import imaginary_unit, render_value
+from .scalars import imaginary_unit, render_value, zero_scalar
 from .solver import negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
@@ -150,30 +150,43 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     """Independent construction of the same adjoint from duality alone.
 
     Expands T* a in the Hermite basis by pairing against basis functions: the
-    coefficient on He_d is conj(<ddbar He_d, a>) / ||He_d||^2.  Entry (i, j) of
-    ddbar He_d lowers one axis x of pair i and one axis y of pair j, so only
-    d = e + e_x + e_y with e in the support of a_{ij} can pair nonzero.
+    coefficient on He_d is conj(<ddbar He_d, a>) / ||He_d||^2.  The pairing
+    runs through the weights of the lowering ladders that ddbar applies,
+
+        <ddbar He_d, a> = sum_{ij} sum_{(s, w1) in DZBAR_j(d)} sum_{(t, w2) in DZ_i(s)}
+                          w1 w2 conj(a_{ij}[t]) ||He_t||^2,
+
+    so no field is built per He_d.  Entry (i, j) of ddbar He_d lowers one axis
+    x of pair i and one axis y of pair j, so only d = e + e_x + e_y with e in
+    the support of a_{ij} can pair nonzero.
     """
-    m = alpha.n
+    n = alpha.n // 2
     top = alpha.degree
     exact = alpha.exact
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
+    lower_z, lower_zbar = _pair_rules(n, DZ, exact), _pair_rules(n, DZBAR, exact)
+    entries = []
     candidates = set()
     for (i, j), field in alpha.components.items():
-        j -= m // 2
+        j -= n
+        entries.append((lower_z[i - 1], lower_zbar[j - 1], field.coeffs))
         for e in field.coeffs:
             for x in (2 * i - 2, 2 * i - 1):
                 for y in (2 * j - 2, 2 * j - 1):
                     candidates.add(_shift(_shift(e, x, 1), y, 1))
+    zero = zero_scalar(exact, True)
     out: dict = {}
     for deg in sorted(candidates, key=lambda d: (sum(d), d)):
-        basis = ScalarField(m, cap, COMPLEX, exact, {deg: 1})
-        pairing = ddbar(basis).weighted_inner(alpha)
-        if not pairing:
-            continue
-        norm = hermite_sq_norm_vector(deg)
-        out[deg] = pairing.conjugate() / (norm if exact else float(norm))
-    return ScalarField(m, cap, COMPLEX, exact, out)
+        pairing = zero
+        for dz_i, dzbar_j, coeffs in entries:
+            for s, w1 in dzbar_j(deg):
+                for t, w2 in dz_i(s):
+                    if t in coeffs:
+                        pairing += w1 * w2 * coeffs[t].conjugate() * hermite_sq_norm_vector(t)
+        if pairing:
+            norm = hermite_sq_norm_vector(deg)
+            out[deg] = pairing.conjugate() / (norm if exact else float(norm))
+    return ScalarField(alpha.n, cap, COMPLEX, exact, out)
 
 
 @dataclass
@@ -224,26 +237,24 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
     def a(i, j):
         return alpha.coefficient((i,), (j,))
 
+    # first[i, j, l] = d a_ij / dzbar_l and second[i, j, k, l] = d first[i, j, l] / dz_k
+    axes = range(1, n + 1)
+    first = {(i, j, l): wirtinger_dzbar(a(i, j), l) for i in axes for j in axes for l in axes}
+    second = {(i, j, k, l): wirtinger_dz(first[i, j, l], k)
+              for i in axes for j in axes for k in axes for l in axes}
     seconds = []
     crosses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    second = wirtinger_dz(wirtinger_dzbar(a(i, j), l), k)
-                    if second.is_zero():
-                        continue
-                    seconds.append(second)
-                    other = (wirtinger_dz(wirtinger_dzbar(a(i, l), j), k)
-                             + wirtinger_dz(wirtinger_dzbar(a(k, j), l), i))
-                    crosses.append((second, other))
+    for (i, j, k, l), mixed in second.items():
+        if mixed.is_zero():
+            continue
+        seconds.append(mixed)
+        crosses.append((mixed, second[i, l, k, j] + second[k, j, i, l]))
     t_mixed_sq = _real_sum(exact, seconds)
     # the full ijkl sum is conjugate-symmetric, so it is real
     t_cross = _real_sum(exact, pairs=crosses)
-    t_grad_z = _real_sum(exact, [wirtinger_dz(a(i, l), k) for i in range(1, n + 1)
-                                 for l in range(1, n + 1) for k in range(1, n + 1)])
-    t_grad_zbar = _real_sum(exact, [wirtinger_dzbar(a(k, j), l) for k in range(1, n + 1)
-                                    for j in range(1, n + 1) for l in range(1, n + 1)])
+    t_grad_z = _real_sum(exact, [wirtinger_dz(a(i, l), k) for i in axes for l in axes
+                                 for k in axes])
+    t_grad_zbar = _real_sum(exact, first.values())
 
     terms = {"norm_sq": t_norm, "ddbar_sq": t_ddbar, "partial_sq": t_partial,
              "dbar_sq": t_dbar, "mixed_second_sq": t_mixed_sq, "cross": t_cross,

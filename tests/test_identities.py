@@ -2,18 +2,19 @@ import itertools
 import math
 
 from gauss_hodge import calculus, identities
-from gauss_hodge.calculus import ComplexForm, PForm, ddbar
+from gauss_hodge.calculus import (ComplexForm, PForm, dbar, ddbar, partial, wirtinger_dz,
+                                  wirtinger_dzbar)
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
-from gauss_hodge.identities import (bochner_identity_report,
+from gauss_hodge.identities import (_real_sum, bochner_identity_report,
                                     conjugation_identities_check,
                                     d_norm_expansion_report,
                                     ddbar_adjoint_dual_basis,
                                     ddbar_adjoint_identity_report,
                                     ddbar_formal_adjoint)
 from gauss_hodge.multiindex import MultiIndex
-from gauss_hodge.randomforms import (random_complex_function,
-                                     random_complexform11, random_pform)
+from gauss_hodge.randomforms import (random_complex_function, random_complexform11,
+                                     random_pform, random_scalar_field)
 from conftest import zzbar_poly_field
 
 CAP = 10
@@ -133,6 +134,86 @@ def test_ddbar_adjoint_dual_basis_matches_full_enumeration(rng):
         forms += [random_complexform11(rng, n, 8, top) for _ in range(count)]
     for a in forms:
         assert ddbar_adjoint_dual_basis(a).coeffs == _dual_basis_full(a).coeffs
+
+
+def _with_zero_entries(rng, n, exact, top=3):
+    """A random (1,1)-form on C^n with about a third of its entries zero."""
+    rows = [[random_scalar_field(rng, 2 * n, 8, top, "complex", exact, 2)
+             if rng.random() > 1 / 3 else ScalarField.zero(2 * n, 8, "complex", exact)
+             for _ in range(n)] for _ in range(n)]
+    rows[0][0] = random_scalar_field(rng, 2 * n, 8, top, "complex", exact, 2)
+    return ComplexForm.from_layout((1, 1), rows)
+
+
+def test_ddbar_adjoint_dual_basis_float_matches_exact(rng):
+    for n in (1, 2, 3):
+        for _ in range(4):
+            a = _with_zero_entries(rng, n, True)
+            want = ddbar_adjoint_dual_basis(a).to_float().coeffs
+            got = ddbar_adjoint_dual_basis(a.to_float()).coeffs
+            scale = max(abs(v) for v in want.values())
+            for deg in want.keys() | got.keys():
+                assert abs(got.get(deg, 0) - want.get(deg, 0)) <= 1e-12 * scale, (n, deg)
+            assert ddbar_adjoint_identity_report(a.to_float()).duality_exact
+        b = random_complexform11(rng, n, 8, 3, exact=False)
+        assert ddbar_adjoint_identity_report(b).duality_exact
+
+
+def _adjoint_report_reference(alpha):
+    """The eight terms, lhs and rhs of the adjoint-norm display, each mixed
+    second derivative taken by its own pair of ladders wherever it appears."""
+    n = alpha.n // 2
+    exact = alpha.exact
+    axes = range(1, n + 1)
+
+    def a(i, j):
+        return alpha.coefficient((i,), (j,))
+
+    seconds = []
+    crosses = []
+    for i in axes:
+        for j in axes:
+            for k in axes:
+                for l in axes:
+                    second = wirtinger_dz(wirtinger_dzbar(a(i, j), l), k)
+                    if second.is_zero():
+                        continue
+                    seconds.append(second)
+                    other = (wirtinger_dz(wirtinger_dzbar(a(i, l), j), k)
+                             + wirtinger_dz(wirtinger_dzbar(a(k, j), l), i))
+                    crosses.append((second, other))
+    terms = {"norm_sq": alpha.norm_sq(), "ddbar_sq": partial(dbar(alpha)).norm_sq(),
+             "partial_sq": partial(alpha).norm_sq(), "dbar_sq": dbar(alpha).norm_sq(),
+             "mixed_second_sq": _real_sum(exact, seconds),
+             "cross": _real_sum(exact, pairs=crosses),
+             "grad_z_sq": _real_sum(exact, [wirtinger_dz(a(i, l), k)
+                                            for i in axes for l in axes for k in axes]),
+             "grad_zbar_sq": _real_sum(exact, [wirtinger_dzbar(a(k, j), l)
+                                               for k in axes for j in axes for l in axes])}
+    t = terms
+    rhs = (t["norm_sq"] + t["ddbar_sq"] - t["partial_sq"] - t["dbar_sq"]
+           - t["mixed_second_sq"] + t["cross"] + t["grad_z_sq"] + t["grad_zbar_sq"])
+    return ddbar_formal_adjoint(alpha).norm_sq(), rhs, terms
+
+
+def test_ddbar_adjoint_report_matches_reference_loop(rng):
+    # float values are compared by their hex form, so every bit must agree;
+    # a non-dyadic scale makes every float sum round, so its order shows
+    for n in (1, 2, 3):
+        for exact in (True, False):
+            for _ in range(3):
+                a = _with_zero_entries(rng, n, exact)
+                if not exact:
+                    a = a.scale(complex(1 / 3, 1 / 7))
+                rep = ddbar_adjoint_identity_report(a)
+                lhs, rhs, terms = _adjoint_report_reference(a)
+                key = (lambda v: v) if exact else float.hex
+                assert list(rep.terms) == list(terms)
+                for name, value in terms.items():
+                    assert key(rep.terms[name]) == key(value), (n, exact, name)
+                assert key(rep.lhs) == key(lhs)
+                assert key(rep.rhs) == key(rhs)
+                assert key(rep.discrepancy) == key(lhs - rhs)
 
 
 def test_ddbar_adjoint_duality_random_u(rng):

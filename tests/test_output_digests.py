@@ -11,7 +11,9 @@ Float mode uses only + - * / on doubles, so on one platform its output is
 deterministic too, and a change that keeps the order of every float sum
 keeps its bytes.  The
 float digests were taken before every weighted norm and inner product was
-routed through ``fields._norm_sq`` and ``fields._inner``.
+routed through ``fields._norm_sq`` and ``fields._inner``.  The ``verify``
+digests on C^1 and C^3 were taken before the ddbar adjoint display read its
+second derivatives from one table.
 """
 
 import hashlib
@@ -53,9 +55,21 @@ FLOAT_LELONG_DIGESTS = {
     "C3-sums": "ff75560592e9c52721f20e4641bcb329d8d492b8f1f5837121413b4477a9d256",
 }
 
-VERIFY_ARGV = ["verify", "--n", "2", "--degree", "6", "--trials", "2", "--seed", "3"]
-VERIFY_DIGEST = "99a80188c528c374169661216840741fd5d8c5c87c2f1c0d098b0041ded65d8e"
-FLOAT_VERIFY_DIGEST = "6c0ab3ba65eeb3a7e42c3277a12568e2fe5be0784254817f5eda76b04b4eff02"
+# n -> (exact digest, float digest) of verify --n n --degree 6 --trials 2 --seed 3;
+# the ddbar adjoint display reads its index permutations differently only
+# from n = 2 on, and asymmetrically from n = 3
+VERIFY_DIGESTS = {
+    1: ("a5748706ca459c594a813fc3d7258cf80f598f4a933d06e65772fe32e7c90c01",
+        "4b35f8a0c555af3b181661885a5822355f3b8bd76c45d1fb518b23844a2ae0a1"),
+    2: ("99a80188c528c374169661216840741fd5d8c5c87c2f1c0d098b0041ded65d8e",
+        "6c0ab3ba65eeb3a7e42c3277a12568e2fe5be0784254817f5eda76b04b4eff02"),
+    3: ("fdbde4e5266f84032dcf91d839374ee5f4e7555049793b5c65f4288f9343bb94",
+        "81c8cb54d06eb557ee54f7db5c6674d4d6585e34e4b965e7f19add67dcc817de"),
+}
+
+
+def _verify_argv(n: int) -> list:
+    return ["verify", "--n", str(n), "--degree", "6", "--trials", "2", "--seed", "3"]
 
 
 def _digest(tmp_path, argv) -> str:
@@ -77,8 +91,18 @@ def test_float_lelong_output_bytes_are_pinned(tmp_path, space):
 
 
 def test_exact_verify_output_bytes_are_pinned(tmp_path):
-    assert _digest(tmp_path, VERIFY_ARGV + ["--mode", "exact"]) == VERIFY_DIGEST
+    assert _digest(tmp_path, _verify_argv(2) + ["--mode", "exact"]) == VERIFY_DIGESTS[2][0]
 
 
 def test_float_verify_output_bytes_are_pinned(tmp_path):
-    assert _digest(tmp_path, VERIFY_ARGV + ["--mode", "float"]) == FLOAT_VERIFY_DIGEST
+    assert _digest(tmp_path, _verify_argv(2) + ["--mode", "float"]) == VERIFY_DIGESTS[2][1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_exact_verify_output_bytes_are_pinned_on_c1_and_c3(tmp_path, n):
+    assert _digest(tmp_path, _verify_argv(n) + ["--mode", "exact"]) == VERIFY_DIGESTS[n][0]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_float_verify_output_bytes_are_pinned_on_c1_and_c3(tmp_path, n):
+    assert _digest(tmp_path, _verify_argv(n) + ["--mode", "float"]) == VERIFY_DIGESTS[n][1]
