@@ -8,13 +8,13 @@ norm bounds, and the constructive pipeline for ddbar u = f.
 from .bridge import (PipelineReport, decompose_11, recompose_11, split_bidegree,
                      solve_poincare_lelong, solve_poincare_lelong_full,
                      two_form_complex_parts)
-from .calculus import (ComplexForm, PForm, codifferential, dbar, dbar_adjoint,
+from .calculus import (ComplexForm, ItoForm, PForm, codifferential, dbar, dbar_adjoint,
                        dbar_function, dbar_of_01, ddbar, exterior_d, partial,
                        partial_of_10, wirtinger_dz, wirtinger_dzbar)
 from .errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
                      GaussHodgeError, InvariantViolationError, NotClosedError,
                      SolveNumericalError)
-from .fields import ScalarField
+from .fields import ItoField, ScalarField
 from .hermite import (HermiteSeries, apply_delta, differentiate, evaluate,
                       inner_product_1d, multiply_by_coordinate)
 from .identities import (BochnerReport, DdbarAdjointReport, DNormExpansionReport,
@@ -33,8 +33,8 @@ __all__ = [
     "QC", "MultiIndex", "enumerate_indices", "insert_axis", "remove_axis",
     "HermiteSeries", "differentiate", "apply_delta", "multiply_by_coordinate",
     "inner_product_1d", "evaluate",
-    "ScalarField",
-    "PForm", "ComplexForm",
+    "ScalarField", "ItoField",
+    "PForm", "ComplexForm", "ItoForm",
     "exterior_d", "codifferential", "partial", "dbar",
     "dbar_function", "ddbar", "dbar_adjoint", "dbar_of_01", "partial_of_10",
     "wirtinger_dz", "wirtinger_dzbar",

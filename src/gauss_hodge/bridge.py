@@ -18,12 +18,23 @@ real frame a (1,1)-form f becomes f = f1 + i f2 with real 2-forms f1, f2
 
 and the pointwise identity |f1|^2 + |f2|^2 = 4 |f|^2.  Into the complex frame
 a real 1- or 2-form splits by bidegree (split_bidegree,
-two_form_complex_parts).
+two_form_complex_parts).  These frame changes act on forms over He; verify
+checks them.
 
-The pipeline runs the constructive proof: solve d v_k = f_k with bound 1/4,
-split v_k by bidegree (each half carrying a quarter of the squared norm),
-solve dbar u_k = v_k^{0,1} with bound 2, and assemble
-u = (u_1 - conj u_1) + i (u_2 - conj u_2), giving ||u||^2 <= 2 ||f||^2.
+The pipeline runs the constructive proof without changing frame, in the
+complex frame over Ito's basis H_{p,q} (calculus.ItoForm and
+ComplexFrameForm), where every operator it applies moves one index:
+
+    f1 = (f + conj f)/2,   f2 = (f - conj f)/(2i)
+
+are the real 2-forms with f = f1 + i f2, written in the complex frame.  It
+solves d v_k = f_k with bound 1/4 (norms in the Euclidean metric, 2^deg
+times the Ito norms), reads the (1,0) and (0,1) parts of v_k off the frame
+(each carrying a quarter of the squared norm), solves dbar u_k = v_k^{0,1}
+with bound 2, and assembles u = (u_1 - conj u_1) + i (u_2 - conj u_2),
+giving ||u||^2 <= 2 ||f||^2.  A (1,1)-form over He is converted to H_{p,q}
+once on the way in, and u once on the way out; a potential's ddbar is
+already over H_{p,q}.
 
 Each identity is checked once, through ``solver.negligible`` (float scale in
 brackets): df_k = 0 by the d solve of f_k [||f_k||^2], raising NotClosedError
@@ -41,11 +52,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import (ComplexForm, PForm, _components, ddbar, partial_of_10,
-                       require_bidegree)
+from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, ddbar,
+                       partial_of_10, require_bidegree)
 from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
-from .fields import COMPLEX, REAL, ScalarField, _accumulate, _identity_rule
+from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import MultiIndex, insert_axis
 from .scalars import imaginary_unit, one_half, render_value
 from .solver import (SolveReport, _make_report, bound_holds, negligible,
@@ -112,15 +123,20 @@ def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
     return f1, f2
 
 
-def _complex_parts(v: PForm) -> tuple[ComplexForm, ...]:
-    """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}."""
+def _type_parts(v: PForm, comps: dict, form_type) -> tuple[ComplexForm, ...]:
+    """The (p, 0), (p-1, 1), ..., (0, p) parts of a p-form on R^{2n} from its
+    complex-frame components, as forms of ``form_type``."""
     n = v.n // 2
-    comps = _frame_change(v.promote_complex(), to_complex=True)
     parts: dict = {}
     for idx, field in comps.items():
         parts.setdefault(sum(a <= n for a in idx), {})[idx] = field
-    return tuple(ComplexForm(n, (p, v.p - p), v.max_total_degree, v.exact, parts.get(p))
+    return tuple(form_type(n, (p, v.p - p), v.max_total_degree, v.exact, parts.get(p))
                  for p in range(v.p, -1, -1))
+
+
+def _complex_parts(v: PForm) -> tuple[ComplexForm, ...]:
+    """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}."""
+    return _type_parts(v, _frame_change(v.promote_complex(), to_complex=True), ComplexForm)
 
 
 def two_form_complex_parts(g: PForm) -> tuple[ComplexForm, ComplexForm, ComplexForm]:
@@ -190,14 +206,14 @@ def _check_stage_bound(report: SolveReport, stage: str):
 
 def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     """Run the full constructive solve of ddbar u = f under e^{-|z|^2};
-    returns (u, report)."""
+    returns (u, report), with u over the basis of f."""
     require_bidegree(f, (1, 1), "ddbar u = f")
     exact = f.exact
 
     zero_s = Fraction(0) if exact else 0.0
     two = Fraction(2) if exact else 2.0
     if f.is_zero():
-        u = ScalarField.zero(f.n, f.max_total_degree, COMPLEX, exact)
+        u = f.field_type.zero(f.n, f.max_total_degree, COMPLEX, exact)
         empty = _make_report(zero_s, zero_s, zero_s, Fraction(1, 4) if exact else 0.25,
                              0, exact)
         empty_dbar = _make_report(zero_s, zero_s, zero_s, two, 0, exact)
@@ -209,9 +225,13 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
             f"pipeline needs capacity {top + 2} (two above the data degree {top}), "
             f"have {f.max_total_degree}", required_capacity=top + 2)
 
-    # (1) split into real 2-forms
-    f1, f2 = decompose_11(f)
-    f_sq = f.norm_sq()
+    # (1) the real 2-forms f1 = (f + conj f)/2 and f2 = (f - conj f)/(2i)
+    h = ItoForm.of(f)
+    f_sq = h.norm_sq()
+    conj = h.conjugate()
+    half = one_half(exact)
+    f1, f2 = (ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, exact, g.components).scale(s)
+              for g, s in ((h + conj, half), (h - conj, -imaginary_unit(exact) * half)))
 
     # (2) weighted Poincare solves d v_k = f_k, bound 1/4; each refuses a
     #     non-closed f_k
@@ -224,9 +244,9 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     dbar_reports = []
     conj_ratios = {}
     for name, vk, rep_d in (("re", v1, rep_d1), ("im", v2, rep_d2)):
-        # (3) bidegree split; the (2,0) piece of d v_k must vanish (the dbar
-        #     solve checks the (0,2) piece)
-        v10, v01 = split_bidegree(vk)
+        # (3) the (1,0) and (0,1) parts of v_k; the (2,0) piece of d v_k must
+        #     vanish (the dbar solve checks the (0,2) piece)
+        v10, v01 = _type_parts(vk, vk.components, ItoForm)
         purity_sq = partial_of_10(v10).norm_sq()
         if not negligible(purity_sq, max(rep_d.output_norm_sq, 1.0), exact, tolerance):
             raise InvariantViolationError(
@@ -257,7 +277,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
 
     # exact mode compares ddbar u with f; the residual is built only to report it
     image = ddbar(u)
-    res_sq = zero_s if exact and image == f else (image - f).norm_sq()
+    res_sq = zero_s if exact and image == h else (image - h).norm_sq()
     if not negligible(res_sq, f_sq, exact, tolerance):
         raise InvariantViolationError(
             "final_residual", "ddbar u != f in exact mode" if exact
@@ -272,7 +292,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
                                       lhs=final.output_norm_sq, rhs=f_sq)
     report = PipelineReport(rep_d1, rep_d2, dbar_reports[0], dbar_reports[1],
                             final, conj_ratios)
-    return u, report
+    return (u if h is f else u.to_he()), report
 
 
 def solve_poincare_lelong(f: ComplexForm, tolerance: float = 1e-10):

@@ -42,6 +42,15 @@ Wirtinger ladders act on the pair (x_{2j-1}, x_{2j}) by one rule, with sign
 
 so each sends a term to at most two terms and keeps every operator here
 degree-graded and exact.
+
+Over Ito's basis H_{p,q} (fields.ItoField) each ladder moves one index:
+d/dz_j and d/dzbar_j lower p_j and q_j with weights p_j and q_j, and
+delta^zbar_j and delta^z_j raise them with weight -1.  The basis is part of
+a form's type, and every operator takes its rules and metric from it:
+ComplexForm and PForm hold He coefficients, ItoForm is a (p,q)-form over
+H_{p,q}, and ComplexFrameForm is a real form on R^{2n} written in the
+complex frame over H_{p,q}, with the real frame's d, T* and Euclidean
+metric (see its docstring).
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import (COMPLEX, REAL, ScalarField, _accumulate, _delta_rule, _derivative_rule,
-                     _finish, _inner, _norm_sq, _shift)
+from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _delta_rule,
+                     _derivative_rule, _finish, _inner, _norm_sq, _shift)
 from .multiindex import MultiIndex, insert_axis, remove_axis
 from .scalars import imaginary_unit, one_half
 
@@ -60,10 +69,13 @@ class PForm:
     """A p-form on R^n: map from increasing multi-indices to scalar fields.
 
     Missing keys mean zero components.  All stored components share the
-    ambient dimension, scalar kind, mode and capacity.
+    ambient dimension, scalar kind, mode, capacity and the basis
+    ``field_type``.
     """
 
     __slots__ = ("n", "p", "max_total_degree", "kind", "exact", "components")
+
+    field_type = ScalarField
 
     def __init__(self, n: int, p: int, max_total_degree: int, kind: str = REAL,
                  exact: bool = True, components: Optional[Mapping[MultiIndex, ScalarField]] = None):
@@ -85,7 +97,8 @@ class PForm:
                     idx = MultiIndex(tuple(idx), n)
                 if idx.n != n or idx.p != p:
                     raise DomainError(f"component index {idx.axes} does not match ({n},{p})")
-                if field.m != n or field.kind != kind or field.exact != exact:
+                if (field.m != n or field.kind != kind or field.exact != exact
+                        or type(field) is not self.field_type):
                     raise DimensionMismatchError(
                         f"component field for {idx.axes} has wrong shape/kind/mode")
                 if not field.is_zero():
@@ -96,26 +109,26 @@ class PForm:
     def replace(self, components, max_total_degree: Optional[int] = None,
                 exact: Optional[bool] = None) -> "PForm":
         """A form of this shape with other components (and capacity or mode)."""
-        return PForm(self.n, self.p,
-                     self.max_total_degree if max_total_degree is None else max_total_degree,
-                     self.kind, self.exact if exact is None else exact, components)
+        return type(self)(self.n, self.p,
+                          self.max_total_degree if max_total_degree is None else max_total_degree,
+                          self.kind, self.exact if exact is None else exact, components)
 
     def component(self, idx: MultiIndex | tuple) -> ScalarField:
         if not isinstance(idx, MultiIndex):
             idx = MultiIndex(tuple(idx), self.n)
         return self.components.get(
-            idx, ScalarField.zero(self.n, self.max_total_degree, self.kind, self.exact))
+            idx, self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact))
 
     def signed_component(self, j: int, idx: MultiIndex) -> ScalarField:
         """The coefficient a_{jI}: zero when j is in I, else the sign-adjusted
         component at the sorted index."""
         ins = insert_axis(j, idx)
         if ins is None:
-            return ScalarField.zero(self.n, self.max_total_degree, self.kind, self.exact)
+            return self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact)
         sign, sorted_idx = ins
         field = self.components.get(sorted_idx)
         if field is None:
-            return ScalarField.zero(self.n, self.max_total_degree, self.kind, self.exact)
+            return self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact)
         return field if sign == 1 else -field
 
     def _shape(self) -> tuple:
@@ -178,10 +191,19 @@ class PForm:
         theirs = other.components
         return _inner(((f.coeffs, theirs[idx].coeffs)
                        for idx, f in self.components.items() if idx in theirs),
-                      self.exact, self.kind == COMPLEX)
+                      self.exact, self.kind == COMPLEX, self.field_type.sq_norm)
 
     def norm_sq(self):
-        return _norm_sq((f.coeffs for f in self.components.values()), self.exact)
+        return _norm_sq((f.coeffs for f in self.components.values()), self.exact,
+                        self.field_type.sq_norm)
+
+    def _d_rules(self) -> tuple:
+        """The coefficient rules of d, one per frame axis: d/dx_j."""
+        return _axis_rules(self.n, _derivative_rule)
+
+    def _t_rules(self) -> tuple:
+        """The coefficient rules of T*, one per frame axis: delta_j."""
+        return _axis_rules(self.n, _delta_rule)
 
     def pointwise_norm_sq_field(self) -> ScalarField:
         """|f|^2 = sum_I f_I conj(f_I) as an exact polynomial field."""
@@ -218,8 +240,8 @@ def _components(acc: dict, form: PForm) -> dict:
     """The target components of an accumulation over the shape of ``form``,
     each finished into a field."""
     cap = form.max_total_degree
-    return {tgt: ScalarField._trusted(form.n, cap, form.kind, form.exact,
-                                      _finish(coeffs, cap, form.exact))
+    return {tgt: form.field_type._trusted(form.n, cap, form.kind, form.exact,
+                                         _finish(coeffs, cap, form.exact))
             for tgt, coeffs in acc.items()}
 
 
@@ -264,8 +286,7 @@ def _require_real_frame(u: PForm):
 def exterior_d(u: PForm) -> PForm:
     """The distributional exterior derivative, sign-exact on increasing indices."""
     _require_real_frame(u)
-    return PForm(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact,
-                 _wedge(u, 0, _axis_rules(u.n, _derivative_rule)))
+    return type(u)(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact, _wedge(u, 0, u._d_rules()))
 
 
 def codifferential(alpha: PForm) -> PForm:
@@ -274,8 +295,8 @@ def codifferential(alpha: PForm) -> PForm:
     _require_real_frame(alpha)
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
-    return PForm(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
-                 _contract(alpha, 0, _axis_rules(alpha.n, _delta_rule)))
+    return type(alpha)(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
+                       _contract(alpha, 0, alpha._t_rules()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +358,27 @@ def _pair_rules(n: int, ladder: tuple, exact: bool) -> tuple:
     return tuple(_PerDegree(rule).__getitem__ for rule in rules)
 
 
+@lru_cache(maxsize=None)
+def _ito_rules(n: int, ladder: tuple, scale: int = 1) -> tuple:
+    """The coefficient rules of one Wirtinger ladder over H_{p,q} on the pairs
+    j = 1..n, times ``scale``: d/dz_j H_{p,q} = p_j H_{p-e_j,q} and d/dzbar_j
+    lowers q_j alike; delta^zbar_j H_{p,q} = -H_{p+e_j,q} and delta^z_j raises
+    q_j alike.  Each weight is an int, so one rule serves both modes."""
+    raising, sign = ladder
+    first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
+    if raising:
+        return tuple((lambda d, i=i: ((_shift(d, i, 1), -scale),))
+                     for i in range(first, 2 * n, 2))
+    return tuple((lambda d, i=i: ((_shift(d, i, -1), scale * d[i]),) if d[i] else ())
+                 for i in range(first, 2 * n, 2))
+
+
+def _ladder_rules(basis: type, n: int, ladder: tuple, exact: bool) -> tuple:
+    """The rules of one Wirtinger ladder on the pairs j = 1..n over the basis
+    of the field type ``basis``."""
+    return _ito_rules(n, ladder) if basis is ItoField else _pair_rules(n, ladder, exact)
+
+
 def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
     """One Wirtinger ladder along complex axis j, in one pass over the pair
     (x_{2j-1}, x_{2j})."""
@@ -344,7 +386,7 @@ def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
     n = complex_dimension(u)
     if j < 1 or j > n:
         raise DomainError(f"complex axis {j} outside 1..{n}")
-    return u._map(_pair_rules(n, ladder, u.exact)[j - 1])
+    return u._map(_ladder_rules(type(u), n, ladder, u.exact)[j - 1])
 
 
 def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
@@ -434,9 +476,9 @@ class ComplexForm(PForm):
 
     def replace(self, components, max_total_degree: Optional[int] = None,
                 exact: Optional[bool] = None) -> "ComplexForm":
-        return ComplexForm(self.n // 2, self.bidegree,
-                           self.max_total_degree if max_total_degree is None else max_total_degree,
-                           self.exact if exact is None else exact, components)
+        return type(self)(self.n // 2, self.bidegree,
+                          self.max_total_degree if max_total_degree is None else max_total_degree,
+                          self.exact if exact is None else exact, components)
 
     def _shape(self) -> tuple:
         return super()._shape() + (self.bidegree,)
@@ -453,7 +495,7 @@ class ComplexForm(PForm):
         for idx, field in self.components.items():
             key = tuple(sorted(a + n if a <= n else a - n for a in idx))
             comps[key] = -field.conjugate() if p * q % 2 else field.conjugate()
-        return ComplexForm(n, (q, p), self.max_total_degree, self.exact, comps)
+        return type(self)(n, (q, p), self.max_total_degree, self.exact, comps)
 
     def to_json(self) -> dict:
         n = self.n // 2
@@ -488,26 +530,31 @@ def partial(u: ComplexForm) -> ComplexForm:
     """partial u = sum_j dz_j ^ du/dz_j, of bidegree (p+1, q)."""
     n = u.n // 2
     p, q = u.bidegree
-    return ComplexForm(n, (p + 1, q), u.max_total_degree, u.exact,
-                       _wedge(u, 0, _pair_rules(n, DZ, u.exact)))
+    return type(u)(n, (p + 1, q), u.max_total_degree, u.exact,
+                   _wedge(u, 0, _ladder_rules(u.field_type, n, DZ, u.exact)))
 
 
 def dbar(u: ComplexForm) -> ComplexForm:
     """dbar u = sum_j dzbar_j ^ du/dzbar_j, of bidegree (p, q+1)."""
     n = u.n // 2
     p, q = u.bidegree
-    return ComplexForm(n, (p, q + 1), u.max_total_degree, u.exact,
-                       _wedge(u, n, _pair_rules(n, DZBAR, u.exact)))
+    return type(u)(n, (p, q + 1), u.max_total_degree, u.exact,
+                   _wedge(u, n, _ladder_rules(u.field_type, n, DZBAR, u.exact)))
+
+
+def _function_form(u: ScalarField) -> ComplexForm:
+    """The complex function u as a (0,0)-form over its own basis."""
+    return (ItoForm if isinstance(u, ItoField) else ComplexForm).function(u)
 
 
 def dbar_function(u: ScalarField) -> ComplexForm:
     """dbar u = sum_j (du/dzbar_j) dzbar_j."""
-    return dbar(ComplexForm.function(u))
+    return dbar(_function_form(u))
 
 
 def ddbar(u: ScalarField) -> ComplexForm:
     """partial dbar u: the coefficient of dz_i ^ dzbar_j is d^2 u / dz_i dzbar_j."""
-    return partial(dbar(ComplexForm.function(u)))
+    return partial(dbar(_function_form(u)))
 
 
 def dbar_adjoint(g: ComplexForm) -> ScalarField:
@@ -517,8 +564,8 @@ def dbar_adjoint(g: ComplexForm) -> ScalarField:
     """
     require_bidegree(g, (0, 1), "dbar*")
     n = g.n // 2
-    return ComplexForm(n, (0, 0), g.max_total_degree, g.exact,
-                       _contract(g, n, _pair_rules(n, DELTA_Z, g.exact))).component(())
+    return type(g)(n, (0, 0), g.max_total_degree, g.exact,
+                   _contract(g, n, _ladder_rules(g.field_type, n, DELTA_Z, g.exact))).component(())
 
 
 def dbar_of_01(g: ComplexForm) -> ComplexForm:
@@ -531,3 +578,63 @@ def partial_of_10(h: ComplexForm) -> ComplexForm:
     """partial of a (1,0)-form: the coefficient of dz_j ^ dz_k (j<k) is
     dh_k/dz_j - dh_j/dz_k."""
     return partial(h)
+
+
+class ItoForm(ComplexForm):
+    """A (p,q)-form on C^n whose coefficients are ItoFields over H_{p,q}, where
+    partial, dbar and dbar* move one index of each term.  Files hold He
+    coefficients, so it converts at from_he, to_he and to_json."""
+
+    __slots__ = ()
+
+    field_type = ItoField
+
+    @classmethod
+    def from_he(cls, form: ComplexForm) -> "ItoForm":
+        if type(form) is not ComplexForm:
+            raise DomainError(f"expected a ComplexForm over He, got {type(form).__name__}")
+        return cls(form.n // 2, form.bidegree, form.max_total_degree, form.exact,
+                   {idx: ItoField.from_he(f) for idx, f in form.components.items()})
+
+    @classmethod
+    def of(cls, form: ComplexForm) -> "ItoForm":
+        """The form over H_{p,q}: itself, or a He form converted."""
+        return form if isinstance(form, ItoForm) else cls.from_he(form)
+
+    def to_he(self) -> ComplexForm:
+        return ComplexForm(self.n // 2, self.bidegree, self.max_total_degree, self.exact,
+                           {idx: f.to_he() for idx, f in self.components.items()})
+
+    def to_json(self) -> dict:
+        return self.to_he().to_json()
+
+
+class ComplexFrameForm(PForm):
+    """A real form on R^{2n} in the complex frame dz_1..dz_n, dzbar_1..dzbar_n
+    (axis n + j is dzbar_j) with coefficients over H_{p,q}, so every bidegree
+    may be present.  The Euclidean metric gives |dz_j|^2 = |dzbar_j|^2 = 2, so
+    ||.||^2 is 2^p times the sum of the components' Ito norms, and
+
+        d  = partial + dbar,
+        T* = 2 sum_j ((-delta^zbar_j) iota_{dz_j} + (-delta^z_j) iota_{dzbar_j}),
+
+    where -delta^zbar_j and -delta^z_j raise p_j and q_j with weight 1.  Its
+    d Laplacian is 2(|p| + |q| + deg) on H_{p,q} of form degree deg."""
+
+    __slots__ = ()
+
+    field_type = ItoField
+
+    def _d_rules(self) -> tuple:
+        n = self.n // 2
+        return _ito_rules(n, DZ) + _ito_rules(n, DZBAR)
+
+    def _t_rules(self) -> tuple:
+        n = self.n // 2
+        return _ito_rules(n, DELTA_ZBAR, 2) + _ito_rules(n, DELTA_Z, 2)
+
+    def norm_sq(self):
+        return super().norm_sq() * 2 ** self.p
+
+    def weighted_inner(self, other: "PForm"):
+        return super().weighted_inner(other) * 2 ** self.p

@@ -18,8 +18,22 @@ exact ones as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
 
 Every weighted norm and inner product in the package is one call of _norm_sq
-or _inner over coefficient maps; float sums add each map's terms in its own
-order, then the per-map totals in order.
+or _inner over coefficient maps, weighted by the squared norms of the
+field's basis; float sums add each map's terms in its own order, then the
+per-map totals in order.
+
+A complex field on R^{2n} may instead be kept over Ito's complex Hermite
+basis (ItoField): H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1,
+keyed by (p_1, q_1, ..., p_n, q_n), with ||H_{p,q}||^2 = prod_j p_j! q_j!
+(Ito 1952).  There the Wirtinger ladders move one index and conjugation
+swaps p and q.  The per-pair conversions come from the generating function
+e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
+
+    He_a(x) He_b(y) = i^b sum_p K(a,b,p) a! b! / (p! q!) H_{p,q}
+    H_{p,q}         = sum_a (-i)^b K(a,b,p) / 2^{a+b} He_a(x) He_b(y)
+
+over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).  Each
+conversion keeps the total degree, so a field's capacity carries over.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import (_make, coerce_scalar, one_half, scalar_from_json, scalar_to_json,
+from .scalars import (QC, _make, coerce_scalar, one_half, scalar_from_json, scalar_to_json,
                       zero_scalar)
 
 REAL = "real"
@@ -45,6 +59,12 @@ def hermite_sq_norm_vector(deg: tuple[int, ...]) -> int:
         for i in range(1, k + 1):
             out *= 2 * i
     return out
+
+
+@lru_cache(maxsize=None)
+def ito_sq_norm_vector(key: tuple[int, ...]) -> int:
+    """<H_key, H_key> = prod_j p_j! q_j! for key (p_1, q_1, ..., p_n, q_n)."""
+    return math.prod(map(math.factorial, key))
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +175,8 @@ def _product_terms(pair) -> list:
     return terms
 
 
-def _inner(map_pairs, exact: bool, complex_kind: bool):
-    """sum_d x_d conj(y_d) ||He_d||^2 over every pair (x, y) of coefficient
+def _inner(map_pairs, exact: bool, complex_kind: bool, weight=hermite_sq_norm_vector):
+    """sum_d x_d conj(y_d) weight(d) over every pair (x, y) of coefficient
     maps: a QC or complex if ``complex_kind``, else the real part.  Exact pairs
     sum integer numerators over one running denominator, reduced once, as
     (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df); float pairs
@@ -169,7 +189,7 @@ def _inner(map_pairs, exact: bool, complex_kind: bool):
             for deg in (mine if len(mine) <= len(theirs) else theirs):
                 if deg in mine and deg in theirs:
                     part = part + (mine[deg] * theirs[deg].conjugate()
-                                   * float(hermite_sq_norm_vector(deg)))
+                                   * float(weight(deg)))
             total = total + (part if complex_kind else part.real)
         return total
     re = im = 0
@@ -179,7 +199,7 @@ def _inner(map_pairs, exact: bool, complex_kind: bool):
             x, y = mine[deg], theirs[deg]
             a, b, d = x._a, x._b, x._d
             c, e, f = y._a, y._b, y._d
-            w = hermite_sq_norm_vector(deg)
+            w = weight(deg)
             df = d * f
             if df != den:
                 k = df // math.gcd(den, df)
@@ -190,9 +210,9 @@ def _inner(map_pairs, exact: bool, complex_kind: bool):
     return _make(re, im, den) if complex_kind else Fraction(re, den)
 
 
-def _norm_sq(maps, exact: bool):
-    """sum_d |x_d|^2 ||He_d||^2 over every coefficient map: exact maps as one
-    Fraction sum (a^2 + b^2) ||He_d||^2 / d^2 over a running denominator, float
+def _norm_sq(maps, exact: bool, weight=hermite_sq_norm_vector):
+    """sum_d |x_d|^2 weight(d) over every coefficient map: exact maps as one
+    Fraction sum (a^2 + b^2) weight(d) / d^2 over a running denominator, float
     maps each summed from zero in their order and the totals then added."""
     if not exact:
         total = 0.0
@@ -200,14 +220,14 @@ def _norm_sq(maps, exact: bool):
             part = 0.0
             for deg, v in coeffs.items():
                 mag = v.real * v.real + v.imag * v.imag
-                part = part + mag * float(hermite_sq_norm_vector(deg))
+                part = part + mag * float(weight(deg))
             total = total + part
         return total
     num, den = 0, 1
     for coeffs in maps:
         for deg, v in coeffs.items():
             a, b, d = v._a, v._b, v._d
-            w = hermite_sq_norm_vector(deg)
+            w = weight(deg)
             dd = d * d
             if dd != den:
                 k = dd // math.gcd(den, dd)
@@ -221,6 +241,9 @@ class ScalarField:
     """A sparse multivariate Hermite expansion with bounded total degree."""
 
     __slots__ = ("m", "max_total_degree", "kind", "exact", "coeffs")
+
+    # the squared norms of the basis, by coefficient key
+    sq_norm = staticmethod(hermite_sq_norm_vector)
 
     def __init__(self, m: int, max_total_degree: int, kind: str = REAL,
                  exact: bool = True, coeffs: Optional[Mapping] = None):
@@ -274,8 +297,9 @@ class ScalarField:
         return zero_scalar(self.exact, self.kind == COMPLEX)
 
     def _compatible(self, other: "ScalarField"):
-        if not isinstance(other, ScalarField):
-            raise DimensionMismatchError(f"expected ScalarField, got {type(other).__name__}")
+        if type(other) is not type(self):
+            raise DimensionMismatchError(
+                f"expected {type(self).__name__}, got {type(other).__name__}")
         if (self.m, self.kind, self.exact) != (other.m, other.kind, other.exact):
             raise DimensionMismatchError(
                 f"incompatible fields: ({self.m},{self.kind},{self.exact}) vs "
@@ -305,7 +329,7 @@ class ScalarField:
         return self._trusted(self.m, self.max_total_degree, self.kind, self.exact, coeffs)
 
     def with_capacity(self, max_total_degree: int) -> "ScalarField":
-        return ScalarField(self.m, max_total_degree, self.kind, self.exact, self.coeffs)
+        return type(self)(self.m, max_total_degree, self.kind, self.exact, self.coeffs)
 
     # -- basic algebra ----------------------------------------------------------
 
@@ -337,7 +361,7 @@ class ScalarField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return (self.m == other.m and self.kind == other.kind
+        return (type(self) is type(other) and self.m == other.m and self.kind == other.kind
                 and self.exact == other.exact and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -373,7 +397,7 @@ class ScalarField:
         """Lower exact coefficients to doubles (identity on float fields)."""
         if not self.exact:
             return self
-        return ScalarField(self.m, self.max_total_degree, self.kind, False, self.coeffs)
+        return type(self)(self.m, self.max_total_degree, self.kind, False, self.coeffs)
 
     def real_part(self) -> "ScalarField":
         if self.kind == REAL:
@@ -441,11 +465,12 @@ class ScalarField:
         Exact results are a Fraction for real fields and a QC for complex ones.
         """
         self._compatible(other)
-        return _inner(((self.coeffs, other.coeffs),), self.exact, self.kind == COMPLEX)
+        return _inner(((self.coeffs, other.coeffs),), self.exact, self.kind == COMPLEX,
+                      self.sq_norm)
 
     def norm_sq(self):
         """||F||^2 as a real scalar (exact Fraction or float)."""
-        return _norm_sq((self.coeffs,), self.exact)
+        return _norm_sq((self.coeffs,), self.exact, self.sq_norm)
 
     def evaluate(self, point) -> object:
         if len(point) != self.m:
@@ -497,3 +522,115 @@ class ScalarField:
                                            exact, kind == COMPLEX)
         return cls(int(data["m"]), int(data["max_total_degree"]), kind, exact, coeffs)
 
+
+
+# ---------------------------------------------------------------------------
+# Ito's complex Hermite basis H_{p,q}
+# ---------------------------------------------------------------------------
+
+
+def _k(a: int, b: int, p: int) -> int:
+    """K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j) with q = a + b - p."""
+    q = a + b - p
+    return sum((-1) ** (p - j) * math.comb(p, j) * math.comb(q, a - j)
+               for j in range(max(0, a - q), min(p, a) + 1))
+
+
+def _times_i_power(r: Fraction, k: int, exact: bool):
+    """The scalar i^k r."""
+    re, im = ((r, 0), (0, r), (-r, 0), (0, -r))[k % 4]
+    return QC(re, im) if exact else complex(re, im)
+
+
+@lru_cache(maxsize=None)
+def he_to_complex_hermite(a: int, b: int, exact: bool) -> tuple:
+    """He_a(x) He_b(y) as ((p, q), coefficient) pairs over H_{p,q}, p + q = a + b."""
+    s = a + b
+    out = []
+    for p in range(s + 1):
+        k = _k(a, b, p)
+        if k:
+            r = Fraction(k * math.factorial(a) * math.factorial(b),
+                         math.factorial(p) * math.factorial(s - p))
+            out.append(((p, s - p), _times_i_power(r, b, exact)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
+    """H_{p,q} as ((a, b), coefficient) pairs over He_a(x) He_b(y), a + b = p + q."""
+    s = p + q
+    out = []
+    for a in range(s + 1):
+        k = _k(a, s - a, p)
+        if k:
+            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s, exact)))
+    return tuple(out)
+
+
+def _convert_pairs(coeffs: dict, m: int, table, exact: bool) -> dict:
+    """Apply a per-pair basis conversion table(a, b, exact) to every complex
+    pair of a coefficient map on R^m; the total degree is kept or lowered."""
+    top = max(map(sum, coeffs), default=0)
+    for j in range(0, m, 2):
+        coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
+            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], exact)],
+            top, exact)
+    return coeffs
+
+
+def _swap_pairs(key: tuple) -> tuple:
+    """The key with each pair (a_j, b_j) swapped: of conj(z^a zbar^b) for a
+    monomial key, of conj(H_{p,q}) = H_{q,p} for an Ito key."""
+    out = [0] * len(key)
+    out[0::2], out[1::2] = key[1::2], key[0::2]
+    return tuple(out)
+
+
+def _he_only(name: str):
+    def refuse(self, *args):
+        raise DomainError(f"{name} acts on He coefficients; convert with from_he and to_he")
+    return refuse
+
+
+class ItoField(ScalarField):
+    """A complex field on R^{2n} over Ito's basis H_{p,q}, keyed by
+    (p_1, q_1, ..., p_n, q_n) and normed by ||H_{p,q}||^2 = p! q!.  It is
+    written and evaluated through its He coefficients; the real-axis ladders,
+    products, real parts and reading act on He coefficients only, so they
+    refuse it (convert with from_he and to_he)."""
+
+    __slots__ = ()
+
+    sq_norm = staticmethod(ito_sq_norm_vector)
+
+    partial_derivative = _he_only("partial_derivative")
+    apply_delta = _he_only("apply_delta")
+    multiply_by_coordinate = _he_only("multiply_by_coordinate")
+    multiply = _he_only("multiply")
+    real_part = _he_only("real_part")
+    imag_part = _he_only("imag_part")
+    from_json = _he_only("from_json")
+
+    @classmethod
+    def from_he(cls, field: ScalarField) -> "ItoField":
+        """A He field over H_{p,q}, one complex pair at a time."""
+        return cls._trusted(field.m, field.max_total_degree, COMPLEX, field.exact,
+                            _convert_pairs(field.coeffs, field.m, he_to_complex_hermite,
+                                           field.exact))
+
+    def to_he(self) -> ScalarField:
+        """This field over He_d, one complex pair at a time."""
+        return ScalarField._trusted(self.m, self.max_total_degree, COMPLEX, self.exact,
+                                    _convert_pairs(self.coeffs, self.m, complex_hermite_to_he,
+                                                   self.exact))
+
+    def conjugate(self) -> "ItoField":
+        """conj(c H_{p,q}) = conj(c) H_{q,p}."""
+        return self.replace({_swap_pairs(d): v.conjugate() for d, v in self.coeffs.items()})
+
+    def evaluate(self, point) -> object:
+        return self.to_he().evaluate(point)
+
+    def to_json(self) -> dict:
+        return self.to_he().to_json()

@@ -14,13 +14,15 @@ allowed by constant subexpressions, keeping everything polynomial.
 The parser's values are sparse polynomials in z and zbar: maps from keys
 (a_1, b_1, ..., a_n, b_n) for prod_j z_j^{a_j} zbar_j^{b_j} to coefficients.
 Products add exponents, conj swaps each (a_j, b_j) and conjugates the
-coefficient, and sums act on coefficients.  The result is converted to a
-complex field on R^{2n} under z_j = x_{2j-1} + i x_{2j} once, at the end,
-one complex pair at a time through the cached table of
+coefficient, and sums act on coefficients.  The result is converted once, at
+the end, to a complex field on R^{2n} under z_j = x_{2j-1} + i x_{2j} over
+Ito's complex Hermite basis H_{p,q} (an ItoField), one complex pair at a
+time through Ito's table (Ito 1952)
 
-    z^a zbar^b = sum_k k! C(a,k) C(b,k) H_{a-k,b-k}
+    z^a zbar^b = sum_k k! C(a,k) C(b,k) H_{a-k,b-k},
 
-(Ito 1952) and the complex Hermite functions H_{p,q} in He_x He_y.
+whose weights are integers.  The field stays over H_{p,q}: ddbar of it is an
+ItoForm, which is what the Poincare-Lelong pipeline solves in.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from functools import lru_cache
 from operator import add
 
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField, _accumulate, _finish, _identity_rule
+from .fields import (COMPLEX, ItoField, _accumulate, _convert_pairs, _finish, _identity_rule,
+                     _swap_pairs)
 from .scalars import QC, coerce_scalar, imaginary_unit
-from .solver import _convert_pairs, complex_hermite_to_he
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
 
@@ -199,29 +201,17 @@ def _scale(poly: dict, s) -> dict:
     return {key: v for key, v in ((key, s * val) for key, val in poly.items()) if v}
 
 
-def _swap_pairs(key: tuple) -> tuple:
-    """The key of the conjugate monomial: each (a_j, b_j) becomes (b_j, a_j)."""
-    out = [0] * len(key)
-    out[0::2], out[1::2] = key[1::2], key[0::2]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _monomial_to_he(a: int, b: int, exact: bool) -> tuple:
-    """z^a zbar^b in one complex pair as ((x, y), weight) pairs over He_x He_y:
-    sum_k k! C(a,k) C(b,k) H_{a-k,b-k}, each H_{p,q} from complex_hermite_to_he.
-    Float weights are the exact ones lowered to complex doubles."""
-    if not exact:
-        return tuple((t, coerce_scalar(w, False, True)) for t, w in _monomial_to_he(a, b, True))
-    acc: dict = {}
-    for k in range(min(a, b) + 1):
-        _accumulate(acc, complex_hermite_to_he(a - k, b - k, True), _identity_rule, True,
-                    math.factorial(k) * math.comb(a, k) * math.comb(b, k))
-    return tuple(_finish(acc, a + b, True).items())
+def _monomial_to_ito(a: int, b: int, exact: bool) -> tuple:
+    """z^a zbar^b in one complex pair as ((p, q), weight) pairs over H_{p,q}:
+    sum_k k! C(a,k) C(b,k) H_{a-k,b-k}, with integer weights in both modes."""
+    return tuple(((a - k, b - k), math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+                 for k in range(min(a, b) + 1))
 
 
-def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> ScalarField:
-    """Parse a polynomial in z1..zn (and conj) into a complex field on R^{2n}."""
+def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> ItoField:
+    """Parse a polynomial in z1..zn (and conj) into a complex field on R^{2n}
+    over H_{p,q}."""
     if n < 1:
         raise DomainError("potential needs n >= 1")
     tokens = _tokenize(text)
@@ -231,5 +221,5 @@ def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> Sca
     top = _degree(parsed) or 0
     if top > capacity:
         raise DomainError(f"potential degree {top} exceeds capacity {capacity}")
-    return ScalarField._trusted(2 * n, capacity, COMPLEX, exact,
-                                _convert_pairs(parsed, 2 * n, _monomial_to_he, exact))
+    return ItoField._trusted(2 * n, capacity, COMPLEX, exact,
+                             _convert_pairs(parsed, 2 * n, _monomial_to_ito, exact))

@@ -5,26 +5,23 @@ and return u = op* beta.  For closed f the Laplacian commutes with op, so
 op beta = 0, f = op(op* beta) and u lies in range(op*) = ker(op)^perp: it is
 the minimum-norm solution.
 
-Under the weight e^{-|x|^2} both Laplacians are diagonal in Hermite bases.
+Under the weight e^{-|x|^2} both Laplacians are diagonal in Hermite bases,
+so each solve is one division per coefficient.
 
-* d: dT* + T*d acts on He_d dx^I as multiplication by 2(|d| + p) for a
-  p-form (the Bochner identity; cf. Witten's Laplacian), so beta divides
-  each coefficient by 2(|d| + p).
+* d: dT* + T*d acts on a degree-k basis element of a p-form as
+  multiplication by 2(k + p) (the Bochner identity; cf. Witten's
+  Laplacian), so beta divides each coefficient by 2(k + p).  The solve is
+  one function over the form's frame: its d and T* rules and its metric.  A
+  PForm is in the real frame over He_d with k = |d|; a ComplexFrameForm is
+  in the complex frame over H_{p,q} with k = |p| + |q|, where d = partial +
+  dbar, T* raises one index with weight 2 and the Euclidean norm carries
+  the factor 2^p (see calculus).
 * dbar: on dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component,
-  with L = -sum_j delta^z_j d/dzbar_j and L H_{p,q} = |q| H_{p,q} in the
+  with L = -sum_j delta^z_j d/dzbar_j and L H_{p,q} = |q| H_{p,q} in Ito's
   complex Hermite basis H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1
-  (Ito 1952).  (L + 1)^{-1} is one linear rule per degree vector,
-  He_d -> sum_t w_t He_t, built once in exact arithmetic and cached: convert
-  He_d to that basis one complex pair (x_{2j-1}, x_{2j}) at a time, divide by
-  |q| + 1 and convert back.  Float mode lowers the exact weights to doubles.
-
-The per-pair conversions come from the generating function
-e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
-
-    He_a(x) He_b(y) = i^b sum_p K(a,b,p) a! b! / (p! q!) H_{p,q}
-    H_{p,q}         = sum_a (-i)^b K(a,b,p) / 2^{a+b} He_a(x) He_b(y)
-
-over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).
+  (Ito 1952).  The solve runs over H_{p,q}: beta divides each coefficient
+  by |q| + 1 and u = dbar* beta raises q_j.  A g over He is converted to
+  H_{p,q} once on the way in, and u and beta once on the way out.
 
 No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
 every closed input solves.  Each solve checks the closedness of its input
@@ -40,13 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
+from .calculus import (ComplexForm, ItoForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import DegreeOverflowError, DomainError, NotClosedError, SolveNumericalError
-from .fields import ScalarField, _map_terms
-from .scalars import QC, coerce_scalar, render_value
+from .scalars import render_value
 
 FLOAT_BOUND_SLACK = 1e-12
 
@@ -186,85 +181,19 @@ def solve_d_min_norm(f: PForm, tolerance: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _k(a: int, b: int, p: int) -> int:
-    """K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j) with q = a + b - p."""
-    q = a + b - p
-    return sum((-1) ** (p - j) * math.comb(p, j) * math.comb(q, a - j)
-               for j in range(max(0, a - q), min(p, a) + 1))
+def _solve_dbar(g: ComplexForm, tolerance: float):
+    """The dbar solve over H_{p,q}, for g over either basis: (u, beta, report)
+    with u and beta over H_{p,q}.
 
-
-def _times_i_power(r: Fraction, k: int, exact: bool):
-    """The scalar i^k r."""
-    re, im = ((r, 0), (0, r), (-r, 0), (0, -r))[k % 4]
-    return QC(re, im) if exact else complex(re, im)
-
-
-@lru_cache(maxsize=None)
-def he_to_complex_hermite(a: int, b: int, exact: bool) -> tuple:
-    """He_a(x) He_b(y) as ((p, q), coefficient) pairs over H_{p,q}, p + q = a + b."""
-    s = a + b
-    out = []
-    for p in range(s + 1):
-        k = _k(a, b, p)
-        if k:
-            r = Fraction(k * math.factorial(a) * math.factorial(b),
-                         math.factorial(p) * math.factorial(s - p))
-            out.append(((p, s - p), _times_i_power(r, b, exact)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
-    """H_{p,q} as ((a, b), coefficient) pairs over He_a(x) He_b(y), a + b = p + q."""
-    s = p + q
-    out = []
-    for a in range(s + 1):
-        k = _k(a, s - a, p)
-        if k:
-            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s, exact)))
-    return tuple(out)
-
-
-def _convert_pairs(coeffs: dict, m: int, table, exact: bool) -> dict:
-    """Apply a per-pair basis conversion table(a, b, exact) to every complex
-    pair of a coefficient map on R^m; the total degree is kept or lowered."""
-    top = max(map(sum, coeffs), default=0)
-    for j in range(0, m, 2):
-        coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
-            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], exact)],
-            top, exact)
-    return coeffs
-
-
-@lru_cache(maxsize=None)
-def _dbar_inverse_rule(d: tuple, exact: bool) -> tuple:
-    """(L + 1)^{-1} He_d as (degree, weight) pairs: He_d converted to the
-    H_{p,q} basis, divided by |q| + 1 and converted back, in exact arithmetic;
-    float weights are the exact ones lowered to complex doubles."""
-    if not exact:
-        return tuple((t, coerce_scalar(w, False, True)) for t, w in _dbar_inverse_rule(d, True))
-    spectral = _convert_pairs({d: QC(1)}, len(d), he_to_complex_hermite, True)
-    spectral = {key: val / (sum(key[1::2]) + 1) for key, val in spectral.items()}
-    return tuple(_convert_pairs(spectral, len(d), complex_hermite_to_he, True).items())
-
-
-def _inverse_dbar_laplacian(field: ScalarField) -> ScalarField:
-    """(L + 1)^{-1} on one component: one cached rule per degree vector."""
-    exact = field.exact
-    return field._map(lambda d: _dbar_inverse_rule(d, exact))
-
-
-def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
-    """Solve dbar u = g with the Hormander-type bound 2 under e^{-|z|^2};
-    returns (u, beta, report).
-
-    beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g.
+    beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g:
+    a division by |q| + 1 over H_{p,q}.  A g over He is converted once.
     """
     require_bidegree(g, (0, 1), "dbar u = g")
+    h = ItoForm.of(g)
     exact = g.exact
     bound = Fraction(2) if exact else 2.0
-    g_sq = _input_norm_sq(g)
-    dg_sq = dbar_of_01(g).norm_sq()
+    g_sq = _input_norm_sq(h)
+    dg_sq = dbar_of_01(h).norm_sq()
     if not negligible(dg_sq, g_sq, exact, tolerance):
         raise NotClosedError(
             "dbar u = g needs dbar g = 0" if exact else
@@ -272,13 +201,23 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
             residual_norm_sq=dg_sq)
     _check_capacity(g.degree, g.max_total_degree)
 
-    beta = g.replace({idx: _inverse_dbar_laplacian(field)
-                      for idx, field in g.components.items()})
+    beta = h.replace({idx: field.replace({key: val / (sum(key[1::2]) + 1)
+                                          for key, val in field.coeffs.items()})
+                      for idx, field in h.components.items()})
     u = dbar_adjoint(beta)
-    return u, beta, _finish(u, dbar_function(u), g, g_sq, bound,
-                          _degree_levels(g.components.values()), exact, tolerance)
+    return u, beta, _finish(u, dbar_function(u), h, g_sq, bound,
+                            _degree_levels(h.components.values()), exact, tolerance)
+
+
+def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
+    """Solve dbar u = g with the Hormander-type bound 2 under e^{-|z|^2};
+    returns (u, beta, report) with u and beta over the basis of g."""
+    u, beta, report = _solve_dbar(g, tolerance)
+    if not isinstance(g, ItoForm):
+        u, beta = u.to_he(), beta.to_he()
+    return u, beta, report
 
 
 def solve_dbar_min_norm(g: ComplexForm, tolerance: float = 1e-10):
-    u, _, report = solve_dbar_min_norm_full(g, tolerance)
-    return u, report
+    u, _, report = _solve_dbar(g, tolerance)
+    return (u if isinstance(g, ItoForm) else u.to_he()), report

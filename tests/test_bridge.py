@@ -6,7 +6,7 @@ from gauss_hodge import bridge
 from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelong,
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
-from gauss_hodge.calculus import ComplexForm, PForm, ddbar
+from gauss_hodge.calculus import ComplexForm, ItoForm, PForm, ddbar
 from gauss_hodge.errors import InvariantViolationError, NotClosedError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import MultiIndex
@@ -215,19 +215,20 @@ def test_pipeline_rejects_nonclosed():
 def test_pipeline_faults_past_the_d_solves_are_invariant_violations(monkeypatch, part, stage):
     """The d solves accept closed input; a (1,0) part that is not partial-closed
     or a (0,1) part that is not dbar-closed after them is the pipeline's own
-    fault, never a NotClosedError about the input."""
+    fault, never a NotClosedError about the input.  The bump is injected where
+    the pipeline reads the parts of v_k off the complex frame."""
     # z2 dz1 and zbar2 dzbar1 on C^2: partial = dz2 ^ dz1, dbar = dzbar2 ^ dzbar1
     bump = zzbar_poly_field(2, CAP, {((0, 1), (0, 0)) if part == 0 else ((0, 0), (0, 1)): 1})
     zero = ScalarField.zero(4, CAP, "complex")
-    bad = ComplexForm.from_layout((1, 0) if part == 0 else (0, 1), [bump, zero])
-    honest = bridge.split_bidegree
+    bad = ItoForm.from_he(ComplexForm.from_layout((1, 0) if part == 0 else (0, 1), [bump, zero]))
+    honest = bridge._type_parts
 
-    def split_with_a_bump(v):
-        pieces = list(honest(v))
+    def parts_with_a_bump(v, comps, form_type):
+        pieces = list(honest(v, comps, form_type))
         pieces[part] = pieces[part] + bad
         return tuple(pieces)
 
-    monkeypatch.setattr(bridge, "split_bidegree", split_with_a_bump)
+    monkeypatch.setattr(bridge, "_type_parts", parts_with_a_bump)
     f = ddbar(zzbar_poly_field(2, CAP, {((1, 0), (1, 1)): 1, ((1, 1), (0, 1)): QC(2, -1)}))
     with pytest.raises(InvariantViolationError) as err:
         solve_poincare_lelong(f)

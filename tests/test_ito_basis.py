@@ -1,0 +1,90 @@
+"""Ito's basis H_{p,q} against the He basis, which stays the oracle.
+
+Each one-index rule over H_{p,q} must equal the He ladder it replaces once
+conjugated by the exact per-pair conversions, and the complex-frame forms of
+the Poincare-Lelong pipeline must carry the real frame's d, T* and metric.
+"""
+
+import math
+
+import pytest
+
+from gauss_hodge.bridge import _frame_change
+from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, codifferential,
+                                  delta_z, delta_zbar, exterior_d, wirtinger_dz,
+                                  wirtinger_dzbar)
+from gauss_hodge.errors import DimensionMismatchError, DomainError
+from gauss_hodge.fields import ItoField
+from gauss_hodge.randomforms import random_pform
+from gauss_hodge.scalars import QC
+
+LADDERS = (wirtinger_dz, wirtinger_dzbar, delta_z, delta_zbar)
+
+
+def keys(m, top):
+    """Every key of length m with total degree at most top."""
+    if m == 0:
+        return [()]
+    return [(k,) + rest for k in range(top + 1) for rest in keys(m - 1, top - k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ito_rules_are_the_he_ladders(n):
+    """On every H_key of total degree <= 6: the four Wirtinger ladders over
+    H_{p,q} (one index moved, weight p_j or q_j lowering, -1 raising) and
+    conjugation (p and q swapped) equal the He ladders under the exact
+    conversions, and ||H_key||^2 = prod_j p_j! q_j! is the He norm of the
+    conversion."""
+    for key in keys(2 * n, 6):
+        ito = ItoField(2 * n, 7, "complex", True, {key: QC(2, 3)})
+        he = ito.to_he()
+        assert ItoField.from_he(he) == ito
+        for ladder in LADDERS:
+            for j in range(1, n + 1):
+                assert ladder(ito, j).to_he() == ladder(he, j), (ladder.__name__, key, j)
+        assert ito.conjugate().to_he() == he.conjugate()
+        assert ito.norm_sq() == he.norm_sq() == 13 * math.prod(map(math.factorial, key))
+
+
+def _complex_frame(form):
+    """A real-frame form over He in the complex frame over H_{p,q}."""
+    comps = _frame_change(form.promote_complex(), to_complex=True)
+    return ComplexFrameForm(form.n, form.p, form.max_total_degree, "complex", form.exact,
+                            {idx: ItoField.from_he(f) for idx, f in comps.items()})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complex_frame_carries_the_real_metric_d_and_codifferential(rng, n):
+    """Random real p-forms on R^{2n}: 2^p times the Ito norm of the
+    complex-frame image is the real He norm, inner products agree, and the
+    complex frame's d and T* are exterior_d and codifferential after the frame
+    and basis change."""
+    for p in range(1, min(3, 2 * n) + 1):
+        for _ in range(2):
+            form = random_pform(rng, 2 * n, p, 7, 4)
+            other = random_pform(rng, 2 * n, p, 7, 4)
+            frame = _complex_frame(form)
+            ito_sq = sum(f.norm_sq() for f in frame.components.values())
+            assert 2 ** p * ito_sq == frame.norm_sq() == form.norm_sq()
+            assert frame.weighted_inner(_complex_frame(other)) == form.weighted_inner(other)
+            assert exterior_d(frame) == _complex_frame(exterior_d(form))
+            assert codifferential(frame) == _complex_frame(codifferential(form))
+
+
+def test_the_basis_is_part_of_the_type():
+    """A field over H_{p,q} never meets a He field or a He form, and refuses
+    the operations that read He coefficients."""
+    ito = ItoField(2, 4, "complex", True, {(1, 2): QC(1, 1)})
+    he = ito.to_he()
+    assert ito != he and ItoField.from_he(he) == ito
+    with pytest.raises(DimensionMismatchError):
+        ito + he
+    with pytest.raises(DimensionMismatchError):
+        ComplexForm.from_layout((0, 1), [ito])
+    with pytest.raises(DomainError):
+        ItoForm.from_he(ItoForm.from_layout((0, 1), [ito]))
+    for refused in (lambda: ito.partial_derivative(1), lambda: ito.multiply(ito),
+                    ito.real_part, lambda: ItoField.from_json(he.to_json())):
+        with pytest.raises(DomainError, match="He coefficients"):
+            refused()
+    assert ito.to_json() == he.to_json() and ito.evaluate((1, 2)) == he.evaluate((1, 2))

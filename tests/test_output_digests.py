@@ -9,14 +9,17 @@ cached rule per degree vector.
 
 Float mode uses only + - * / on doubles, so on one platform its output is
 deterministic too, and a change that keeps the order of every float sum
-keeps its bytes.  The
-float digests were taken before every weighted norm and inner product was
-routed through ``fields._norm_sq`` and ``fields._inner``.  The ``verify``
+keeps its bytes.  The float ``lelong`` digests were taken when the pipeline
+moved to the complex frame over Ito's basis H_{p,q}, which rounds
+differently; ``test_float_lelong_agrees_with_exact`` bounds how far float
+may stray from exact.  The ``verify``
 digests on C^1 and C^3 were taken before the ddbar adjoint display read its
 second derivatives from one table.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,12 +50,12 @@ LELONG_DIGESTS = {
 }
 
 FLOAT_LELONG_DIGESTS = {
-    "C1": "b79f522da8c7652097ab870c0b338d1490f7d383276f7e8e6c84d08272824786",
-    "C2": "1376de3b07118d994a13f0020080fb2f4be6d1fa3d58edaa659114dac3bda2d6",
-    "C3": "0e1cea002d6ac1a1d08c25325a3a623afddb38f233427c9b98882b3fa53ce31a",
-    "C1-sums": "9605b7a1cc59a353edb75a7ade85f8c6af7828067587c50f3e789e247a53ac96",
-    "C2-sums": "19f6c584745ae8db0224987e1d86feb8b00330578c03f3b4eb604dc4b5d47b73",
-    "C3-sums": "ff75560592e9c52721f20e4641bcb329d8d492b8f1f5837121413b4477a9d256",
+    "C1": "6c2f8d73549cc2d1470150f246d0062c125666eb927e6c5dea1d1758387d5a19",
+    "C2": "2f80cd0cd5277c59f900d2ec9cd504e56ae2b8fbcc66a6e30a8a3edfe32419b9",
+    "C3": "2f84c817d2224fe01d623a30bbc3b8f1eadcd30937f7ea123626daf69b0f1b9b",
+    "C1-sums": "1baf83ca9b80d729f73468731d59424e15793363ecd6cfdad0395ffb7f9ad50f",
+    "C2-sums": "036498205a9b4a63249816c6ad0ac174ce6957ce3c7553ef0827b8c555c67b74",
+    "C3-sums": "68d22691c080d42f3682b6b93ca8782f9975c25b59179f8fb30a2ce6c37c6084",
 }
 
 # n -> (exact digest, float digest) of verify --n n --degree 6 --trials 2 --seed 3;
@@ -106,3 +109,37 @@ def test_exact_verify_output_bytes_are_pinned_on_c1_and_c3(tmp_path, n):
 @pytest.mark.parametrize("n", [1, 3])
 def test_float_verify_output_bytes_are_pinned_on_c1_and_c3(tmp_path, n):
     assert _digest(tmp_path, _verify_argv(n) + ["--mode", "float"]) == VERIFY_DIGESTS[n][1]
+
+
+def _lelong_payload(tmp_path, mode: str, space: str) -> dict:
+    out = tmp_path / f"{mode}.json"
+    assert main(["lelong", "--mode", mode] + LELONG_DIGESTS[space][0]
+                + ["--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _stage_norms(report: dict) -> dict:
+    stages = dict(report["stages"], final=report["final"])
+    return {(stage, key): rep[key] for stage, rep in stages.items()
+            for key in ("input_norm_sq", "output_norm_sq")}
+
+
+@pytest.mark.parametrize("space", sorted(LELONG_DIGESTS))
+def test_float_lelong_agrees_with_exact(tmp_path, space):
+    """Float lelong is within 1e-13 of the largest exact solution coefficient,
+    and every stage norm within 1e-13 relative, on the pinned potentials."""
+    exact = _lelong_payload(tmp_path, "exact", space)
+    floating = _lelong_payload(tmp_path, "float", space)
+
+    def coefficients(solution, parse):
+        return {tuple(e["deg"]): complex(parse(e["re"]), parse(e["im"]))
+                for e in solution["coeffs"]}
+
+    want = coefficients(exact["solution"], lambda s: float(Fraction(s)))
+    got = coefficients(floating["solution"], float)
+    scale = max(map(abs, want.values()))
+    for deg in want.keys() | got.keys():
+        assert abs(got.get(deg, 0) - want.get(deg, 0)) <= 1e-13 * scale, deg
+    norms = _stage_norms(floating["report"])
+    for key, value in _stage_norms(exact["report"]).items():
+        assert abs(norms[key] - float(Fraction(value))) <= 1e-13 * float(Fraction(value)), key

@@ -10,14 +10,12 @@ from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoi
                                   wirtinger_dzbar)
 from gauss_hodge.errors import (DegreeOverflowError, InvariantViolationError, NotClosedError,
                                 SolveNumericalError)
-from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
+from gauss_hodge.fields import (ItoField, ScalarField, _convert_pairs, complex_hermite_to_he,
+                                he_to_complex_hermite, hermite_sq_norm_vector)
 from gauss_hodge.multiindex import MultiIndex, enumerate_indices
-from gauss_hodge.randomforms import (random_closed_pform, random_complex_function,
-                                     random_dbar_closed_form01)
+from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
 from gauss_hodge.scalars import QC
-from gauss_hodge.solver import (_convert_pairs, _dbar_inverse_rule, _inverse_dbar_laplacian,
-                                _make_report, bound_holds, complex_hermite_to_he,
-                                he_to_complex_hermite, negligible, solve_d_min_norm,
+from gauss_hodge.solver import (_make_report, bound_holds, negligible, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
                                 solve_dbar_min_norm_full)
 
@@ -215,32 +213,31 @@ def _two_pass_inverse(coeffs: dict, m: int) -> dict:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cached_dbar_rule_is_the_two_pass_conversion(n):
-    """For every degree vector up to total degree 6: the cached rule equals the
-    two-pass conversion under ==, (L + 1) maps it back to He_d with
-    L = -sum_j delta^z_j d/dzbar_j, and the float rule is the exact one lowered."""
+def test_dbar_solve_divides_by_the_two_pass_inverse(rng, n):
+    """For g = dbar He_d at every degree vector up to total degree 5 (4 on
+    C^3), and for random closed g: beta equals the two-pass conversion under
+    ==, (L + 1) maps it back to g with L = -sum_j delta^z_j d/dzbar_j,
+    u = dbar* beta, and a float solve's beta is the exact one lowered."""
     m = 2 * n
-    for d in degree_vectors(m, 6):
-        rule = _dbar_inverse_rule(d, True)
-        assert dict(rule) == _two_pass_inverse({d: QC(1)}, m)
-        u = ScalarField(m, 6, "complex", True, dict(rule))
-        image = u
-        for j in range(1, n + 1):
-            image = image - delta_z(wirtinger_dzbar(u, j), j)
-        assert image == ScalarField(m, 6, "complex", True, {d: 1})
-        assert _dbar_inverse_rule(d, False) == tuple(
-            (t, complex(float(w.re), float(w.im))) for t, w in rule)
-
-
-def test_inverse_dbar_laplacian_of_random_fields(rng):
-    for n in (1, 2, 3):
-        for _ in range(4):
-            field = random_complex_function(rng, n, 6, 6, terms=5)
-            assert _inverse_dbar_laplacian(field).coeffs == _two_pass_inverse(field.coeffs, 2 * n)
-            lowered = _inverse_dbar_laplacian(field.to_float()).coeffs
-            exact = _inverse_dbar_laplacian(field).to_float().coeffs
-            assert lowered.keys() == exact.keys()
-            assert all(abs(lowered[d] - exact[d]) <= 1e-12 * abs(exact[d]) for d in exact)
+    gs = [dbar_function(ScalarField(m, 6, "complex", True, {d: 1}))
+          for d in degree_vectors(m, 4 if n == 3 else 5) if any(d)]
+    gs += [random_dbar_closed_form01(rng, n, 6, 5, terms=5) for _ in range(4)]
+    for g in gs:
+        u, beta, _ = solve_dbar_min_norm_full(g)
+        assert u == dbar_adjoint(beta)
+        for idx, field in g.components.items():
+            inverse = beta.component(idx)
+            assert inverse.coeffs == _two_pass_inverse(field.coeffs, m)
+            image = inverse
+            for j in range(1, n + 1):
+                image = image - delta_z(wirtinger_dzbar(inverse, j), j)
+            assert image == field
+        lowered = solve_dbar_min_norm_full(g.to_float())[1]
+        for idx, field in beta.components.items():
+            exact = field.to_float().coeffs
+            got = lowered.component(idx).coeffs
+            assert got.keys() == exact.keys()
+            assert all(abs(got[d] - exact[d]) <= 1e-12 * abs(exact[d]) for d in exact)
 
 
 def _mutated(op, applies=lambda *args: True):
@@ -262,7 +259,7 @@ def test_exact_gates_report_the_subtracted_residual(monkeypatch, rng):
     monkeypatch.setattr(solver, "dbar_function", bad_dbar)
     with pytest.raises(NotClosedError) as err:
         solve_dbar_min_norm(g)
-    assert err.value.residual_norm_sq == (bad_dbar.image - g).norm_sq() != 0
+    assert err.value.residual_norm_sq == (bad_dbar.image.to_he() - g).norm_sq() != 0
 
     f = random_closed_pform(rng, 3, 2, 6, 3)
     bad_d = _mutated(exterior_d, lambda u: u.p == 1)  # not the closedness check on f
@@ -278,7 +275,7 @@ def test_exact_gates_report_the_subtracted_residual(monkeypatch, rng):
     with pytest.raises(InvariantViolationError) as err:
         bridge.solve_poincare_lelong(form)
     assert err.value.stage == "final_residual"
-    assert err.value.lhs == (bad_ddbar.image - form).norm_sq() != 0
+    assert err.value.lhs == (bad_ddbar.image.to_he() - form).norm_sq() != 0
 
 
 def test_d_solution_is_minimum_norm_against_dense_oracle(rng):
@@ -571,7 +568,7 @@ def _overflowing_nonclosed(equation: str):
     ("d", solve_d_min_norm, "codifferential"),
     ("dbar", solve_dbar_min_norm, "dbar_adjoint"),
 ], ids=["d", "dbar"])
-def test_float_solve_refuses_a_nonfinite_input_norm_before_solving(monkeypatch, equation,
+def test_float_solve_refuses_a_nonfinite_input_norm_before_solving(monkeypatch, rng, equation,
                                                                   solve, adjoint):
     calls = []
     real = getattr(solver, adjoint)
@@ -579,6 +576,12 @@ def test_float_solve_refuses_a_nonfinite_input_norm_before_solving(monkeypatch, 
     with pytest.raises(SolveNumericalError, match="input norm"):
         solve(_overflowing_nonclosed(equation))
     assert calls == []
+    # the spied adjoint is the step a solve takes, over the basis it solves in
+    closed = (random_closed_pform(rng, 2, 1, 6, 3, exact=False) if equation == "d"
+              else random_dbar_closed_form01(rng, 2, 6, 3, exact=False))
+    solve(closed)
+    assert len(calls) == 1
+    assert calls[0].field_type is (ItoField if equation == "dbar" else ScalarField)
 
 
 def test_float_report_never_certifies_inf_or_nan():
