@@ -21,7 +21,7 @@ from .identities import (BochnerReport, DdbarAdjointReport, DNormExpansionReport
                          bochner_identity_report, conjugation_identities_check,
                          d_norm_expansion_report, ddbar_adjoint_identity_report,
                          ddbar_formal_adjoint)
-from .multiindex import MultiIndex, enumerate_indices, insert_axis, remove_axis
+from .multiindex import enumerate_indices, insert_axis, remove_axis
 from .potentials import parse_potential
 from .scalars import QC
 from .solver import (SolveReport, solve_d_min_norm, solve_d_min_norm_full,
@@ -30,7 +30,7 @@ from .solver import (SolveReport, solve_d_min_norm, solve_d_min_norm_full,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QC", "MultiIndex", "enumerate_indices", "insert_axis", "remove_axis",
+    "QC", "enumerate_indices", "insert_axis", "remove_axis",
     "HermiteSeries", "differentiate", "apply_delta", "multiply_by_coordinate",
     "inner_product_1d", "evaluate",
     "ScalarField", "ItoField",

@@ -57,7 +57,7 @@ from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _component
 from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
-from .multiindex import MultiIndex, insert_axis
+from .multiindex import insert_axis
 from .scalars import imaginary_unit, one_half, render_value
 from .solver import (SolveReport, _make_report, bound_holds, negligible,
                      solve_d_min_norm_full, solve_dbar_min_norm_full)
@@ -83,14 +83,14 @@ def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _frame_weights(idx: MultiIndex, exact: bool, to_complex: bool) -> tuple:
-    """The frame element e_idx in the other frame, as (index, weight) pairs:
-    each e_a becomes sum_{(b, w) in table[a]} w e_b, insert_axis re-sorts the
-    wedge of the images, and the weights of one index are summed."""
-    table = _frame_table(idx.n // 2, exact, to_complex)
+def _frame_weights(idx: tuple, n: int, exact: bool, to_complex: bool) -> tuple:
+    """The frame element e_idx on C^n in the other frame, as (index, weight)
+    pairs: each e_a becomes sum_{(b, w) in table[a]} w e_b, insert_axis
+    re-sorts the wedge of the images, and the weights of one index are summed."""
+    table = _frame_table(n, exact, to_complex)
     weights: dict = {}
     for picks in itertools.product(*(table[a] for a in idx)):
-        key, weight = MultiIndex((), idx.n), 1
+        key, weight = (), 1
         for b, w in reversed(picks):
             ins = insert_axis(b, key)
             if ins is None:
@@ -107,7 +107,7 @@ def _frame_change(form: PForm, to_complex: bool) -> dict:
     once, with its total weight, straight into each target's coefficients."""
     acc: dict = {}
     for idx, field in form.components.items():
-        for key, weight in _frame_weights(idx, form.exact, to_complex):
+        for key, weight in _frame_weights(idx, form.n // 2, form.exact, to_complex):
             _accumulate(acc.setdefault(key, {}), field.coeffs.items(), _identity_rule,
                         form.exact, weight)
     return _components(acc, form)

@@ -2,9 +2,9 @@
 and the adjoint of dbar on C^n, all through one wedge rule and one
 contraction rule.
 
-A p-form is a map from increasing multi-indices over frame axes to scalar
-fields.  Each first-order operator wedges with frame 1-forms e_j, and each
-weighted adjoint contracts with them:
+A p-form is a map from increasing tuples of frame axes to scalar fields.
+Each first-order operator wedges with frame 1-forms e_j, and each weighted
+adjoint contracts with them:
 
     (L u)      = sum_j e_j ^ L_j u
     (L* a)_I   = - sum_j L'_j a_{jI}
@@ -59,14 +59,14 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _delta_rule,
-                     _derivative_rule, _finish, _inner, _norm_sq, _shift)
-from .multiindex import MultiIndex, insert_axis, remove_axis
-from .scalars import imaginary_unit, one_half
+from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _axis_rules,
+                     _delta_rule, _derivative_rule, _finish, _inner, _norm_sq, _shift)
+from .multiindex import check_index, insert_axis, remove_axis
+from .scalars import imaginary_unit, json_int, one_half
 
 
 class PForm:
-    """A p-form on R^n: map from increasing multi-indices to scalar fields.
+    """A p-form on R^n: map from increasing tuples of axes in 1..n to scalar fields.
 
     Missing keys mean zero components.  All stored components share the
     ambient dimension, scalar kind, mode, capacity and the basis
@@ -78,7 +78,7 @@ class PForm:
     field_type = ScalarField
 
     def __init__(self, n: int, p: int, max_total_degree: int, kind: str = REAL,
-                 exact: bool = True, components: Optional[Mapping[MultiIndex, ScalarField]] = None):
+                 exact: bool = True, components: Optional[Mapping[tuple, ScalarField]] = None):
         if n < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         if p < 0:
@@ -88,19 +88,16 @@ class PForm:
         self.max_total_degree = max_total_degree
         self.kind = kind
         self.exact = exact
-        store: dict[MultiIndex, ScalarField] = {}
+        store: dict[tuple, ScalarField] = {}
         if components:
             if p > n:
                 raise DomainError(f"a {p}-form on R^{n} can only be zero")
             for idx, field in components.items():
-                if not isinstance(idx, MultiIndex):
-                    idx = MultiIndex(tuple(idx), n)
-                if idx.n != n or idx.p != p:
-                    raise DomainError(f"component index {idx.axes} does not match ({n},{p})")
+                idx = check_index(idx, n, p)
                 if (field.m != n or field.kind != kind or field.exact != exact
                         or type(field) is not self.field_type):
                     raise DimensionMismatchError(
-                        f"component field for {idx.axes} has wrong shape/kind/mode")
+                        f"component field for {idx} has wrong shape/kind/mode")
                 if not field.is_zero():
                     store[idx] = field.with_capacity(max_total_degree) \
                         if field.max_total_degree != max_total_degree else field
@@ -113,15 +110,16 @@ class PForm:
                           self.max_total_degree if max_total_degree is None else max_total_degree,
                           self.kind, self.exact if exact is None else exact, components)
 
-    def component(self, idx: MultiIndex | tuple) -> ScalarField:
-        if not isinstance(idx, MultiIndex):
-            idx = MultiIndex(tuple(idx), self.n)
+    def component(self, idx) -> ScalarField:
         return self.components.get(
-            idx, self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact))
+            check_index(idx, self.n, self.p),
+            self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact))
 
-    def signed_component(self, j: int, idx: MultiIndex) -> ScalarField:
+    def signed_component(self, j: int, idx: tuple) -> ScalarField:
         """The coefficient a_{jI}: zero when j is in I, else the sign-adjusted
         component at the sorted index."""
+        if j < 1 or j > self.n:
+            raise DomainError(f"axis {j} outside range 1..{self.n}")
         ins = insert_axis(j, idx)
         if ins is None:
             return self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact)
@@ -213,7 +211,7 @@ class PForm:
         return out
 
     def evaluate(self, point) -> dict[tuple[int, ...], object]:
-        return {idx.axes: f.evaluate(point) for idx, f in self.components.items()}
+        return {idx: f.evaluate(point) for idx, f in self.components.items()}
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, p={self.p}, components={len(self.components)})"
@@ -221,14 +219,16 @@ class PForm:
     def to_json(self) -> dict:
         comps = []
         for idx in sorted(self.components):
-            comps.append({"index": idx.to_json(), "field": self.components[idx].to_json()})
+            comps.append({"index": list(idx), "field": self.components[idx].to_json()})
         return {"n": self.n, "p": self.p, "components": comps}
 
     @classmethod
     def from_json(cls, data: dict) -> "PForm":
-        n, p = int(data["n"]), int(data["p"])
+        n, p = json_int(data["n"], "n"), json_int(data["p"], "p")
         comps = data.get("components", [])
-        keys = [MultiIndex.from_json(c["index"], n) for c in comps]
+        keys = [check_index(c["index"], n, p) for c in comps]
+        if len(set(keys)) < len(keys):
+            raise DomainError("a component index appears twice")
         fields = _fields_from_json([c["field"] for c in comps])
         if not fields:
             return cls(n, p, 0)
@@ -270,12 +270,6 @@ def _contract(alpha: PForm, offset: int, rules) -> dict:
                 _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(),
                             rules[axis - offset - 1], alpha.exact, -sign)
     return _components(acc, alpha)
-
-
-@lru_cache(maxsize=None)
-def _axis_rules(n: int, rule) -> tuple:
-    """The rules rule(1), ..., rule(n) of one real ladder on every axis."""
-    return tuple(rule(axis) for axis in range(1, n + 1))
 
 
 def _require_real_frame(u: PForm):
@@ -428,11 +422,11 @@ def _layout(n: int, bidegree: tuple[int, int]) -> list:
         raise DomainError("a form on C^n needs n >= 1")
     rng = range(1, n + 1)
     if bidegree == (1, 1):
-        return [[MultiIndex((i, n + j), 2 * n) for j in rng] for i in rng]
+        return [[(i, n + j) for j in rng] for i in rng]
     if bidegree not in _FRAMES:
         raise DomainError(f"bidegree {bidegree} has no file layout")
     shift = n * bidegree[1]
-    return [MultiIndex((shift + j,), 2 * n) for j in rng]
+    return [(shift + j,) for j in rng]
 
 
 class ComplexForm(PForm):
@@ -453,7 +447,7 @@ class ComplexForm(PForm):
         super().__init__(2 * n, p + q, max_total_degree, COMPLEX, exact, components)
         for idx in self.components:
             if sum(a <= n for a in idx) != p:
-                raise DomainError(f"frame index {idx.axes} is not of bidegree ({p},{q})")
+                raise DomainError(f"frame index {idx} is not of bidegree ({p},{q})")
         self.bidegree = (p, q)
 
     @classmethod
@@ -508,15 +502,21 @@ class ComplexForm(PForm):
 
     @classmethod
     def from_json(cls, data: dict, bidegree: tuple[int, int]) -> "ComplexForm":
-        """Read the file layout of a form of the given bidegree: (1,0), (0,1) or (1,1)."""
+        """Read the file layout of a form of the given bidegree: (1,0), (0,1) or
+        (1,1); its "n", if given, must be the complex dimension of the layout."""
         if bidegree == (1, 1):
             rows = data["entries"]
             fields = iter(_fields_from_json([f for r in rows for f in r]))
-            return cls.from_layout(bidegree, [[next(fields) for _ in r] for r in rows])
-        frame = _FRAMES[bidegree]
-        if data.get("frame", frame) != frame:
-            raise DomainError(f"expected a {frame} form, got {data.get('frame')!r}")
-        return cls.from_layout(bidegree, _fields_from_json(data["components"]))
+            form = cls.from_layout(bidegree, [[next(fields) for _ in r] for r in rows])
+        else:
+            frame = _FRAMES[bidegree]
+            if data.get("frame", frame) != frame:
+                raise DomainError(f"expected a {frame} form, got {data.get('frame')!r}")
+            form = cls.from_layout(bidegree, _fields_from_json(data["components"]))
+        n = form.n // 2
+        if json_int(data.get("n", n), "n") != n:
+            raise DomainError(f"n is {data['n']}, but the layout is for n = {n}")
+        return form
 
 
 def require_bidegree(form, bidegree: tuple[int, int], context: str):
@@ -583,7 +583,8 @@ def partial_of_10(h: ComplexForm) -> ComplexForm:
 class ItoForm(ComplexForm):
     """A (p,q)-form on C^n whose coefficients are ItoFields over H_{p,q}, where
     partial, dbar and dbar* move one index of each term.  Files hold He
-    coefficients, so it converts at from_he, to_he and to_json."""
+    coefficients, so it converts at from_he and to_he, and ComplexForm.to_json
+    writes each component through its He coefficients."""
 
     __slots__ = ()
 
@@ -604,9 +605,6 @@ class ItoForm(ComplexForm):
     def to_he(self) -> ComplexForm:
         return ComplexForm(self.n // 2, self.bidegree, self.max_total_degree, self.exact,
                            {idx: f.to_he() for idx, f in self.components.items()})
-
-    def to_json(self) -> dict:
-        return self.to_he().to_json()
 
 
 class ComplexFrameForm(PForm):

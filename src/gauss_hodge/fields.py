@@ -44,8 +44,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import (QC, _make, coerce_scalar, one_half, scalar_from_json, scalar_to_json,
-                      zero_scalar)
+from .scalars import (QC, _make, coerce_scalar, json_int, one_half, scalar_from_json,
+                      scalar_to_json, zero_scalar)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -98,6 +98,13 @@ def _delta_rule(axis: int):
     """The coefficient rule of delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1}."""
     i = axis - 1
     return lambda d: ((_shift(d, i, 1), -1),)
+
+
+@lru_cache(maxsize=None)
+def _axis_rules(m: int, rule) -> tuple:
+    """The rules rule(1), ..., rule(m) of one real ladder on every axis,
+    built once per dimension."""
+    return tuple(rule(axis) for axis in range(1, m + 1))
 
 
 def _accumulate(acc: dict, terms, rule, exact: bool, scale=1):
@@ -430,12 +437,12 @@ class ScalarField:
     def partial_derivative(self, axis: int) -> "ScalarField":
         """d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
         self._axis_check(axis)
-        return self._map(_derivative_rule(axis))
+        return self._map(_axis_rules(self.m, _derivative_rule)[axis - 1])
 
     def apply_delta(self, axis: int) -> "ScalarField":
         """delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1} along the axis."""
         self._axis_check(axis)
-        return self._map(_delta_rule(axis))
+        return self._map(_axis_rules(self.m, _delta_rule)[axis - 1])
 
     def multiply_by_coordinate(self, axis: int) -> "ScalarField":
         """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
@@ -517,10 +524,13 @@ class ScalarField:
                 break
         coeffs = {}
         for e in entries:
-            deg = tuple(int(k) for k in e["deg"])
+            deg = tuple(json_int(k, "a degree entry") for k in e["deg"])
+            if deg in coeffs:
+                raise DomainError(f"degree vector {deg} appears twice")
             coeffs[deg] = scalar_from_json(e["re"], e.get("im", "0" if exact else 0.0),
                                            exact, kind == COMPLEX)
-        return cls(int(data["m"]), int(data["max_total_degree"]), kind, exact, coeffs)
+        cap = json_int(data["max_total_degree"], "max_total_degree")
+        return cls(json_int(data["m"], "m"), cap, kind, exact, coeffs)
 
 
 

@@ -22,7 +22,7 @@ from .calculus import (DZ, DZBAR, ComplexForm, PForm, _pair_rules, codifferentia
                        exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
 from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
-from .multiindex import enumerate_indices
+from .multiindex import enumerate_indices, insert_axis
 from .scalars import imaginary_unit, render_value, zero_scalar
 from .solver import negligible
 
@@ -38,10 +38,10 @@ def _real_sum(exact: bool, fields=(), pairs=()):
                         ((f.coeffs, g.coeffs) for f, g in pairs)), exact, False)
 
 
-def _gradients(alpha: PForm) -> list:
-    """d a_J / dx_j for every component a_J and every axis j, in that order."""
-    return [field.partial_derivative(j) for field in alpha.components.values()
-            for j in range(1, alpha.n + 1)]
+def _gradients(alpha: PForm) -> dict:
+    """d a_J / dx_j keyed (J, j), for every component a_J and then every axis j."""
+    return {(J, j): field.partial_derivative(j) for J, field in alpha.components.items()
+            for j in range(1, alpha.n + 1)}
 
 
 def _same(a, b, exact: bool, tolerance: float) -> bool:
@@ -74,18 +74,21 @@ def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpans
     if alpha.p < 1:
         raise DomainError("the expansion needs a form of degree >= 1")
     lhs = exterior_d(alpha).norm_sq()
+    grad = _gradients(alpha)
     pairs = []
     for I in enumerate_indices(alpha.n, alpha.p - 1):
+        # (j, sign, J) for each axis j with a_{jI} = sign a_J nonzero, J = sorted jI
+        present = []
         for j in range(1, alpha.n + 1):
-            for k in range(1, alpha.n + 1):
-                a_kI = alpha.signed_component(k, I)
-                if a_kI.is_zero():
-                    continue
-                a_jI = alpha.signed_component(j, I)
-                if a_jI.is_zero():
-                    continue
-                pairs.append((a_kI.partial_derivative(j), -a_jI.partial_derivative(k)))
-    rhs = _real_sum(alpha.exact, _gradients(alpha), pairs)
+            ins = insert_axis(j, I)
+            if ins is not None and ins[1] in alpha.components:
+                present.append((j,) + ins)
+        for j, s_j, jI in present:
+            for k, s_k, kI in present:
+                # (d a_{kI}/dx_j, -d a_{jI}/dx_k)
+                pairs.append((grad[kI, j] if s_k == 1 else -grad[kI, j],
+                              -grad[jI, k] if s_j == 1 else grad[jI, k]))
+    rhs = _real_sum(alpha.exact, grad.values(), pairs)
     return DNormExpansionReport(lhs, rhs, _tol_equal(lhs, rhs, alpha.exact, rel_tol))
 
 
@@ -118,7 +121,7 @@ def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerRepo
                 pairs.append((a_jI, a_jI))
     # CONVEXITY = 2, so scaling the sum rounds as scaling each term did
     rhs_hessian = CONVEXITY * _real_sum(alpha.exact, pairs=pairs)
-    rhs_gradient = _real_sum(alpha.exact, _gradients(alpha))
+    rhs_gradient = _real_sum(alpha.exact, _gradients(alpha).values())
 
     holds = _tol_equal(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient,
                        alpha.exact, rel_tol)

@@ -273,6 +273,14 @@ def render_value(value):
     return float(value)
 
 
+def json_int(value, name: str) -> int:
+    """A count or degree read from a file: a JSON integer, not a float, a
+    bool or a numeric string."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def scalar_from_json(re, im, exact: bool, complex_kind: bool):
     if exact:
         re_f = Fraction(re)

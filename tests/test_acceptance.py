@@ -18,7 +18,7 @@ from gauss_hodge.identities import (bochner_identity_report,
                                     conjugation_identities_check,
                                     d_norm_expansion_report,
                                     ddbar_adjoint_identity_report)
-from gauss_hodge.multiindex import MultiIndex, enumerate_indices
+from gauss_hodge.multiindex import enumerate_indices
 from gauss_hodge.randomforms import (random_closed_complexform11,
                                      random_closed_pform, random_complex_function,
                                      random_complexform11,
@@ -98,7 +98,7 @@ def test_criterion_3_poincare_bound():
         assert rep.residual_norm_sq == 0
         assert (exterior_d(u) - f).is_zero()
         assert rep.ratio <= bound
-    const = PForm(2, 2, cap, components={MultiIndex((1, 2), 2): ScalarField.constant(1, 2, cap)})
+    const = PForm(2, 2, cap, components={(1, 2): ScalarField.constant(1, 2, cap)})
     _, rep = solve_d_min_norm(const)
     assert rep.ratio == bound
     print("\nACCEPTANCE 3 weighted Poincare bound 1/4: PASS "

@@ -12,13 +12,12 @@ from gauss_hodge import cli
 from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField
-from gauss_hodge.multiindex import MultiIndex
 
 
 @pytest.fixture
 def dx1dx2_file(tmp_path):
     one = ScalarField.constant(1, 2, 6)
-    f = PForm(2, 2, 6, components={MultiIndex((1, 2), 2): one})
+    f = PForm(2, 2, 6, components={(1, 2): one})
     path = tmp_path / "f.json"
     path.write_text(json.dumps(f.to_json()))
     return path
@@ -100,8 +99,7 @@ def test_solve_mode_float_lowers_exact_input(dx1dx2_file, tmp_path):
 
 def test_solve_mode_exact_rejects_float_input(tmp_path):
     f = PForm(2, 2, 6, "real", False,
-              components={MultiIndex((1, 2), 2): ScalarField(2, 6, "real", False,
-                                                             {(0, 0): 1.0})})
+              components={(1, 2): ScalarField(2, 6, "real", False, {(0, 0): 1.0})})
     path = tmp_path / "f_float.json"
     path.write_text(json.dumps(f.to_json()))
     assert main(["solve", "--equation", "d", "--mode", "exact",
@@ -112,7 +110,7 @@ def test_solve_mode_exact_rejects_float_input(tmp_path):
 
 def test_solve_rejects_nonclosed(tmp_path):
     x3 = ScalarField.coordinate(3, 3, 6)
-    bad = PForm(3, 2, 6, components={MultiIndex((1, 2), 3): x3})
+    bad = PForm(3, 2, 6, components={(1, 2): x3})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad.to_json()))
     assert main(["solve", "--equation", "d", "--input", str(path)]) == 1
@@ -125,7 +123,7 @@ def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
     big = ScalarField(2, 6, "complex" if equation == "dbar" else "real", False,
                       {(0, 0): 1e308})
     form = ComplexForm.from_layout((0, 1), [big]) if equation == "dbar" else \
-        PForm(2, 2, 6, "real", False, components={MultiIndex((1, 2), 2): big})
+        PForm(2, 2, 6, "real", False, components={(1, 2): big})
     path = tmp_path / "big.json"
     path.write_text(json.dumps(form.to_json()))
     out = tmp_path / "solution.json"
@@ -141,7 +139,7 @@ def test_solve_float_nonclosed_input_whose_norm_underflows(tmp_path, capsys):
     field = ScalarField(2, 6, "real", False, {(0, 3): 1e-162})
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(PForm(2, 1, 6, "real", False,
-                                     components={MultiIndex((1,), 2): field}).to_json()))
+                                     components={(1,): field}).to_json()))
     assert main(["solve", "--equation", "d", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("solve: input is not closed: du = f needs df = 0")
@@ -153,16 +151,24 @@ def test_solve_missing_input_is_usage_error(tmp_path):
                  str(tmp_path / "missing.json")]) == 2
 
 
+def _input_document(command: str) -> dict:
+    """A valid one-term input file for ``command``: dx1^dx2 on R^2 for solve
+    --equation d, dzbar on C^1 for dbar, dz ^ dzbar on C^1 for lelong."""
+    one = ScalarField.constant(1, 2, 6, "complex")
+    if command == "d":
+        return PForm(2, 2, 6, components={(1, 2): ScalarField.constant(1, 2, 6)}).to_json()
+    if command == "dbar":
+        return ComplexForm.from_layout((0, 1), [one]).to_json()
+    return ComplexForm.from_layout((1, 1), [[one]]).to_json()
+
+
 def _one_term_text(equation: str, **entry) -> str:
     """A one-term input for solve --equation as JSON, its coefficient entry
     overridden: dx1^dx2 for d, dzbar for dbar."""
+    data = _input_document(equation)
+    field = data["components"][0]
     if equation == "d":
-        one = ScalarField.constant(1, 2, 6)
-        data = PForm(2, 2, 6, components={MultiIndex((1, 2), 2): one}).to_json()
-        field = data["components"][0]["field"]
-    else:
-        data = ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, 6, "complex")]).to_json()
-        field = data["components"][0]
+        field = field["field"]
     field["coeffs"][0].update(entry)
     return json.dumps(data)
 
@@ -201,6 +207,55 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(argv[0] + ": ")
+
+
+INPUT_ARGV = {"d": SOLVE_D, "dbar": SOLVE_DBAR, "lelong": ["lelong", "--input"]}
+D_FIELD = ("components", 0, "field")
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("d", ("components", 0, "index"), [1.7, 2]),
+    ("d", ("components", 0, "index"), ["1", "2"]),
+    ("d", D_FIELD + ("coeffs", 0, "deg"), [0.9, 0]),
+    ("d", D_FIELD + ("coeffs", 0, "deg"), [True, False]),
+    ("d", ("n",), 2.5),
+    ("d", ("p",), 2.0),
+    ("d", D_FIELD + ("m",), "2"),
+    ("d", D_FIELD + ("max_total_degree",), 6.9),
+    ("dbar", ("n",), 1.0),
+    ("lelong", ("n",), True),
+], ids=["index-float", "index-string", "deg-float", "deg-bool", "n-float", "p-float",
+        "m-string", "capacity-float", "dbar-n-float", "lelong-n-bool"])
+def test_counts_and_labels_must_be_json_integers(tmp_path, capsys, command, path, value):
+    """int() once read 1.7 as 1, "1" as 1 and true as 1, so each of these
+    files solved, the deg-bool one as a different form."""
+    data = _input_document(command)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    assert main(INPUT_ARGV[command] + [str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{INPUT_ARGV[command][0]}: bad input {file}: DomainError: ")
+    assert "integer" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("repeated", ["deg", "index"])
+def test_repeated_entries_are_usage_errors(tmp_path, capsys, repeated):
+    """A second coefficient of one degree vector, or a second component of one
+    index, was once read over the first instead of refused."""
+    data = _input_document("d")
+    entries = data["components"] if repeated == "index" else \
+        data["components"][0]["field"]["coeffs"]
+    entries.append(json.loads(json.dumps(entries[0])))
+    file = tmp_path / "twice.json"
+    file.write_text(json.dumps(data))
+    assert main(SOLVE_D + [str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"solve: bad input {file}: DomainError: ")
+    assert "appears twice" in err
 
 
 @pytest.mark.parametrize("argv", [SOLVE_D, ["lelong", "--input"], ["report", "--input"]],

@@ -30,10 +30,10 @@ def wedge_by_ladders(u: PForm, offset: int, count: int, ladder) -> dict:
     for idx, field in u.components.items():
         for j in range(1, count + 1):
             axis = offset + j
-            if axis in idx.axes:
+            if axis in idx:
                 continue
-            key = tuple(sorted((axis,) + idx.axes))
-            term = ladder(field, j).scale(bubble_sort_parity((axis,) + idx.axes))
+            key = tuple(sorted((axis,) + idx))
+            term = ladder(field, j).scale(bubble_sort_parity((axis,) + idx))
             out[key] = out[key] + term if key in out else term
     return out
 
@@ -42,10 +42,10 @@ def contract_by_ladders(alpha: PForm, offset: int, count: int, ladder) -> dict:
     """Component I gets -sum_j ladder(a_{jI}, j), one field per (I, j)."""
     out = {}
     for idx, field in alpha.components.items():
-        for axis in idx.axes:
+        for axis in idx:
             if not 0 < axis - offset <= count:
                 continue
-            rest = tuple(a for a in idx.axes if a != axis)
+            rest = tuple(a for a in idx if a != axis)
             term = ladder(field, axis - offset).scale(-bubble_sort_parity((axis,) + rest))
             out[rest] = out[rest] + term if rest in out else term
     return out
