@@ -36,13 +36,14 @@ giving ||u||^2 <= 2 ||f||^2.  A (1,1)-form over He is converted to H_{p,q}
 once on the way in, and u once on the way out; a potential's ddbar is
 already over H_{p,q}.
 
-Each identity is checked once, through ``solver.negligible`` (float scale in
-brackets): df_k = 0 by the d solve of f_k [||f_k||^2], raising NotClosedError
-(df = 0 iff df_1 = df_2 = 0 by type separation); dbar v_k^{0,1} = 0 by the
-dbar solve [||v_k^{0,1}||^2]; partial v_k^{1,0} = 0 here [max(||v_k||^2, 1)];
-ddbar u = f here [||f||^2].  Past the d solves these and the stage bounds hold
-for closed input by construction, so a failure, a NotClosedError from a dbar
-solve included, raises InvariantViolationError naming its stage.
+Each identity is checked once, through ``solver.negligible`` (the scale a
+nonzero tolerance is measured against in brackets): df_k = 0 by the d solve
+of f_k [||f_k||^2], raising NotClosedError (df = 0 iff df_1 = df_2 = 0 by type
+separation); dbar v_k^{0,1} = 0 by the dbar solve [||v_k^{0,1}||^2];
+partial v_k^{1,0} = 0 here [max(||v_k||^2, 1)]; ddbar u = f here [||f||^2].
+Past the d solves these and the stage bounds hold for closed input by
+construction, so a failure, a NotClosedError from a dbar solve included,
+raises InvariantViolationError naming its stage.
 """
 
 from __future__ import annotations
@@ -58,36 +59,34 @@ from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
                      NotClosedError)
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
-from .scalars import imaginary_unit, one_half, render_value
-from .solver import (SolveReport, _make_report, bound_holds, negligible,
-                     solve_d_min_norm_full, solve_dbar_min_norm_full)
+from .scalars import HALF, IMAG_UNIT, render_value
+from .solver import (SolveReport, _make_report, negligible, solve_d_min_norm_full,
+                     solve_dbar_min_norm_full)
 
 
-def _frame_table(n: int, exact: bool, to_complex: bool) -> dict:
+def _frame_table(n: int, to_complex: bool) -> dict:
     """Each frame 1-form as (axis, weight) pairs over the other frame:
 
         dx_{2j-1} = (dz_j + dzbar_j)/2,   dx_{2j} = (dz_j - dzbar_j)/(2i),
         dz_j = dx_{2j-1} + i dx_{2j},     dzbar_j = dx_{2j-1} - i dx_{2j}.
     """
-    i_unit = imaginary_unit(exact)
-    half = one_half(exact)
     table = {}
     for j in range(1, n + 1):
         if to_complex:
-            table[2 * j - 1] = ((j, half), (n + j, half))
-            table[2 * j] = ((j, -i_unit * half), (n + j, i_unit * half))
+            table[2 * j - 1] = ((j, HALF), (n + j, HALF))
+            table[2 * j] = ((j, -IMAG_UNIT * HALF), (n + j, IMAG_UNIT * HALF))
         else:
-            table[j] = ((2 * j - 1, 1), (2 * j, i_unit))
-            table[n + j] = ((2 * j - 1, 1), (2 * j, -i_unit))
+            table[j] = ((2 * j - 1, 1), (2 * j, IMAG_UNIT))
+            table[n + j] = ((2 * j - 1, 1), (2 * j, -IMAG_UNIT))
     return table
 
 
 @lru_cache(maxsize=None)
-def _frame_weights(idx: tuple, n: int, exact: bool, to_complex: bool) -> tuple:
+def _frame_weights(idx: tuple, n: int, to_complex: bool) -> tuple:
     """The frame element e_idx on C^n in the other frame, as (index, weight)
     pairs: each e_a becomes sum_{(b, w) in table[a]} w e_b, insert_axis
     re-sorts the wedge of the images, and the weights of one index are summed."""
-    table = _frame_table(n, exact, to_complex)
+    table = _frame_table(n, to_complex)
     weights: dict = {}
     for picks in itertools.product(*(table[a] for a in idx)):
         key, weight = (), 1
@@ -107,19 +106,16 @@ def _frame_change(form: PForm, to_complex: bool) -> dict:
     once, with its total weight, straight into each target's coefficients."""
     acc: dict = {}
     for idx, field in form.components.items():
-        for key, weight in _frame_weights(idx, form.n // 2, form.exact, to_complex):
-            _accumulate(acc.setdefault(key, {}), field.coeffs.items(), _identity_rule,
-                        form.exact, weight)
+        for key, weight in _frame_weights(idx, form.n // 2, to_complex):
+            _accumulate(acc.setdefault(key, {}), field.coeffs.items(), _identity_rule, weight)
     return _components(acc, form)
 
 
 def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
     """Split a (1,1)-form into real 2-forms with f = f1 + i f2."""
     g = _frame_change(f, to_complex=False)
-    f1 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
-               {idx: c.real_part() for idx, c in g.items()})
-    f2 = PForm(f.n, f.p, f.max_total_degree, REAL, f.exact,
-               {idx: c.imag_part() for idx, c in g.items()})
+    f1 = PForm(f.n, f.p, f.max_total_degree, REAL, {idx: c.real_part() for idx, c in g.items()})
+    f2 = PForm(f.n, f.p, f.max_total_degree, REAL, {idx: c.imag_part() for idx, c in g.items()})
     return f1, f2
 
 
@@ -130,7 +126,7 @@ def _type_parts(v: PForm, comps: dict, form_type) -> tuple[ComplexForm, ...]:
     parts: dict = {}
     for idx, field in comps.items():
         parts.setdefault(sum(a <= n for a in idx), {})[idx] = field
-    return tuple(form_type(n, (p, v.p - p), v.max_total_degree, v.exact, parts.get(p))
+    return tuple(form_type(n, (p, v.p - p), v.max_total_degree, parts.get(p))
                  for p in range(v.p, -1, -1))
 
 
@@ -153,7 +149,7 @@ def two_form_complex_parts(g: PForm) -> tuple[ComplexForm, ComplexForm, ComplexF
 def recompose_11(f1: PForm, f2: PForm) -> ComplexForm:
     """Rebuild the complex frame from the two real 2-forms; the (2,0) and
     (0,2) parts of f1 + i f2 must vanish for a genuine (1,1)-form."""
-    combined = f1.promote_complex() + f2.promote_complex().scale(imaginary_unit(f1.exact))
+    combined = f1.promote_complex() + f2.promote_complex().scale(IMAG_UNIT)
     part20, part11, part02 = two_form_complex_parts(combined)
     if not part20.is_zero() or not part02.is_zero():
         raise DomainError("f1 + i f2 is not of pure type (1,1)")
@@ -181,18 +177,20 @@ class PipelineReport:
     final: SolveReport
     conjugation_ratios: dict = dc_field(default_factory=dict)
 
-    def to_json(self) -> dict:
+    def to_json(self, number=str) -> dict:
+        """The report as JSON, each value written by ``number`` (see
+        scalars.render_value)."""
         return {
             "stages": {
-                "d_solve_re": self.d_solve_re.to_json(),
-                "d_solve_im": self.d_solve_im.to_json(),
-                "dbar_solve_re": self.dbar_solve_re.to_json(),
-                "dbar_solve_im": self.dbar_solve_im.to_json(),
+                "d_solve_re": self.d_solve_re.to_json(number),
+                "d_solve_im": self.d_solve_im.to_json(number),
+                "dbar_solve_re": self.dbar_solve_re.to_json(number),
+                "dbar_solve_im": self.dbar_solve_im.to_json(number),
             },
-            "conjugation_ratios": {k: render_value(v)
+            "conjugation_ratios": {k: render_value(v, number)
                                    for k, v in self.conjugation_ratios.items()},
-            "final": self.final.to_json(),
-            "final_ratio": render_value(self.final.ratio),
+            "final": self.final.to_json(number),
+            "final_ratio": render_value(self.final.ratio, number),
         }
 
 
@@ -204,19 +202,16 @@ def _check_stage_bound(report: SolveReport, stage: str):
             lhs=report.output_norm_sq, rhs=report.input_norm_sq)
 
 
-def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
+def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
     """Run the full constructive solve of ddbar u = f under e^{-|z|^2};
     returns (u, report), with u over the basis of f."""
     require_bidegree(f, (1, 1), "ddbar u = f")
-    exact = f.exact
 
-    zero_s = Fraction(0) if exact else 0.0
-    two = Fraction(2) if exact else 2.0
+    zero, two = Fraction(0), Fraction(2)
     if f.is_zero():
-        u = f.field_type.zero(f.n, f.max_total_degree, COMPLEX, exact)
-        empty = _make_report(zero_s, zero_s, zero_s, Fraction(1, 4) if exact else 0.25,
-                             0, exact)
-        empty_dbar = _make_report(zero_s, zero_s, zero_s, two, 0, exact)
+        u = f.field_type.zero(f.n, f.max_total_degree, COMPLEX)
+        empty = _make_report(zero, zero, zero, Fraction(1, 4), 0)
+        empty_dbar = _make_report(zero, zero, zero, two, 0)
         return u, PipelineReport(empty, empty, empty_dbar, empty_dbar, empty_dbar)
 
     top = f.degree
@@ -229,9 +224,8 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     h = ItoForm.of(f)
     f_sq = h.norm_sq()
     conj = h.conjugate()
-    half = one_half(exact)
-    f1, f2 = (ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, exact, g.components).scale(s)
-              for g, s in ((h + conj, half), (h - conj, -imaginary_unit(exact) * half)))
+    f1, f2 = (ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, g.components).scale(s)
+              for g, s in ((h + conj, HALF), (h - conj, -IMAG_UNIT * HALF)))
 
     # (2) weighted Poincare solves d v_k = f_k, bound 1/4; each refuses a
     #     non-closed f_k
@@ -248,7 +242,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
         #     vanish (the dbar solve checks the (0,2) piece)
         v10, v01 = _type_parts(vk, vk.components, ItoForm)
         purity_sq = partial_of_10(v10).norm_sq()
-        if not negligible(purity_sq, max(rep_d.output_norm_sq, 1.0), exact, tolerance):
+        if not negligible(purity_sq, max(rep_d.output_norm_sq, 1), tolerance):
             raise InvariantViolationError(
                 f"type_purity_{name}", "partial v10 is not negligible",
                 lhs=purity_sq, rhs=rep_d.output_norm_sq)
@@ -266,27 +260,26 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
         wk = uk - uk.conjugate()
         wk_sq = wk.norm_sq()
         uk_sq = rep_dbar.output_norm_sq
-        if not bound_holds(wk_sq, 4 * uk_sq, exact):
+        if wk_sq > 4 * uk_sq:
             raise InvariantViolationError(
                 f"conjugation_{name}", "||u - conj u||^2 > 4 ||u||^2",
                 lhs=wk_sq, rhs=uk_sq)
-        conj_ratios[name] = wk_sq / uk_sq if uk_sq != 0 else zero_s
+        conj_ratios[name] = wk_sq / uk_sq if uk_sq != 0 else zero
         us.append(wk)
 
-    u = us[0] + us[1].scale(imaginary_unit(exact))
+    u = us[0] + us[1].scale(IMAG_UNIT)
 
-    # exact mode compares ddbar u with f; the residual is built only to report it
+    # ddbar u is compared with f; the residual is built only to measure it
     image = ddbar(u)
-    res_sq = zero_s if exact and image == h else (image - h).norm_sq()
-    if not negligible(res_sq, f_sq, exact, tolerance):
+    res_sq = zero if image == h else (image - h).norm_sq()
+    if not negligible(res_sq, f_sq, tolerance):
         raise InvariantViolationError(
-            "final_residual", "ddbar u != f in exact mode" if exact
+            "final_residual", "ddbar u != f" if not tolerance
             else "ddbar u residual exceeds tolerance", lhs=res_sq, rhs=f_sq)
 
     final = _make_report(res_sq, f_sq, u.norm_sq(), two,
                          rep_d1.blocks_solved + rep_d2.blocks_solved
-                         + dbar_reports[0].blocks_solved + dbar_reports[1].blocks_solved,
-                         exact)
+                         + dbar_reports[0].blocks_solved + dbar_reports[1].blocks_solved)
     if not final.bound_satisfied:
         raise InvariantViolationError("final_bound", "||u||^2 > 2 ||f||^2",
                                       lhs=final.output_norm_sq, rhs=f_sq)
@@ -295,7 +288,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 1e-10):
     return (u if h is f else u.to_he()), report
 
 
-def solve_poincare_lelong(f: ComplexForm, tolerance: float = 1e-10):
+def solve_poincare_lelong(f: ComplexForm, tolerance: float = 0):
     """Solve ddbar u = f; returns (u, final SolveReport) with bound constant 2."""
     u, report = solve_poincare_lelong_full(f, tolerance)
     return u, report.final

@@ -62,23 +62,24 @@ from .errors import DimensionMismatchError, DomainError
 from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _axis_rules,
                      _delta_rule, _derivative_rule, _finish, _inner, _norm_sq, _shift)
 from .multiindex import check_index, insert_axis, remove_axis
-from .scalars import imaginary_unit, json_int, one_half
+from .scalars import HALF, IMAG_UNIT, json_int
 
 
 class PForm:
     """A p-form on R^n: map from increasing tuples of axes in 1..n to scalar fields.
 
     Missing keys mean zero components.  All stored components share the
-    ambient dimension, scalar kind, mode, capacity and the basis
-    ``field_type``.
+    ambient dimension, scalar kind, capacity and the basis ``field_type``.
+    The constructor checks every index and field; operator results are built
+    through _like, which trusts them.
     """
 
-    __slots__ = ("n", "p", "max_total_degree", "kind", "exact", "components")
+    __slots__ = ("n", "p", "max_total_degree", "kind", "components")
 
     field_type = ScalarField
 
     def __init__(self, n: int, p: int, max_total_degree: int, kind: str = REAL,
-                 exact: bool = True, components: Optional[Mapping[tuple, ScalarField]] = None):
+                 components: Optional[Mapping[tuple, ScalarField]] = None):
         if n < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         if p < 0:
@@ -87,33 +88,41 @@ class PForm:
         self.p = p
         self.max_total_degree = max_total_degree
         self.kind = kind
-        self.exact = exact
         store: dict[tuple, ScalarField] = {}
         if components:
             if p > n:
                 raise DomainError(f"a {p}-form on R^{n} can only be zero")
             for idx, field in components.items():
                 idx = check_index(idx, n, p)
-                if (field.m != n or field.kind != kind or field.exact != exact
-                        or type(field) is not self.field_type):
+                if field.m != n or field.kind != kind or type(field) is not self.field_type:
                     raise DimensionMismatchError(
-                        f"component field for {idx} has wrong shape/kind/mode")
+                        f"component field for {idx} has wrong shape/kind")
                 if not field.is_zero():
                     store[idx] = field.with_capacity(max_total_degree) \
                         if field.max_total_degree != max_total_degree else field
         self.components = store
 
-    def replace(self, components, max_total_degree: Optional[int] = None,
-                exact: Optional[bool] = None) -> "PForm":
-        """A form of this shape with other components (and capacity or mode)."""
+    def replace(self, components, max_total_degree: Optional[int] = None) -> "PForm":
+        """A form of this shape with other components (and capacity)."""
         return type(self)(self.n, self.p,
                           self.max_total_degree if max_total_degree is None else max_total_degree,
-                          self.kind, self.exact if exact is None else exact, components)
+                          self.kind, components)
+
+    def _like(self, components: dict, p: Optional[int] = None) -> "PForm":
+        """A form of this type, dimension, kind and capacity, of degree p
+        (default its own), over fields that an operator built: they already
+        fit that shape, so only the zero ones are dropped."""
+        form = object.__new__(type(self))
+        form.n, form.max_total_degree, form.kind = self.n, self.max_total_degree, self.kind
+        form.p = self.p if p is None else p
+        form.components = {idx: f for idx, f in components.items() if f.coeffs}
+        return form
+
+    def _zero_field(self) -> ScalarField:
+        return self.field_type.zero(self.n, self.max_total_degree, self.kind)
 
     def component(self, idx) -> ScalarField:
-        return self.components.get(
-            check_index(idx, self.n, self.p),
-            self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact))
+        return self.components.get(check_index(idx, self.n, self.p), self._zero_field())
 
     def signed_component(self, j: int, idx: tuple) -> ScalarField:
         """The coefficient a_{jI}: zero when j is in I, else the sign-adjusted
@@ -122,15 +131,15 @@ class PForm:
             raise DomainError(f"axis {j} outside range 1..{self.n}")
         ins = insert_axis(j, idx)
         if ins is None:
-            return self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact)
+            return self._zero_field()
         sign, sorted_idx = ins
         field = self.components.get(sorted_idx)
         if field is None:
-            return self.field_type.zero(self.n, self.max_total_degree, self.kind, self.exact)
+            return self._zero_field()
         return field if sign == 1 else -field
 
     def _shape(self) -> tuple:
-        return (type(self), self.n, self.p, self.kind, self.exact)
+        return (type(self), self.n, self.p, self.kind)
 
     def _compatible(self, other: "PForm"):
         if not isinstance(other, PForm):
@@ -154,10 +163,10 @@ class PForm:
         return self + (-other)
 
     def __neg__(self) -> "PForm":
-        return self.replace({i: -f for i, f in self.components.items()})
+        return self._like({i: -f for i, f in self.components.items()})
 
     def scale(self, s) -> "PForm":
-        return self.replace({i: f.scale(s) for i, f in self.components.items()})
+        return self._like({i: f.scale(s) for i, f in self.components.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PForm):
@@ -175,13 +184,8 @@ class PForm:
     def promote_complex(self) -> "PForm":
         if self.kind == COMPLEX:
             return self
-        return PForm(self.n, self.p, self.max_total_degree, COMPLEX, self.exact,
+        return PForm(self.n, self.p, self.max_total_degree, COMPLEX,
                      {i: f.promote_complex() for i, f in self.components.items()})
-
-    def to_float(self) -> "PForm":
-        if not self.exact:
-            return self
-        return self.replace({i: f.to_float() for i, f in self.components.items()}, exact=False)
 
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
@@ -189,11 +193,10 @@ class PForm:
         theirs = other.components
         return _inner(((f.coeffs, theirs[idx].coeffs)
                        for idx, f in self.components.items() if idx in theirs),
-                      self.exact, self.kind == COMPLEX, self.field_type.sq_norm)
+                      self.kind == COMPLEX, self.field_type.sq_norm)
 
     def norm_sq(self):
-        return _norm_sq((f.coeffs for f in self.components.values()), self.exact,
-                        self.field_type.sq_norm)
+        return _norm_sq((f.coeffs for f in self.components.values()), self.field_type.sq_norm)
 
     def _d_rules(self) -> tuple:
         """The coefficient rules of d, one per frame axis: d/dx_j."""
@@ -204,8 +207,8 @@ class PForm:
         return _axis_rules(self.n, _delta_rule)
 
     def pointwise_norm_sq_field(self) -> ScalarField:
-        """|f|^2 = sum_I f_I conj(f_I) as an exact polynomial field."""
-        out = ScalarField.zero(self.n, 2 * self.max_total_degree, self.kind, self.exact)
+        """|f|^2 = sum_I f_I conj(f_I) as a polynomial field."""
+        out = ScalarField.zero(self.n, 2 * self.max_total_degree, self.kind)
         for field in self.components.values():
             out = out + field.multiply(field.conjugate())
         return out
@@ -216,10 +219,12 @@ class PForm:
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, p={self.p}, components={len(self.components)})"
 
-    def to_json(self) -> dict:
+    def to_json(self, number=str) -> dict:
+        """The form as JSON, each coefficient part written by ``number`` (see
+        ScalarField.to_json)."""
         comps = []
         for idx in sorted(self.components):
-            comps.append({"index": list(idx), "field": self.components[idx].to_json()})
+            comps.append({"index": list(idx), "field": self.components[idx].to_json(number)})
         return {"n": self.n, "p": self.p, "components": comps}
 
     @classmethod
@@ -229,19 +234,18 @@ class PForm:
         keys = [check_index(c["index"], n, p) for c in comps]
         if len(set(keys)) < len(keys):
             raise DomainError("a component index appears twice")
-        fields = _fields_from_json([c["field"] for c in comps])
+        fields = [ScalarField.from_json(c["field"]) for c in comps]
         if not fields:
             return cls(n, p, 0)
         cap = max(f.max_total_degree for f in fields)
-        return cls(n, p, cap, fields[0].kind, fields[0].exact, dict(zip(keys, fields)))
+        return cls(n, p, cap, fields[0].kind, dict(zip(keys, fields)))
 
 
 def _components(acc: dict, form: PForm) -> dict:
     """The target components of an accumulation over the shape of ``form``,
     each finished into a field."""
     cap = form.max_total_degree
-    return {tgt: form.field_type._trusted(form.n, cap, form.kind, form.exact,
-                                         _finish(coeffs, cap, form.exact))
+    return {tgt: form.field_type._trusted(form.n, cap, form.kind, _finish(coeffs, cap))
             for tgt, coeffs in acc.items()}
 
 
@@ -255,7 +259,7 @@ def _wedge(u: PForm, offset: int, rules) -> dict:
             ins = insert_axis(axis, idx)
             if ins is not None:
                 sign, tgt = ins
-                _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(), rule, u.exact, sign)
+                _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(), rule, sign)
     return _components(acc, u)
 
 
@@ -268,7 +272,7 @@ def _contract(alpha: PForm, offset: int, rules) -> dict:
             if 0 < axis - offset <= len(rules):
                 sign, tgt = remove_axis(axis, idx)
                 _accumulate(acc.setdefault(tgt, {}), field.coeffs.items(),
-                            rules[axis - offset - 1], alpha.exact, -sign)
+                            rules[axis - offset - 1], -sign)
     return _components(acc, alpha)
 
 
@@ -280,7 +284,7 @@ def _require_real_frame(u: PForm):
 def exterior_d(u: PForm) -> PForm:
     """The distributional exterior derivative, sign-exact on increasing indices."""
     _require_real_frame(u)
-    return type(u)(u.n, u.p + 1, u.max_total_degree, u.kind, u.exact, _wedge(u, 0, u._d_rules()))
+    return u._like(_wedge(u, 0, u._d_rules()), u.p + 1)
 
 
 def codifferential(alpha: PForm) -> PForm:
@@ -289,8 +293,7 @@ def codifferential(alpha: PForm) -> PForm:
     _require_real_frame(alpha)
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
-    return type(alpha)(alpha.n, alpha.p - 1, alpha.max_total_degree, alpha.kind, alpha.exact,
-                       _contract(alpha, 0, alpha._t_rules()))
+    return alpha._like(_contract(alpha, 0, alpha._t_rules()), alpha.p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +333,15 @@ class _PerDegree(dict):
 
 
 @lru_cache(maxsize=None)
-def _pair_rules(n: int, ladder: tuple, exact: bool) -> tuple:
+def _pair_rules(n: int, ladder: tuple) -> tuple:
     """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n,
     (op_{2j-1} + sign i op_{2j}) / 2 with op = d/dx (lowering) or delta
     (raising), each built once per degree vector; the weights are built once
-    per ladder and mode."""
+    per ladder."""
     raising, sign = ladder
-    i_sign = imaginary_unit(exact) * sign
+    i_sign = IMAG_UNIT * sign
     if raising:
-        half = one_half(exact)
-        wx, wy = -half, -half * i_sign
+        wx, wy = -HALF, -HALF * i_sign
         rules = (lambda d, x=x: ((_shift(d, x, 1), wx), (_shift(d, x + 1, 1), wy))
                  for x in range(0, 2 * n, 2))
     else:
@@ -357,7 +359,7 @@ def _ito_rules(n: int, ladder: tuple, scale: int = 1) -> tuple:
     """The coefficient rules of one Wirtinger ladder over H_{p,q} on the pairs
     j = 1..n, times ``scale``: d/dz_j H_{p,q} = p_j H_{p-e_j,q} and d/dzbar_j
     lowers q_j alike; delta^zbar_j H_{p,q} = -H_{p+e_j,q} and delta^z_j raises
-    q_j alike.  Each weight is an int, so one rule serves both modes."""
+    q_j alike.  Each weight is an int."""
     raising, sign = ladder
     first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
     if raising:
@@ -367,10 +369,10 @@ def _ito_rules(n: int, ladder: tuple, scale: int = 1) -> tuple:
                  for i in range(first, 2 * n, 2))
 
 
-def _ladder_rules(basis: type, n: int, ladder: tuple, exact: bool) -> tuple:
+def _ladder_rules(basis: type, n: int, ladder: tuple) -> tuple:
     """The rules of one Wirtinger ladder on the pairs j = 1..n over the basis
     of the field type ``basis``."""
-    return _ito_rules(n, ladder) if basis is ItoField else _pair_rules(n, ladder, exact)
+    return _ito_rules(n, ladder) if basis is ItoField else _pair_rules(n, ladder)
 
 
 def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
@@ -380,7 +382,7 @@ def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
     n = complex_dimension(u)
     if j < 1 or j > n:
         raise DomainError(f"complex axis {j} outside 1..{n}")
-    return u._map(_ladder_rules(type(u), n, ladder, u.exact)[j - 1])
+    return u._map(_ladder_rules(type(u), n, ladder)[j - 1])
 
 
 def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
@@ -401,15 +403,6 @@ def delta_z(u: ScalarField, j: int) -> ScalarField:
 def delta_zbar(u: ScalarField, j: int) -> ScalarField:
     """d/dzbar_j - z_j = (delta_{2j-1} + i delta_{2j}) / 2, a raising ladder."""
     return _pair_ladder(u, j, DELTA_ZBAR)
-
-
-def _fields_from_json(data: list) -> list[ScalarField]:
-    """Read sibling fields; an empty coefficient list reads as exact, so empty
-    fields take the mode of the non-empty ones."""
-    fields = [ScalarField.from_json(f) for f in data]
-    if any(not f.exact for f in fields):
-        fields = [f.to_float() if f.is_zero() else f for f in fields]
-    return fields
 
 
 _FRAMES = {(1, 0): "dz", (0, 1): "dzbar"}
@@ -439,12 +432,12 @@ class ComplexForm(PForm):
     __slots__ = ("bidegree",)
 
     def __init__(self, n: int, bidegree: tuple[int, int], max_total_degree: int,
-                 exact: bool = True, components: Optional[Mapping] = None):
+                 components: Optional[Mapping] = None):
         """``n`` is the complex dimension."""
         p, q = bidegree
         if p < 0 or q < 0:
             raise DomainError(f"bidegree must be non-negative, got {bidegree}")
-        super().__init__(2 * n, p + q, max_total_degree, COMPLEX, exact, components)
+        super().__init__(2 * n, p + q, max_total_degree, COMPLEX, components)
         for idx in self.components:
             if sum(a <= n for a in idx) != p:
                 raise DomainError(f"frame index {idx} is not of bidegree ({p},{q})")
@@ -453,7 +446,7 @@ class ComplexForm(PForm):
     @classmethod
     def function(cls, u: ScalarField) -> "ComplexForm":
         """The complex function u as a (0,0)-form."""
-        return cls(complex_dimension(u), (0, 0), u.max_total_degree, u.exact, {(): u})
+        return cls(complex_dimension(u), (0, 0), u.max_total_degree, {(): u})
 
     @classmethod
     def from_layout(cls, bidegree: tuple[int, int], fields) -> "ComplexForm":
@@ -466,13 +459,19 @@ class ComplexForm(PForm):
                 raise DomainError("entries must form a square matrix")
             keys, fields = sum(keys, []), [f for row in fields for f in row]
         cap = max(f.max_total_degree for f in fields)
-        return cls(n, bidegree, cap, fields[0].exact, dict(zip(keys, fields)))
+        return cls(n, bidegree, cap, dict(zip(keys, fields)))
 
-    def replace(self, components, max_total_degree: Optional[int] = None,
-                exact: Optional[bool] = None) -> "ComplexForm":
+    def replace(self, components, max_total_degree: Optional[int] = None) -> "ComplexForm":
         return type(self)(self.n // 2, self.bidegree,
                           self.max_total_degree if max_total_degree is None else max_total_degree,
-                          self.exact if exact is None else exact, components)
+                          components)
+
+    def _like(self, components: dict, bidegree: Optional[tuple] = None) -> "ComplexForm":
+        """PForm._like, of bidegree ``bidegree`` (default its own)."""
+        bidegree = self.bidegree if bidegree is None else bidegree
+        form = super()._like(components, sum(bidegree))
+        form.bidegree = bidegree
+        return form
 
     def _shape(self) -> tuple:
         return super()._shape() + (self.bidegree,)
@@ -489,16 +488,16 @@ class ComplexForm(PForm):
         for idx, field in self.components.items():
             key = tuple(sorted(a + n if a <= n else a - n for a in idx))
             comps[key] = -field.conjugate() if p * q % 2 else field.conjugate()
-        return type(self)(n, (q, p), self.max_total_degree, self.exact, comps)
+        return self._like(comps, (q, p))
 
-    def to_json(self) -> dict:
+    def to_json(self, number=str) -> dict:
         n = self.n // 2
         keys = _layout(n, self.bidegree)
         if self.bidegree == (1, 1):
-            return {"n": n, "entries": [[self.component(k).to_json() for k in row]
+            return {"n": n, "entries": [[self.component(k).to_json(number) for k in row]
                                         for row in keys]}
         return {"n": n, "frame": _FRAMES[self.bidegree],
-                "components": [self.component(k).to_json() for k in keys]}
+                "components": [self.component(k).to_json(number) for k in keys]}
 
     @classmethod
     def from_json(cls, data: dict, bidegree: tuple[int, int]) -> "ComplexForm":
@@ -506,13 +505,13 @@ class ComplexForm(PForm):
         (1,1); its "n", if given, must be the complex dimension of the layout."""
         if bidegree == (1, 1):
             rows = data["entries"]
-            fields = iter(_fields_from_json([f for r in rows for f in r]))
-            form = cls.from_layout(bidegree, [[next(fields) for _ in r] for r in rows])
+            form = cls.from_layout(bidegree, [[ScalarField.from_json(f) for f in r] for r in rows])
         else:
             frame = _FRAMES[bidegree]
             if data.get("frame", frame) != frame:
                 raise DomainError(f"expected a {frame} form, got {data.get('frame')!r}")
-            form = cls.from_layout(bidegree, _fields_from_json(data["components"]))
+            form = cls.from_layout(bidegree, [ScalarField.from_json(f)
+                                              for f in data["components"]])
         n = form.n // 2
         if json_int(data.get("n", n), "n") != n:
             raise DomainError(f"n is {data['n']}, but the layout is for n = {n}")
@@ -530,16 +529,14 @@ def partial(u: ComplexForm) -> ComplexForm:
     """partial u = sum_j dz_j ^ du/dz_j, of bidegree (p+1, q)."""
     n = u.n // 2
     p, q = u.bidegree
-    return type(u)(n, (p + 1, q), u.max_total_degree, u.exact,
-                   _wedge(u, 0, _ladder_rules(u.field_type, n, DZ, u.exact)))
+    return u._like(_wedge(u, 0, _ladder_rules(u.field_type, n, DZ)), (p + 1, q))
 
 
 def dbar(u: ComplexForm) -> ComplexForm:
     """dbar u = sum_j dzbar_j ^ du/dzbar_j, of bidegree (p, q+1)."""
     n = u.n // 2
     p, q = u.bidegree
-    return type(u)(n, (p, q + 1), u.max_total_degree, u.exact,
-                   _wedge(u, n, _ladder_rules(u.field_type, n, DZBAR, u.exact)))
+    return u._like(_wedge(u, n, _ladder_rules(u.field_type, n, DZBAR)), (p, q + 1))
 
 
 def _function_form(u: ScalarField) -> ComplexForm:
@@ -564,8 +561,8 @@ def dbar_adjoint(g: ComplexForm) -> ScalarField:
     """
     require_bidegree(g, (0, 1), "dbar*")
     n = g.n // 2
-    return type(g)(n, (0, 0), g.max_total_degree, g.exact,
-                   _contract(g, n, _ladder_rules(g.field_type, n, DELTA_Z, g.exact))).component(())
+    return g._like(_contract(g, n, _ladder_rules(g.field_type, n, DELTA_Z)),
+                   (0, 0)).component(())
 
 
 def dbar_of_01(g: ComplexForm) -> ComplexForm:
@@ -594,7 +591,7 @@ class ItoForm(ComplexForm):
     def from_he(cls, form: ComplexForm) -> "ItoForm":
         if type(form) is not ComplexForm:
             raise DomainError(f"expected a ComplexForm over He, got {type(form).__name__}")
-        return cls(form.n // 2, form.bidegree, form.max_total_degree, form.exact,
+        return cls(form.n // 2, form.bidegree, form.max_total_degree,
                    {idx: ItoField.from_he(f) for idx, f in form.components.items()})
 
     @classmethod
@@ -603,7 +600,7 @@ class ItoForm(ComplexForm):
         return form if isinstance(form, ItoForm) else cls.from_he(form)
 
     def to_he(self) -> ComplexForm:
-        return ComplexForm(self.n // 2, self.bidegree, self.max_total_degree, self.exact,
+        return ComplexForm(self.n // 2, self.bidegree, self.max_total_degree,
                            {idx: f.to_he() for idx, f in self.components.items()})
 
 

@@ -9,17 +9,24 @@ Commands
 Exit codes: 0 success, 1 check/solve failure, 2 usage or config error.
 Reports are JSON-lines, one record per check plus a summary record; records
 are sorted by trial so identical (config, seed) runs are byte-identical.
+
+Both modes compute exactly; the mode is a file format.  Exact mode writes
+every rational as a fraction string.  Float mode reads JSON numbers at their
+exact double values, writes each result rounded once to the nearest double
+(a value beyond the double range exits 1 with no output), and lets the
+closedness and residual gates pass within --tolerance, so that an input
+closed only up to the rounding of its doubles still solves.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -28,13 +35,12 @@ from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
 from .calculus import ComplexForm, PForm, codifferential, ddbar, exterior_d
 from .errors import DegreeOverflowError, GaussHodgeError, NotClosedError
 from .fields import REAL
-from .identities import (_tol_equal, bochner_identity_report,
-                         conjugation_identities_check, d_norm_expansion_report,
-                         ddbar_adjoint_identity_report)
+from .identities import (_same, bochner_identity_report, conjugation_identities_check,
+                         d_norm_expansion_report, ddbar_adjoint_identity_report)
 from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
-from .scalars import render_value
+from .scalars import render_value, to_double
 from .solver import negligible, solve_d_min_norm, solve_dbar_min_norm
 
 MEASURE_NOTE = "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx"
@@ -44,7 +50,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     mode: str = "exact"
     n: int = 2
@@ -55,8 +61,16 @@ class RunConfig:
     output: str | None = None
 
     @property
-    def exact(self) -> bool:
-        return self.mode == "exact"
+    def gate(self) -> float:
+        """The tolerance of the closedness, residual and identity gates:
+        --tolerance in float mode, 0 (exact equality) in exact mode."""
+        return self.tolerance if self.mode == "float" else 0
+
+    @property
+    def number(self):
+        """How a rational is written: a fraction string, or in float mode
+        the nearest double."""
+        return to_double if self.mode == "float" else str
 
     def validate(self):
         if self.n < 1:
@@ -76,8 +90,7 @@ class RunConfig:
 
 def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     rng = random.Random(config.seed * 1_000_003 + trial)
-    exact = config.exact
-    tol = config.tolerance
+    tol = config.gate
     cap = config.degree
     n = config.n
     records: list[dict] = []
@@ -85,62 +98,61 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     def rec(check: str, ok: bool, **extra):
         row = {"trial": trial, "check": check, "pass": bool(ok)}
         for key, val in extra.items():
-            row[key] = render_value(val)
+            row[key] = render_value(val, config.number)
         records.append(row)
 
     data_degree = max(0, cap - 2)
 
     # real-side invariants on R^n, cycling the form degree
     for p in range(0, min(n, 3)):
-        u = random_pform(rng, n, p, cap, data_degree, REAL, exact)
+        u = random_pform(rng, n, p, cap, data_degree, REAL)
         ddu_sq = exterior_d(exterior_d(u)).norm_sq()
-        rec("dd_zero", negligible(ddu_sq, max(u.norm_sq(), 1.0), exact, tol),
+        rec("dd_zero", negligible(ddu_sq, max(u.norm_sq(), 1), tol),
             n=n, p=p, residual_sq=ddu_sq)
 
-        alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL, exact)
+        alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL)
         lhs = exterior_d(u).weighted_inner(alpha)
         rhs = u.weighted_inner(codifferential(alpha))
-        rec("adjoint_duality", _tol_equal(lhs, rhs, exact, tol), n=n, p=p, lhs=lhs, rhs=rhs)
+        rec("adjoint_duality", _same(lhs, rhs, tol), n=n, p=p, lhs=lhs, rhs=rhs)
 
-        expansion = d_norm_expansion_report(alpha, rel_tol=tol)
+        expansion = d_norm_expansion_report(alpha, tol)
         rec("d_norm_expansion", expansion.equal, n=n, p=p,
             lhs=expansion.lhs, rhs=expansion.rhs)
 
-        bochner = bochner_identity_report(alpha, rel_tol=tol)
+        bochner = bochner_identity_report(alpha, tol)
         rec("bochner_identity", bochner.identity_holds, n=n, p=p,
             lhs=bochner.lhs_adjoint + bochner.lhs_d,
             rhs=bochner.rhs_hessian + bochner.rhs_gradient)
-        margin_ok = bochner.coercivity_margin >= (0 if exact else -tol)
-        rec("coercivity_margin", margin_ok, n=n, p=p, margin=bochner.coercivity_margin)
+        rec("coercivity_margin", bochner.coercivity_margin >= 0, n=n, p=p,
+            margin=bochner.coercivity_margin)
 
     # complex-side invariants on C^n
-    f11 = random_complexform11(rng, n, cap, data_degree, exact)
+    f11 = random_complexform11(rng, n, cap, data_degree)
     f1, f2 = decompose_11(f11)
     f11_sq = f11.norm_sq()
     lhs = f1.norm_sq() + f2.norm_sq()
     rhs = 4 * f11_sq
-    rec("decompose_norm_identity", _tol_equal(lhs, rhs, exact, tol), n=n, lhs=lhs, rhs=rhs)
+    rec("decompose_norm_identity", _same(lhs, rhs, tol), n=n, lhs=lhs, rhs=rhs)
     back = recompose_11(f1, f2)
     diff_sq = (back - f11).norm_sq()
-    rec("decompose_roundtrip", negligible(diff_sq, max(f11_sq, 1.0), exact, tol),
+    rec("decompose_roundtrip", negligible(diff_sq, max(f11_sq, 1), tol),
         n=n, residual_sq=diff_sq)
 
-    v = random_pform(rng, 2 * n, 1, cap, data_degree, REAL, exact)
+    v = random_pform(rng, 2 * n, 1, cap, data_degree, REAL)
     v10, v01 = split_bidegree(v)
     lhs = v10.norm_sq()
     quarter = v.norm_sq() / 4
-    rec("split_norm_identity", _tol_equal(lhs, quarter, exact, tol)
-        and _tol_equal(v01.norm_sq(), quarter, exact, tol),
+    rec("split_norm_identity", _same(lhs, quarter, tol) and _same(v01.norm_sq(), quarter, tol),
         n=n, lhs=lhs, rhs=quarter)
 
-    u_c = random_complex_function(rng, n, cap, data_degree, exact)
+    u_c = random_complex_function(rng, n, cap, data_degree)
     ca, cb, cc = conjugation_identities_check(u_c, tol)
     rec("conjugation_dbar", ca, n=n)
     rec("mixed_partials_anticommute", cb, n=n)
     rec("ddbar_composes", cc, n=n)
 
     small_degree = max(0, min(data_degree, 3))
-    alpha11 = random_complexform11(rng, n, cap, small_degree, exact)
+    alpha11 = random_complexform11(rng, n, cap, small_degree)
     adj = ddbar_adjoint_identity_report(alpha11, tol)
     rec("ddbar_adjoint_duality", adj.duality_exact, n=n)
     rec("ddbar_adjoint_identity_report", True, n=n, lhs=adj.lhs, rhs=adj.rhs,
@@ -189,11 +201,11 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
     else:
         read = functools.partial(ComplexForm.from_json, bidegree=(0, 1))
         solve = solve_dbar_min_norm
-    form = _read_input(input_path, lambda text: read(json.loads(text)), requested_mode)
-    u, report = solve(form, config.tolerance)
-    rendered = report.to_json()
+    form, config = _read_form(config, input_path, read, requested_mode)
+    u, report = solve(form, config.gate)
+    rendered = report.to_json(config.number)
     payload = {"equation": equation, "measure": MEASURE_NOTE,
-               "solution": u.to_json(), "report": rendered}
+               "solution": u.to_json(config.number), "report": rendered}
     _write_json(payload, config.output)
     ok = report.bound_satisfied
     print(f"solve {equation}: ratio {rendered['ratio']} vs bound "
@@ -210,19 +222,20 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
 def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
                requested_mode: str | None) -> int:
     if potential is not None:
-        form = ddbar(parse_potential(potential, config.n, config.degree, config.exact))
+        form = ddbar(parse_potential(potential, config.n, config.degree,
+                                     double_literals=config.mode == "float"))
     else:
-        form = _read_input(input_path, lambda text: ComplexForm.from_json(
-            json.loads(text), (1, 1)), requested_mode)
-    u, report = solve_poincare_lelong_full(form, tolerance=config.tolerance)
+        form, config = _read_form(config, input_path, functools.partial(
+            ComplexForm.from_json, bidegree=(1, 1)), requested_mode)
+    u, report = solve_poincare_lelong_full(form, config.gate)
+    rendered = report.to_json(config.number)
     payload = {"equation": "ddbar", "measure": MEASURE_NOTE,
-               "solution": u.to_json(), "report": report.to_json()}
+               "solution": u.to_json(config.number), "report": rendered}
     if potential is not None:
         payload["from_potential"] = potential
     _write_json(payload, config.output)
-    final = report.final
-    ok = final.bound_satisfied
-    print(f"lelong: final ratio {final.to_json()['ratio']} vs bound 2; "
+    ok = report.final.bound_satisfied
+    print(f"lelong: final ratio {rendered['final_ratio']} vs bound 2; "
           f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -280,23 +293,40 @@ def cmd_report(input_path: str, output: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_input(path: str, decode, requested_mode: str | None = None):
+def _read_input(path: str, decode):
     """decode(text) of an --input file.  Malformed content, including a
     coefficient degree above its field's own capacity, is a usage error
-    (ValueError).  A form keeps the mode of its file unless requested_mode
-    differs: --mode float lowers exact data, --mode exact cannot promote
-    float data."""
+    (ValueError)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            value = decode(fh.read())
+            return decode(fh.read())
         except (AttributeError, DegreeOverflowError, IndexError, KeyError, RecursionError,
                 TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad input {path}: {type(exc).__name__}: {exc}") from None
-    if requested_mode is None or (requested_mode == "exact") == value.exact:
-        return value
-    if requested_mode == "float":
-        return value.to_float()
-    raise ValueError("--mode exact cannot be applied to float-mode input")
+
+
+def _has_numbers(tree) -> bool:
+    """Whether a form file writes any coefficient part ("re" or "im") as a
+    JSON number rather than a fraction string, which makes it a float file."""
+    if isinstance(tree, dict):
+        return (any(not isinstance(tree[key], str) for key in ("re", "im") if key in tree)
+                or any(_has_numbers(value) for value in tree.values()))
+    return isinstance(tree, list) and any(_has_numbers(value) for value in tree)
+
+
+def _read_form(config: RunConfig, path: str, read, requested_mode: str | None):
+    """The form read(data) of an --input file, and the config in the mode of
+    the file unless requested_mode differs: --mode float writes exact input
+    as doubles, --mode exact refuses a float file."""
+    def decode(text):
+        data = json.loads(text)
+        return read(data), _has_numbers(data)
+
+    form, numbers = _read_input(path, decode)
+    if numbers and requested_mode == "exact":
+        raise ValueError("--mode exact cannot be applied to float-mode input")
+    mode = requested_mode or ("float" if numbers else "exact")
+    return form, dataclasses.replace(config, mode=mode)
 
 
 def _write_jsonl(records: list[dict], output: str | None):
@@ -329,11 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
-                       help="exact rational or double-precision arithmetic "
-                            "(default: exact; solve/lelong infer the mode from "
-                            "input files, and --mode float lowers exact input)")
+                       help="file format; the arithmetic is exact in both: exact "
+                            "writes fraction strings, float reads JSON numbers at "
+                            "their double values and writes each result rounded "
+                            "once to a double (default: exact; solve/lelong take "
+                            "the mode of their input file)")
         p.add_argument("--tolerance", type=float, default=1e-10,
-                       help="float-mode relative tolerance (ignored in exact mode)")
+                       help="float mode: relative tolerance of the closedness, "
+                            "residual and identity gates (exact mode requires "
+                            "equality)")
         p.add_argument("--output", default=None, help="report file path")
 
     def add_size(p: argparse.ArgumentParser):

@@ -10,7 +10,7 @@ class DomainError(GaussHodgeError, ValueError):
 
 
 class DimensionMismatchError(DomainError):
-    """Operands live on different spaces (dimension, scalar kind or mode)."""
+    """Operands live on different spaces (dimension or scalar kind)."""
 
 
 class DegreeOverflowError(GaussHodgeError):
@@ -33,8 +33,8 @@ class NotClosedError(GaussHodgeError):
 
 
 class SolveNumericalError(GaussHodgeError):
-    """A float-mode solve cannot be certified: its residual exceeds the
-    tolerance, or the input norm is not finite (overflow to inf, or NaN)."""
+    """A result cannot be written in float mode: a value lies beyond the
+    double range, so its double would not be finite."""
 
 
 class InvariantViolationError(GaussHodgeError):

@@ -14,13 +14,12 @@ on overflow; silent projection would break the exactness guarantees.
 Every linear map on coefficients is a rule sending a degree vector to
 (target, weight) pairs, applied as one accumulation per operator:
 _accumulate sums scaled contributions into a target map the caller owns,
-exact ones as unreduced integer numerators over a running denominator, and
+as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
 
 Every weighted norm and inner product in the package is one call of _norm_sq
 or _inner over coefficient maps, weighted by the squared norms of the
-field's basis; float sums add each map's terms in its own order, then the
-per-map totals in order.
+field's basis.
 
 A complex field on R^{2n} may instead be kept over Ito's complex Hermite
 basis (ItoField): H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1,
@@ -44,8 +43,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from .scalars import (QC, _make, coerce_scalar, json_int, one_half, scalar_from_json,
-                      scalar_to_json, zero_scalar)
+from .scalars import HALF, QC, _make, coerce_scalar, json_int, scalar_from_json
 
 REAL = "real"
 COMPLEX = "complex"
@@ -107,24 +105,15 @@ def _axis_rules(m: int, rule) -> tuple:
     return tuple(rule(axis) for axis in range(1, m + 1))
 
 
-def _accumulate(acc: dict, terms, rule, exact: bool, scale=1):
+def _accumulate(acc: dict, terms, rule, scale=1):
     """Add scale * sum_{(src, val) in terms} sum_{(t, w) in rule(src)} val w He_t
     into ``acc``, a map from target degree vectors that the caller owns.
 
-    Weights and ``scale`` are ints or scalars of the mode.  Exact terms are
-    summed as unreduced integer entries [re, im, den] for (re + im i)/den, so
-    no term pays a gcd until _finish reduces each target once; float terms
-    are summed as they are.
+    Weights and ``scale`` are ints or QC values.  Terms are summed as
+    unreduced integer entries [re, im, den] for (re + im i)/den, so no term
+    pays a gcd until _finish reduces each target once.
     """
     scaled = scale != 1
-    if not exact:
-        for src, val in terms:
-            if scaled:
-                val = val * scale
-            for tgt, w in rule(src):
-                term = val * w
-                acc[tgt] = acc[tgt] + term if tgt in acc else term
-        return
     sc, se, sf = (scale, 0, 1) if type(scale) is int else (scale._a, scale._b, scale._d)
     for src, val in terms:
         a, b, d = val._a, val._b, val._d
@@ -151,26 +140,24 @@ def _accumulate(acc: dict, terms, rule, exact: bool, scale=1):
                 entry[2] = den * k
 
 
-def _finish(acc: dict, capacity: int, exact: bool) -> dict:
+def _finish(acc: dict, capacity: int) -> dict:
     """The coefficient map of an accumulation: a target above ``capacity``
-    raises DegreeOverflowError, even if its sum cancels; then exact entries
-    are reduced once each and zero sums dropped."""
+    raises DegreeOverflowError, even if its sum cancels; then entries are
+    reduced once each and zero sums dropped."""
     top = max(map(sum, acc), default=0)
     if top > capacity:
         raise DegreeOverflowError(f"result needs capacity {top}, have {capacity}",
                                   required_capacity=top)
-    if exact:
-        return {tgt: _make(re, im, den) for tgt, (re, im, den) in acc.items() if re or im}
-    return {tgt: val for tgt, val in acc.items() if val}
+    return {tgt: _make(re, im, den) for tgt, (re, im, den) in acc.items() if re or im}
 
 
-def _map_terms(terms, rule, capacity: int, exact: bool) -> dict:
+def _map_terms(terms, rule, capacity: int) -> dict:
     """Apply the linear map He_d -> sum_{(t, w) in rule(d)} w He_t to the
     (source, coefficient) pairs ``terms``: one accumulation, then _finish.
     Every single-field operator that moves Hermite degrees runs through here."""
     acc: dict = {}
-    _accumulate(acc, terms, rule, exact)
-    return _finish(acc, capacity, exact)
+    _accumulate(acc, terms, rule)
+    return _finish(acc, capacity)
 
 
 def _product_terms(pair) -> list:
@@ -182,23 +169,11 @@ def _product_terms(pair) -> list:
     return terms
 
 
-def _inner(map_pairs, exact: bool, complex_kind: bool, weight=hermite_sq_norm_vector):
+def _inner(map_pairs, complex_kind: bool, weight=hermite_sq_norm_vector):
     """sum_d x_d conj(y_d) weight(d) over every pair (x, y) of coefficient
-    maps: a QC or complex if ``complex_kind``, else the real part.  Exact pairs
-    sum integer numerators over one running denominator, reduced once, as
-    (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df); float pairs
-    are each summed from zero over the smaller map in its order, and the
-    per-pair totals then added in order."""
-    if not exact:
-        total = zero = 0j if complex_kind else 0.0
-        for mine, theirs in map_pairs:
-            part = zero
-            for deg in (mine if len(mine) <= len(theirs) else theirs):
-                if deg in mine and deg in theirs:
-                    part = part + (mine[deg] * theirs[deg].conjugate()
-                                   * float(weight(deg)))
-            total = total + (part if complex_kind else part.real)
-        return total
+    maps: a QC if ``complex_kind``, else the real part as a Fraction.  The
+    pairs sum integer numerators over one running denominator, reduced once,
+    as (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)."""
     re = im = 0
     den = 1
     for mine, theirs in map_pairs:
@@ -217,19 +192,9 @@ def _inner(map_pairs, exact: bool, complex_kind: bool, weight=hermite_sq_norm_ve
     return _make(re, im, den) if complex_kind else Fraction(re, den)
 
 
-def _norm_sq(maps, exact: bool, weight=hermite_sq_norm_vector):
-    """sum_d |x_d|^2 weight(d) over every coefficient map: exact maps as one
-    Fraction sum (a^2 + b^2) weight(d) / d^2 over a running denominator, float
-    maps each summed from zero in their order and the totals then added."""
-    if not exact:
-        total = 0.0
-        for coeffs in maps:
-            part = 0.0
-            for deg, v in coeffs.items():
-                mag = v.real * v.real + v.imag * v.imag
-                part = part + mag * float(weight(deg))
-            total = total + part
-        return total
+def _norm_sq(maps, weight=hermite_sq_norm_vector) -> Fraction:
+    """sum_d |x_d|^2 weight(d) over every coefficient map, as one Fraction sum
+    (a^2 + b^2) weight(d) / d^2 over a running denominator."""
     num, den = 0, 1
     for coeffs in maps:
         for deg, v in coeffs.items():
@@ -247,34 +212,35 @@ def _norm_sq(maps, exact: bool, weight=hermite_sq_norm_vector):
 class ScalarField:
     """A sparse multivariate Hermite expansion with bounded total degree."""
 
-    __slots__ = ("m", "max_total_degree", "kind", "exact", "coeffs")
+    __slots__ = ("m", "max_total_degree", "kind", "coeffs")
 
     # the squared norms of the basis, by coefficient key
     sq_norm = staticmethod(hermite_sq_norm_vector)
 
     def __init__(self, m: int, max_total_degree: int, kind: str = REAL,
-                 exact: bool = True, coeffs: Optional[Mapping] = None):
-        if m < 1:
+                 coeffs: Optional[Mapping] = None):
+        """Every value is checked: m, the capacity and each degree entry must
+        be ints (not bools), and each coefficient an int, Fraction or QC."""
+        if json_int(m, "dimension") < 1:
             raise DomainError(f"dimension must be >= 1, got {m}")
-        if max_total_degree < 0:
+        if json_int(max_total_degree, "capacity") < 0:
             raise DomainError(f"capacity must be >= 0, got {max_total_degree}")
         if kind not in (REAL, COMPLEX):
             raise DomainError(f"scalar kind must be 'real' or 'complex', got {kind!r}")
         self.m = m
         self.max_total_degree = max_total_degree
         self.kind = kind
-        self.exact = exact
         store: dict[tuple[int, ...], object] = {}
         if coeffs:
             for deg, val in coeffs.items():
-                deg = tuple(int(k) for k in deg)
+                deg = tuple(json_int(k, "a degree entry") for k in deg)
                 if len(deg) != m or any(k < 0 for k in deg):
                     raise DomainError(f"bad degree vector {deg} for dimension {m}")
                 if sum(deg) > max_total_degree:
                     raise DegreeOverflowError(
                         f"degree vector {deg} exceeds capacity {max_total_degree}",
                         required_capacity=sum(deg))
-                val = coerce_scalar(val, exact, kind == COMPLEX)
+                val = coerce_scalar(val, kind == COMPLEX)
                 if val:
                     store[deg] = val
         self.coeffs = store
@@ -282,61 +248,46 @@ class ScalarField:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int, max_total_degree: int, kind: str = REAL,
-             exact: bool = True) -> "ScalarField":
-        return cls(m, max_total_degree, kind, exact)
+    def zero(cls, m: int, max_total_degree: int, kind: str = REAL) -> "ScalarField":
+        return cls(m, max_total_degree, kind)
 
     @classmethod
-    def constant(cls, value, m: int, max_total_degree: int, kind: str = REAL,
-                 exact: bool = True) -> "ScalarField":
-        return cls(m, max_total_degree, kind, exact, {(0,) * m: value})
+    def constant(cls, value, m: int, max_total_degree: int, kind: str = REAL) -> "ScalarField":
+        return cls(m, max_total_degree, kind, {(0,) * m: value})
 
     @classmethod
-    def coordinate(cls, axis: int, m: int, max_total_degree: int, kind: str = REAL,
-                   exact: bool = True) -> "ScalarField":
+    def coordinate(cls, axis: int, m: int, max_total_degree: int,
+                   kind: str = REAL) -> "ScalarField":
         """The linear field x_axis = 1/2 H_1 along the given axis."""
         if axis < 1 or axis > m:
             raise DomainError(f"axis {axis} outside 1..{m}")
         deg = tuple(1 if i == axis - 1 else 0 for i in range(m))
-        return cls(m, max_total_degree, kind, exact, {deg: one_half(exact)})
-
-    def _zero(self):
-        return zero_scalar(self.exact, self.kind == COMPLEX)
+        return cls(m, max_total_degree, kind, {deg: HALF})
 
     def _compatible(self, other: "ScalarField"):
         if type(other) is not type(self):
             raise DimensionMismatchError(
                 f"expected {type(self).__name__}, got {type(other).__name__}")
-        if (self.m, self.kind, self.exact) != (other.m, other.kind, other.exact):
+        if (self.m, self.kind) != (other.m, other.kind):
             raise DimensionMismatchError(
-                f"incompatible fields: ({self.m},{self.kind},{self.exact}) vs "
-                f"({other.m},{other.kind},{other.exact})")
+                f"incompatible fields: ({self.m},{self.kind}) vs ({other.m},{other.kind})")
 
     @classmethod
-    def _trusted(cls, m: int, max_total_degree: int, kind: str, exact: bool,
-                 coeffs: dict) -> "ScalarField":
+    def _trusted(cls, m: int, max_total_degree: int, kind: str, coeffs: dict) -> "ScalarField":
         """A field over a coefficient map that internal operations built: its
-        degree vectors fit (m, max_total_degree) and its values already have
-        the field's scalar type, so nothing is re-validated.  Exact values are
-        nonzero; float values are filtered, since a float product or quotient
-        can underflow to zero, and float complex values get + 0j so output
-        never shows -0.0."""
-        if not exact:
-            if kind == COMPLEX:
-                coeffs = {d: v + 0j for d, v in coeffs.items() if v}
-            else:
-                coeffs = {d: v for d, v in coeffs.items() if v}
+        degree vectors fit (m, max_total_degree) and its values are nonzero
+        QC values, so nothing is re-validated."""
         field = object.__new__(cls)
-        field.m, field.max_total_degree, field.kind, field.exact = m, max_total_degree, kind, exact
+        field.m, field.max_total_degree, field.kind = m, max_total_degree, kind
         field.coeffs = coeffs
         return field
 
     def replace(self, coeffs: dict) -> "ScalarField":
-        """This field's shape over other coefficients of its own scalar type."""
-        return self._trusted(self.m, self.max_total_degree, self.kind, self.exact, coeffs)
+        """This field's shape over other nonzero QC coefficients."""
+        return self._trusted(self.m, self.max_total_degree, self.kind, coeffs)
 
     def with_capacity(self, max_total_degree: int) -> "ScalarField":
-        return type(self)(self.m, max_total_degree, self.kind, self.exact, self.coeffs)
+        return type(self)(self.m, max_total_degree, self.kind, self.coeffs)
 
     # -- basic algebra ----------------------------------------------------------
 
@@ -351,7 +302,7 @@ class ScalarField:
                     continue
             out[deg] = val
         return self._trusted(self.m, max(self.max_total_degree, other.max_total_degree),
-                             self.kind, self.exact, out)
+                             self.kind, out)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (-other)
@@ -360,7 +311,7 @@ class ScalarField:
         return self.replace({d: -v for d, v in self.coeffs.items()})
 
     def scale(self, s) -> "ScalarField":
-        s = coerce_scalar(s, self.exact, self.kind == COMPLEX)
+        s = coerce_scalar(s, self.kind == COMPLEX)
         if not s:
             return self.replace({})
         return self.replace({d: s * v for d, v in self.coeffs.items()})
@@ -369,10 +320,10 @@ class ScalarField:
         if not isinstance(other, ScalarField):
             return NotImplemented
         return (type(self) is type(other) and self.m == other.m and self.kind == other.kind
-                and self.exact == other.exact and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.m, self.kind, self.exact, frozenset(self.coeffs.items())))
+        return hash((self.m, self.kind, frozenset(self.coeffs.items())))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -389,40 +340,28 @@ class ScalarField:
     # -- kind conversions ---------------------------------------------------------
 
     def promote_complex(self) -> "ScalarField":
-        """The same values as a complex field: a relabel in exact mode, where real
+        """The same values as a complex field: a relabel, since real
         coefficients already are QC values."""
         if self.kind == COMPLEX:
             return self
-        return self._trusted(self.m, self.max_total_degree, COMPLEX, self.exact, self.coeffs)
+        return self._trusted(self.m, self.max_total_degree, COMPLEX, self.coeffs)
 
     def conjugate(self) -> "ScalarField":
         if self.kind == REAL:
             return self
         return self.replace({d: v.conjugate() for d, v in self.coeffs.items()})
 
-    def to_float(self) -> "ScalarField":
-        """Lower exact coefficients to doubles (identity on float fields)."""
-        if not self.exact:
-            return self
-        return type(self)(self.m, self.max_total_degree, self.kind, False, self.coeffs)
-
     def real_part(self) -> "ScalarField":
         if self.kind == REAL:
             return self
-        if self.exact:
-            vals = {d: _make(v._a, 0, v._d) for d, v in self.coeffs.items() if v._a}
-        else:
-            vals = {d: v.real for d, v in self.coeffs.items()}
-        return self._trusted(self.m, self.max_total_degree, REAL, self.exact, vals)
+        vals = {d: _make(v._a, 0, v._d) for d, v in self.coeffs.items() if v._a}
+        return self._trusted(self.m, self.max_total_degree, REAL, vals)
 
     def imag_part(self) -> "ScalarField":
         if self.kind == REAL:
             return self.replace({})
-        if self.exact:
-            vals = {d: _make(v._b, 0, v._d) for d, v in self.coeffs.items() if v._b}
-        else:
-            vals = {d: v.imag for d, v in self.coeffs.items()}
-        return self._trusted(self.m, self.max_total_degree, REAL, self.exact, vals)
+        vals = {d: _make(v._b, 0, v._d) for d, v in self.coeffs.items() if v._b}
+        return self._trusted(self.m, self.max_total_degree, REAL, vals)
 
     # -- ladder operations ----------------------------------------------------------
 
@@ -431,8 +370,7 @@ class ScalarField:
             raise DomainError(f"axis {axis} outside 1..{self.m}")
 
     def _map(self, rule) -> "ScalarField":
-        return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree,
-                                       self.exact))
+        return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree))
 
     def partial_derivative(self, axis: int) -> "ScalarField":
         """d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
@@ -448,8 +386,7 @@ class ScalarField:
         """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
         self._axis_check(axis)
         i = axis - 1
-        half = one_half(self.exact)
-        return self._map(lambda d: [(_shift(d, i, k), w) for k, w in ((1, half), (-1, d[i])) if w])
+        return self._map(lambda d: [(_shift(d, i, k), w) for k, w in ((1, HALF), (-1, d[i])) if w])
 
     def multiply(self, other: "ScalarField") -> "ScalarField":
         """Exact product via the 1-D Hermite linearization, applied per axis.
@@ -461,30 +398,29 @@ class ScalarField:
         cap = self.max_total_degree + other.max_total_degree
         products = (((da, db), va * vb) for da, va in self.coeffs.items()
                     for db, vb in other.coeffs.items())
-        return self._trusted(self.m, cap, self.kind, self.exact,
-                             _map_terms(products, _product_terms, cap, self.exact))
+        return self._trusted(self.m, cap, self.kind, _map_terms(products, _product_terms, cap))
 
     # -- metric and evaluation -------------------------------------------------------
 
     def weighted_inner(self, other: "ScalarField"):
         """<F, G> = int F conj(G) dmu; the second argument is conjugated.
 
-        Exact results are a Fraction for real fields and a QC for complex ones.
+        The result is a Fraction for real fields and a QC for complex ones.
         """
         self._compatible(other)
-        return _inner(((self.coeffs, other.coeffs),), self.exact, self.kind == COMPLEX,
-                      self.sq_norm)
+        return _inner(((self.coeffs, other.coeffs),), self.kind == COMPLEX, self.sq_norm)
 
-    def norm_sq(self):
-        """||F||^2 as a real scalar (exact Fraction or float)."""
-        return _norm_sq((self.coeffs,), self.exact, self.sq_norm)
+    def norm_sq(self) -> Fraction:
+        """||F||^2 as a Fraction."""
+        return _norm_sq((self.coeffs,), self.sq_norm)
 
     def evaluate(self, point) -> object:
         if len(point) != self.m:
             raise DimensionMismatchError(f"point has length {len(point)}, expected {self.m}")
+        real = self.kind == REAL
         top = self.degree
         if top is None:
-            return self._zero()
+            return Fraction(0) if real else QC(0)
         # per-axis Hermite values up to the top degree present
         tables = []
         for x in point:
@@ -492,12 +428,11 @@ class ScalarField:
             for k in range(1, top):
                 vals.append(2 * x * vals[k] - 2 * k * vals[k - 1])
             tables.append(vals)
-        total = self._zero()
-        # a real exact field evaluates through Fraction values, which also
-        # combine with float points
-        real_exact = self.exact and self.kind == REAL
+        # a real field evaluates through Fraction values, which also combine
+        # with float points
+        total = Fraction(0) if real else QC(0)
         for deg, val in self.coeffs.items():
-            prod = val.re if real_exact else val
+            prod = val.re if real else val
             for i, k in enumerate(deg):
                 prod = prod * tables[i][k]
             total = total + prod
@@ -505,32 +440,29 @@ class ScalarField:
 
     # -- serialization ---------------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def to_json(self, number=str) -> dict:
+        """The field as JSON, each real and imaginary part written by
+        ``number``: ``str`` for exact output, ``scalars.to_double`` for float
+        output."""
         entries = []
         for deg in sorted(self.coeffs):
-            re, im = scalar_to_json(self.coeffs[deg], self.exact)
-            entries.append({"deg": list(deg), "re": re, "im": im})
+            v = self.coeffs[deg]
+            entries.append({"deg": list(deg), "re": number(v.re), "im": number(v.im)})
         return {"m": self.m, "max_total_degree": self.max_total_degree,
                 "scalar": self.kind, "coeffs": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "ScalarField":
+        """Read a field; each part is a fraction string or a JSON number."""
         kind = data["scalar"]
-        entries = data.get("coeffs", [])
-        exact = True
-        for e in entries:
-            if not isinstance(e["re"], str) or not isinstance(e.get("im", "0"), str):
-                exact = False
-                break
         coeffs = {}
-        for e in entries:
+        for e in data.get("coeffs", []):
             deg = tuple(json_int(k, "a degree entry") for k in e["deg"])
             if deg in coeffs:
                 raise DomainError(f"degree vector {deg} appears twice")
-            coeffs[deg] = scalar_from_json(e["re"], e.get("im", "0" if exact else 0.0),
-                                           exact, kind == COMPLEX)
+            coeffs[deg] = scalar_from_json(e["re"], e.get("im", "0"), kind == COMPLEX)
         cap = json_int(data["max_total_degree"], "max_total_degree")
-        return cls(json_int(data["m"], "m"), cap, kind, exact, coeffs)
+        return cls(json_int(data["m"], "m"), cap, kind, coeffs)
 
 
 
@@ -546,14 +478,13 @@ def _k(a: int, b: int, p: int) -> int:
                for j in range(max(0, a - q), min(p, a) + 1))
 
 
-def _times_i_power(r: Fraction, k: int, exact: bool):
+def _times_i_power(r: Fraction, k: int) -> QC:
     """The scalar i^k r."""
-    re, im = ((r, 0), (0, r), (-r, 0), (0, -r))[k % 4]
-    return QC(re, im) if exact else complex(re, im)
+    return QC(*((r, 0), (0, r), (-r, 0), (0, -r))[k % 4])
 
 
 @lru_cache(maxsize=None)
-def he_to_complex_hermite(a: int, b: int, exact: bool) -> tuple:
+def he_to_complex_hermite(a: int, b: int) -> tuple:
     """He_a(x) He_b(y) as ((p, q), coefficient) pairs over H_{p,q}, p + q = a + b."""
     s = a + b
     out = []
@@ -562,30 +493,29 @@ def he_to_complex_hermite(a: int, b: int, exact: bool) -> tuple:
         if k:
             r = Fraction(k * math.factorial(a) * math.factorial(b),
                          math.factorial(p) * math.factorial(s - p))
-            out.append(((p, s - p), _times_i_power(r, b, exact)))
+            out.append(((p, s - p), _times_i_power(r, b)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def complex_hermite_to_he(p: int, q: int, exact: bool) -> tuple:
+def complex_hermite_to_he(p: int, q: int) -> tuple:
     """H_{p,q} as ((a, b), coefficient) pairs over He_a(x) He_b(y), a + b = p + q."""
     s = p + q
     out = []
     for a in range(s + 1):
         k = _k(a, s - a, p)
         if k:
-            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s, exact)))
+            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s)))
     return tuple(out)
 
 
-def _convert_pairs(coeffs: dict, m: int, table, exact: bool) -> dict:
-    """Apply a per-pair basis conversion table(a, b, exact) to every complex
-    pair of a coefficient map on R^m; the total degree is kept or lowered."""
+def _convert_pairs(coeffs: dict, m: int, table) -> dict:
+    """Apply a per-pair basis conversion table(a, b) to every complex pair of
+    a coefficient map on R^m; the total degree is kept or lowered."""
     top = max(map(sum, coeffs), default=0)
     for j in range(0, m, 2):
         coeffs = _map_terms(coeffs.items(), lambda d, j=j: [
-            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1], exact)],
-            top, exact)
+            (d[:j] + pair + d[j + 2:], t) for pair, t in table(d[j], d[j + 1])], top)
     return coeffs
 
 
@@ -625,15 +555,13 @@ class ItoField(ScalarField):
     @classmethod
     def from_he(cls, field: ScalarField) -> "ItoField":
         """A He field over H_{p,q}, one complex pair at a time."""
-        return cls._trusted(field.m, field.max_total_degree, COMPLEX, field.exact,
-                            _convert_pairs(field.coeffs, field.m, he_to_complex_hermite,
-                                           field.exact))
+        return cls._trusted(field.m, field.max_total_degree, COMPLEX,
+                            _convert_pairs(field.coeffs, field.m, he_to_complex_hermite))
 
     def to_he(self) -> ScalarField:
         """This field over He_d, one complex pair at a time."""
-        return ScalarField._trusted(self.m, self.max_total_degree, COMPLEX, self.exact,
-                                    _convert_pairs(self.coeffs, self.m, complex_hermite_to_he,
-                                                   self.exact))
+        return ScalarField._trusted(self.m, self.max_total_degree, COMPLEX,
+                                    _convert_pairs(self.coeffs, self.m, complex_hermite_to_he))
 
     def conjugate(self) -> "ItoField":
         """conj(c H_{p,q}) = conj(c) H_{q,p}."""
@@ -642,5 +570,5 @@ class ItoField(ScalarField):
     def evaluate(self, point) -> object:
         return self.to_he().evaluate(point)
 
-    def to_json(self) -> dict:
-        return self.to_he().to_json()
+    def to_json(self, number=str) -> dict:
+        return self.to_he().to_json(number)

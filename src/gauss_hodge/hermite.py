@@ -18,24 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
+from .errors import DegreeOverflowError, DomainError
 from .scalars import coerce_scalar
 
 
-def _scalar(value, exact: bool):
-    """A coefficient of this module: a Fraction in exact mode, a float otherwise."""
-    value = coerce_scalar(value, exact, complex_kind=False)
-    return value.to_fraction() if exact else value
+def _scalar(value) -> Fraction:
+    """A coefficient of this module: an int, Fraction or real QC as a Fraction."""
+    return coerce_scalar(value, complex_kind=False).to_fraction()
 
 
 class HermiteSeries:
     """A finite expansion sum_k c_k H_k with an optional degree capacity."""
 
-    __slots__ = ("coeffs", "capacity", "exact")
+    __slots__ = ("coeffs", "capacity")
 
-    def __init__(self, coeffs: Sequence = (), capacity: Optional[int] = None,
-                 exact: bool = True):
-        vals = [_scalar(c, exact) for c in coeffs]
+    def __init__(self, coeffs: Sequence = (), capacity: Optional[int] = None):
+        vals = [_scalar(c) for c in coeffs]
         while vals and not vals[-1]:
             vals.pop()
         if capacity is not None and len(vals) - 1 > capacity:
@@ -44,18 +42,16 @@ class HermiteSeries:
                 required_capacity=len(vals) - 1)
         self.coeffs = tuple(vals)
         self.capacity = capacity
-        self.exact = exact
 
     @classmethod
-    def zero(cls, capacity: Optional[int] = None, exact: bool = True) -> "HermiteSeries":
-        return cls((), capacity, exact)
+    def zero(cls, capacity: Optional[int] = None) -> "HermiteSeries":
+        return cls((), capacity)
 
     @classmethod
-    def basis(cls, k: int, capacity: Optional[int] = None, exact: bool = True) -> "HermiteSeries":
+    def basis(cls, k: int, capacity: Optional[int] = None) -> "HermiteSeries":
         if k < 0:
             raise DomainError(f"basis degree must be non-negative, got {k}")
-        one = Fraction(1) if exact else 1.0
-        return cls((0,) * k + (one,), capacity, exact)
+        return cls((0,) * k + (1,), capacity)
 
     @property
     def degree(self) -> Optional[int]:
@@ -68,30 +64,22 @@ class HermiteSeries:
     def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return _scalar(0, self.exact)
-
-    def _like(self, other: "HermiteSeries"):
-        if self.exact != other.exact:
-            raise DimensionMismatchError("cannot mix exact and float series")
+        return Fraction(0)
 
     def __add__(self, other: "HermiteSeries") -> "HermiteSeries":
-        self._like(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return HermiteSeries([self[k] + other[k] for k in range(n)],
-                             self.capacity, self.exact)
+        return HermiteSeries([self[k] + other[k] for k in range(n)], self.capacity)
 
     def __sub__(self, other: "HermiteSeries") -> "HermiteSeries":
-        self._like(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return HermiteSeries([self[k] - other[k] for k in range(n)],
-                             self.capacity, self.exact)
+        return HermiteSeries([self[k] - other[k] for k in range(n)], self.capacity)
 
     def __neg__(self) -> "HermiteSeries":
-        return HermiteSeries([-c for c in self.coeffs], self.capacity, self.exact)
+        return HermiteSeries([-c for c in self.coeffs], self.capacity)
 
     def scale(self, s) -> "HermiteSeries":
-        s = _scalar(s, self.exact)
-        return HermiteSeries([s * c for c in self.coeffs], self.capacity, self.exact)
+        s = _scalar(s)
+        return HermiteSeries([s * c for c in self.coeffs], self.capacity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermiteSeries):
@@ -108,62 +96,54 @@ class HermiteSeries:
         return f"HermiteSeries({terms})"
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
-        out = {}
-        for k, c in enumerate(self.coeffs):
-            if c:
-                re, _ = scalar_to_json(c, self.exact)
-                out[str(k)] = re
-        return out
+        return {str(k): str(c) for k, c in enumerate(self.coeffs) if c}
 
     @classmethod
     def from_json(cls, data: dict, capacity: Optional[int] = None) -> "HermiteSeries":
-        exact = any(isinstance(v, str) for v in data.values()) or not data
         top = max((int(k) for k in data), default=-1)
         coeffs = [0] * (top + 1)
         for k, v in data.items():
-            coeffs[int(k)] = Fraction(v) if isinstance(v, str) else float(v)
-        return cls(coeffs, capacity, exact)
+            coeffs[int(k)] = Fraction(v)
+        return cls(coeffs, capacity)
 
 
 def differentiate(s: HermiteSeries) -> HermiteSeries:
     """d/dx via the lowering rule H_k -> 2k H_{k-1}."""
-    out = [_scalar(0, s.exact)] * max(len(s.coeffs) - 1, 0)
+    out = [Fraction(0)] * max(len(s.coeffs) - 1, 0)
     for k in range(1, len(s.coeffs)):
         out[k - 1] = out[k - 1] + (2 * k) * s.coeffs[k]
-    return HermiteSeries(out, s.capacity, s.exact)
+    return HermiteSeries(out, s.capacity)
 
 
 def apply_delta(s: HermiteSeries) -> HermiteSeries:
     """The twisted derivative delta = d/dx - 2x, a pure raising ladder: H_k -> -H_{k+1}."""
     if s.is_zero():
-        return HermiteSeries.zero(s.capacity, s.exact)
+        return HermiteSeries.zero(s.capacity)
     if s.capacity is not None and len(s.coeffs) > s.capacity:
         raise DegreeOverflowError(
             f"delta would raise degree to {len(s.coeffs)} beyond capacity {s.capacity}",
             required_capacity=len(s.coeffs))
-    out = [_scalar(0, s.exact)] * (len(s.coeffs) + 1)
+    out = [Fraction(0)] * (len(s.coeffs) + 1)
     for k, c in enumerate(s.coeffs):
         out[k + 1] = out[k + 1] - c
-    return HermiteSeries(out, s.capacity, s.exact)
+    return HermiteSeries(out, s.capacity)
 
 
 def multiply_by_coordinate(s: HermiteSeries) -> HermiteSeries:
     """Multiplication by x via the three-term recurrence x H_k = 1/2 H_{k+1} + k H_{k-1}."""
     if s.is_zero():
-        return HermiteSeries.zero(s.capacity, s.exact)
+        return HermiteSeries.zero(s.capacity)
     if s.capacity is not None and len(s.coeffs) > s.capacity:
         raise DegreeOverflowError(
             f"coordinate multiplication would raise degree to {len(s.coeffs)} "
             f"beyond capacity {s.capacity}",
             required_capacity=len(s.coeffs))
-    half = Fraction(1, 2) if s.exact else 0.5
-    out = [_scalar(0, s.exact)] * (len(s.coeffs) + 1)
+    out = [Fraction(0)] * (len(s.coeffs) + 1)
     for k, c in enumerate(s.coeffs):
-        out[k + 1] = out[k + 1] + half * c
+        out[k + 1] = out[k + 1] + c / 2
         if k >= 1:
             out[k - 1] = out[k - 1] + k * c
-    return HermiteSeries(out, s.capacity, s.exact)
+    return HermiteSeries(out, s.capacity)
 
 
 def hermite_sq_norm(k: int) -> int:
@@ -176,20 +156,18 @@ def hermite_sq_norm(k: int) -> int:
 
 def inner_product_1d(s: HermiteSeries, t: HermiteSeries):
     """<s, t> = sum_k c_k d_k 2^k k!."""
-    s._like(t)
-    total = _scalar(0, s.exact)
+    total = Fraction(0)
     for k in range(min(len(s.coeffs), len(t.coeffs))):
-        norm = hermite_sq_norm(k)
-        total = total + s.coeffs[k] * t.coeffs[k] * (norm if s.exact else float(norm))
+        total = total + s.coeffs[k] * t.coeffs[k] * hermite_sq_norm(k)
     return total
 
 
 def evaluate(s: HermiteSeries, x):
     """Evaluate via the forward recurrence H_{k+1} = 2x H_k - 2k H_{k-1}."""
     if s.is_zero():
-        return _scalar(0, s.exact)
-    total = _scalar(0, s.exact)
-    h_prev, h_cur = None, _scalar(1, s.exact)
+        return Fraction(0)
+    total = Fraction(0)
+    h_prev, h_cur = None, Fraction(1)
     for k in range(len(s.coeffs)):
         if k > 0:
             h_next = 2 * x * h_cur - (2 * (k - 1)) * (h_prev if h_prev is not None else 0)

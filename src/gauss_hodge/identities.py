@@ -2,13 +2,14 @@
 
 Everything here integrates polynomials against the normalized Gaussian, for
 which integration by parts is exact (all boundary terms vanish), so the
-identities hold with zero discrepancy in exact mode even though they are
-classically stated for compactly supported smooth forms.  See the README
-notes for the implementer-verified argument.
+identities hold with zero discrepancy even though they are classically
+stated for compactly supported smooth forms.  See the README notes for the
+implementer-verified argument.
 
 Each sum of norms and real inner products is one fields._inner call, and
-fields and forms are compared through _same: == in exact mode, else
-solver.negligible at the caller's tolerance.
+numbers, fields and forms are compared through _same: ==, or failing that
+solver.negligible at the caller's tolerance, which is 0 unless float mode
+sets one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .calculus import (DZ, DZBAR, ComplexForm, PForm, _pair_rules, codifferentia
 from .errors import DomainError
 from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
 from .multiindex import enumerate_indices, insert_axis
-from .scalars import imaginary_unit, render_value, zero_scalar
+from .scalars import IMAG_UNIT, QC, render_value
 from .solver import negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
@@ -31,11 +32,11 @@ from .solver import negligible
 CONVEXITY = 2
 
 
-def _real_sum(exact: bool, fields=(), pairs=()):
-    """sum ||F||^2 over fields plus sum Re <F, G> over pairs (F, G), in that
-    order, with each ||F||^2 taken as <F, F>."""
+def _real_sum(fields=(), pairs=()) -> Fraction:
+    """sum ||F||^2 over fields plus sum Re <F, G> over pairs (F, G), with each
+    ||F||^2 taken as <F, F>."""
     return _inner(chain(((f.coeffs, f.coeffs) for f in fields),
-                        ((f.coeffs, g.coeffs) for f, g in pairs)), exact, False)
+                        ((f.coeffs, g.coeffs) for f, g in pairs)), False)
 
 
 def _gradients(alpha: PForm) -> dict:
@@ -44,19 +45,14 @@ def _gradients(alpha: PForm) -> dict:
             for j in range(1, alpha.n + 1)}
 
 
-def _same(a, b, exact: bool, tolerance: float) -> bool:
-    """Two fields or forms agree: a == b in exact mode; in float mode
-    ||a - b||^2 is negligible against the largest of ||a||^2, ||b||^2 and 1."""
-    if exact:
-        return a == b
-    return negligible((a - b).norm_sq(), max(a.norm_sq(), b.norm_sq(), 1.0), False, tolerance)
-
-
-def _tol_equal(lhs, rhs, exact: bool, rel_tol: float = 1e-12) -> bool:
-    if exact:
-        return lhs == rhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= rel_tol * scale
+def _same(a, b, tolerance=0) -> bool:
+    """Two real numbers, fields or forms agree: a == b, or ||a - b||^2 is
+    negligible against the largest of ||a||^2, ||b||^2 and 1, where a
+    number's squared norm is its square."""
+    if a == b:
+        return True
+    sq = (lambda x: x * x) if isinstance(a, Fraction) else (lambda x: x.norm_sq())
+    return negligible(sq(a - b), max(sq(a), sq(b), 1), tolerance)
 
 
 @dataclass
@@ -68,7 +64,7 @@ class DNormExpansionReport:
     equal: bool
 
 
-def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpansionReport:
+def d_norm_expansion_report(alpha: PForm, tolerance: float = 0) -> DNormExpansionReport:
     """Check ||d a||^2 = sum'_J sum_j ||da_J/dx_j||^2
     - sum'_I sum_{j,k} <da_{kI}/dx_j, da_{jI}/dx_k>."""
     if alpha.p < 1:
@@ -88,8 +84,8 @@ def d_norm_expansion_report(alpha: PForm, rel_tol: float = 1e-12) -> DNormExpans
                 # (d a_{kI}/dx_j, -d a_{jI}/dx_k)
                 pairs.append((grad[kI, j] if s_k == 1 else -grad[kI, j],
                               -grad[jI, k] if s_j == 1 else grad[jI, k]))
-    rhs = _real_sum(alpha.exact, grad.values(), pairs)
-    return DNormExpansionReport(lhs, rhs, _tol_equal(lhs, rhs, alpha.exact, rel_tol))
+    rhs = _real_sum(grad.values(), pairs)
+    return DNormExpansionReport(lhs, rhs, _same(lhs, rhs, tolerance))
 
 
 @dataclass
@@ -104,7 +100,7 @@ class BochnerReport:
     coercivity_margin: object
 
 
-def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerReport:
+def bochner_identity_report(alpha: PForm, tolerance: float = 0) -> BochnerReport:
     """Check ||T* a||^2 + ||d a||^2 = Hessian term + gradient term for the
     weight |x|^2, and report the coercivity margin against c (p+1) ||a||^2
     with c = CONVEXITY."""
@@ -119,12 +115,10 @@ def bochner_identity_report(alpha: PForm, rel_tol: float = 1e-12) -> BochnerRepo
             a_jI = alpha.signed_component(j, I)
             if not a_jI.is_zero():
                 pairs.append((a_jI, a_jI))
-    # CONVEXITY = 2, so scaling the sum rounds as scaling each term did
-    rhs_hessian = CONVEXITY * _real_sum(alpha.exact, pairs=pairs)
-    rhs_gradient = _real_sum(alpha.exact, _gradients(alpha).values())
+    rhs_hessian = CONVEXITY * _real_sum(pairs=pairs)
+    rhs_gradient = _real_sum(_gradients(alpha).values())
 
-    holds = _tol_equal(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient,
-                       alpha.exact, rel_tol)
+    holds = _same(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient, tolerance)
     margin = lhs_adjoint + lhs_d - CONVEXITY * alpha.p * alpha.norm_sq()
     return BochnerReport(lhs_adjoint, lhs_d, rhs_hessian, rhs_gradient, holds, margin)
 
@@ -165,9 +159,8 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     """
     n = alpha.n // 2
     top = alpha.degree
-    exact = alpha.exact
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
-    lower_z, lower_zbar = _pair_rules(n, DZ, exact), _pair_rules(n, DZBAR, exact)
+    lower_z, lower_zbar = _pair_rules(n, DZ), _pair_rules(n, DZBAR)
     entries = []
     candidates = set()
     for (i, j), field in alpha.components.items():
@@ -177,19 +170,17 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
             for x in (2 * i - 2, 2 * i - 1):
                 for y in (2 * j - 2, 2 * j - 1):
                     candidates.add(_shift(_shift(e, x, 1), y, 1))
-    zero = zero_scalar(exact, True)
     out: dict = {}
     for deg in sorted(candidates, key=lambda d: (sum(d), d)):
-        pairing = zero
+        pairing = QC(0)
         for dz_i, dzbar_j, coeffs in entries:
             for s, w1 in dzbar_j(deg):
                 for t, w2 in dz_i(s):
                     if t in coeffs:
                         pairing += w1 * w2 * coeffs[t].conjugate() * hermite_sq_norm_vector(t)
         if pairing:
-            norm = hermite_sq_norm_vector(deg)
-            out[deg] = pairing.conjugate() / (norm if exact else float(norm))
-    return ScalarField(alpha.n, cap, COMPLEX, exact, out)
+            out[deg] = pairing.conjugate() / hermite_sq_norm_vector(deg)
+    return ScalarField(alpha.n, cap, COMPLEX, out)
 
 
 @dataclass
@@ -217,20 +208,18 @@ class DdbarAdjointReport:
 
 
 def ddbar_adjoint_identity_report(alpha: ComplexForm,
-                                  tolerance: float = 1e-10) -> DdbarAdjointReport:
+                                  tolerance: float = 0) -> DdbarAdjointReport:
     """Evaluate both sides of the eight-term adjoint-norm identity for ddbar and
-    check the adjoint against the dual-basis oracle (within ``tolerance`` in
-    float mode)."""
+    check the adjoint against the dual-basis oracle (within ``tolerance``)."""
     n = alpha.n // 2
-    exact = alpha.exact
-    zero = Fraction(0) if exact else 0.0
     if alpha.is_zero():
+        zero = Fraction(0)
         return DdbarAdjointReport(zero, zero, zero, True, {})
 
     adj = ddbar_formal_adjoint(alpha)
     lhs = adj.norm_sq()
     oracle = ddbar_adjoint_dual_basis(alpha)
-    duality_ok = _same(oracle, adj, exact, tolerance)
+    duality_ok = _same(oracle, adj, tolerance)
 
     t_norm = alpha.norm_sq()
     t_ddbar = partial(dbar(alpha)).norm_sq()
@@ -252,12 +241,11 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
             continue
         seconds.append(mixed)
         crosses.append((mixed, second[i, l, k, j] + second[k, j, i, l]))
-    t_mixed_sq = _real_sum(exact, seconds)
+    t_mixed_sq = _real_sum(seconds)
     # the full ijkl sum is conjugate-symmetric, so it is real
-    t_cross = _real_sum(exact, pairs=crosses)
-    t_grad_z = _real_sum(exact, [wirtinger_dz(a(i, l), k) for i in axes for l in axes
-                                 for k in axes])
-    t_grad_zbar = _real_sum(exact, first.values())
+    t_cross = _real_sum(pairs=crosses)
+    t_grad_z = _real_sum([wirtinger_dz(a(i, l), k) for i in axes for l in axes for k in axes])
+    t_grad_zbar = _real_sum(first.values())
 
     terms = {"norm_sq": t_norm, "ddbar_sq": t_ddbar, "partial_sq": t_partial,
              "dbar_sq": t_dbar, "mixed_second_sq": t_mixed_sq, "cross": t_cross,
@@ -273,9 +261,8 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
 
 
 def conjugation_identities_check(u: ScalarField,
-                                 tolerance: float = 1e-10) -> tuple[bool, bool, bool]:
-    """Check, on one complex function, each with ``==`` in exact mode and
-    within ``tolerance`` in float mode:
+                                 tolerance: float = 0) -> tuple[bool, bool, bool]:
+    """Check, on one complex function, each with ``==`` or within ``tolerance``:
 
     (a) partial(conj u) is the componentwise conjugate of dbar(u);
     (b) dbar(partial u) is the entrywise negation of ddbar(u);
@@ -284,19 +271,17 @@ def conjugation_identities_check(u: ScalarField,
         built from real partial derivatives alone.
     """
     n = complex_dimension(u)  # validates evenness
-    exact = u.exact
     a = _same(partial(ComplexForm.function(u.conjugate())), dbar_function(u).conjugate(),
-              exact, tolerance)
+              tolerance)
     form = ddbar(u)
-    b = _same(dbar(partial(ComplexForm.function(u))), form.scale(-1), exact, tolerance)
-    i_unit = imaginary_unit(exact)
-    quarter = Fraction(1, 4) if exact else 0.25
+    b = _same(dbar(partial(ComplexForm.function(u))), form.scale(-1), tolerance)
+    quarter = Fraction(1, 4)
     c = True
     for j in range(1, n + 1):
-        w = u.partial_derivative(2 * j - 1) + u.partial_derivative(2 * j).scale(i_unit)
+        w = u.partial_derivative(2 * j - 1) + u.partial_derivative(2 * j).scale(IMAG_UNIT)
         for i in range(1, n + 1):
             want = (w.partial_derivative(2 * i - 1)
-                    - w.partial_derivative(2 * i).scale(i_unit)).scale(quarter)
+                    - w.partial_derivative(2 * i).scale(IMAG_UNIT)).scale(quarter)
             got = form.coefficient((i,), (j,))
-            c = c and _same(got, want, exact, tolerance)
+            c = c and _same(got, want, tolerance)
     return a, b, c

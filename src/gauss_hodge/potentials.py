@@ -23,19 +23,24 @@ time through Ito's table (Ito 1952)
 
 whose weights are integers.  The field stays over H_{p,q}: ddbar of it is an
 ItoForm, which is what the Poincare-Lelong pipeline solves in.
+
+In float mode each integer literal is read as the nearest double, as a JSON
+number would be, and a literal beyond the double range is refused; the
+arithmetic on the literals is exact either way.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
 from .errors import DomainError
 from .fields import (COMPLEX, ItoField, _accumulate, _convert_pairs, _finish, _identity_rule,
                      _swap_pairs)
-from .scalars import QC, coerce_scalar, imaginary_unit
+from .scalars import IMAG_UNIT, QC, coerce_scalar
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
 
@@ -60,12 +65,12 @@ def _degree(poly: dict):
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], n: int, capacity: int, exact: bool):
+    def __init__(self, tokens: list[str], n: int, capacity: int, double_literals: bool):
         self.tokens = tokens
         self.pos = 0
         self.n = n
         self.capacity = capacity
-        self.exact = exact
+        self.double_literals = double_literals
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -86,29 +91,33 @@ class _Parser:
             raise DomainError(f"potential degree {degree} exceeds capacity {self.capacity}")
 
     def constant(self, value) -> dict:
-        if not self.exact:
-            try:
-                value = complex(value)
-            except OverflowError:
-                raise DomainError(f"integer {str(value)[:12]}... in potential is too large "
-                                  f"for float mode") from None
-        value = coerce_scalar(value, self.exact, True)
+        value = coerce_scalar(value, True)
         return {(0,) * (2 * self.n): value} if value else {}
+
+    def literal(self, tok: str) -> dict:
+        """An integer literal, read as the nearest double in float mode."""
+        value = int(tok)
+        if self.double_literals:
+            try:
+                value = Fraction(float(value))
+            except OverflowError:
+                raise DomainError(f"integer {tok[:12]}... in potential is too large "
+                                  f"for float mode") from None
+        return self.constant(value)
 
     def variable(self, j: int) -> dict:
         if j < 1 or j > self.n:
             raise DomainError(f"variable z{j} outside 1..{self.n}")
         key = [0] * (2 * self.n)
         key[2 * j - 2] = 1
-        return {tuple(key): QC(1) if self.exact else 1 + 0j}
+        return {tuple(key): QC(1)}
 
     def multiply(self, p: dict, q: dict) -> dict:
         """The product: each pair of monomials adds its exponents."""
         acc: dict = {}
         for kp, vp in p.items():
-            _accumulate(acc, q.items(), lambda kq: ((tuple(map(add, kp, kq)), 1),),
-                        self.exact, vp)
-        return _finish(acc, self.capacity, self.exact)
+            _accumulate(acc, q.items(), lambda kq: ((tuple(map(add, kp, kq)), 1),), vp)
+        return _finish(acc, self.capacity)
 
     def parse(self) -> dict:
         out = self.expr()
@@ -121,10 +130,9 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             acc: dict = {}
-            _accumulate(acc, out.items(), _identity_rule, self.exact)
-            _accumulate(acc, self.term().items(), _identity_rule, self.exact,
-                        1 if op == "+" else -1)
-            out = _finish(acc, self.capacity, self.exact)
+            _accumulate(acc, out.items(), _identity_rule)
+            _accumulate(acc, self.term().items(), _identity_rule, 1 if op == "+" else -1)
+            out = _finish(acc, self.capacity)
         return out
 
     def term(self) -> dict:
@@ -141,7 +149,7 @@ class _Parser:
                 if _degree(rhs) != 0:
                     raise DomainError("division is only allowed by constants")
                 const = next(iter(rhs.values()))
-                out = _scale(out, QC(1) / const if self.exact else 1 / const)
+                out = _scale(out, QC(1) / const)
         return out
 
     def factor(self) -> dict:
@@ -175,9 +183,9 @@ class _Parser:
     def atom(self) -> dict:
         tok = self.take()
         if tok.isdigit():
-            return self.constant(int(tok))
+            return self.literal(tok)
         if tok == "i":
-            return self.constant(imaginary_unit(self.exact))
+            return self.constant(IMAG_UNIT)
         if tok == "conj":
             self.take("(")
             inner = self.expr()
@@ -197,29 +205,31 @@ class _Parser:
 
 
 def _scale(poly: dict, s) -> dict:
-    """s times a polynomial; a float product that underflows to zero is dropped."""
-    return {key: v for key, v in ((key, s * val) for key, val in poly.items()) if v}
+    """s times a polynomial, for a nonzero s."""
+    return {key: s * val for key, val in poly.items()}
 
 
 @lru_cache(maxsize=None)
-def _monomial_to_ito(a: int, b: int, exact: bool) -> tuple:
+def _monomial_to_ito(a: int, b: int) -> tuple:
     """z^a zbar^b in one complex pair as ((p, q), weight) pairs over H_{p,q}:
-    sum_k k! C(a,k) C(b,k) H_{a-k,b-k}, with integer weights in both modes."""
+    sum_k k! C(a,k) C(b,k) H_{a-k,b-k}, with integer weights."""
     return tuple(((a - k, b - k), math.factorial(k) * math.comb(a, k) * math.comb(b, k))
                  for k in range(min(a, b) + 1))
 
 
-def parse_potential(text: str, n: int, capacity: int, exact: bool = True) -> ItoField:
+def parse_potential(text: str, n: int, capacity: int,
+                    double_literals: bool = False) -> ItoField:
     """Parse a polynomial in z1..zn (and conj) into a complex field on R^{2n}
-    over H_{p,q}."""
+    over H_{p,q}; ``double_literals`` reads each integer literal as the
+    nearest double, as float mode does."""
     if n < 1:
         raise DomainError("potential needs n >= 1")
     tokens = _tokenize(text)
     if not tokens:
         raise DomainError("empty potential expression")
-    parsed = _Parser(tokens, n, capacity, exact).parse()
+    parsed = _Parser(tokens, n, capacity, double_literals).parse()
     top = _degree(parsed) or 0
     if top > capacity:
         raise DomainError(f"potential degree {top} exceeds capacity {capacity}")
-    return ItoField._trusted(2 * n, capacity, COMPLEX, exact,
-                             _convert_pairs(parsed, 2 * n, _monomial_to_ito, exact))
+    return ItoField._trusted(2 * n, capacity, COMPLEX,
+                             _convert_pairs(parsed, 2 * n, _monomial_to_ito))

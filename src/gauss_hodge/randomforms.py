@@ -1,8 +1,7 @@
 """Seeded random test-case synthesis.
 
 Coefficients are random integers in [-9, 9] placed on random monomials up to
-a requested degree, so exact mode sees exact data and float mode sees the
-same values in doubles.  Closed inputs are synthesized by construction
+a requested degree.  Closed inputs are synthesized by construction
 (d of a potential form, dbar of a potential function, ddbar of a potential),
 which both guarantees the precondition and supplies a residual oracle.
 """
@@ -25,91 +24,86 @@ def random_degree_vector(rng: random.Random, m: int, max_degree: int) -> tuple[i
     return tuple(d)
 
 
-def _random_coefficient(rng: random.Random, kind: str, exact: bool):
+def _random_coefficient(rng: random.Random, kind: str):
     re = rng.randint(-9, 9)
     if kind == COMPLEX:
         im = rng.randint(-9, 9)
         if re == 0 and im == 0:
             re = 1
-        return QC(re, im) if exact else complex(re, im)
+        return QC(re, im)
     if re == 0:
         re = 1
     return re
 
 
 def random_scalar_field(rng: random.Random, m: int, capacity: int, max_degree: int,
-                        kind: str = REAL, exact: bool = True,
-                        terms: int = 3) -> ScalarField:
+                        kind: str = REAL, terms: int = 3) -> ScalarField:
     coeffs: dict = {}
     for _ in range(terms):
         deg = random_degree_vector(rng, m, max_degree)
-        coeffs[deg] = _random_coefficient(rng, kind, exact)
-    return ScalarField(m, capacity, kind, exact, coeffs)
+        coeffs[deg] = _random_coefficient(rng, kind)
+    return ScalarField(m, capacity, kind, coeffs)
 
 
 def random_pform(rng: random.Random, n: int, p: int, capacity: int, max_degree: int,
-                 kind: str = REAL, exact: bool = True, terms: int = 2) -> PForm:
+                 kind: str = REAL, terms: int = 2) -> PForm:
     comps = {}
     for idx in enumerate_indices(n, p):
-        comps[idx] = random_scalar_field(rng, n, capacity, max_degree, kind, exact, terms)
-    return PForm(n, p, capacity, kind, exact, comps)
+        comps[idx] = random_scalar_field(rng, n, capacity, max_degree, kind, terms)
+    return PForm(n, p, capacity, kind, comps)
 
 
 def random_closed_pform(rng: random.Random, n: int, p_plus_1: int, capacity: int,
-                        max_degree: int, kind: str = REAL, exact: bool = True,
-                        terms: int = 2) -> PForm:
+                        max_degree: int, kind: str = REAL, terms: int = 2) -> PForm:
     """A d-closed (p+1)-form of coefficient degree <= max_degree, built as
     d of a random p-form of degree <= max_degree + 1."""
     for _ in range(64):
-        g = random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1, kind, exact, terms)
+        g = random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1, kind, terms)
         f = exterior_d(g)
         if not f.is_zero():
             return f
     return exterior_d(random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1,
-                                   kind, exact, terms))
+                                   kind, terms))
 
 
 def random_complex_function(rng: random.Random, n: int, capacity: int, max_degree: int,
-                            exact: bool = True, terms: int = 3) -> ScalarField:
-    return random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, exact, terms)
+                            terms: int = 3) -> ScalarField:
+    return random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, terms)
 
 
 def random_form01(rng: random.Random, n: int, capacity: int, max_degree: int,
-                  exact: bool = True, terms: int = 2) -> ComplexForm:
+                  terms: int = 2) -> ComplexForm:
     return ComplexForm.from_layout((0, 1), [
-        random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, exact, terms)
+        random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, terms)
         for _ in range(n)])
 
 
 def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
-                              max_degree: int, exact: bool = True,
-                              terms: int = 3) -> ComplexForm:
+                              max_degree: int, terms: int = 3) -> ComplexForm:
     """A dbar-closed (0,1)-form, built as dbar of a random function."""
     for _ in range(64):
-        u = random_complex_function(rng, n, capacity, max_degree + 1, exact, terms)
+        u = random_complex_function(rng, n, capacity, max_degree + 1, terms)
         g = dbar_function(u)
         if not g.is_zero():
             return g
-    return dbar_function(random_complex_function(rng, n, capacity, max_degree + 1,
-                                                 exact, terms))
+    return dbar_function(random_complex_function(rng, n, capacity, max_degree + 1, terms))
 
 
 def random_complexform11(rng: random.Random, n: int, capacity: int, max_degree: int,
-                         exact: bool = True, terms: int = 2) -> ComplexForm:
+                         terms: int = 2) -> ComplexForm:
     return ComplexForm.from_layout((1, 1), [[random_scalar_field(rng, 2 * n, capacity,
-                                                                 max_degree, COMPLEX,
-                                                                 exact, terms)
+                                                                 max_degree, COMPLEX, terms)
                                              for _ in range(n)] for _ in range(n)])
 
 
 def random_closed_complexform11(rng: random.Random, n: int, capacity: int,
-                                potential_degree: int, exact: bool = True,
+                                potential_degree: int,
                                 terms: int = 3) -> tuple[ScalarField, ComplexForm]:
     """A d-closed (1,1)-form as ddbar of a random potential (returned with it)."""
     for _ in range(64):
-        w = random_complex_function(rng, n, capacity, potential_degree, exact, terms)
+        w = random_complex_function(rng, n, capacity, potential_degree, terms)
         f = ddbar(w)
         if not f.is_zero():
             return w, f
-    w = random_complex_function(rng, n, capacity, potential_degree, exact, terms)
+    w = random_complex_function(rng, n, capacity, potential_degree, terms)
     return w, ddbar(w)

@@ -1,16 +1,15 @@
-"""Scalar arithmetic for the two computation modes.
+"""Scalar arithmetic: one scalar type and its file formats.
 
-Exact mode has one scalar type, :class:`QC`, stored as (a + b i) / d with one
-reduced integer triple, so products and sums run on integers with a single
-gcd.  Real and complex coefficients alike are ``QC`` values; a real one has
-b == 0.  ``fractions.Fraction`` appears only where real values leave the
-package: ``.re``/``.im``, norms, real inner products, evaluations, reports
-and JSON.  Float mode uses the native ``float`` / ``complex`` types.
-A mode is never mixed within one computation; containers carry an ``exact``
-flag and coerce their coefficients on construction.
+Every coefficient is a :class:`QC`, stored as (a + b i) / d with one reduced
+integer triple, so products and sums run on integers with a single gcd.  Real
+and complex coefficients alike are ``QC`` values; a real one has b == 0.
+``fractions.Fraction`` appears only where real values leave the package:
+``.re``/``.im``, norms, real inner products, evaluations, reports and JSON.
 
-All scalar types used here answer ``.real``, ``.imag`` and ``.conjugate()``,
-which is the only interface the rest of the package relies on.
+Doubles exist only at the file boundary.  Every double is a dyadic rational,
+so a JSON number is read as its exact value (NaN and inf are refused), and
+float mode writes each rational once rounded to the nearest double
+(``to_double``); the arithmetic in between is the same in both modes.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, SolveNumericalError
 
 Rat = Union[int, Fraction]
 
@@ -204,96 +203,63 @@ def _divide(x: tuple, y: tuple) -> QC:
     return _make(f * (a * c + b * e), f * (b * c - a * e), d * den)
 
 
-I_EXACT = QC(0, 1)
-HALF_EXACT = QC(Fraction(1, 2))
+IMAG_UNIT = QC(0, 1)
+HALF = QC(Fraction(1, 2))
 
 
-def imaginary_unit(exact: bool):
-    return I_EXACT if exact else 1j
+def coerce_scalar(value, complex_kind: bool) -> QC:
+    """An int, Fraction or QC as a QC; a complex one only if ``complex_kind``."""
+    if isinstance(value, QC):
+        if not complex_kind:
+            _require_real(value)
+        return value
+    if isinstance(value, int):
+        return _raw(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _raw(value.numerator, 0, value.denominator)
+    kind = "complex" if complex_kind else "real"
+    raise DomainError(f"cannot coerce {value!r} to an exact {kind} scalar")
 
 
-def one_half(exact: bool):
-    return HALF_EXACT if exact else 0.5
+def to_double(x: Fraction) -> float:
+    """x rounded once to the nearest double, as float mode writes it; a value
+    beyond the double range raises SolveNumericalError."""
+    try:
+        return float(x)  # numerator / denominator, correctly rounded
+    except OverflowError:
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        raise SolveNumericalError(f"a value near 2^{bits} is outside the double range, "
+                                  f"so its double is not finite") from None
 
 
-def zero_scalar(exact: bool, complex_kind: bool):
-    """The zero of the values a field returns: inner products and evaluations."""
-    if exact:
-        return QC(0) if complex_kind else Fraction(0)
-    return 0j if complex_kind else 0.0
-
-
-def coerce_scalar(value, exact: bool, complex_kind: bool):
-    """Bring an arbitrary numeric literal into the requested scalar universe."""
-    if exact:
-        if isinstance(value, QC):
-            if not complex_kind:
-                _require_real(value)
-            return value
-        if isinstance(value, int):
-            return _raw(int(value), 0, 1)
-        if isinstance(value, Fraction):
-            return _raw(value.numerator, 0, value.denominator)
-        if complex_kind and isinstance(value, complex):
-            raise DomainError("float-mode complex literal in an exact field")
-        kind = "complex" if complex_kind else "real"
-        raise DomainError(f"cannot coerce {value!r} to an exact {kind} scalar")
-    if complex_kind:
-        if isinstance(value, QC):
-            return complex(float(value.re), float(value.im))
-        # + 0j turns a signed zero part into 0.0, so float output never shows -0.0
-        return complex(value) + 0j
-    if isinstance(value, complex):
-        if value.imag != 0:
-            raise DomainError("complex literal in a real float field")
-        return value.real
-    return float(value)
-
-
-def scalar_to_json(x, exact: bool):
-    """Render one scalar as (re, im) JSON values; strings in exact mode."""
-    if exact:
-        return str(x.real), str(x.imag)
-    xc = complex(x)
-    return xc.real, xc.imag
-
-
-def render_value(value):
+def render_value(value, number=str):
     """One report value as JSON: a bool stays a bool (tested first, since a
-    bool is an int), an int or Fraction becomes its string, a QC or complex
-    its [re, im] pair, and anything else a float."""
+    bool is an int), an int (a label or count) becomes its string, and each
+    rational is written by ``number``, a QC as its [re, im] pair.  ``number``
+    is ``str`` for exact output or ``to_double`` for float output."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, QC):
-        return [str(value.re), str(value.im)]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return float(value)
+        return [number(value.re), number(value.im)]
+    return number(value)
 
 
 def json_int(value, name: str) -> int:
-    """A count or degree read from a file: a JSON integer, not a float, a
-    bool or a numeric string."""
+    """A count or degree given from outside: an int, not a float, a bool or a
+    numeric string."""
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def scalar_from_json(re, im, exact: bool, complex_kind: bool):
-    if exact:
-        re_f = Fraction(re)
-        im_f = Fraction(im)
-        if not complex_kind and im_f != 0:
-            raise DomainError("nonzero imaginary part in a real field")
-        return QC(re_f, im_f)
-    re_v = float(Fraction(re)) if isinstance(re, str) else float(re)
-    im_v = float(Fraction(im)) if isinstance(im, str) else float(im)
-    if not (math.isfinite(re_v) and math.isfinite(im_v)):
-        raise DomainError(f"non-finite float coefficient ({re_v}, {im_v})")
-    if complex_kind:
-        return complex(re_v, im_v)
-    if im_v != 0:
+def scalar_from_json(re, im, complex_kind: bool) -> QC:
+    """A coefficient read from its JSON parts: fraction strings, or JSON
+    numbers at their exact double value; NaN and inf are refused."""
+    if any(isinstance(x, float) and not math.isfinite(x) for x in (re, im)):
+        raise DomainError(f"non-finite float coefficient ({re}, {im})")
+    re_f, im_f = Fraction(re), Fraction(im)
+    if not complex_kind and im_f != 0:
         raise DomainError("nonzero imaginary part in a real field")
-    return re_v
+    return QC(re_f, im_f)

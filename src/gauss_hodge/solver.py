@@ -26,24 +26,22 @@ so each solve is one division per coefficient.
 No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
 every closed input solves.  Each solve checks the closedness of its input
 (df = 0, dbar g = 0) once before solving and the residual op(u) - f once
-after, both through ``negligible``: zero in exact mode, at most
-tolerance^2 ||f||^2 in float mode, with ||f||^2 computed once.  Exact mode
-compares op(u) with f under ``==`` and builds op(u) - f only to report a
-nonzero residual, which means the input was not closed after all.
+after, both through ``negligible`` on exact rationals: zero at tolerance 0,
+else at most tolerance^2 ||f||^2, with ||f||^2 computed once.  The tolerance
+lets an input that is closed only up to the rounding of its doubles through;
+its residual is then nonzero but negligible.  A solve compares op(u) with f
+under ``==`` and builds op(u) - f only to measure a nonzero residual.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import (ComplexForm, ItoForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
-from .errors import DegreeOverflowError, DomainError, NotClosedError, SolveNumericalError
+from .errors import DegreeOverflowError, DomainError, NotClosedError
 from .scalars import render_value
-
-FLOAT_BOUND_SLACK = 1e-12
 
 
 @dataclass
@@ -51,9 +49,9 @@ class SolveReport:
     """Outcome of one solve: norms, the stated bound, and whether it held.
 
     ``residual_norm_sq`` is the squared L2 norm of the equation residual,
-    matching the squared convention of the other norm fields (and staying
-    rational in exact mode).  ``blocks_solved`` counts the distinct total
-    Hermite degrees in the input's support.
+    matching the squared convention of the other norm fields; every norm is
+    a Fraction.  ``blocks_solved`` counts the distinct total Hermite degrees
+    in the input's support.
     """
 
     residual_norm_sq: object
@@ -63,54 +61,32 @@ class SolveReport:
     ratio: object
     bound_satisfied: bool
     blocks_solved: int
-    exact: bool = True
 
-    def to_json(self) -> dict:
+    def to_json(self, number=str) -> dict:
+        """The report as JSON, each norm written by ``number`` (see
+        scalars.render_value)."""
         return {
-            "residual": render_value(self.residual_norm_sq),
-            "input_norm_sq": render_value(self.input_norm_sq),
-            "output_norm_sq": render_value(self.output_norm_sq),
-            "bound_constant": render_value(self.bound_constant),
-            "ratio": render_value(self.ratio),
+            "residual": render_value(self.residual_norm_sq, number),
+            "input_norm_sq": render_value(self.input_norm_sq, number),
+            "output_norm_sq": render_value(self.output_norm_sq, number),
+            "bound_constant": render_value(self.bound_constant, number),
+            "ratio": render_value(self.ratio, number),
             "bound_satisfied": self.bound_satisfied,
             "blocks_solved": self.blocks_solved,
         }
 
 
-def bound_holds(ratio, bound, exact: bool) -> bool:
-    """ratio <= bound; in float mode never true for an inf or NaN operand."""
-    if exact:
-        return ratio <= bound
-    return math.isfinite(ratio) and math.isfinite(bound) \
-        and ratio <= bound * (1 + FLOAT_BOUND_SLACK)
+def _make_report(residual_sq, input_sq, output_sq, bound, blocks) -> SolveReport:
+    ratio = output_sq / input_sq if input_sq else Fraction(0)
+    return SolveReport(residual_sq, input_sq, output_sq, bound, ratio, ratio <= bound, blocks)
 
 
-def _make_report(residual_sq, input_sq, output_sq, bound, blocks, exact) -> SolveReport:
-    if input_sq == 0:
-        ratio = Fraction(0) if exact else 0.0
-    else:
-        ratio = output_sq / input_sq
-    holds = bound_holds(ratio, bound, exact) and (
-        exact or all(map(math.isfinite, (residual_sq, input_sq, output_sq))))
-    return SolveReport(residual_sq, input_sq, output_sq, bound, ratio, holds, blocks, exact)
-
-
-def negligible(norm_sq, scale_sq, exact: bool, tolerance: float) -> bool:
-    """The one exact-or-tolerance gate on a squared norm: norm_sq == 0 in exact
-    mode, norm_sq <= tolerance^2 scale_sq in float mode, which NaN and an inf
-    or NaN scale fail."""
-    if exact:
-        return norm_sq == 0
-    return math.isfinite(scale_sq) and norm_sq <= tolerance ** 2 * scale_sq
-
-
-def _input_norm_sq(form):
-    """||form||^2 of a solve's right-hand side; a float solve refuses an input
-    whose norm is inf or NaN before it checks closedness."""
-    norm_sq = form.norm_sq()
-    if not form.exact and not math.isfinite(norm_sq):
-        raise SolveNumericalError(f"float solve input norm^2 {norm_sq} is not finite")
-    return norm_sq
+def negligible(norm_sq, scale_sq, tolerance=0) -> bool:
+    """The one gate on a squared norm, evaluated on exact rationals:
+    norm_sq <= tolerance^2 scale_sq, which at tolerance 0 means norm_sq == 0."""
+    if norm_sq == 0:
+        return True
+    return tolerance > 0 and norm_sq <= Fraction(tolerance) ** 2 * scale_sq
 
 
 def _check_capacity(top: int | None, capacity: int):
@@ -125,19 +101,15 @@ def _degree_levels(fields) -> int:
     return len({sum(deg) for field in fields for deg in field.coeffs})
 
 
-def _finish(u, image, f, f_sq, bound, blocks, exact, tolerance) -> SolveReport:
+def _finish(u, image, f, f_sq, bound, blocks, tolerance) -> SolveReport:
     """Gate the equation residual image - f and report; image = op(u) and f
-    is the right-hand side, f_sq = ||f||^2.  Exact mode builds the residual
-    only if image != f."""
-    res_sq = Fraction(0) if exact and image == f else (image - f).norm_sq()
-    if exact and res_sq != 0:
-        raise NotClosedError("exact solve left a nonzero residual; input is not closed",
+    is the right-hand side, f_sq = ||f||^2.  The residual is built only if
+    image != f."""
+    res_sq = Fraction(0) if image == f else (image - f).norm_sq()
+    if not negligible(res_sq, f_sq, tolerance):
+        raise NotClosedError("solve left a residual above the tolerance; input is not closed",
                              residual_norm_sq=res_sq)
-    if not exact and not negligible(res_sq, f_sq, exact, tolerance):
-        raise SolveNumericalError(
-            f"float solve residual^2 {res_sq:.3e} against input norm^2 {f_sq:.3e} "
-            f"exceeds the tolerance or is not finite")
-    return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks, exact)
+    return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +117,21 @@ def _finish(u, image, f, f_sq, bound, blocks, exact, tolerance) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
+def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
     """Solve du = f with the weighted Poincare bound; returns (u, beta, report).
 
     beta = Delta^{-1} f for the Hodge Laplacian Delta = dT* + T*d under e^{-|x|^2}.
     """
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
-    bound = Fraction(1, 2 * f.p) if f.exact else 1.0 / (2 * f.p)
-    f_sq = _input_norm_sq(f)
+    bound = Fraction(1, 2 * f.p)
+    f_sq = f.norm_sq()
     df_sq = exterior_d(f).norm_sq()
-    if not negligible(df_sq, f_sq, f.exact, tolerance):
+    if not negligible(df_sq, f_sq, tolerance):
         raise NotClosedError(
-            "du = f needs df = 0; exterior derivative is nonzero" if f.exact else
-            f"du = f needs df = 0; closedness residual^2 {df_sq:.3e} against input "
-            f"norm^2 {f_sq:.3e} exceeds tolerance {tolerance:.1e}",
-            residual_norm_sq=df_sq)
+            "du = f needs df = 0; exterior derivative is nonzero" if not tolerance else
+            f"du = f needs df = 0; ||df||^2 exceeds tolerance^2 ||f||^2 at tolerance "
+            f"{tolerance:.1e}", residual_norm_sq=df_sq)
     _check_capacity(f.degree, f.max_total_degree)
 
     beta = f.replace({idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
@@ -168,10 +139,10 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 1e-10):
                       for idx, field in f.components.items()})
     u = codifferential(beta)
     return u, beta, _finish(u, exterior_d(u), f, f_sq, bound,
-                          _degree_levels(f.components.values()), f.exact, tolerance)
+                          _degree_levels(f.components.values()), tolerance)
 
 
-def solve_d_min_norm(f: PForm, tolerance: float = 1e-10):
+def solve_d_min_norm(f: PForm, tolerance: float = 0):
     u, _, report = solve_d_min_norm_full(f, tolerance)
     return u, report
 
@@ -190,13 +161,11 @@ def _solve_dbar(g: ComplexForm, tolerance: float):
     """
     require_bidegree(g, (0, 1), "dbar u = g")
     h = ItoForm.of(g)
-    exact = g.exact
-    bound = Fraction(2) if exact else 2.0
-    g_sq = _input_norm_sq(h)
+    g_sq = h.norm_sq()
     dg_sq = dbar_of_01(h).norm_sq()
-    if not negligible(dg_sq, g_sq, exact, tolerance):
+    if not negligible(dg_sq, g_sq, tolerance):
         raise NotClosedError(
-            "dbar u = g needs dbar g = 0" if exact else
+            "dbar u = g needs dbar g = 0" if not tolerance else
             f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
             residual_norm_sq=dg_sq)
     _check_capacity(g.degree, g.max_total_degree)
@@ -205,11 +174,11 @@ def _solve_dbar(g: ComplexForm, tolerance: float):
                                           for key, val in field.coeffs.items()})
                       for idx, field in h.components.items()})
     u = dbar_adjoint(beta)
-    return u, beta, _finish(u, dbar_function(u), h, g_sq, bound,
-                            _degree_levels(h.components.values()), exact, tolerance)
+    return u, beta, _finish(u, dbar_function(u), h, g_sq, Fraction(2),
+                            _degree_levels(h.components.values()), tolerance)
 
 
-def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
+def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 0):
     """Solve dbar u = g with the Hormander-type bound 2 under e^{-|z|^2};
     returns (u, beta, report) with u and beta over the basis of g."""
     u, beta, report = _solve_dbar(g, tolerance)
@@ -218,6 +187,6 @@ def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 1e-10):
     return u, beta, report
 
 
-def solve_dbar_min_norm(g: ComplexForm, tolerance: float = 1e-10):
+def solve_dbar_min_norm(g: ComplexForm, tolerance: float = 0):
     u, _, report = _solve_dbar(g, tolerance)
     return (u if isinstance(g, ItoForm) else u.to_he()), report

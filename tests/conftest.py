@@ -78,6 +78,24 @@ def inner_product_by_moments(coeffs_a, coeffs_b) -> Fraction:
     return total
 
 
+# -- float mode ------------------------------------------------------------------
+
+
+def doubles(x, scale=Fraction(1, 3)):
+    """x times a non-dyadic scale, with every coefficient part then rounded to
+    the nearest double: what float mode writes of it and reads back.  The
+    result is a field or form of exact dyadic rationals."""
+    if isinstance(x, ScalarField):
+        out = {}
+        for deg, v in x.coeffs.items():
+            v = v * scale
+            r = QC(Fraction(float(v.re)), Fraction(float(v.im)))
+            if r:
+                out[deg] = r
+        return x.replace(out)
+    return x.replace({idx: doubles(f, scale) for idx, f in x.components.items()})
+
+
 # -- complex polynomial oracle ------------------------------------------------
 
 
@@ -88,13 +106,13 @@ def zzbar_poly_field(n: int, capacity: int, terms: dict) -> ScalarField:
     construction multiplies coordinate fields, independent of the Wirtinger
     operators under test.
     """
-    total = ScalarField.zero(2 * n, capacity, "complex", True)
+    total = ScalarField.zero(2 * n, capacity, "complex")
     for (a_vec, b_vec), coeff in terms.items():
         need = sum(a_vec) + sum(b_vec)
-        part = ScalarField.constant(1, 2 * n, max(capacity, need), "complex", True)
+        part = ScalarField.constant(1, 2 * n, max(capacity, need), "complex")
         for j in range(1, n + 1):
-            x = ScalarField.coordinate(2 * j - 1, 2 * n, max(capacity, need), "complex", True)
-            y = ScalarField.coordinate(2 * j, 2 * n, max(capacity, need), "complex", True)
+            x = ScalarField.coordinate(2 * j - 1, 2 * n, max(capacity, need), "complex")
+            y = ScalarField.coordinate(2 * j, 2 * n, max(capacity, need), "complex")
             zj = x + y.scale(QC(0, 1))
             zbj = x - y.scale(QC(0, 1))
             for _ in range(a_vec[j - 1]):

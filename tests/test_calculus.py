@@ -12,9 +12,9 @@ from gauss_hodge.calculus import (ComplexForm, PForm,
 from gauss_hodge.errors import DomainError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.randomforms import random_complex_function, random_pform
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import QC, to_double
 
-from conftest import (bubble_sort_parity, zzbar_poly_field, zzbar_wirtinger_dz,
+from conftest import (bubble_sort_parity, doubles, zzbar_poly_field, zzbar_wirtinger_dz,
                       zzbar_wirtinger_dzbar)
 
 CAP = 10
@@ -212,13 +212,14 @@ def test_wirtinger_matches_symbolic_oracle(rng):
     (delta_zbar, "apply_delta", 1),
 ])
 def test_pair_ladders_match_two_axis_definition(rng, exact, op, axis_op, sign):
-    # (op_{2j-1} + sign i op_{2j}) / 2 built from single-axis ladders; the
-    # integer data keeps float mode exact, so both modes compare with ==
-    i_unit = QC(0, 1) if exact else 1j
-    half = Fraction(1, 2) if exact else 0.5
+    # (op_{2j-1} + sign i op_{2j}) / 2 built from single-axis ladders, on
+    # integer data and (exact=False) on data read from doubles
+    i_unit = QC(0, 1)
+    half = Fraction(1, 2)
     for n in (1, 2, 3):
         for _ in range(4):
-            u = random_complex_function(rng, n, CAP, CAP - 1, exact, terms=6)
+            u = random_complex_function(rng, n, CAP, CAP - 1, terms=6)
+            u = u if exact else doubles(u, QC(Fraction(1, 3), Fraction(-2, 7)))
             for j in range(1, n + 1):
                 along_x = getattr(u, axis_op)(2 * j - 1)
                 along_y = getattr(u, axis_op)(2 * j).scale(i_unit)
@@ -274,7 +275,7 @@ def test_real_complex_consistency(rng):
     from gauss_hodge.bridge import split_bidegree
     for n in (1, 2):
         u = random_complex_function(rng, n, CAP, 4)
-        du = exterior_d(PForm(2 * n, 0, CAP, "complex", True, {(): u}))
+        du = exterior_d(PForm(2 * n, 0, CAP, "complex", {(): u}))
         v10, v01 = split_bidegree(du)
         assert v10 == partial(ComplexForm.function(u))
         assert v01 == dbar_function(u)
@@ -327,13 +328,13 @@ def test_pform_json_roundtrip(rng):
 
 
 def test_float_json_roundtrip_with_zero_entry(rng):
-    # a zero field serializes as an empty coefficient list; read back, it
-    # takes the float mode of its siblings instead of defaulting to exact
-    zero = ScalarField.zero(4, 6, "complex", exact=False)
-    fields = [random_complex_function(rng, 2, 6, 3, exact=False) for _ in range(3)]
+    # a zero field serializes as an empty coefficient list next to fields
+    # written as doubles; read back, every dyadic value is exact again
+    zero = ScalarField.zero(4, 6, "complex")
+    fields = [doubles(random_complex_function(rng, 2, 6, 3)) for _ in range(3)]
     f11 = ComplexForm.from_layout((1, 1), [[fields[0], zero], [fields[1], fields[2]]])
-    back = ComplexForm.from_json(f11.to_json(), (1, 1))
-    assert back == f11 and not back.exact
+    data = f11.to_json(to_double)
+    assert data["entries"][0][1]["coeffs"] == []
+    assert ComplexForm.from_json(data, (1, 1)) == f11
     g = ComplexForm.from_layout((0, 1), [zero, fields[0]])
-    back = ComplexForm.from_json(g.to_json(), (0, 1))
-    assert back == g and not back.exact
+    assert ComplexForm.from_json(g.to_json(to_double), (0, 1)) == g

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ import gauss_hodge
 from gauss_hodge import cli
 from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
+from gauss_hodge.solver import solve_d_min_norm
 from gauss_hodge.fields import ScalarField
+from gauss_hodge.scalars import to_double
 
 
 @pytest.fixture
@@ -98,10 +101,9 @@ def test_solve_mode_float_lowers_exact_input(dx1dx2_file, tmp_path):
 
 
 def test_solve_mode_exact_rejects_float_input(tmp_path):
-    f = PForm(2, 2, 6, "real", False,
-              components={(1, 2): ScalarField(2, 6, "real", False, {(0, 0): 1.0})})
+    f = PForm(2, 2, 6, "real", components={(1, 2): ScalarField(2, 6, "real", {(0, 0): 1})})
     path = tmp_path / "f_float.json"
-    path.write_text(json.dumps(f.to_json()))
+    path.write_text(json.dumps(f.to_json(to_double)))
     assert main(["solve", "--equation", "d", "--mode", "exact",
                  "--input", str(path)]) == 2
     # without --mode the float input solves in float mode
@@ -118,14 +120,15 @@ def test_solve_rejects_nonclosed(tmp_path):
 
 @pytest.mark.parametrize("equation", ["d", "dbar"])
 def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
-    # 1e308 squared overflows the input norm to inf; the old path printed
-    # "ratio 0.0 vs bound 0.25; pass" and wrote bound_satisfied true
-    big = ScalarField(2, 6, "complex" if equation == "dbar" else "real", False,
-                      {(0, 0): 1e308})
+    # the solve is exact, but the input norm^2 of 1e308 is beyond the double
+    # range, so float mode cannot write the report; a float solve once
+    # printed "ratio 0.0 vs bound 0.25; pass" and wrote bound_satisfied true
+    big = ScalarField(2, 6, "complex" if equation == "dbar" else "real",
+                      {(0, 0): Fraction(1e308)})
     form = ComplexForm.from_layout((0, 1), [big]) if equation == "dbar" else \
-        PForm(2, 2, 6, "real", False, components={(1, 2): big})
+        PForm(2, 2, 6, "real", components={(1, 2): big})
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(form.to_json()))
+    path.write_text(json.dumps(form.to_json(to_double)))
     out = tmp_path / "solution.json"
     assert main(["solve", "--equation", equation, "--input", str(path),
                  "--output", str(out)]) == 1
@@ -134,16 +137,38 @@ def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
 
 
 def test_solve_float_nonclosed_input_whose_norm_underflows(tmp_path, capsys):
-    # f = c He_3(x2) dx1 with c = 1e-162: c^2 underflows, so ||f||^2 reads 0.0,
-    # while df = -6c He_2(x2) dx1^dx2 keeps a nonzero subnormal norm^2
-    field = ScalarField(2, 6, "real", False, {(0, 3): 1e-162})
+    # f = c He_3(x2) dx1 with c = 1e-162: c^2 underflows a double, so a float
+    # ||f||^2 once read 0.0; exactly, ||df||^2 = 6 ||f||^2
+    field = ScalarField(2, 6, "real", {(0, 3): Fraction(1e-162)})
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(PForm(2, 1, 6, "real", False,
-                                     components={(1,): field}).to_json()))
+    path.write_text(json.dumps(PForm(2, 1, 6, "real",
+                                     components={(1,): field}).to_json(to_double)))
     assert main(["solve", "--equation", "d", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("solve: input is not closed: du = f needs df = 0")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_float_solve_writes_the_correctly_rounded_solution(tmp_path):
+    """f = c He_1(x1) dx1^dx2 with c = 1e-300 read from a double: u is c times
+    the exact solution for c = 1, each coefficient rounded once."""
+    def form(c):
+        field = ScalarField(2, 6, "real", {(1, 0): c})
+        return PForm(2, 2, 6, "real", components={(1, 2): field})
+
+    path, out = tmp_path / "f.json", tmp_path / "u.json"
+    path.write_text(json.dumps(form(Fraction(1e-300)).to_json(to_double)))
+    assert main(["solve", "--equation", "d", "--input", str(path), "--output", str(out)]) == 0
+    got = json.loads(out.read_text())["solution"]
+    unit = solve_d_min_norm(form(1))[0].to_json()
+    assert len(got["components"]) == len(unit["components"]) == 2
+    for mine, exact in zip(got["components"], unit["components"]):
+        assert mine["index"] == exact["index"]
+        pairs = zip(mine["field"]["coeffs"], exact["field"]["coeffs"], strict=True)
+        for entry, want in pairs:
+            assert entry["deg"] == want["deg"]
+            assert entry["re"] == float(Fraction(want["re"]) * Fraction(1e-300))
+            assert entry["im"] == 0.0
 
 
 def test_solve_missing_input_is_usage_error(tmp_path):
@@ -272,19 +297,22 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("empty", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_solve_form_with_an_empty_component(tmp_path, capsys, exact, empty):
-    """An empty coefficient list takes the mode of its form's other fields."""
-    one = 1 if exact else 1.0
-    fields = {(1,): ScalarField(3, 6, "real", exact, {(0, 0, 0): one}),
-              (2,): ScalarField(3, 6, "real", exact, {(0, 0, 0): -one}),
-              (3,): ScalarField(3, 6, "real", exact, {(0, 0, 0): one})}
-    data = PForm(3, 1, 6, "real", exact, fields).to_json()
+    """An empty coefficient list sits in a form of either mode, which the
+    other fields set."""
+    fields = {(1,): ScalarField(3, 6, "real", {(0, 0, 0): 1}),
+              (2,): ScalarField(3, 6, "real", {(0, 0, 0): -1}),
+              (3,): ScalarField(3, 6, "real", {(0, 0, 0): 1})}
+    data = PForm(3, 1, 6, "real", fields).to_json(str if exact else to_double)
     data["components"][empty]["field"]["coeffs"] = []
     path = tmp_path / "f.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "solution.json"
     assert main(["solve", "--equation", "d", "--input", str(path), "--output", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    assert PForm.from_json(json.loads(out.read_text())["solution"]).exact == exact
+    payload = json.loads(out.read_text())
+    parts = [e["re"] for c in payload["solution"]["components"] for e in c["field"]["coeffs"]]
+    assert parts and all(isinstance(v, str if exact else float) for v in parts)
+    assert isinstance(payload["report"]["ratio"], str if exact else float)
 
 
 @pytest.mark.parametrize("data", [
@@ -352,14 +380,15 @@ def test_lelong_float_input_with_zero_entry(tmp_path):
     # empty coefficient list, which once read back as exact mode
     from gauss_hodge.calculus import ddbar
     from gauss_hodge.potentials import parse_potential
-    f = ddbar(parse_potential("z1*conj(z1)*z2", 2, 5, exact=False))
+    f = ddbar(parse_potential("z1*conj(z1)*z2", 2, 5))
     assert f.coefficient((2,), (2,)).is_zero()
     path = tmp_path / "f11.json"
-    path.write_text(json.dumps(f.to_json()))
+    path.write_text(json.dumps(f.to_json(to_double)))
     out = tmp_path / "sol.json"
     assert main(["lelong", "--input", str(path), "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["final"]["bound_satisfied"] is True
+    assert payload["report"]["final"]["residual"] == 0.0
 
 
 def test_lelong_zero_form(tmp_path):
@@ -391,9 +420,9 @@ def test_lelong_float_input_with_nonclosed_imaginary_part(tmp_path, capsys):
     e = zzbar_poly_field(2, 6, {((0, 0), (1, 0)): 1})
     z = ScalarField.zero(4, 6, "complex")
     h1, _ = decompose_11(ComplexForm.from_layout((1, 1), [[z, e], [z, z]]))
-    f = recompose_11(PForm(4, 2, 6), h1).to_float()
+    f = recompose_11(PForm(4, 2, 6), h1)
     path = tmp_path / "bad11.json"
-    path.write_text(json.dumps(f.to_json()))
+    path.write_text(json.dumps(f.to_json(to_double)))
     assert main(["lelong", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("lelong: input is not closed: du = f needs df = 0")

@@ -22,14 +22,14 @@ CAP = 8
 BIDEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
-def random_form(rng, n, bidegree, exact=True):
+def random_form(rng, n, bidegree):
     """A random (p,q)-form with a random field on every frame index."""
     p, q = bidegree
     comps = {}
     for dz in itertools.combinations(range(1, n + 1), p):
         for dzbar in itertools.combinations(range(n + 1, 2 * n + 1), q):
-            comps[dz + dzbar] = random_complex_function(rng, n, CAP, 4, exact)
-    return ComplexForm(n, bidegree, CAP, exact, comps)
+            comps[dz + dzbar] = random_complex_function(rng, n, CAP, 4)
+    return ComplexForm(n, bidegree, CAP, comps)
 
 
 @pytest.mark.parametrize("bidegree", BIDEGREES)
@@ -61,7 +61,7 @@ def _frame_form(n, bidegree, terms):
     for key, c in terms.items():
         if not c.is_zero():
             comps[tuple(sorted(key))] = c.scale(bubble_sort_parity(key))
-    return ComplexForm(n, bidegree, CAP, True, comps)
+    return ComplexForm(n, bidegree, CAP, comps)
 
 
 def test_operators_on_11_forms_match_the_frame_formulas(rng):

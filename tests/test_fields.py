@@ -14,10 +14,10 @@ from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner
 from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
                                      random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import QC, to_double
 from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
 
-from conftest import gaussian_moment
+from conftest import doubles, gaussian_moment
 
 CAP = 10
 
@@ -37,7 +37,7 @@ def fields_1d(draw):
     for _ in range(n_terms):
         deg = draw(st.integers(0, 7))
         coeffs[(deg,)] = Fraction(draw(st.integers(-9, 9)))
-    return ScalarField(1, CAP, "real", True, coeffs)
+    return ScalarField(1, CAP, "real", coeffs)
 
 
 @st.composite
@@ -47,7 +47,7 @@ def fields_2d(draw):
     for _ in range(n_terms):
         d = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
         coeffs[d] = Fraction(draw(st.integers(-9, 9)))
-    return ScalarField(2, CAP, "real", True, coeffs)
+    return ScalarField(2, CAP, "real", coeffs)
 
 
 def test_partial_derivative_examples():
@@ -100,7 +100,7 @@ def test_moment_oracle_against_multiply():
 
 def test_axiswise_ops_match_1d_module():
     coeffs = [Fraction(3), Fraction(-1), Fraction(0), Fraction(2)]
-    field = ScalarField(1, CAP, "real", True,
+    field = ScalarField(1, CAP, "real",
                         {(k,): c for k, c in enumerate(coeffs) if c})
     series = HermiteSeries(coeffs, capacity=CAP)
     d_field = field.partial_derivative(1)
@@ -110,7 +110,7 @@ def test_axiswise_ops_match_1d_module():
     delta_series = apply_delta(series)
     assert delta_field.coeffs == {(k,): c for k, c in enumerate(delta_series.coeffs) if c}
     other = HermiteSeries([Fraction(1), Fraction(4)])
-    other_field = ScalarField(1, CAP, "real", True, {(0,): 1, (1,): 4})
+    other_field = ScalarField(1, CAP, "real", {(0,): 1, (1,): 4})
     assert field.weighted_inner(other_field) == inner_product_1d(series, other)
 
 
@@ -164,15 +164,15 @@ def test_multiply_matches_pointwise_evaluation(f, g):
 
 
 def test_capacity_overflow_loud():
-    top = ScalarField(1, 2, "real", True, {(2,): 1})
-    top_c = ScalarField(2, 2, "complex", True, {(1, 1): 1})
+    top = ScalarField(1, 2, "real", {(2,): 1})
+    top_c = ScalarField(2, 2, "complex", {(1, 1): 1})
     for raising in (top.apply_delta, top.multiply_by_coordinate,
                     lambda j: delta_z(top_c, j), lambda j: delta_zbar(top_c, j)):
         with pytest.raises(DegreeOverflowError) as err:
             raising(1)
         assert err.value.required_capacity == 3
     with pytest.raises(DegreeOverflowError):
-        ScalarField(1, 1, "real", True, {(2,): 1})
+        ScalarField(1, 1, "real", {(2,): 1})
 
 
 def test_dimension_and_kind_mismatch():
@@ -196,16 +196,16 @@ def test_complex_parts_and_conjugate():
 
 def test_complex_parts_come_out_in_lowest_terms():
     # (2 + i)/4 has real part 2/4, stored reduced as 1/2
-    f = ScalarField(2, 4, "complex", True, {(1, 0): QC(Fraction(1, 2), Fraction(1, 4)),
+    f = ScalarField(2, 4, "complex", {(1, 0): QC(Fraction(1, 2), Fraction(1, 4)),
                                             (0, 1): QC(0, 3), (0, 0): QC(5)})
-    assert f.real_part() == ScalarField(2, 4, "real", True, {(1, 0): Fraction(1, 2), (0, 0): 5})
-    assert f.imag_part() == ScalarField(2, 4, "real", True, {(1, 0): Fraction(1, 4), (0, 1): 3})
+    assert f.real_part() == ScalarField(2, 4, "real", {(1, 0): Fraction(1, 2), (0, 0): 5})
+    assert f.imag_part() == ScalarField(2, 4, "real", {(1, 0): Fraction(1, 4), (0, 1): 3})
     i = QC(0, 1)
     assert f.real_part().promote_complex() + f.imag_part().promote_complex().scale(i) == f
 
 
 def test_real_exact_coefficients_behave_as_rationals():
-    f = ScalarField(2, 4, "real", True, {(1, 0): Fraction(3, 4), (0, 2): 2})
+    f = ScalarField(2, 4, "real", {(1, 0): Fraction(3, 4), (0, 2): 2})
     c, two = f.coeffs[(1, 0)], f.coeffs[(0, 2)]
     assert float(c) == 0.75 and float(two) == 2.0
     assert c == Fraction(3, 4) and Fraction(3, 4) == c and two == 2
@@ -213,7 +213,7 @@ def test_real_exact_coefficients_behave_as_rationals():
 
 
 def test_exact_real_field_evaluates_at_float_and_exact_points():
-    f = ScalarField(2, 4, "real", True, {(1, 0): 1, (0, 2): 2})
+    f = ScalarField(2, 4, "real", {(1, 0): 1, (0, 2): 2})
     # He_1(1/2) + 2 He_2(1/4) = 1 + 2 (4/16 - 2)
     at_float = f.evaluate((0.5, 0.25))
     assert type(at_float) is float and at_float == -2.5
@@ -236,7 +236,7 @@ def field_pairs(draw):
         coeffs = {d: QC(draw(small_rationals),
                         draw(small_rationals) if kind == "complex" else 0)
                   for d in sorted(support)}
-        return ScalarField(2, 6, kind, True, coeffs)
+        return ScalarField(2, 6, kind, coeffs)
 
     support = draw(st.sets(st.sampled_from(DEGREES), max_size=8))
     rest = [d for d in DEGREES if d not in support]
@@ -283,11 +283,21 @@ def test_exact_norms_and_inner_products_match_naive_fraction_sums(pair):
     assert g.weighted_inner(f) == inner.conjugate()
 
 
-def test_float_complex_coefficients_drop_signed_zeros():
-    # a -0.0 part from float arithmetic is stored, and written, as 0.0
-    f = ScalarField(1, 2, "complex", False, {(1,): complex(-0.0, 1.0), (0,): complex(2.0, -0.0)})
-    parts = [v for e in f.to_json()["coeffs"] for v in (e["re"], e["im"])]
-    assert all(math.copysign(1.0, v) == 1.0 for v in parts if v == 0)
+@pytest.mark.parametrize("m, capacity, coeffs", [
+    (2, 6, {(0.9, 0): 1}),
+    (2, 6, {(True, 0): 2}),
+    (2, 6, {(1.0, 0): 2}),
+    (2, 6.5, None),
+    (2, True, None),
+    (2.0, 6, None),
+    (True, 6, None),
+], ids=["deg-float", "deg-bool", "deg-integral-float", "capacity-float", "capacity-bool",
+        "m-float", "m-bool"])
+def test_constructor_takes_only_int_degrees_and_capacity(m, capacity, coeffs):
+    """int() once read (0.9, 0) and (True, 0) as other degree vectors, and a
+    float capacity was kept as given."""
+    with pytest.raises(DomainError, match="must be an integer"):
+        ScalarField(m, capacity, "real", coeffs=coeffs)
 
 
 def test_json_roundtrip_exact_and_float():
@@ -295,57 +305,52 @@ def test_json_roundtrip_exact_and_float():
     data = f.to_json()
     assert data["scalar"] == "complex"
     assert ScalarField.from_json(data) == f
-    g = ScalarField(2, 4, "real", False, {(1, 0): 0.5, (0, 2): -1.25})
-    assert ScalarField.from_json(g.to_json()) == g
-
-
-# exact mode has one scalar type: a real coefficient is a QC with zero imaginary part
-SCALAR_TYPES = {(True, "real"): QC, (True, "complex"): QC,
-                (False, "real"): float, (False, "complex"): complex}
+    # a dyadic field survives float output exactly; 1/3 is rounded once
+    g = ScalarField(2, 4, "real", {(1, 0): Fraction(1, 2), (0, 2): Fraction(-5, 4)})
+    data = g.to_json(to_double)
+    assert [e["re"] for e in data["coeffs"]] == [-1.25, 0.5]
+    assert ScalarField.from_json(data) == g
+    back = ScalarField.from_json(f.to_json(to_double))
+    assert back.coeffs[(0, 0)] == QC(Fraction(1 / 3)) != f.coeffs[(0, 0)]
+    assert back.coeffs[(1, 0)] == f.coeffs[(1, 0)]
 
 
 def assert_field_invariants(f: ScalarField):
-    """What the public constructor enforces and internal operations must keep."""
+    """What the public constructor enforces and internal operations must keep:
+    every coefficient is a nonzero QC in lowest terms, real in a real field."""
     for deg, val in f.coeffs.items():
         assert len(deg) == f.m and all(type(k) is int and k >= 0 for k in deg)
         assert sum(deg) <= f.max_total_degree
-        assert type(val) is SCALAR_TYPES[(f.exact, f.kind)]
+        assert type(val) is QC
         assert val
-        if f.exact:
-            assert val._d > 0 and math.gcd(val._a, val._b, val._d) == 1
+        assert val._d > 0 and math.gcd(val._a, val._b, val._d) == 1
         if f.kind == "real":
             assert val.imag == 0
-        if type(val) is complex:
-            assert all(math.copysign(1.0, part) == 1.0 for part in (val.real, val.imag)
-                       if part == 0)
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_internal_operations_keep_field_invariants(exact):
+    """On integer data, and (exact=False) on data read from doubles, whose
+    denominators are large powers of two."""
     rng = random.Random(17)
     for kind in ("real", "complex"):
         def field():
-            f = random_scalar_field(rng, 4, 8, 3, kind, True, terms=5)
-            return f if exact else f.to_float()
+            f = random_scalar_field(rng, 4, 8, 3, kind, terms=5)
+            return f if exact else doubles(f)
 
-        one = 1 if exact else 1.0
         f, g = field(), field()
-        # real values in a complex field: negating them gives float parts of -0.0
-        h = ScalarField(4, 8, kind, exact, {(1, 0, 0, 0): 2 * one, (0, 0, 0, 1): -one})
+        h = ScalarField(4, 8, kind, {(1, 0, 0, 0): 2, (0, 0, 0, 1): -1})
         results = [f + g, f - f, f + (-f), -f, f.scale(3), f.scale(0), f.conjugate(),
                    f.multiply(g), -h, h.conjugate(), h.scale(-1), h - h.scale(2),
                    f.real_part(), f.imag_part(), f.promote_complex(), h.promote_complex(),
-                   ScalarField.from_json(f.to_json())]
-        if not exact:
-            # a float product can underflow to zero
-            tiny = ScalarField(4, 8, kind, False, {(0, 0, 0, 0): 1e-200, (1, 0, 0, 0): 1.0})
-            results.append(tiny.scale(1e-200))
+                   ScalarField.from_json(f.to_json()),
+                   ScalarField.from_json(f.to_json(to_double))]
         for axis in range(1, 5):
             results += [f.partial_derivative(axis), f.apply_delta(axis),
                         f.multiply_by_coordinate(axis)]
         if kind == "complex":
-            f = f.scale(QC(1, -1) if exact else 1 - 1j)
-            results += [f.scale(QC(0, 1) if exact else 1j), f.conjugate(), -f]
+            f = f.scale(QC(1, -1))
+            results += [f.scale(QC(0, 1)), f.conjugate(), -f]
             results += [ladder(f, j) for j in (1, 2)
                         for ladder in (wirtinger_dz, wirtinger_dzbar, delta_z, delta_zbar)]
         for r in results:
@@ -354,13 +359,14 @@ def test_internal_operations_keep_field_invariants(exact):
     # the fused operators and the frame changes build their fields in one accumulation
     forms = []
     for kind in ("real", "complex"):
-        a = random_pform(rng, 4, 2, 8, 5, kind, True, terms=3)
-        a = a if exact else a.to_float()
-        forms += [exterior_d(a), codifferential(a)]
-    f11 = random_complexform11(rng, 2, 8, 5, exact=True, terms=3)
-    f11 = f11 if exact else f11.to_float()
-    g01 = random_form01(rng, 2, 8, 5, exact=True, terms=3)
-    g01 = g01 if exact else g01.to_float()
+        a = random_pform(rng, 4, 2, 8, 5, kind, terms=3)
+        a = a if exact else doubles(a)
+        forms += [exterior_d(a), codifferential(a), -a]
+        assert a.scale(0).components == {}
+    f11 = random_complexform11(rng, 2, 8, 5, terms=3)
+    f11 = f11 if exact else doubles(f11)
+    g01 = random_form01(rng, 2, 8, 5, terms=3)
+    g01 = g01 if exact else doubles(g01)
     forms += [partial(f11), dbar(f11), dbar(g01), partial(g01), *decompose_11(f11),
               two_form_complex_parts(decompose_11(f11)[0])[1],
               *split_bidegree(codifferential(decompose_11(f11)[1]))]
@@ -371,10 +377,11 @@ def test_internal_operations_keep_field_invariants(exact):
     for r in fields:
         assert_field_invariants(r)
 
-    closed = random_closed_pform(rng, 3, 2, 6, 3, exact=True)
-    u, beta, _ = solve_d_min_norm_full(closed if exact else closed.to_float())
-    g = random_dbar_closed_form01(rng, 2, 6, 3, exact=True)
-    v, gamma, _ = solve_dbar_min_norm_full(g if exact else g.to_float())
+    # a dyadic scale keeps closed data closed
+    closed = random_closed_pform(rng, 3, 2, 6, 3)
+    u, beta, _ = solve_d_min_norm_full(closed if exact else doubles(closed, Fraction(1, 2 ** 60)))
+    g = random_dbar_closed_form01(rng, 2, 6, 3)
+    v, gamma, _ = solve_dbar_min_norm_full(g if exact else doubles(g, Fraction(3, 2 ** 70)))
     for form in (u, beta, gamma):
         assert form.components
         for comp in form.components.values():

@@ -1,7 +1,9 @@
 """Every first-order operator sums its (component, axis) contributions straight
 into its target coefficients.  These tests rebuild each operator from the
 public single-field ladders, one field per axis added with field +, and
-check the accumulation helper against a naive sum of QC values.
+check the accumulation helper against a naive sum of QC values.  Each runs
+on integer data and (exact=False) on data read from doubles, whose
+denominators are large powers of two.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from gauss_hodge.fields import ScalarField, _accumulate, _finish, _map_terms
 from gauss_hodge.randomforms import random_complex_function, random_pform
 from gauss_hodge.scalars import QC
 
-from conftest import bubble_sort_parity
+from conftest import bubble_sort_parity, doubles
 
 CAP = 8
 
@@ -51,25 +53,14 @@ def contract_by_ladders(alpha: PForm, offset: int, count: int, ladder) -> dict:
     return out
 
 
-def assert_same(got: PForm, want: PForm, exact: bool):
-    if exact:
-        assert got == want
-        return
-    keys = set(got.components) | set(want.components)
-    for key in keys:
-        a, b = got.component(key).coeffs, want.component(key).coeffs
-        for deg in set(a) | set(b):
-            x, y = a.get(deg, 0), b.get(deg, 0)
-            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
-
-
 def random_complex_form(rng, n, bidegree, exact):
     p, q = bidegree
     comps = {}
     for dz in itertools.combinations(range(1, n + 1), p):
         for dzbar in itertools.combinations(range(n + 1, 2 * n + 1), q):
-            comps[dz + dzbar] = random_complex_function(rng, n, CAP, 4, exact)
-    return ComplexForm(n, bidegree, CAP, exact, comps)
+            comps[dz + dzbar] = random_complex_function(rng, n, CAP, 4)
+    form = ComplexForm(n, bidegree, CAP, comps)
+    return form if exact else doubles(form, QC(Fraction(2, 3), Fraction(1, 5)))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -78,15 +69,15 @@ def test_real_operators_are_sums_of_axis_ladders(exact, n):
     rng = random.Random(100 + n)
     for kind in ("real", "complex"):
         for p in range(n + 1):
-            u = random_pform(rng, n, p, CAP, 5, kind, True, terms=3)
-            u = u if exact else u.to_float()
-            want = PForm(n, p + 1, CAP, kind, exact,
+            u = random_pform(rng, n, p, CAP, 5, kind, terms=3)
+            u = u if exact else doubles(u)
+            want = PForm(n, p + 1, CAP, kind,
                          wedge_by_ladders(u, 0, n, ScalarField.partial_derivative))
-            assert_same(exterior_d(u), want, exact)
+            assert exterior_d(u) == want
             if p >= 1:
-                want = PForm(n, p - 1, CAP, kind, exact,
+                want = PForm(n, p - 1, CAP, kind,
                              contract_by_ladders(u, 0, n, ScalarField.apply_delta))
-                assert_same(codifferential(u), want, exact)
+                assert codifferential(u) == want
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -96,13 +87,13 @@ def test_complex_operators_are_sums_of_axis_ladders(exact, n):
     for bidegree in itertools.product(range(min(n, 2) + 1), repeat=2):
         p, q = bidegree
         u = random_complex_form(rng, n, bidegree, exact)
-        want = ComplexForm(n, (p + 1, q), CAP, exact, wedge_by_ladders(u, 0, n, wirtinger_dz))
-        assert_same(partial(u), want, exact)
-        want = ComplexForm(n, (p, q + 1), CAP, exact, wedge_by_ladders(u, n, n, wirtinger_dzbar))
-        assert_same(dbar(u), want, exact)
+        want = ComplexForm(n, (p + 1, q), CAP, wedge_by_ladders(u, 0, n, wirtinger_dz))
+        assert partial(u) == want
+        want = ComplexForm(n, (p, q + 1), CAP, wedge_by_ladders(u, n, n, wirtinger_dzbar))
+        assert dbar(u) == want
     g = random_complex_form(rng, n, (0, 1), exact)
-    want = ComplexForm(n, (0, 0), CAP, exact, contract_by_ladders(g, n, n, delta_z))
-    assert_same(ComplexForm.function(dbar_adjoint(g)), want, exact)
+    want = ComplexForm(n, (0, 0), CAP, contract_by_ladders(g, n, n, delta_z))
+    assert ComplexForm.function(dbar_adjoint(g)) == want
 
 
 # -- the accumulation helper against a naive QC sum ------------------------------
@@ -140,8 +131,8 @@ def test_accumulate_matches_a_naive_qc_sum():
             runs.append((terms, mixed_rule, scale))
         acc = {}
         for terms, rule, scale in runs:
-            _accumulate(acc, terms, rule, True, scale)
-        got = _finish(acc, CAP, True)
+            _accumulate(acc, terms, rule, scale)
+        got = _finish(acc, CAP)
         assert got == naive_sum(runs)
         for val in got.values():
             assert val._d > 0 and math.gcd(val._a, val._b, val._d) == 1
@@ -152,28 +143,19 @@ def test_accumulate_drops_cancelled_targets():
     terms = [((1, 0), half), ((0, 1), QC(Fraction(1, 3), Fraction(-1, 7)))]
     swap = lambda d: (((0, 0), 1),)
     acc = {}
-    _accumulate(acc, terms, swap, True)
-    _accumulate(acc, terms, swap, True, -1)
-    assert _finish(acc, CAP, True) == {}
-    assert _map_terms([((1, 0), half), ((0, 1), -half)], swap, CAP, True) == {}
+    _accumulate(acc, terms, swap)
+    _accumulate(acc, terms, swap, -1)
+    assert _finish(acc, CAP) == {}
+    assert _map_terms([((1, 0), half), ((0, 1), -half)], swap, CAP) == {}
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_overflow_names_the_top_target_even_if_it_cancels(exact):
-    one = QC(1) if exact else 1.0
+    one = QC(1) if exact else QC(Fraction(0.1))  # 0.1 read from a double
     up = lambda d: (((d[0] + 2, d[1]), 1), ((d[0], d[1] + 1), 1))
     terms = [((1, 0), one), ((1, 0), -one)]
     with pytest.raises(DegreeOverflowError) as err:
-        _map_terms(terms, up, 2, exact)
+        _map_terms(terms, up, 2)
     assert err.value.required_capacity == 3
-    assert _map_terms(terms, up, 3, exact) == {}
-
-
-def test_accumulate_float_keeps_plain_arithmetic():
-    terms = [((1,), 0.25 - 1j), ((2,), 3.0 + 0.5j)]
-    rule = lambda d: (((d[0] - 1,), d[0]), ((0,), 0.5j))
-    acc = {}
-    _accumulate(acc, terms, rule, False, -1)
-    v1, v2 = -(0.25 - 1j), -(3.0 + 0.5j)
-    assert _finish(acc, CAP, False) == {(0,): v1 * 1 + v1 * 0.5j + v2 * 0.5j, (1,): v2 * 2}
+    assert _map_terms(terms, up, 3) == {}
 

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField
+from gauss_hodge.scalars import to_double
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -42,21 +43,20 @@ json_values = st.recursive(
     max_leaves=12)
 
 
-def _field(exact: bool, kind: str) -> ScalarField:
-    one = 1 if exact else 1.0
-    return ScalarField(2, 4, kind, exact, {(1, 0): one, (0, 2): -one})
+def _field(kind: str) -> ScalarField:
+    return ScalarField(2, 4, kind, {(1, 0): 1, (0, 2): -1})
 
 
 def _valid_documents() -> list:
     """One exact and one float file for each command's input layout."""
     docs = []
-    for exact in (True, False):
-        docs.append(("d", PForm(2, 2, 4, "real", exact,
-                                {(1, 2): _field(exact, "real")}).to_json()))
+    for number in (str, to_double):
+        docs.append(("d", PForm(2, 2, 4, "real",
+                                {(1, 2): _field("real")}).to_json(number)))
         docs.append(("dbar", ComplexForm.from_layout(
-            (0, 1), [_field(exact, "complex")]).to_json()))
+            (0, 1), [_field("complex")]).to_json(number)))
         docs.append(("lelong", ComplexForm.from_layout(
-            (1, 1), [[ScalarField(2, 4, "complex", exact, {(0, 0): 1})]]).to_json()))
+            (1, 1), [[ScalarField(2, 4, "complex", {(0, 0): 1})]]).to_json(number)))
     return docs
 
 

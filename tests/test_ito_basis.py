@@ -36,7 +36,7 @@ def test_ito_rules_are_the_he_ladders(n):
     conversions, and ||H_key||^2 = prod_j p_j! q_j! is the He norm of the
     conversion."""
     for key in keys(2 * n, 6):
-        ito = ItoField(2 * n, 7, "complex", True, {key: QC(2, 3)})
+        ito = ItoField(2 * n, 7, "complex", {key: QC(2, 3)})
         he = ito.to_he()
         assert ItoField.from_he(he) == ito
         for ladder in LADDERS:
@@ -49,7 +49,7 @@ def test_ito_rules_are_the_he_ladders(n):
 def _complex_frame(form):
     """A real-frame form over He in the complex frame over H_{p,q}."""
     comps = _frame_change(form.promote_complex(), to_complex=True)
-    return ComplexFrameForm(form.n, form.p, form.max_total_degree, "complex", form.exact,
+    return ComplexFrameForm(form.n, form.p, form.max_total_degree, "complex",
                             {idx: ItoField.from_he(f) for idx, f in comps.items()})
 
 
@@ -74,7 +74,7 @@ def test_complex_frame_carries_the_real_metric_d_and_codifferential(rng, n):
 def test_the_basis_is_part_of_the_type():
     """A field over H_{p,q} never meets a He field or a He form, and refuses
     the operations that read He coefficients."""
-    ito = ItoField(2, 4, "complex", True, {(1, 2): QC(1, 1)})
+    ito = ItoField(2, 4, "complex", {(1, 2): QC(1, 1)})
     he = ito.to_he()
     assert ito != he and ItoField.from_he(he) == ito
     with pytest.raises(DimensionMismatchError):

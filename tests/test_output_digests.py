@@ -7,14 +7,16 @@ fused into one accumulation each; the ``-sums`` digests were taken before
 potentials were parsed as z/zbar monomials and the dbar inverse became one
 cached rule per degree vector.
 
-Float mode uses only + - * / on doubles, so on one platform its output is
-deterministic too, and a change that keeps the order of every float sum
-keeps its bytes.  The float ``lelong`` digests were taken when the pipeline
-moved to the complex frame over Ito's basis H_{p,q}, which rounds
-differently; ``test_float_lelong_agrees_with_exact`` bounds how far float
-may stray from exact.  The ``verify``
-digests on C^1 and C^3 were taken before the ddbar adjoint display read its
-second derivatives from one table.
+Float mode computes exactly too and rounds each written value once to the
+nearest double, so its output is the exact output rounded and has one
+answer as well; ``test_float_lelong_agrees_with_exact`` and
+``test_float_verify_is_the_exact_verify_rounded`` check that value by value.
+The float ``lelong`` digests were re-pinned when float mode stopped
+computing in double arithmetic: every value moved to the correctly rounded
+exact one (C3 happened to be unchanged).  The float ``verify`` digests did
+not move, since verify's integer data and its values are exact in doubles.
+The ``verify`` digests on C^1 and C^3 were taken before the ddbar adjoint
+display read its second derivatives from one table.
 """
 
 import hashlib
@@ -50,12 +52,12 @@ LELONG_DIGESTS = {
 }
 
 FLOAT_LELONG_DIGESTS = {
-    "C1": "6c2f8d73549cc2d1470150f246d0062c125666eb927e6c5dea1d1758387d5a19",
-    "C2": "2f80cd0cd5277c59f900d2ec9cd504e56ae2b8fbcc66a6e30a8a3edfe32419b9",
+    "C1": "4c12faf44625cdaa2bf3f8d2e79b652374b2c53e32611c8d04a22903b6bf3ec1",
+    "C2": "b99dcccd9df153bf1288dc8bf77396c465a2f6631743b82f980ea564481e760b",
     "C3": "2f84c817d2224fe01d623a30bbc3b8f1eadcd30937f7ea123626daf69b0f1b9b",
-    "C1-sums": "1baf83ca9b80d729f73468731d59424e15793363ecd6cfdad0395ffb7f9ad50f",
-    "C2-sums": "036498205a9b4a63249816c6ad0ac174ce6957ce3c7553ef0827b8c555c67b74",
-    "C3-sums": "68d22691c080d42f3682b6b93ca8782f9975c25b59179f8fb30a2ce6c37c6084",
+    "C1-sums": "c41728e255e8bf98cd1786173d10a44c6e671215fcbfa38bee33b3fabba91e03",
+    "C2-sums": "9d6775bdc76cb1a18a70caa7aa163f58b93a2af8aaaa140e8aa35b552e2e6dad",
+    "C3-sums": "d4aff68ff06e18635bd433db40f21a1e11a0ad933eb07354872e693120001f96",
 }
 
 # n -> (exact digest, float digest) of verify --n n --degree 6 --trials 2 --seed 3;
@@ -111,35 +113,51 @@ def test_float_verify_output_bytes_are_pinned_on_c1_and_c3(tmp_path, n):
     assert _digest(tmp_path, _verify_argv(n) + ["--mode", "float"]) == VERIFY_DIGESTS[n][1]
 
 
+def _output(tmp_path, argv: list) -> str:
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 0
+    return out.read_text()
+
+
 def _lelong_payload(tmp_path, mode: str, space: str) -> dict:
-    out = tmp_path / f"{mode}.json"
-    assert main(["lelong", "--mode", mode] + LELONG_DIGESTS[space][0]
-                + ["--output", str(out)]) == 0
-    return json.loads(out.read_text())
+    return json.loads(_output(tmp_path, ["lelong", "--mode", mode] + LELONG_DIGESTS[space][0]))
 
 
-def _stage_norms(report: dict) -> dict:
-    stages = dict(report["stages"], final=report["final"])
-    return {(stage, key): rep[key] for stage, rep in stages.items()
-            for key in ("input_norm_sq", "output_norm_sq")}
+def _rounded(value):
+    """An exact output value as float output writes it: each fraction string
+    rounded once to the nearest double; labels, counts and flags as they are."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    if isinstance(value, str):
+        return float(Fraction(value))
+    return value
 
 
 @pytest.mark.parametrize("space", sorted(LELONG_DIGESTS))
 def test_float_lelong_agrees_with_exact(tmp_path, space):
-    """Float lelong is within 1e-13 of the largest exact solution coefficient,
-    and every stage norm within 1e-13 relative, on the pinned potentials."""
+    """Every solution coefficient and every stage norm of float lelong is the
+    exact value rounded once, on the pinned potentials."""
     exact = _lelong_payload(tmp_path, "exact", space)
     floating = _lelong_payload(tmp_path, "float", space)
+    assert floating["solution"]["coeffs"] == _rounded(exact["solution"]["coeffs"])
+    assert floating["report"] == _rounded(exact["report"])
+    for key in ("equation", "measure", "from_potential"):
+        assert floating[key] == exact[key]
 
-    def coefficients(solution, parse):
-        return {tuple(e["deg"]): complex(parse(e["re"]), parse(e["im"]))
-                for e in solution["coeffs"]}
 
-    want = coefficients(exact["solution"], lambda s: float(Fraction(s)))
-    got = coefficients(floating["solution"], float)
-    scale = max(map(abs, want.values()))
-    for deg in want.keys() | got.keys():
-        assert abs(got.get(deg, 0) - want.get(deg, 0)) <= 1e-13 * scale, deg
-    norms = _stage_norms(floating["report"])
-    for key, value in _stage_norms(exact["report"]).items():
-        assert abs(norms[key] - float(Fraction(value))) <= 1e-13 * float(Fraction(value)), key
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_verify_is_the_exact_verify_rounded(tmp_path, n):
+    """Each record of verify --mode float is the exact record with every
+    value rounded once; the check name, n and p stay labels, and the summary
+    differs only in its mode."""
+    exact = [json.loads(line) for line in
+             _output(tmp_path, _verify_argv(n) + ["--mode", "exact"]).splitlines()]
+    floating = [json.loads(line) for line in
+                _output(tmp_path, _verify_argv(n) + ["--mode", "float"]).splitlines()]
+    assert len(floating) == len(exact)
+    for got, want in zip(floating[:-1], exact[:-1]):
+        assert got == {k: v if k in ("check", "n", "p") else _rounded(v)
+                       for k, v in want.items()}
+    assert floating[-1] == dict(exact[-1], mode="float")

@@ -64,11 +64,12 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_division_by_zero_is_named(exact):
+    # exact=False reads the literals as doubles, as float mode does
     for text in ("z*conj(z)/0", "z/(1 - 1)", "z/(i*i + 1)"):
         with pytest.raises(DomainError, match="division by zero"):
-            parse_potential(text, 1, CAP, exact)
+            parse_potential(text, 1, CAP, double_literals=not exact)
     with pytest.raises(DomainError, match="only allowed by constants"):
-        parse_potential("z/conj(z)", 1, CAP, exact)
+        parse_potential("z/conj(z)", 1, CAP, double_literals=not exact)
 
 
 def test_parse_nested_conj_and_signs():
@@ -85,9 +86,16 @@ def test_parse_nested_conj_and_signs():
 
 
 def test_parse_float_mode():
-    got = parse_potential("z*conj(z)", 1, CAP, exact=False)
-    assert not got.exact
-    assert abs(got.evaluate((1.0, 1.0)) - 2.0) < 1e-12
+    # float mode reads each integer literal as the nearest double ...
+    text = f"{2 ** 60 + 1}*z*conj(z)"
+    got = parse_potential(text, 1, CAP, double_literals=True)
+    assert got == parse_potential(f"{2 ** 60}*z*conj(z)", 1, CAP)
+    assert got != parse_potential(text, 1, CAP)
+    # ... and computes on them exactly: 1/3 is not rounded
+    assert parse_potential("z*conj(z)/3", 1, CAP, double_literals=True) == \
+        parse_potential("z*conj(z)/3", 1, CAP)
+    with pytest.raises(DomainError, match="too large for float mode"):
+        parse_potential("9" * 400 + "*z", 1, CAP, double_literals=True)
 
 
 # -- the parser against the old construction -----------------------------------
@@ -97,7 +105,6 @@ def test_parse_float_mode():
 # construction of conftest.zzbar_poly_field), the way potentials were built
 # before the parser worked on z/zbar monomials.
 
-FLOAT_TOL = 1e-12  # largest coefficient deviation, relative to the largest coefficient
 SIZES = ((1, 6), (2, 5), (3, 4))  # (n, capacity)
 
 
@@ -178,32 +185,31 @@ def _features(node) -> set:
     return found
 
 
-def _build(node, n: int, cap: int, exact: bool) -> ScalarField:
+def _build(node, n: int, cap: int) -> ScalarField:
     """The tree's value as a field, from products of coordinate fields."""
     def const(value):
-        return ScalarField.constant(value, 2 * n, cap, "complex", exact)
+        return ScalarField.constant(value, 2 * n, cap, "complex")
 
     kind = node[0]
     if kind == "const":
         return const(node[1])
     if kind == "i":
-        return const(QC(0, 1) if exact else 1j)
+        return const(QC(0, 1))
     if kind == "var":
         j = node[1]
         exps = (tuple(int(i == j - 1) for i in range(n)), (0,) * n)
-        field = zzbar_poly_field(n, cap, {exps[::-1] if node[2] else exps: 1})
-        return field if exact else field.to_float()
+        return zzbar_poly_field(n, cap, {exps[::-1] if node[2] else exps: 1})
     if kind == "conj":
-        return _build(node[1], n, cap, exact).conjugate()
+        return _build(node[1], n, cap).conjugate()
     if kind == "neg":
-        return -_build(node[1], n, cap, exact)
+        return -_build(node[1], n, cap)
     if kind == "pow":
-        base = _build(node[1], n, cap, exact)
+        base = _build(node[1], n, cap)
         out = const(1)
         for _ in range(node[2]):
             out = out.multiply(base)
         return out
-    left, right = _build(node[1], n, cap, exact), _build(node[2], n, cap, exact)
+    left, right = _build(node[1], n, cap), _build(node[2], n, cap)
     if kind == "add":
         return left + right
     if kind == "sub":
@@ -211,7 +217,7 @@ def _build(node, n: int, cap: int, exact: bool) -> ScalarField:
     if kind == "mul":
         return left.multiply(right)
     divisor = right.coeffs[(0,) * (2 * n)]
-    return left.scale(QC(1) / divisor if exact else 1 / divisor)
+    return left.scale(QC(1) / divisor)
 
 
 def _random_potentials(seed: int, count: int):
@@ -232,17 +238,15 @@ def test_random_potentials_cover_the_grammar():
 def test_random_potentials_equal_the_old_construction_exactly():
     for n, cap, tree in _random_potentials(5, 90):
         text = _render(tree, n)
-        assert parse_potential(text, n, cap).to_he() == _build(tree, n, cap, True), text
+        assert parse_potential(text, n, cap).to_he() == _build(tree, n, cap), text
 
 
 def test_random_float_potentials_match_the_old_construction():
+    # every literal is a double, so float mode reads the same potentials
     for n, cap, tree in _random_potentials(5, 90):
         text = _render(tree, n)
-        got = parse_potential(text, n, cap, exact=False).to_he().coeffs
-        want = _build(tree, n, cap, False).coeffs
-        scale = max(map(abs, list(got.values()) + list(want.values())), default=0.0)
-        for deg in got.keys() | want.keys():
-            assert abs(got.get(deg, 0) - want.get(deg, 0)) <= FLOAT_TOL * max(scale, 1.0), text
+        assert parse_potential(text, n, cap, double_literals=True).to_he() == \
+            _build(tree, n, cap), text
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -254,7 +258,7 @@ def test_error_messages_are_unchanged(exact):
              ("z/conj(z)", 6, "division is only allowed by constants")]
     for text, cap, message in cases:
         with pytest.raises(DomainError) as err:
-            parse_potential(text, 1, cap, exact)
+            parse_potential(text, 1, cap, double_literals=not exact)
         assert str(err.value) == message
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gauss_hodge.errors import DomainError
-from gauss_hodge.scalars import QC, render_value
+from gauss_hodge.scalars import QC, render_value, to_double
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -170,5 +170,7 @@ def test_render_value_keeps_bools_and_writes_exact_values_as_strings():
     assert render_value(True) is True and render_value(False) is False
     assert render_value(3) == "3" and render_value(Fraction(-1, 2)) == "-1/2"
     assert render_value(QC(Fraction(1, 3), -2)) == ["1/3", "-2"]
-    assert render_value(complex(0.5, -1.0)) == [0.5, -1.0]
-    assert render_value(0.25) == 0.25 and isinstance(render_value(0.25), float)
+    # float output rounds each rational once and keeps labels as strings
+    assert render_value(Fraction(1, 3), to_double) == 1 / 3
+    assert render_value(QC(Fraction(1, 3), -2), to_double) == [1 / 3, -2.0]
+    assert render_value(3, to_double) == "3" and render_value(True, to_double) is True
