@@ -243,11 +243,11 @@ def test_pipeline_random_exact(rng):
 
 
 def test_pipeline_float(rng):
-    """A closed (1,1)-form times 1/3, read from doubles, is closed only up to
-    the rounding of its coefficients: the pipeline refuses it without a
-    tolerance and solves it within one."""
+    """A closed (1,1)-form times 1/3 + i/5, read from doubles, is often closed
+    only up to the rounding of its coefficients: the pipeline refuses such an
+    input without a tolerance and solves it within one."""
     for _ in range(20):
-        w, f = random_closed_complexform11(rng, 2, CAP, 6)
+        _, f = random_closed_complexform11(rng, 2, CAP, 6)
         f = doubles(f, QC(Fraction(1, 3), Fraction(1, 5)))
         try:
             solve_poincare_lelong(f)
@@ -263,7 +263,7 @@ def test_pipeline_float(rng):
 def test_pipeline_exact_and_float_agree(rng):
     """Float mode computes the exact pipeline: with a tolerance, a closed
     input solves to the same u and report."""
-    w, f = random_closed_complexform11(rng, 2, CAP, 3)
+    _, f = random_closed_complexform11(rng, 2, CAP, 3)
     u_e, rep_e = solve_poincare_lelong_full(f)
     u_f, rep_f = solve_poincare_lelong_full(f, 1e-10)
     assert u_f == u_e
