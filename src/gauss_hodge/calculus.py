@@ -70,8 +70,8 @@ class PForm:
 
     Missing keys mean zero components.  All stored components share the
     ambient dimension, scalar kind, capacity and the basis ``field_type``.
-    The constructor checks every index and field; operator results are built
-    through _like, which trusts them.
+    The constructor checks every count, index and field; operator results are
+    built through _like, which trusts them.
     """
 
     __slots__ = ("n", "p", "max_total_degree", "kind", "components")
@@ -80,10 +80,14 @@ class PForm:
 
     def __init__(self, n: int, p: int, max_total_degree: int, kind: str = REAL,
                  components: Optional[Mapping[tuple, ScalarField]] = None):
-        if n < 1:
+        if json_int(n, "n") < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
-        if p < 0:
+        if json_int(p, "p") < 0:
             raise DomainError(f"form degree must be >= 0, got {p}")
+        if json_int(max_total_degree, "capacity") < 0:
+            raise DomainError(f"capacity must be >= 0, got {max_total_degree}")
+        if kind not in (REAL, COMPLEX):
+            raise DomainError(f"scalar kind must be 'real' or 'complex', got {kind!r}")
         self.n = n
         self.p = p
         self.max_total_degree = max_total_degree
@@ -434,7 +438,8 @@ class ComplexForm(PForm):
     def __init__(self, n: int, bidegree: tuple[int, int], max_total_degree: int,
                  components: Optional[Mapping] = None):
         """``n`` is the complex dimension."""
-        p, q = bidegree
+        json_int(n, "n")
+        p, q = (json_int(k, "a bidegree entry") for k in bidegree)
         if p < 0 or q < 0:
             raise DomainError(f"bidegree must be non-negative, got {bidegree}")
         super().__init__(2 * n, p + q, max_total_degree, COMPLEX, components)

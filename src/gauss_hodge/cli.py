@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 check/solve failure, 2 usage or config error.
 Reports are JSON-lines, one record per check plus a summary record; records
 are sorted by trial so identical (config, seed) runs are byte-identical.
 
-Both modes compute exactly; the mode is a file format.  Exact mode writes
-every rational as a fraction string.  Float mode reads JSON numbers at their
-exact double values, writes each result rounded once to the nearest double
-(a value beyond the double range exits 1 with no output), and lets the
-closedness and residual gates pass within --tolerance, so that an input
-closed only up to the rounding of its doubles still solves.
+Both modes compute exactly and verify compares every identity with ==; the
+mode is how numbers are written: fraction strings, or each result rounded
+once to a double (a value beyond the double range exits 1 with no output).
+The input file picks the gate of a solve: a file of JSON numbers, read at
+their exact double values, solves within --tolerance, as it may be closed
+only up to the rounding of its doubles; any other input must be exactly closed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import functools
 import json
 import random
@@ -35,13 +36,13 @@ from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
 from .calculus import ComplexForm, PForm, codifferential, ddbar, exterior_d
 from .errors import DegreeOverflowError, GaussHodgeError, NotClosedError
 from .fields import REAL
-from .identities import (_same, bochner_identity_report, conjugation_identities_check,
+from .identities import (bochner_identity_report, conjugation_identities_check,
                          d_norm_expansion_report, ddbar_adjoint_identity_report)
 from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
 from .scalars import render_value, to_double
-from .solver import negligible, solve_d_min_norm, solve_dbar_min_norm
+from .solver import solve_d_min_norm, solve_dbar_min_norm
 
 MEASURE_NOTE = "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx"
 
@@ -59,12 +60,6 @@ class RunConfig:
     seed: int = 0
     tolerance: float = 1e-10
     output: str | None = None
-
-    @property
-    def gate(self) -> float:
-        """The tolerance of the closedness, residual and identity gates:
-        --tolerance in float mode, 0 (exact equality) in exact mode."""
-        return self.tolerance if self.mode == "float" else 0
 
     @property
     def number(self):
@@ -90,7 +85,6 @@ class RunConfig:
 
 def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     rng = random.Random(config.seed * 1_000_003 + trial)
-    tol = config.gate
     cap = config.degree
     n = config.n
     records: list[dict] = []
@@ -107,19 +101,18 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     for p in range(0, min(n, 3)):
         u = random_pform(rng, n, p, cap, data_degree, REAL)
         ddu_sq = exterior_d(exterior_d(u)).norm_sq()
-        rec("dd_zero", negligible(ddu_sq, max(u.norm_sq(), 1), tol),
-            n=n, p=p, residual_sq=ddu_sq)
+        rec("dd_zero", ddu_sq == 0, n=n, p=p, residual_sq=ddu_sq)
 
         alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL)
         lhs = exterior_d(u).weighted_inner(alpha)
         rhs = u.weighted_inner(codifferential(alpha))
-        rec("adjoint_duality", _same(lhs, rhs, tol), n=n, p=p, lhs=lhs, rhs=rhs)
+        rec("adjoint_duality", lhs == rhs, n=n, p=p, lhs=lhs, rhs=rhs)
 
-        expansion = d_norm_expansion_report(alpha, tol)
+        expansion = d_norm_expansion_report(alpha)
         rec("d_norm_expansion", expansion.equal, n=n, p=p,
             lhs=expansion.lhs, rhs=expansion.rhs)
 
-        bochner = bochner_identity_report(alpha, tol)
+        bochner = bochner_identity_report(alpha)
         rec("bochner_identity", bochner.identity_holds, n=n, p=p,
             lhs=bochner.lhs_adjoint + bochner.lhs_d,
             rhs=bochner.rhs_hessian + bochner.rhs_gradient)
@@ -132,28 +125,26 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     f11_sq = f11.norm_sq()
     lhs = f1.norm_sq() + f2.norm_sq()
     rhs = 4 * f11_sq
-    rec("decompose_norm_identity", _same(lhs, rhs, tol), n=n, lhs=lhs, rhs=rhs)
+    rec("decompose_norm_identity", lhs == rhs, n=n, lhs=lhs, rhs=rhs)
     back = recompose_11(f1, f2)
     diff_sq = (back - f11).norm_sq()
-    rec("decompose_roundtrip", negligible(diff_sq, max(f11_sq, 1), tol),
-        n=n, residual_sq=diff_sq)
+    rec("decompose_roundtrip", diff_sq == 0, n=n, residual_sq=diff_sq)
 
     v = random_pform(rng, 2 * n, 1, cap, data_degree, REAL)
     v10, v01 = split_bidegree(v)
     lhs = v10.norm_sq()
     quarter = v.norm_sq() / 4
-    rec("split_norm_identity", _same(lhs, quarter, tol) and _same(v01.norm_sq(), quarter, tol),
-        n=n, lhs=lhs, rhs=quarter)
+    rec("split_norm_identity", lhs == quarter == v01.norm_sq(), n=n, lhs=lhs, rhs=quarter)
 
     u_c = random_complex_function(rng, n, cap, data_degree)
-    ca, cb, cc = conjugation_identities_check(u_c, tol)
+    ca, cb, cc = conjugation_identities_check(u_c)
     rec("conjugation_dbar", ca, n=n)
     rec("mixed_partials_anticommute", cb, n=n)
     rec("ddbar_composes", cc, n=n)
 
     small_degree = max(0, min(data_degree, 3))
     alpha11 = random_complexform11(rng, n, cap, small_degree)
-    adj = ddbar_adjoint_identity_report(alpha11, tol)
+    adj = ddbar_adjoint_identity_report(alpha11)
     rec("ddbar_adjoint_duality", adj.duality_exact, n=n)
     rec("ddbar_adjoint_identity_report", True, n=n, lhs=adj.lhs, rhs=adj.rhs,
         discrepancy=adj.discrepancy)
@@ -201,8 +192,8 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
     else:
         read = functools.partial(ComplexForm.from_json, bidegree=(0, 1))
         solve = solve_dbar_min_norm
-    form, config = _read_form(config, input_path, read, requested_mode)
-    u, report = solve(form, config.gate)
+    form, config, gate = _read_form(config, input_path, read, requested_mode)
+    u, report = _solve(solve, form, gate)
     rendered = report.to_json(config.number)
     payload = {"equation": equation, "measure": MEASURE_NOTE,
                "solution": u.to_json(config.number), "report": rendered}
@@ -222,12 +213,13 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
 def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
                requested_mode: str | None) -> int:
     if potential is not None:
-        form = ddbar(parse_potential(potential, config.n, config.degree,
-                                     double_literals=config.mode == "float"))
+        # ddbar of a potential is exactly closed, so it solves at gate 0
+        form, gate = ddbar(parse_potential(potential, config.n, config.degree,
+                                           double_literals=config.mode == "float")), 0
     else:
-        form, config = _read_form(config, input_path, functools.partial(
+        form, config, gate = _read_form(config, input_path, functools.partial(
             ComplexForm.from_json, bidegree=(1, 1)), requested_mode)
-    u, report = solve_poincare_lelong_full(form, config.gate)
+    u, report = _solve(solve_poincare_lelong_full, form, gate)
     rendered = report.to_json(config.number)
     payload = {"equation": "ddbar", "measure": MEASURE_NOTE,
                "solution": u.to_json(config.number), "report": rendered}
@@ -315,9 +307,10 @@ def _has_numbers(tree) -> bool:
 
 
 def _read_form(config: RunConfig, path: str, read, requested_mode: str | None):
-    """The form read(data) of an --input file, and the config in the mode of
-    the file unless requested_mode differs: --mode float writes exact input
-    as doubles, --mode exact refuses a float file."""
+    """The form read(data) of an --input file, the config in the mode of the
+    file unless requested_mode differs (--mode float writes exact input as
+    doubles, --mode exact refuses a float file), and the gate of its solve:
+    --tolerance for a float file, 0 for an exact one."""
     def decode(text):
         data = json.loads(text)
         return read(data), _has_numbers(data)
@@ -326,7 +319,19 @@ def _read_form(config: RunConfig, path: str, read, requested_mode: str | None):
     if numbers and requested_mode == "exact":
         raise ValueError("--mode exact cannot be applied to float-mode input")
     mode = requested_mode or ("float" if numbers else "exact")
-    return form, dataclasses.replace(config, mode=mode)
+    return form, dataclasses.replace(config, mode=mode), config.tolerance if numbers else 0
+
+
+def _solve(solve, form, gate: float):
+    """solve(form, gate).  A NotClosedError names its residual_sq: a fraction,
+    or for a float file (gate > 0) three significant digits of the exact value."""
+    try:
+        return solve(form, gate)
+    except NotClosedError as exc:
+        r = exc.residual_norm_sq
+        digits = decimal.Context(prec=3, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        shown = f"{digits.divide(r.numerator, r.denominator):.2e}" if gate else r
+        raise NotClosedError(f"{exc} (residual_sq={shown})", r) from None
 
 
 def _write_jsonl(records: list[dict], output: str | None):
@@ -359,15 +364,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
-                       help="file format; the arithmetic is exact in both: exact "
-                            "writes fraction strings, float reads JSON numbers at "
-                            "their double values and writes each result rounded "
-                            "once to a double (default: exact; solve/lelong take "
-                            "the mode of their input file)")
+                       help="how numbers are written; the arithmetic is exact in "
+                            "both: exact writes fraction strings, float writes each "
+                            "result rounded once to a double (default: exact; "
+                            "solve/lelong take the mode of their input file)")
         p.add_argument("--tolerance", type=float, default=1e-10,
-                       help="float mode: relative tolerance of the closedness, "
-                            "residual and identity gates (exact mode requires "
-                            "equality)")
+                       help="relative tolerance of the closedness and residual "
+                            "gates for an input file that holds JSON numbers; any "
+                            "other input, and every verify identity, requires "
+                            "equality")
         p.add_argument("--output", default=None, help="report file path")
 
     def add_size(p: argparse.ArgumentParser):
@@ -426,8 +431,7 @@ def main(argv=None) -> int:
             return cmd_solve(config, args.equation, args.input, args.mode)
         return cmd_lelong(config, args.input, args.from_potential, args.mode)
     except NotClosedError as exc:
-        code, message = EXIT_FAIL, (f"input is not closed: {exc} "
-                                    f"(residual_sq={exc.residual_norm_sq})")
+        code, message = EXIT_FAIL, f"input is not closed: {exc}"
     except DegreeOverflowError as exc:
         code, message = EXIT_FAIL, f"{exc} (required capacity {exc.required_capacity})"
     except ValueError as exc:  # bad input or configuration, DomainError included

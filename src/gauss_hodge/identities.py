@@ -7,9 +7,9 @@ stated for compactly supported smooth forms.  See the README notes for the
 implementer-verified argument.
 
 Each sum of norms and real inner products is one fields._inner call, and
-numbers, fields and forms are compared through _same: ==, or failing that
-solver.negligible at the caller's tolerance, which is 0 unless float mode
-sets one.
+numbers, fields and forms are compared with ==: every value is exact, also
+on data read from doubles, so an identity holds with zero discrepancy or
+fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import DomainError
 from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
 from .multiindex import enumerate_indices, insert_axis
 from .scalars import IMAG_UNIT, QC, render_value
-from .solver import negligible
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
 # attained: the Bochner Hessian term is CONVEXITY * sum'_I sum_j ||a_{jI}||^2.
@@ -45,16 +44,6 @@ def _gradients(alpha: PForm) -> dict:
             for j in range(1, alpha.n + 1)}
 
 
-def _same(a, b, tolerance=0) -> bool:
-    """Two real numbers, fields or forms agree: a == b, or ||a - b||^2 is
-    negligible against the largest of ||a||^2, ||b||^2 and 1, where a
-    number's squared norm is its square."""
-    if a == b:
-        return True
-    sq = (lambda x: x * x) if isinstance(a, Fraction) else (lambda x: x.norm_sq())
-    return negligible(sq(a - b), max(sq(a), sq(b), 1), tolerance)
-
-
 @dataclass
 class DNormExpansionReport:
     """Both sides of the squared-norm expansion of d applied to a form."""
@@ -64,7 +53,7 @@ class DNormExpansionReport:
     equal: bool
 
 
-def d_norm_expansion_report(alpha: PForm, tolerance: float = 0) -> DNormExpansionReport:
+def d_norm_expansion_report(alpha: PForm) -> DNormExpansionReport:
     """Check ||d a||^2 = sum'_J sum_j ||da_J/dx_j||^2
     - sum'_I sum_{j,k} <da_{kI}/dx_j, da_{jI}/dx_k>."""
     if alpha.p < 1:
@@ -85,7 +74,7 @@ def d_norm_expansion_report(alpha: PForm, tolerance: float = 0) -> DNormExpansio
                 pairs.append((grad[kI, j] if s_k == 1 else -grad[kI, j],
                               -grad[jI, k] if s_j == 1 else grad[jI, k]))
     rhs = _real_sum(grad.values(), pairs)
-    return DNormExpansionReport(lhs, rhs, _same(lhs, rhs, tolerance))
+    return DNormExpansionReport(lhs, rhs, lhs == rhs)
 
 
 @dataclass
@@ -100,7 +89,7 @@ class BochnerReport:
     coercivity_margin: object
 
 
-def bochner_identity_report(alpha: PForm, tolerance: float = 0) -> BochnerReport:
+def bochner_identity_report(alpha: PForm) -> BochnerReport:
     """Check ||T* a||^2 + ||d a||^2 = Hessian term + gradient term for the
     weight |x|^2, and report the coercivity margin against c (p+1) ||a||^2
     with c = CONVEXITY."""
@@ -118,7 +107,7 @@ def bochner_identity_report(alpha: PForm, tolerance: float = 0) -> BochnerReport
     rhs_hessian = CONVEXITY * _real_sum(pairs=pairs)
     rhs_gradient = _real_sum(_gradients(alpha).values())
 
-    holds = _same(lhs_adjoint + lhs_d, rhs_hessian + rhs_gradient, tolerance)
+    holds = lhs_adjoint + lhs_d == rhs_hessian + rhs_gradient
     margin = lhs_adjoint + lhs_d - CONVEXITY * alpha.p * alpha.norm_sq()
     return BochnerReport(lhs_adjoint, lhs_d, rhs_hessian, rhs_gradient, holds, margin)
 
@@ -207,10 +196,9 @@ class DdbarAdjointReport:
                 "terms": {k: r(v) for k, v in self.terms.items()}}
 
 
-def ddbar_adjoint_identity_report(alpha: ComplexForm,
-                                  tolerance: float = 0) -> DdbarAdjointReport:
+def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     """Evaluate both sides of the eight-term adjoint-norm identity for ddbar and
-    check the adjoint against the dual-basis oracle (within ``tolerance``)."""
+    check the adjoint against the dual-basis oracle."""
     n = alpha.n // 2
     if alpha.is_zero():
         zero = Fraction(0)
@@ -219,7 +207,7 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
     adj = ddbar_formal_adjoint(alpha)
     lhs = adj.norm_sq()
     oracle = ddbar_adjoint_dual_basis(alpha)
-    duality_ok = _same(oracle, adj, tolerance)
+    duality_ok = oracle == adj
 
     t_norm = alpha.norm_sq()
     t_ddbar = partial(dbar(alpha)).norm_sq()
@@ -260,9 +248,8 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm,
 # ---------------------------------------------------------------------------
 
 
-def conjugation_identities_check(u: ScalarField,
-                                 tolerance: float = 0) -> tuple[bool, bool, bool]:
-    """Check, on one complex function, each with ``==`` or within ``tolerance``:
+def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
+    """Check, on one complex function, each with ``==``:
 
     (a) partial(conj u) is the componentwise conjugate of dbar(u);
     (b) dbar(partial u) is the entrywise negation of ddbar(u);
@@ -271,10 +258,9 @@ def conjugation_identities_check(u: ScalarField,
         built from real partial derivatives alone.
     """
     n = complex_dimension(u)  # validates evenness
-    a = _same(partial(ComplexForm.function(u.conjugate())), dbar_function(u).conjugate(),
-              tolerance)
+    a = partial(ComplexForm.function(u.conjugate())) == dbar_function(u).conjugate()
     form = ddbar(u)
-    b = _same(dbar(partial(ComplexForm.function(u))), form.scale(-1), tolerance)
+    b = dbar(partial(ComplexForm.function(u))) == form.scale(-1)
     quarter = Fraction(1, 4)
     c = True
     for j in range(1, n + 1):
@@ -283,5 +269,5 @@ def conjugation_identities_check(u: ScalarField,
             want = (w.partial_derivative(2 * i - 1)
                     - w.partial_derivative(2 * i).scale(IMAG_UNIT)).scale(quarter)
             got = form.coefficient((i,), (j,))
-            c = c and _same(got, want, tolerance)
+            c = c and got == want
     return a, b, c

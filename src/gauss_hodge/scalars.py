@@ -256,9 +256,10 @@ def json_int(value, name: str) -> int:
 
 def scalar_from_json(re, im, complex_kind: bool) -> QC:
     """A coefficient read from its JSON parts: fraction strings, or JSON
-    numbers at their exact double value; NaN and inf are refused."""
-    if any(isinstance(x, float) and not math.isfinite(x) for x in (re, im)):
-        raise DomainError(f"non-finite float coefficient ({re}, {im})")
+    numbers at their exact double value; NaN, inf, true and false are refused."""
+    if any(isinstance(x, bool) or isinstance(x, float) and not math.isfinite(x)
+           for x in (re, im)):
+        raise DomainError(f"coefficient part is a bool, NaN or inf: ({re}, {im})")
     re_f, im_f = Fraction(re), Fraction(im)
     if not complex_kind and im_f != 0:
         raise DomainError("nonzero imaginary part in a real field")

@@ -306,6 +306,24 @@ def test_pform_component_signs():
     assert f.signed_component(1, (1,)).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PForm(2.5, 1, 6),
+    lambda: PForm(True, 1, 6),
+    lambda: PForm(2, 1.0, 6),
+    lambda: PForm(2, 1, 6.5),
+    lambda: PForm(2, 1, 6, "weird"),
+    lambda: ComplexForm(1.0, (1, 1), 6),
+    lambda: ComplexForm(1, (True, 0), 6),
+    lambda: ComplexForm(1, (1, 1), 6.5),
+], ids=["n-float", "n-bool", "p-float", "capacity-float", "kind-unknown",
+        "complex-n-float", "bidegree-bool", "complex-capacity-float"])
+def test_form_constructors_check_counts_and_kind(build):
+    """Each count is an int, not a float or a bool, and the kind is real or
+    complex, as in ScalarField; each of these forms once constructed."""
+    with pytest.raises(DomainError, match="must be an integer|scalar kind"):
+        build()
+
+
 def test_line_form_json_frame_validation(rng):
     g = ComplexForm.from_layout((0, 1), [random_complex_function(rng, 1, 6, 2)])
     data = g.to_json()

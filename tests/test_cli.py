@@ -10,7 +10,7 @@ import pytest
 
 import gauss_hodge
 from gauss_hodge import cli
-from gauss_hodge.calculus import ComplexForm, PForm
+from gauss_hodge.calculus import ComplexForm, PForm, exterior_d
 from gauss_hodge.cli import main
 from gauss_hodge.solver import solve_d_min_norm
 from gauss_hodge.fields import ScalarField
@@ -118,6 +118,20 @@ def test_solve_rejects_nonclosed(tmp_path):
     assert main(["solve", "--equation", "d", "--input", str(path)]) == 1
 
 
+def test_solve_mode_float_on_an_exact_file_needs_it_exactly_closed(tmp_path, capsys):
+    """The input file picks the gate, not --mode: an exact file that is not
+    closed fails in float mode too, however small its residual, and its
+    residual stays a fraction."""
+    field = ScalarField(3, 6, "real", {(0, 0, 0): 1, (0, 0, 1): Fraction(1, 10 ** 15)})
+    f = PForm(3, 2, 6, components={(1, 2): field})
+    path = tmp_path / "nearly_closed.json"
+    path.write_text(json.dumps(f.to_json()))
+    assert main(["solve", "--equation", "d", "--mode", "float", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: input is not closed: du = f needs df = 0")
+    assert f"(residual_sq={exterior_d(f).norm_sq()})" in err
+
+
 @pytest.mark.parametrize("equation", ["d", "dbar"])
 def test_solve_float_overflow_is_not_certified(tmp_path, capsys, equation):
     # the solve is exact, but the input norm^2 of 1e308 is beyond the double
@@ -147,6 +161,8 @@ def test_solve_float_nonclosed_input_whose_norm_underflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solve: input is not closed: du = f needs df = 0")
     assert len(err.strip().splitlines()) == 1
+    # the exact residual in short scientific notation, not hundreds of digits
+    assert len(err) < 200 and "(residual_sq=2.88e-322)" in err
 
 
 def test_float_solve_writes_the_correctly_rounded_solution(tmp_path):
@@ -187,13 +203,15 @@ def _input_document(command: str) -> dict:
     return ComplexForm.from_layout((1, 1), [[one]]).to_json()
 
 
-def _one_term_text(equation: str, **entry) -> str:
-    """A one-term input for solve --equation as JSON, its coefficient entry
-    overridden: dx1^dx2 for d, dzbar for dbar."""
-    data = _input_document(equation)
-    field = data["components"][0]
-    if equation == "d":
-        field = field["field"]
+def _one_term_text(command: str, **entry) -> str:
+    """_input_document(command) as JSON, its one coefficient entry overridden."""
+    data = _input_document(command)
+    if command == "lelong":
+        field = data["entries"][0][0]
+    else:
+        field = data["components"][0]
+        if command == "d":
+            field = field["field"]
     field["coeffs"][0].update(entry)
     return json.dumps(data)
 
@@ -265,6 +283,20 @@ def test_counts_and_labels_must_be_json_integers(tmp_path, capsys, command, path
     err = capsys.readouterr().err
     assert err.startswith(f"{INPUT_ARGV[command][0]}: bad input {file}: DomainError: ")
     assert "integer" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("part, value", [("re", True), ("im", False)])
+@pytest.mark.parametrize("command", ["d", "dbar", "lelong"])
+def test_coefficient_parts_must_not_be_json_bools(tmp_path, capsys, command, part, value):
+    """true and false were once read as 1 and 0 and counted as JSON numbers,
+    so each of these files, the form of the exact original, solved as a
+    float file."""
+    file = tmp_path / "bool.json"
+    file.write_text(_one_term_text(command, **{part: value}))
+    assert main(INPUT_ARGV[command] + [str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{INPUT_ARGV[command][0]}: bad input {file}: DomainError: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("repeated", ["deg", "index"])

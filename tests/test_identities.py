@@ -244,38 +244,36 @@ def test_conjugation_identities_random(rng):
             assert conjugation_identities_check(u) == (True, True, True)
 
 
-def test_float_verify_passes_its_tolerance_to_every_field_comparison(tmp_path, monkeypatch):
-    seen = []
-    real = identities._same
-    def spy(a, b, tolerance):
-        seen.append((a, tolerance))
-        return real(a, b, tolerance)
-
-    monkeypatch.setattr(identities, "_same", spy)
-    assert main(["verify", "--mode", "float", "--n", "1", "--degree", "4", "--trials", "1",
-                 "--tolerance", "1e-7", "--output", str(tmp_path / "out")]) == 0
-    assert {tolerance for _, tolerance in seen} == {1e-7}
-    # conjugation checks (a), (b) and (c) on C^1, then the ddbar adjoint duality
-    assert sum(not isinstance(a, Fraction) for a, _ in seen) == 4
-
-
-def test_float_conjugation_check_forgives_a_one_ulp_difference(rng, monkeypatch):
-    """A dbar off by one part in 2^52, about one unit in the last place of a
-    double, passes the conjugation check within a tolerance, and fails it
-    without one."""
-    real = identities.dbar_function
+def _one_ulp_off(dbar_function):
+    """dbar_function with every coefficient off by one part in 2^52, about one
+    unit in the last place of a double."""
     nudge = 1 + Fraction(1, 2 ** 52)
 
-    def one_ulp_off(u):
-        form = real(u)
+    def off(u):
+        form = dbar_function(u)
         return form.replace({idx: field.replace({d: v * nudge for d, v in field.coeffs.items()})
                              for idx, field in form.components.items()})
+    return off
 
+
+def test_float_conjugation_check_detects_a_one_ulp_difference(rng, monkeypatch):
+    """A dbar off by one unit in the last place fails the conjugation check on
+    data read from doubles: the check compares with ==."""
     u = doubles(random_complex_function(rng, 1, CAP, 6))
-    assert real(u) != one_ulp_off(u)
-    monkeypatch.setattr(identities, "dbar_function", one_ulp_off)
-    assert conjugation_identities_check(u, 1e-10) == (True, True, True)
+    off = _one_ulp_off(identities.dbar_function)
+    assert identities.dbar_function(u) != off(u)
+    monkeypatch.setattr(identities, "dbar_function", off)
     assert conjugation_identities_check(u) == (False, True, True)
+
+
+def test_float_verify_fails_on_a_one_ulp_difference(tmp_path, monkeypatch, capsys):
+    """verify --mode float writes doubles but compares every identity with ==,
+    so a dbar off by one unit in the last place fails it."""
+    monkeypatch.setattr(identities, "dbar_function", _one_ulp_off(identities.dbar_function))
+    out = tmp_path / "out.jsonl"
+    assert main(["verify", "--mode", "float", "--n", "1", "--degree", "4", "--trials", "1",
+                 "--output", str(out)]) == 1
+    assert '"check": "conjugation_dbar"' in capsys.readouterr().err
 
 
 def test_ddbar_composes_detects_a_wrong_dbar_ladder(rng, monkeypatch):

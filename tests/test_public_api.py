@@ -3,6 +3,7 @@
 import inspect
 
 import gauss_hodge
+from gauss_hodge import identities
 
 
 def _signatures():
@@ -27,3 +28,14 @@ def test_no_public_callable_takes_an_exact_flag():
     assert "ScalarField" in checked and "solve_poincare_lelong" in checked
     assert "PForm.to_json" in checked
     assert [name for name, sig in checked.items() if "exact" in sig.parameters] == []
+
+
+def test_no_identity_check_takes_a_tolerance():
+    """Every identity holds exactly on exact data, data read from doubles
+    included, so each public callable of identities compares with == and
+    none takes a tolerance."""
+    checked = {name: inspect.signature(obj) for name, obj in vars(identities).items()
+               if not name.startswith("_") and callable(obj)
+               and getattr(obj, "__module__", None) == identities.__name__}
+    assert "conjugation_identities_check" in checked and "bochner_identity_report" in checked
+    assert [name for name, sig in checked.items() if "tolerance" in sig.parameters] == []
