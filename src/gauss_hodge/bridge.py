@@ -36,14 +36,20 @@ giving ||u||^2 <= 2 ||f||^2.  A (1,1)-form over He is converted to H_{p,q}
 once on the way in, and u once on the way out; a potential's ddbar is
 already over H_{p,q}.
 
-Each identity is checked once, through ``solver.negligible`` (the scale a
-nonzero tolerance is measured against in brackets): df_k = 0 by the d solve
-of f_k [||f_k||^2], raising NotClosedError (df = 0 iff df_1 = df_2 = 0 by type
-separation); dbar v_k^{0,1} = 0 by the dbar solve [||v_k^{0,1}||^2];
-partial v_k^{1,0} = 0 here [max(||v_k||^2, 1)]; ddbar u = f here [||f||^2].
-Past the d solves these and the stage bounds hold for closed input by
-construction, so a failure, a NotClosedError from a dbar solve included,
-raises InvariantViolationError naming its stage.
+The gates, in order, by stage; every norm gate is ``solver.negligible``, with
+the scale of a nonzero tolerance in brackets:
+
+    capacity          data degree + 2 <= capacity: DegreeOverflowError
+    d_solve_re/im     df_k = 0 [||f_k||^2]: NotClosedError; stage bound 1/4
+    type_purity_k     partial v_k^{1,0} = 0 [max(||v_k||^2, 1)]
+    dbar_solve_k      dbar v_k^{0,1} = 0 [||v_k^{0,1}||^2]; stage bound 2
+    conjugation_k     ||u_k - conj u_k||^2 <= 4 ||u_k||^2
+    final_residual    ddbar u = f [||f||^2]
+    final_bound       ||u||^2 <= 2 ||f||^2
+
+df = 0 iff df_1 = df_2 = 0 by type separation.  Past the d solves every gate
+holds for closed input by construction, so a failure there, a NotClosedError
+included, raises InvariantViolationError naming its stage.
 """
 
 from __future__ import annotations
@@ -55,13 +61,12 @@ from functools import lru_cache
 
 from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, ddbar,
                        partial_of_10, require_bidegree)
-from .errors import (DegreeOverflowError, DomainError, InvariantViolationError,
-                     NotClosedError)
+from .errors import DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
 from .scalars import HALF, IMAG_UNIT, render_value
-from .solver import (SolveReport, _make_report, negligible, solve_d_min_norm_full,
-                     solve_dbar_min_norm_full)
+from .solver import (SolveReport, _check_capacity, _finish, _make_report, negligible,
+                     solve_d_min_norm_full, solve_dbar_min_norm_full)
 
 
 def _frame_table(n: int, to_complex: bool) -> dict:
@@ -180,13 +185,9 @@ class PipelineReport:
     def to_json(self, number=str) -> dict:
         """The report as JSON, each value written by ``number`` (see
         scalars.render_value)."""
+        stages = ("d_solve_re", "d_solve_im", "dbar_solve_re", "dbar_solve_im")
         return {
-            "stages": {
-                "d_solve_re": self.d_solve_re.to_json(number),
-                "d_solve_im": self.d_solve_im.to_json(number),
-                "dbar_solve_re": self.dbar_solve_re.to_json(number),
-                "dbar_solve_im": self.dbar_solve_im.to_json(number),
-            },
+            "stages": {stage: getattr(self, stage).to_json(number) for stage in stages},
             "conjugation_ratios": {k: render_value(v, number)
                                    for k, v in self.conjugation_ratios.items()},
             "final": self.final.to_json(number),
@@ -202,6 +203,15 @@ def _check_stage_bound(report: SolveReport, stage: str):
             lhs=report.output_norm_sq, rhs=report.input_norm_sq)
 
 
+def _stage(stage: str, gated, *args):
+    """gated(*args), a NotClosedError from it raised as the pipeline's own
+    fault at ``stage``: past the d solves every gate holds by construction."""
+    try:
+        return gated(*args)
+    except NotClosedError as exc:
+        raise InvariantViolationError(stage, str(exc), lhs=exc.residual_norm_sq) from exc
+
+
 def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
     """Run the full constructive solve of ddbar u = f under e^{-|z|^2};
     returns (u, report), with u over the basis of f."""
@@ -214,15 +224,10 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
         empty_dbar = _make_report(zero, zero, zero, two, 0)
         return u, PipelineReport(empty, empty, empty_dbar, empty_dbar, empty_dbar)
 
-    top = f.degree
-    if top + 2 > f.max_total_degree:
-        raise DegreeOverflowError(
-            f"pipeline needs capacity {top + 2} (two above the data degree {top}), "
-            f"have {f.max_total_degree}", required_capacity=top + 2)
+    _check_capacity(f.degree, f.max_total_degree, 2, "pipeline")
 
     # (1) the real 2-forms f1 = (f + conj f)/2 and f2 = (f - conj f)/(2i)
     h = ItoForm.of(f)
-    f_sq = h.norm_sq()
     conj = h.conjugate()
     f1, f2 = (ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, g.components).scale(s)
               for g, s in ((h + conj, HALF), (h - conj, -IMAG_UNIT * HALF)))
@@ -235,7 +240,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
     _check_stage_bound(rep_d2, "d_solve_im")
 
     us = []
-    dbar_reports = []
+    reports = [rep_d1, rep_d2]
     conj_ratios = {}
     for name, vk, rep_d in (("re", v1, rep_d1), ("im", v2, rep_d2)):
         # (3) the (1,0) and (0,1) parts of v_k; the (2,0) piece of d v_k must
@@ -248,13 +253,9 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
                 lhs=purity_sq, rhs=rep_d.output_norm_sq)
 
         # (4) Hormander solve dbar u_k = v_k^{0,1}, bound 2
-        try:
-            uk, _, rep_dbar = solve_dbar_min_norm_full(v01, tolerance)
-        except NotClosedError as exc:
-            raise InvariantViolationError(
-                f"dbar_solve_{name}", str(exc), lhs=exc.residual_norm_sq) from exc
+        uk, _, rep_dbar = _stage(f"dbar_solve_{name}", solve_dbar_min_norm_full, v01, tolerance)
         _check_stage_bound(rep_dbar, f"dbar_solve_{name}")
-        dbar_reports.append(rep_dbar)
+        reports.append(rep_dbar)
 
         # (5) u_k - conj(u_k) obeys the Cauchy-Schwarz factor 4
         wk = uk - uk.conjugate()
@@ -267,24 +268,12 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
         conj_ratios[name] = wk_sq / uk_sq if uk_sq != 0 else zero
         us.append(wk)
 
+    # (6) ddbar u = f, with the bound ||u||^2 <= 2 ||f||^2
     u = us[0] + us[1].scale(IMAG_UNIT)
-
-    # ddbar u is compared with f; the residual is built only to measure it
-    image = ddbar(u)
-    res_sq = zero if image == h else (image - h).norm_sq()
-    if not negligible(res_sq, f_sq, tolerance):
-        raise InvariantViolationError(
-            "final_residual", "ddbar u != f" if not tolerance
-            else "ddbar u residual exceeds tolerance", lhs=res_sq, rhs=f_sq)
-
-    final = _make_report(res_sq, f_sq, u.norm_sq(), two,
-                         rep_d1.blocks_solved + rep_d2.blocks_solved
-                         + dbar_reports[0].blocks_solved + dbar_reports[1].blocks_solved)
-    if not final.bound_satisfied:
-        raise InvariantViolationError("final_bound", "||u||^2 > 2 ||f||^2",
-                                      lhs=final.output_norm_sq, rhs=f_sq)
-    report = PipelineReport(rep_d1, rep_d2, dbar_reports[0], dbar_reports[1],
-                            final, conj_ratios)
+    final = _stage("final_residual", _finish, u, ddbar(u), h, h.norm_sq(), two,
+                   sum(rep.blocks_solved for rep in reports), tolerance)
+    _check_stage_bound(final, "final_bound")
+    report = PipelineReport(*reports, final, conj_ratios)
     return (u if h is f else u.to_he()), report
 
 

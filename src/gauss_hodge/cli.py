@@ -170,7 +170,8 @@ def cmd_verify(config: RunConfig) -> int:
         "passed": len(records) - len(failed),
         "failed": len(failed),
     }
-    _write_jsonl(records + [summary], config.output)
+    _write("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records + [summary]), config.output)
     if failed:
         print(f"verify: {len(failed)} check(s) failed; first: "
               f"{json.dumps(failed[0], sort_keys=True)}", file=sys.stderr)
@@ -194,10 +195,7 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
         solve = solve_dbar_min_norm
     form, config, gate = _read_form(config, input_path, read, requested_mode)
     u, report = _solve(solve, form, gate)
-    rendered = report.to_json(config.number)
-    payload = {"equation": equation, "measure": MEASURE_NOTE,
-               "solution": u.to_json(config.number), "report": rendered}
-    _write_json(payload, config.output)
+    rendered = _write_solution(config, equation, u, report)
     ok = report.bound_satisfied
     print(f"solve {equation}: ratio {rendered['ratio']} vs bound "
           f"{rendered['bound_constant']}; "
@@ -220,12 +218,7 @@ def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
         form, config, gate = _read_form(config, input_path, functools.partial(
             ComplexForm.from_json, bidegree=(1, 1)), requested_mode)
     u, report = _solve(solve_poincare_lelong_full, form, gate)
-    rendered = report.to_json(config.number)
-    payload = {"equation": "ddbar", "measure": MEASURE_NOTE,
-               "solution": u.to_json(config.number), "report": rendered}
-    if potential is not None:
-        payload["from_potential"] = potential
-    _write_json(payload, config.output)
+    rendered = _write_solution(config, "ddbar", u, report, potential)
     ok = report.final.bound_satisfied
     print(f"lelong: final ratio {rendered['final_ratio']} vs bound 2; "
           f"{'pass' if ok else 'FAIL'}")
@@ -334,21 +327,24 @@ def _solve(solve, form, gate: float):
         raise NotClosedError(f"{exc} (residual_sq={shown})", r) from None
 
 
-def _write_jsonl(records: list[dict], output: str | None):
-    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in records)
+def _write(text: str, output: str | None):
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _write_json(payload: dict, output: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_solution(config: RunConfig, equation: str, u, report,
+                    potential: str | None = None) -> dict:
+    """Write a solve's file: equation, measure, u, report and the potential
+    u came from, if any.  Returns the report as written."""
+    rendered = report.to_json(config.number)
+    payload = {"equation": equation, "measure": MEASURE_NOTE,
+               "solution": u.to_json(config.number), "report": rendered}
+    if potential is not None:
+        payload["from_potential"] = potential
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.output)
+    return rendered
 
 
 @functools.cache

@@ -528,7 +528,7 @@ def _swap_pairs(key: tuple) -> tuple:
 
 
 def _he_only(name: str):
-    def refuse(self, *args):
+    def refuse(*args, **kwargs):
         raise DomainError(f"{name} acts on He coefficients; convert with from_he and to_he")
     return refuse
 
@@ -544,6 +544,12 @@ class ItoField(ScalarField):
 
     sq_norm = staticmethod(ito_sq_norm_vector)
 
+    def __init__(self, m: int, max_total_degree: int, kind: str = COMPLEX, coeffs=None):
+        super().__init__(m, max_total_degree, kind, coeffs)
+        if m % 2 or kind != COMPLEX:
+            raise DomainError(f"an ItoField needs an even m and kind 'complex', got {m}, {kind!r}")
+
+    coordinate = _he_only("coordinate")
     partial_derivative = _he_only("partial_derivative")
     apply_delta = _he_only("apply_delta")
     multiply_by_coordinate = _he_only("multiply_by_coordinate")

@@ -227,7 +227,10 @@ def parse_potential(text: str, n: int, capacity: int,
     tokens = _tokenize(text)
     if not tokens:
         raise DomainError("empty potential expression")
-    parsed = _Parser(tokens, n, capacity, double_literals).parse()
+    try:
+        parsed = _Parser(tokens, n, capacity, double_literals).parse()
+    except RecursionError:
+        raise DomainError("potential nests too deeply") from None
     top = _degree(parsed) or 0
     if top > capacity:
         raise DomainError(f"potential degree {top} exceeds capacity {capacity}")

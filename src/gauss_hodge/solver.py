@@ -3,34 +3,27 @@
 Both solves take the adjoint route: find beta with (op op* + op* op) beta = f
 and return u = op* beta.  For closed f the Laplacian commutes with op, so
 op beta = 0, f = op(op* beta) and u lies in range(op*) = ker(op)^perp: it is
-the minimum-norm solution.
+the minimum-norm solution.  Under the weight e^{-|x|^2} both Laplacians are
+diagonal in Hermite bases, so both solves are one function, _spectral_solve,
+dividing each coefficient by the eigenvalue on its basis term:
 
-Under the weight e^{-|x|^2} both Laplacians are diagonal in Hermite bases,
-so each solve is one division per coefficient.
+    equation    op and closure   adjoint   eigenvalue   bound
+    du = f      d                T*        2(k + p)     1/(2p)
+    dbar u = g  dbar             dbar*     |q| + 1      2
 
-* d: dT* + T*d acts on a degree-k basis element of a p-form as
-  multiplication by 2(k + p) (the Bochner identity; cf. Witten's
-  Laplacian), so beta divides each coefficient by 2(k + p).  The solve is
-  one function over the form's frame: its d and T* rules and its metric.  A
-  PForm is in the real frame over He_d with k = |d|; a ComplexFrameForm is
-  in the complex frame over H_{p,q} with k = |p| + |q|, where d = partial +
-  dbar, T* raises one index with weight 2 and the Euclidean norm carries
-  the factor 2^p (see calculus).
-* dbar: on dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component,
-  with L = -sum_j delta^z_j d/dzbar_j and L H_{p,q} = |q| H_{p,q} in Ito's
-  complex Hermite basis H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1
-  (Ito 1952).  The solve runs over H_{p,q}: beta divides each coefficient
-  by |q| + 1 and u = dbar* beta raises q_j.  A g over He is converted to
-  H_{p,q} once on the way in, and u and beta once on the way out.
+d: dT* + T*d multiplies a degree-k term of a p-form by 2(k + p) (the Bochner
+identity), with k = |d| for He_d in the real frame (PForm) and k = |p| + |q|
+for H_{p,q} in the complex frame (ComplexFrameForm; see calculus).  dbar: on
+dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component, where
+L = -sum_j delta^z_j d/dzbar_j multiplies Ito's H_{p,q} by |q|; a g over He
+is converted to H_{p,q} once on the way in, and u and beta once on the way out.
 
-No polynomial form is harmonic (the Laplacians have no zero eigenvalue), so
-every closed input solves.  Each solve checks the closedness of its input
-(df = 0, dbar g = 0) once before solving and the residual op(u) - f once
-after, both through ``negligible`` on exact rationals: zero at tolerance 0,
-else at most tolerance^2 ||f||^2, with ||f||^2 computed once.  The tolerance
-lets an input that is closed only up to the rounding of its doubles through;
-its residual is then nonzero but negligible.  A solve compares op(u) with f
-under ``==`` and builds op(u) - f only to measure a nonzero residual.
+No polynomial form is harmonic, so every closed input solves.  Closedness is
+gated before the division and the residual op(u) - f after it (_finish), both
+through ``negligible``: zero at tolerance 0, else at most tolerance^2 ||f||^2,
+which lets an input closed only up to the rounding of its doubles through.
+op(u) - f is built only if op(u) != f.  The Poincare-Lelong pipeline (bridge)
+gates its capacity and final residual with the same _check_capacity and _finish.
 """
 
 from __future__ import annotations
@@ -89,16 +82,13 @@ def negligible(norm_sq, scale_sq, tolerance=0) -> bool:
     return tolerance > 0 and norm_sq <= Fraction(tolerance) ** 2 * scale_sq
 
 
-def _check_capacity(top: int | None, capacity: int):
-    """A solve raises the degree by one; a zero form (top None) fits any capacity."""
-    if top is not None and top + 1 > capacity:
+def _check_capacity(top: int | None, capacity: int, raise_by: int = 1, what: str = "solve"):
+    """A solve raises the degree by one, the pipeline by two; a zero form (top
+    None) fits any capacity."""
+    if top is not None and top + raise_by > capacity:
         raise DegreeOverflowError(
-            f"solve needs capacity {top + 1} (one above the data degree {top}), "
-            f"have {capacity}", required_capacity=top + 1)
-
-
-def _degree_levels(fields) -> int:
-    return len({sum(deg) for field in fields for deg in field.coeffs})
+            f"{what} needs capacity {top + raise_by} ({'one' if raise_by == 1 else 'two'} "
+            f"above the data degree {top}), have {capacity}", required_capacity=top + raise_by)
 
 
 def _finish(u, image, f, f_sq, bound, blocks, tolerance) -> SolveReport:
@@ -107,9 +97,29 @@ def _finish(u, image, f, f_sq, bound, blocks, tolerance) -> SolveReport:
     image != f."""
     res_sq = Fraction(0) if image == f else (image - f).norm_sq()
     if not negligible(res_sq, f_sq, tolerance):
-        raise NotClosedError("solve left a residual above the tolerance; input is not closed",
-                             residual_norm_sq=res_sq)
+        raise NotClosedError("solve left a residual above the tolerance", residual_norm_sq=res_sq)
     return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks)
+
+
+def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need: str):
+    """Solve op(u) = f for closed f: gate ||closure(f)||^2, divide each
+    coefficient by eigenvalue(key), the Laplacian's eigenvalue on its basis
+    term, and return (u, beta, report) with u = adjoint(beta), the residual
+    op(u) - f gated by _finish.  A NotClosedError's message starts with
+    ``need``."""
+    f_sq = f.norm_sq()
+    closure_sq = closure(f).norm_sq()
+    if not negligible(closure_sq, f_sq, tolerance):
+        raise NotClosedError(need if not tolerance else
+                             f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
+                             f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
+    _check_capacity(f.degree, f.max_total_degree)
+    beta = f._like({idx: field.replace({key: val / eigenvalue(key)
+                                        for key, val in field.coeffs.items()})
+                    for idx, field in f.components.items()})
+    u = adjoint(beta)
+    levels = len({sum(key) for field in f.components.values() for key in field.coeffs})
+    return u, beta, _finish(u, op(u), f, f_sq, bound, levels, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +134,8 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
     """
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
-    bound = Fraction(1, 2 * f.p)
-    f_sq = f.norm_sq()
-    df_sq = exterior_d(f).norm_sq()
-    if not negligible(df_sq, f_sq, tolerance):
-        raise NotClosedError(
-            "du = f needs df = 0; exterior derivative is nonzero" if not tolerance else
-            f"du = f needs df = 0; ||df||^2 exceeds tolerance^2 ||f||^2 at tolerance "
-            f"{tolerance:.1e}", residual_norm_sq=df_sq)
-    _check_capacity(f.degree, f.max_total_degree)
-
-    beta = f.replace({idx: field.replace({deg: val / (2 * (sum(deg) + f.p))
-                                          for deg, val in field.coeffs.items()})
-                      for idx, field in f.components.items()})
-    u = codifferential(beta)
-    return u, beta, _finish(u, exterior_d(u), f, f_sq, bound,
-                          _degree_levels(f.components.values()), tolerance)
+    return _spectral_solve(f, exterior_d, lambda key: 2 * (sum(key) + f.p), codifferential,
+                           exterior_d, Fraction(1, 2 * f.p), tolerance, "du = f needs df = 0")
 
 
 def solve_d_min_norm(f: PForm, tolerance: float = 0):
@@ -154,28 +150,11 @@ def solve_d_min_norm(f: PForm, tolerance: float = 0):
 
 def _solve_dbar(g: ComplexForm, tolerance: float):
     """The dbar solve over H_{p,q}, for g over either basis: (u, beta, report)
-    with u and beta over H_{p,q}.
-
-    beta = (L + 1)^{-1} g componentwise, the inverse of dbar dbar* on closed g:
-    a division by |q| + 1 over H_{p,q}.  A g over He is converted once.
-    """
+    with u and beta over H_{p,q}.  A g over He is converted once."""
     require_bidegree(g, (0, 1), "dbar u = g")
-    h = ItoForm.of(g)
-    g_sq = h.norm_sq()
-    dg_sq = dbar_of_01(h).norm_sq()
-    if not negligible(dg_sq, g_sq, tolerance):
-        raise NotClosedError(
-            "dbar u = g needs dbar g = 0" if not tolerance else
-            f"dbar u = g needs dbar g = 0; relative residual exceeds {tolerance:.1e}",
-            residual_norm_sq=dg_sq)
-    _check_capacity(g.degree, g.max_total_degree)
-
-    beta = h.replace({idx: field.replace({key: val / (sum(key[1::2]) + 1)
-                                          for key, val in field.coeffs.items()})
-                      for idx, field in h.components.items()})
-    u = dbar_adjoint(beta)
-    return u, beta, _finish(u, dbar_function(u), h, g_sq, Fraction(2),
-                            _degree_levels(h.components.values()), tolerance)
+    return _spectral_solve(ItoForm.of(g), dbar_of_01, lambda key: sum(key[1::2]) + 1,
+                           dbar_adjoint, dbar_function, Fraction(2), tolerance,
+                           "dbar u = g needs dbar g = 0")
 
 
 def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 0):

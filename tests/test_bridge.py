@@ -208,16 +208,24 @@ def test_pipeline_rejects_nonclosed():
         solve_poincare_lelong(f)
 
 
-@pytest.mark.parametrize("part, stage", [(0, "type_purity_re"), (1, "dbar_solve_re")])
+@pytest.mark.parametrize("part, stage", [(0, "type_purity_re"), (1, "dbar_solve_re"),
+                                         (1, "final_bound")])
 def test_pipeline_faults_past_the_d_solves_are_invariant_violations(monkeypatch, part, stage):
-    """The d solves accept closed input; a (1,0) part that is not partial-closed
-    or a (0,1) part that is not dbar-closed after them is the pipeline's own
-    fault, never a NotClosedError about the input.  The bump is injected where
-    the pipeline reads the parts of v_k off the complex frame."""
-    # z2 dz1 and zbar2 dzbar1 on C^2: partial = dz2 ^ dz1, dbar = dzbar2 ^ dzbar1
-    bump = zzbar_poly_field(2, CAP, {((0, 1), (0, 0)) if part == 0 else ((0, 0), (0, 1)): 1})
+    """The d solves accept closed input; a (1,0) part that is not partial-closed,
+    a (0,1) part that is not dbar-closed, or one that only makes u too large,
+    after them is the pipeline's own fault, never a NotClosedError about the
+    input.  The bump is injected where the pipeline reads the parts of v_k off
+    the complex frame."""
+    # z2 dz1 and zbar2 dzbar1 on C^2: partial = dz2 ^ dz1, dbar = dzbar2 ^ dzbar1.
+    # 20 zbar2 dzbar2 = dbar(10 zbar2^2) is closed; its solution 10 zbar2^2 is
+    # antiholomorphic, so ddbar u stays f while ||u||^2 grows past 2 ||f||^2.
     zero = ScalarField.zero(4, CAP, "complex")
-    bad = ItoForm.from_he(ComplexForm.from_layout((1, 0) if part == 0 else (0, 1), [bump, zero]))
+    if stage == "final_bound":
+        layout = [zero, zzbar_poly_field(2, CAP, {((0, 0), (0, 1)): 20})]
+    else:
+        layout = [zzbar_poly_field(2, CAP, {((0, 1), (0, 0)) if part == 0
+                                            else ((0, 0), (0, 1)): 1}), zero]
+    bad = ItoForm.from_he(ComplexForm.from_layout((1, 0) if part == 0 else (0, 1), layout))
     honest = bridge._type_parts
 
     def parts_with_a_bump(v, comps, form_type):
@@ -229,7 +237,7 @@ def test_pipeline_faults_past_the_d_solves_are_invariant_violations(monkeypatch,
     f = ddbar(zzbar_poly_field(2, CAP, {((1, 0), (1, 1)): 1, ((1, 1), (0, 1)): QC(2, -1)}))
     with pytest.raises(InvariantViolationError) as err:
         solve_poincare_lelong(f)
-    assert err.value.stage == stage
+    assert err.value.stage == stage and str(err.value).startswith(stage + ": ")
     assert err.value.lhs != 0
 
 

@@ -9,7 +9,7 @@ from gauss_hodge.bridge import decompose_11, split_bidegree, two_form_complex_pa
 from gauss_hodge.calculus import (codifferential, dbar, dbar_adjoint, delta_z, delta_zbar,
                                   exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
-from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
+from gauss_hodge.fields import ItoField, ScalarField, hermite_sq_norm_vector
 from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
 from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
                                      random_dbar_closed_form01, random_form01, random_pform,
@@ -283,21 +283,24 @@ def test_exact_norms_and_inner_products_match_naive_fraction_sums(pair):
     assert g.weighted_inner(f) == inner.conjugate()
 
 
-@pytest.mark.parametrize("m, capacity, coeffs", [
-    (2, 6, {(0.9, 0): 1}),
-    (2, 6, {(True, 0): 2}),
-    (2, 6, {(1.0, 0): 2}),
-    (2, 6.5, None),
-    (2, True, None),
-    (2.0, 6, None),
-    (True, 6, None),
+@pytest.mark.parametrize("cls, m, capacity, kind, coeffs", [
+    (ScalarField, 2, 6, "real", {(0.9, 0): 1}),
+    (ScalarField, 2, 6, "real", {(True, 0): 2}),
+    (ScalarField, 2, 6, "real", {(1.0, 0): 2}),
+    (ScalarField, 2, 6.5, "real", None),
+    (ScalarField, 2, True, "real", None),
+    (ScalarField, 2.0, 6, "real", None),
+    (ScalarField, True, 6, "real", None),
+    (ItoField, 3, 6, "complex", None),
+    (ItoField, 2, 6, "real", None),
 ], ids=["deg-float", "deg-bool", "deg-integral-float", "capacity-float", "capacity-bool",
-        "m-float", "m-bool"])
-def test_constructor_takes_only_int_degrees_and_capacity(m, capacity, coeffs):
+        "m-float", "m-bool", "ito-m-odd", "ito-kind-real"])
+def test_constructor_takes_only_int_degrees_and_capacity(cls, m, capacity, kind, coeffs):
     """int() once read (0.9, 0) and (True, 0) as other degree vectors, and a
-    float capacity was kept as given."""
-    with pytest.raises(DomainError, match="must be an integer"):
-        ScalarField(m, capacity, "real", coeffs=coeffs)
+    float capacity was kept as given.  An ItoField on an odd m, or of the
+    real kind, once failed only later (to_he, conjugate)."""
+    with pytest.raises(DomainError, match="must be an integer|an ItoField needs"):
+        cls(m, capacity, kind, coeffs=coeffs)
 
 
 def test_json_roundtrip_exact_and_float():

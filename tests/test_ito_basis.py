@@ -88,3 +88,10 @@ def test_the_basis_is_part_of_the_type():
         with pytest.raises(DomainError, match="He coefficients"):
             refused()
     assert ito.to_json() == he.to_json() and ito.evaluate((1, 2)) == he.evaluate((1, 2))
+
+
+def test_coordinate_is_refused():
+    """ScalarField.coordinate keys x_axis = He_1/2; over H_{p,q} that key
+    would be z_1/2, so an ItoField refuses it as a He-only method."""
+    with pytest.raises(DomainError, match="He coefficients"):
+        ItoField.coordinate(1, 2, 4, "complex")

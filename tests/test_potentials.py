@@ -62,6 +62,14 @@ def test_parse_errors():
         parse_potential("z**10", 1, 4)  # degree above capacity
 
 
+@pytest.mark.parametrize("text", ["(" * 1000 + "z*conj(z)" + ")" * 1000,
+                                  "conj(" * 1000 + "z" + ")" * 1000], ids=["parens", "conj"])
+def test_deep_nesting_is_a_domain_error(text):
+    """The recursive-descent parser once let a RecursionError escape."""
+    with pytest.raises(DomainError, match="nests too deeply"):
+        parse_potential(text, 1, CAP)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_division_by_zero_is_named(exact):
     # exact=False reads the literals as doubles, as float mode does

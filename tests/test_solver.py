@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gauss_hodge import bridge, solver
-from gauss_hodge.calculus import (ComplexForm, PForm, codifferential, dbar_adjoint,
-                                  dbar_function, ddbar, delta_z, delta_zbar, exterior_d,
-                                  wirtinger_dzbar)
+from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm,
+                                  codifferential, dbar_adjoint, dbar_function, ddbar, delta_z,
+                                  delta_zbar, exterior_d, wirtinger_dzbar)
 from gauss_hodge.errors import (DegreeOverflowError, InvariantViolationError, NotClosedError,
                                 SolveNumericalError)
-from gauss_hodge.fields import (ScalarField, _convert_pairs, complex_hermite_to_he,
+from gauss_hodge.fields import (ItoField, ScalarField, _convert_pairs, complex_hermite_to_he,
                                 he_to_complex_hermite, hermite_sq_norm_vector)
 from gauss_hodge.multiindex import enumerate_indices
 from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
@@ -272,6 +272,84 @@ def test_exact_gates_report_the_subtracted_residual(monkeypatch, rng):
         bridge.solve_poincare_lelong(form)
     assert err.value.stage == "final_residual"
     assert err.value.lhs == (bad_ddbar.image.to_he() - form).norm_sq() != 0
+
+
+def _cubic(cap, ito=False):
+    """He_3(x_1) on C^1, or (ito=True) H_{2,1}: a complex field of degree 3."""
+    if ito:
+        return ItoField(2, cap, "complex", {(2, 1): 1})
+    return ScalarField(2, cap, "complex", {(3, 0): 1})
+
+
+def _zbar2_dzbar1():
+    return ComplexForm.from_layout((0, 1), [zzbar_poly_field(2, CAP, {((0, 0), (0, 1)): 1}),
+                                            ScalarField.zero(4, CAP, "complex")])
+
+
+# Each solve: the call; a form that is not closed, at capacity CAP; a closed
+# form of data degree 3 at capacity cap; the residual gate's operator as
+# (module, name, applies) and the first words of its error; the first words
+# of a not-closed error.  Every top-degree form on R^2 or C^1 is closed.
+D_NEED, DBAR_NEED = "du = f needs df = 0", "dbar u = g needs dbar g = 0"
+SOLVE_GATES = {
+    "d-real": (
+        solve_d_min_norm_full,
+        lambda: PForm(3, 2, CAP, components={(1, 2): ScalarField.coordinate(3, 3, CAP)}),
+        lambda cap: PForm(2, 2, cap, components={
+            (1, 2): ScalarField(2, cap, "real", {(3, 0): 1})}),
+        (solver, "exterior_d", lambda u: u.p == 1), "solve left a residual", D_NEED),
+    "d-complex-frame": (
+        solve_d_min_norm_full,
+        lambda: ComplexFrameForm(4, 2, CAP, "complex", {  # z2 dz1 ^ dzbar1
+            (1, 3): ItoField(4, CAP, "complex", {(0, 0, 1, 0): 1})}),
+        lambda cap: ComplexFrameForm(2, 2, cap, "complex", {(1, 2): _cubic(cap, ito=True)}),
+        (solver, "exterior_d", lambda u: u.p == 1), "solve left a residual", D_NEED),
+    "dbar-he": (
+        solve_dbar_min_norm_full, _zbar2_dzbar1,
+        lambda cap: ComplexForm.from_layout((0, 1), [_cubic(cap)]),
+        (solver, "dbar_function", lambda u: True), "solve left a residual", DBAR_NEED),
+    "dbar-ito": (
+        solve_dbar_min_norm_full, lambda: ItoForm.from_he(_zbar2_dzbar1()),
+        lambda cap: ItoForm.from_he(ComplexForm.from_layout((0, 1), [_cubic(cap)])),
+        (solver, "dbar_function", lambda u: True), "solve left a residual", DBAR_NEED),
+    "pipeline": (
+        bridge.solve_poincare_lelong_full,
+        lambda: ComplexForm.from_layout((1, 1), [  # zbar1 dz1 ^ dzbar2
+            [ScalarField.zero(4, CAP, "complex"), zzbar_poly_field(2, CAP, {((0, 0), (1, 0)): 1})],
+            [ScalarField.zero(4, CAP, "complex")] * 2]),
+        lambda cap: ComplexForm.from_layout((1, 1), [[_cubic(cap)]]),
+        (bridge, "ddbar", lambda u: True), "final_residual: ", D_NEED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GATES))
+def test_every_solve_gates_through_the_one_spectral_solve(monkeypatch, name):
+    """The d solve in either frame, the dbar solve over either basis and the
+    pipeline refuse a form that is not closed (at tolerance 0 and above it)
+    and a capacity without head-room, and trip their residual gate, each with
+    the same error type and message as the others."""
+    solve, not_closed, closed, (module, op, applies), residual, need = SOLVE_GATES[name]
+    with pytest.raises(NotClosedError) as err:
+        solve(not_closed())
+    assert str(err.value) == need and err.value.residual_norm_sq > 0
+    with pytest.raises(NotClosedError) as err:
+        solve(not_closed(), 1e-3)
+    assert str(err.value).startswith(need + "; ") and "at tolerance 1.0e-03" in str(err.value)
+
+    pipeline = name == "pipeline"
+    with pytest.raises(DegreeOverflowError) as err:
+        solve(closed(3))
+    assert str(err.value).startswith("pipeline needs capacity 5" if pipeline
+                                     else "solve needs capacity 4")
+    assert err.value.required_capacity == (5 if pipeline else 4)
+    solve(closed(5 if pipeline else 4))
+
+    monkeypatch.setattr(module, op, _mutated(getattr(module, op), applies))
+    with pytest.raises(InvariantViolationError if pipeline else NotClosedError) as err:
+        solve(closed(CAP))
+    assert str(err.value).startswith(residual)
+    if pipeline:
+        assert err.value.stage == "final_residual"
 
 
 def test_d_solution_is_minimum_norm_against_dense_oracle(rng):
