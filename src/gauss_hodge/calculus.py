@@ -41,16 +41,17 @@ Wirtinger ladders act on the pair (x_{2j-1}, x_{2j}) by one rule, with sign
     raising   He_a He_b -> -1/2 He_{a+1} He_b - sign (i/2) He_a He_{b+1}
 
 so each sends a term to at most two terms and keeps every operator here
-degree-graded and exact.
+degree-graded and exact.  These He pair rules (_pair_rules, kept per degree
+vector) are the only ladders not built by fields._index_rules.
 
-Over Ito's basis H_{p,q} (fields.ItoField) each ladder moves one index:
-d/dz_j and d/dzbar_j lower p_j and q_j with weights p_j and q_j, and
-delta^zbar_j and delta^z_j raise them with weight -1.  The basis is part of
-a form's type, and every operator takes its rules and metric from it:
-ComplexForm and PForm hold He coefficients, ItoForm is a (p,q)-form over
-H_{p,q}, and ComplexFrameForm is a real form on R^{2n} written in the
-complex frame over H_{p,q}, with the real frame's d, T* and Euclidean
-metric (see its docstring).
+Over Ito's basis H_{p,q} (fields.ItoField) each ladder moves one index and
+comes from fields._index_rules, as d and T* do: d/dz_j and d/dzbar_j lower
+p_j and q_j with weights p_j and q_j, and delta^zbar_j and delta^z_j raise
+them with weight -1.  The basis is part of a form's type, and every
+operator takes its rules and metric from it: ComplexForm and PForm hold He
+coefficients, ItoForm is a (p,q)-form over H_{p,q}, and ComplexFrameForm is
+a real form on R^{2n} written in the complex frame over H_{p,q}, with the
+real frame's d, T* and Euclidean metric (see its docstring).
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _axis_rules,
-                     _delta_rule, _derivative_rule, _finish, _inner, _norm_sq, _shift)
-from .multiindex import check_index, insert_axis, remove_axis
+from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _finish,
+                     _index_rules, _inner, _norm_sq, _shift)
+from .multiindex import check_axis, check_index, insert_axis, remove_axis
 from .scalars import HALF, IMAG_UNIT, json_int
 
 
@@ -131,9 +132,7 @@ class PForm:
     def signed_component(self, j: int, idx: tuple) -> ScalarField:
         """The coefficient a_{jI}: zero when j is in I, else the sign-adjusted
         component at the sorted index."""
-        if j < 1 or j > self.n:
-            raise DomainError(f"axis {j} outside range 1..{self.n}")
-        ins = insert_axis(j, idx)
+        ins = insert_axis(check_axis(j, self.n), idx)
         if ins is None:
             return self._zero_field()
         sign, sorted_idx = ins
@@ -204,11 +203,11 @@ class PForm:
 
     def _d_rules(self) -> tuple:
         """The coefficient rules of d, one per frame axis: d/dx_j."""
-        return _axis_rules(self.n, _derivative_rule)
+        return _index_rules(range(self.n), False, 2)
 
     def _t_rules(self) -> tuple:
         """The coefficient rules of T*, one per frame axis: delta_j."""
-        return _axis_rules(self.n, _delta_rule)
+        return _index_rules(range(self.n), True, -1)
 
     def pointwise_norm_sq_field(self) -> ScalarField:
         """|f|^2 = sum_I f_I conj(f_I) as a polynomial field."""
@@ -358,19 +357,13 @@ def _pair_rules(n: int, ladder: tuple) -> tuple:
     return tuple(_PerDegree(rule).__getitem__ for rule in rules)
 
 
-@lru_cache(maxsize=None)
 def _ito_rules(n: int, ladder: tuple, scale: int = 1) -> tuple:
     """The coefficient rules of one Wirtinger ladder over H_{p,q} on the pairs
-    j = 1..n, times ``scale``: d/dz_j H_{p,q} = p_j H_{p-e_j,q} and d/dzbar_j
-    lowers q_j alike; delta^zbar_j H_{p,q} = -H_{p+e_j,q} and delta^z_j raises
-    q_j alike.  Each weight is an int."""
+    j = 1..n, times ``scale``: d/dz_j H_{p,q} = p_j H_{p-e_j,q}, delta^zbar_j
+    H_{p,q} = -H_{p+e_j,q}, and d/dzbar_j and delta^z_j move q_j alike."""
     raising, sign = ladder
     first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
-    if raising:
-        return tuple((lambda d, i=i: ((_shift(d, i, 1), -scale),))
-                     for i in range(first, 2 * n, 2))
-    return tuple((lambda d, i=i: ((_shift(d, i, -1), scale * d[i]),) if d[i] else ())
-                 for i in range(first, 2 * n, 2))
+    return _index_rules(range(first, 2 * n, 2), raising, -scale if raising else scale)
 
 
 def _ladder_rules(basis: type, n: int, ladder: tuple) -> tuple:
@@ -384,9 +377,7 @@ def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
     (x_{2j-1}, x_{2j})."""
     _require_complex(u)
     n = complex_dimension(u)
-    if j < 1 or j > n:
-        raise DomainError(f"complex axis {j} outside 1..{n}")
-    return u._map(_ladder_rules(type(u), n, ladder)[j - 1])
+    return u._map(_ladder_rules(type(u), n, ladder)[check_axis(j, n) - 1])
 
 
 def wirtinger_dz(u: ScalarField, j: int) -> ScalarField:
@@ -626,12 +617,10 @@ class ComplexFrameForm(PForm):
     field_type = ItoField
 
     def _d_rules(self) -> tuple:
-        n = self.n // 2
-        return _ito_rules(n, DZ) + _ito_rules(n, DZBAR)
+        return _ito_rules(self.n // 2, DZ) + _ito_rules(self.n // 2, DZBAR)
 
     def _t_rules(self) -> tuple:
-        n = self.n // 2
-        return _ito_rules(n, DELTA_ZBAR, 2) + _ito_rules(n, DELTA_Z, 2)
+        return _ito_rules(self.n // 2, DELTA_ZBAR, 2) + _ito_rules(self.n // 2, DELTA_Z, 2)
 
     def norm_sq(self):
         return super().norm_sq() * 2 ** self.p

@@ -16,6 +16,8 @@ Every linear map on coefficients is a rule sending a degree vector to
 _accumulate sums scaled contributions into a target map the caller owns,
 as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
+_index_rules builds every ladder that moves one key index: d/dx_i, delta_i,
+both halves of x_i, and the Wirtinger ladders over H_{p,q}.
 
 Every weighted norm and inner product in the package is one call of _norm_sq
 or _inner over coefficient maps, weighted by the squared norms of the
@@ -43,6 +45,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
+from .multiindex import check_axis
 from .scalars import HALF, QC, _make, coerce_scalar, json_int, scalar_from_json
 
 REAL = "real"
@@ -86,23 +89,16 @@ def _identity_rule(d):
     return ((d, 1),)
 
 
-def _derivative_rule(axis: int):
-    """The coefficient rule of d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
-    i = axis - 1
-    return lambda d: ((_shift(d, i, -1), 2 * d[i]),) if d[i] else ()
-
-
-def _delta_rule(axis: int):
-    """The coefficient rule of delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1}."""
-    i = axis - 1
-    return lambda d: ((_shift(d, i, 1), -1),)
-
-
 @lru_cache(maxsize=None)
-def _axis_rules(m: int, rule) -> tuple:
-    """The rules rule(1), ..., rule(m) of one real ladder on every axis,
-    built once per dimension."""
-    return tuple(rule(axis) for axis in range(1, m + 1))
+def _index_rules(axes, raising: bool, weight) -> tuple:
+    """The coefficient rules of a ladder that moves one key index, one rule
+    per 0-based index i in ``axes``: raising sends d to weight (d + e_i),
+    lowering sends it to weight d_i (d - e_i).  Every one-index ladder is
+    built here, once per (axes, raising, weight)."""
+    if raising:
+        return tuple((lambda d, i=i: ((_shift(d, i, 1), weight),)) for i in axes)
+    return tuple((lambda d, i=i: ((_shift(d, i, -1), weight * d[i]),) if d[i] else ())
+                 for i in axes)
 
 
 def _accumulate(acc: dict, terms, rule, scale=1):
@@ -216,11 +212,13 @@ class ScalarField:
 
     # the squared norms of the basis, by coefficient key
     sq_norm = staticmethod(hermite_sq_norm_vector)
+    default_kind = REAL  # the kind of a field built with kind None
 
-    def __init__(self, m: int, max_total_degree: int, kind: str = REAL,
+    def __init__(self, m: int, max_total_degree: int, kind: Optional[str] = None,
                  coeffs: Optional[Mapping] = None):
         """Every value is checked: m, the capacity and each degree entry must
         be ints (not bools), and each coefficient an int, Fraction or QC."""
+        kind = self.default_kind if kind is None else kind
         if json_int(m, "dimension") < 1:
             raise DomainError(f"dimension must be >= 1, got {m}")
         if json_int(max_total_degree, "capacity") < 0:
@@ -248,19 +246,19 @@ class ScalarField:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int, max_total_degree: int, kind: str = REAL) -> "ScalarField":
+    def zero(cls, m: int, max_total_degree: int, kind: Optional[str] = None) -> "ScalarField":
         return cls(m, max_total_degree, kind)
 
     @classmethod
-    def constant(cls, value, m: int, max_total_degree: int, kind: str = REAL) -> "ScalarField":
+    def constant(cls, value, m: int, max_total_degree: int,
+                 kind: Optional[str] = None) -> "ScalarField":
         return cls(m, max_total_degree, kind, {(0,) * m: value})
 
     @classmethod
     def coordinate(cls, axis: int, m: int, max_total_degree: int,
-                   kind: str = REAL) -> "ScalarField":
+                   kind: Optional[str] = None) -> "ScalarField":
         """The linear field x_axis = 1/2 H_1 along the given axis."""
-        if axis < 1 or axis > m:
-            raise DomainError(f"axis {axis} outside 1..{m}")
+        check_axis(axis, m)
         deg = tuple(1 if i == axis - 1 else 0 for i in range(m))
         return cls(m, max_total_degree, kind, {deg: HALF})
 
@@ -334,8 +332,8 @@ class ScalarField:
         return max((sum(d) for d in self.coeffs), default=None)
 
     def __repr__(self):
-        return (f"ScalarField(m={self.m}, cap={self.max_total_degree}, kind={self.kind}, "
-                f"terms={len(self.coeffs)})")
+        return (f"{type(self).__name__}(m={self.m}, cap={self.max_total_degree}, "
+                f"kind={self.kind}, terms={len(self.coeffs)})")
 
     # -- kind conversions ---------------------------------------------------------
 
@@ -365,28 +363,25 @@ class ScalarField:
 
     # -- ladder operations ----------------------------------------------------------
 
-    def _axis_check(self, axis: int):
-        if axis < 1 or axis > self.m:
-            raise DomainError(f"axis {axis} outside 1..{self.m}")
-
     def _map(self, rule) -> "ScalarField":
         return self.replace(_map_terms(self.coeffs.items(), rule, self.max_total_degree))
 
+    def _ladder(self, axis: int, raising: bool, weight) -> "ScalarField":
+        """One index-move ladder along a checked axis (see _index_rules)."""
+        i = check_axis(axis, self.m) - 1
+        return self._map(_index_rules(range(self.m), raising, weight)[i])
+
     def partial_derivative(self, axis: int) -> "ScalarField":
         """d/dx_axis: He_k -> 2k He_{k-1} along the axis."""
-        self._axis_check(axis)
-        return self._map(_axis_rules(self.m, _derivative_rule)[axis - 1])
+        return self._ladder(axis, False, 2)
 
     def apply_delta(self, axis: int) -> "ScalarField":
         """delta_axis = d/dx_axis - 2 x_axis: He_k -> -He_{k+1} along the axis."""
-        self._axis_check(axis)
-        return self._map(_axis_rules(self.m, _delta_rule)[axis - 1])
+        return self._ladder(axis, True, -1)
 
     def multiply_by_coordinate(self, axis: int) -> "ScalarField":
         """x_axis action: x He_k = 1/2 He_{k+1} + k He_{k-1} along the axis."""
-        self._axis_check(axis)
-        i = axis - 1
-        return self._map(lambda d: [(_shift(d, i, k), w) for k, w in ((1, HALF), (-1, d[i])) if w])
+        return self._ladder(axis, True, HALF) + self._ladder(axis, False, 1)
 
     def multiply(self, other: "ScalarField") -> "ScalarField":
         """Exact product via the 1-D Hermite linearization, applied per axis.
@@ -543,11 +538,12 @@ class ItoField(ScalarField):
     __slots__ = ()
 
     sq_norm = staticmethod(ito_sq_norm_vector)
+    default_kind = COMPLEX
 
-    def __init__(self, m: int, max_total_degree: int, kind: str = COMPLEX, coeffs=None):
+    def __init__(self, m: int, max_total_degree: int, kind: Optional[str] = None, coeffs=None):
         super().__init__(m, max_total_degree, kind, coeffs)
-        if m % 2 or kind != COMPLEX:
-            raise DomainError(f"an ItoField needs an even m and kind 'complex', got {m}, {kind!r}")
+        if m % 2 or self.kind != COMPLEX:
+            raise DomainError(f"an ItoField needs an even m and kind 'complex', got {self!r}")
 
     coordinate = _he_only("coordinate")
     partial_derivative = _he_only("partial_derivative")
@@ -560,7 +556,9 @@ class ItoField(ScalarField):
 
     @classmethod
     def from_he(cls, field: ScalarField) -> "ItoField":
-        """A He field over H_{p,q}, one complex pair at a time."""
+        """A He field of even m over H_{p,q}, one complex pair at a time."""
+        if type(field) is not ScalarField or field.m % 2:
+            raise DomainError(f"from_he needs a He field of even m, got {field!r}")
         return cls._trusted(field.m, field.max_total_degree, COMPLEX,
                             _convert_pairs(field.coeffs, field.m, he_to_complex_hermite))
 

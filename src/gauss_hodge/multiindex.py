@@ -6,7 +6,7 @@ is the parity of moving one axis into or out of an increasing tuple; both
 directions are provided here and are exact inverses of each other.  Internal
 keys come only from enumerate_indices, insert_axis and remove_axis, which
 keep them increasing by construction; check_index validates an index that
-comes from outside.
+comes from outside, and check_axis a single axis argument.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ def check_index(axes, n: int, p: int) -> tuple[int, ...]:
     if len(axes) != p:
         raise DomainError(f"component index {axes} does not match ({n},{p})")
     return axes
+
+
+def check_axis(axis, n: int) -> int:
+    """An axis argument: an int (not a bool) in 1..n, else DomainError."""
+    if type(axis) is not int or not 1 <= axis <= n:
+        raise DomainError(f"axis {axis!r} outside range 1..{n}")
+    return axis
 
 
 def enumerate_indices(n: int, p: int) -> tuple[tuple[int, ...], ...]:

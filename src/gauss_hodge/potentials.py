@@ -40,7 +40,7 @@ from operator import add
 from .errors import DomainError
 from .fields import (COMPLEX, ItoField, _accumulate, _convert_pairs, _finish, _identity_rule,
                      _swap_pairs)
-from .scalars import IMAG_UNIT, QC, coerce_scalar
+from .scalars import IMAG_UNIT, QC, coerce_scalar, json_int
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
 
@@ -222,8 +222,8 @@ def parse_potential(text: str, n: int, capacity: int,
     """Parse a polynomial in z1..zn (and conj) into a complex field on R^{2n}
     over H_{p,q}; ``double_literals`` reads each integer literal as the
     nearest double, as float mode does."""
-    if n < 1:
-        raise DomainError("potential needs n >= 1")
+    if json_int(n, "n") < 1 or json_int(capacity, "capacity") < 0:
+        raise DomainError(f"potential needs n >= 1 and capacity >= 0, got {n}, {capacity}")
     tokens = _tokenize(text)
     if not tokens:
         raise DomainError("empty potential expression")

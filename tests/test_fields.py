@@ -10,7 +10,8 @@ from gauss_hodge.calculus import (codifferential, dbar, dbar_adjoint, delta_z, d
                                   exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from gauss_hodge.fields import ItoField, ScalarField, hermite_sq_norm_vector
-from gauss_hodge.hermite import HermiteSeries, apply_delta, differentiate, inner_product_1d
+from gauss_hodge.hermite import (HermiteSeries, apply_delta, differentiate, inner_product_1d,
+                                  multiply_by_coordinate)
 from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
                                      random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
@@ -109,9 +110,17 @@ def test_axiswise_ops_match_1d_module():
     delta_field = field.apply_delta(1)
     delta_series = apply_delta(series)
     assert delta_field.coeffs == {(k,): c for k, c in enumerate(delta_series.coeffs) if c}
+    x_field = field.multiply_by_coordinate(1)
+    x_series = multiply_by_coordinate(series)
+    assert x_field.coeffs == {(k,): c for k, c in enumerate(x_series.coeffs) if c}
     other = HermiteSeries([Fraction(1), Fraction(4)])
     other_field = ScalarField(1, CAP, "real", {(0,): 1, (1,): 4})
     assert field.weighted_inner(other_field) == inner_product_1d(series, other)
+    # on two axes, the x_axis action is the product with the coordinate field
+    plane = ScalarField(2, CAP // 2, "real", {(0, 0): 3, (2, 1): -1, (0, 3): Fraction(2, 5)})
+    for axis in (1, 2):
+        product = plane.multiply(ScalarField.coordinate(axis, 2, CAP // 2))
+        assert plane.multiply_by_coordinate(axis).coeffs == product.coeffs
 
 
 @settings(max_examples=50)

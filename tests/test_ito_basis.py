@@ -14,7 +14,7 @@ from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, codiff
                                   delta_z, delta_zbar, exterior_d, wirtinger_dz,
                                   wirtinger_dzbar)
 from gauss_hodge.errors import DimensionMismatchError, DomainError
-from gauss_hodge.fields import ItoField
+from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.randomforms import random_pform
 from gauss_hodge.scalars import QC
 
@@ -83,11 +83,26 @@ def test_the_basis_is_part_of_the_type():
         ComplexForm.from_layout((0, 1), [ito])
     with pytest.raises(DomainError):
         ItoForm.from_he(ItoForm.from_layout((0, 1), [ito]))
+    # from_he reads He coefficients of complex pairs: an ItoField or an odd m is refused
+    for not_he in (ito, ScalarField(3, 4, "complex", {(1, 0, 1): QC(1, 1)})):
+        with pytest.raises(DomainError, match="from_he needs a He field of even m"):
+            ItoField.from_he(not_he)
     for refused in (lambda: ito.partial_derivative(1), lambda: ito.multiply(ito),
                     ito.real_part, lambda: ItoField.from_json(he.to_json())):
         with pytest.raises(DomainError, match="He coefficients"):
             refused()
     assert ito.to_json() == he.to_json() and ito.evaluate((1, 2)) == he.evaluate((1, 2))
+
+
+def test_constructors_default_to_the_class_kind():
+    """zero and constant build an ItoField of kind 'complex' without naming
+    it, as ScalarField's build kind 'real', and repr names the type."""
+    assert ItoField.zero(2, 4) == ItoField(2, 4)
+    assert ItoField.constant(QC(1, 2), 2, 4).coeffs == {(0, 0): QC(1, 2)}
+    assert ItoField.constant(1, 2, 4).kind == "complex"
+    assert ScalarField.zero(2, 4).kind == ScalarField.constant(1, 2, 4).kind == "real"
+    assert repr(ItoField(2, 4)) == "ItoField(m=2, cap=4, kind=complex, terms=0)"
+    assert repr(ScalarField(2, 4)).startswith("ScalarField(m=2")
 
 
 def test_coordinate_is_refused():

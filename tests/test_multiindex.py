@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gauss_hodge.calculus import PForm
+from gauss_hodge.calculus import PForm, wirtinger_dzbar
 from gauss_hodge.errors import DomainError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.multiindex import check_index, enumerate_indices, insert_axis, remove_axis
@@ -69,6 +69,29 @@ def test_axis_range_validation():
         PForm(3, 2, 2, components={(2, 1): ScalarField.constant(1, 3, 2)})
     with pytest.raises(DomainError):
         f.component((1, 4))
+
+
+PLANE = ScalarField(2, 4, "real", {(1, 1): 3})
+AXIS_TAKERS = {
+    "coordinate": lambda axis: ScalarField.coordinate(axis, 2, 4),
+    "partial_derivative": PLANE.partial_derivative,
+    "apply_delta": PLANE.apply_delta,
+    "multiply_by_coordinate": PLANE.multiply_by_coordinate,
+    "wirtinger_dzbar": lambda axis: wirtinger_dzbar(
+        ScalarField(4, 4, "complex", {(1, 0, 0, 1): 1}), axis),
+    "signed_component": lambda axis: PForm(
+        2, 1, 4, components={(1,): PLANE}).signed_component(axis, ()),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None])
+@pytest.mark.parametrize("taker", sorted(AXIS_TAKERS))
+def test_every_axis_argument_is_checked_once(taker, bad):
+    """Every ladder and lookup that takes one axis accepts only an int (not a
+    bool) in 1..n, on R^2 and on C^2 alike."""
+    with pytest.raises(DomainError, match=f"axis {bad!r} outside range 1..2"):
+        AXIS_TAKERS[taker](bad)
+    assert AXIS_TAKERS[taker](1) != AXIS_TAKERS[taker](2)
 
 
 def test_signatures_match_bubble_sort_parity_exhaustive():

@@ -62,6 +62,14 @@ def test_parse_errors():
         parse_potential("z**10", 1, 4)  # degree above capacity
 
 
+@pytest.mark.parametrize("n, capacity", [(1, 4.5), (True, 4), (1, True), (1.0, 4), ("1", 4)])
+def test_dimension_and_capacity_must_be_ints(n, capacity):
+    """A library caller's n and capacity are checked as file input is: a
+    float or a bool never reaches the field."""
+    with pytest.raises(DomainError, match="must be an integer"):
+        parse_potential("z*conj(z)", n, capacity)
+
+
 @pytest.mark.parametrize("text", ["(" * 1000 + "z*conj(z)" + ")" * 1000,
                                   "conj(" * 1000 + "z" + ")" * 1000], ids=["parens", "conj"])
 def test_deep_nesting_is_a_domain_error(text):
