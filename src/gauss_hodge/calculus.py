@@ -70,17 +70,18 @@ class PForm:
     """A p-form on R^n: map from increasing tuples of axes in 1..n to scalar fields.
 
     Missing keys mean zero components.  All stored components share the
-    ambient dimension, scalar kind, capacity and the basis ``field_type``.
-    The constructor checks every count, index and field; operator results are
-    built through _like, which trusts them.
+    ambient dimension, capacity, basis ``field_type`` and scalar kind, by
+    default ``field_type.default_kind``.  The constructor checks every count,
+    index and field; operator results are built through _like, which trusts them.
     """
 
     __slots__ = ("n", "p", "max_total_degree", "kind", "components")
 
     field_type = ScalarField
 
-    def __init__(self, n: int, p: int, max_total_degree: int, kind: str = REAL,
+    def __init__(self, n: int, p: int, max_total_degree: int, kind: Optional[str] = None,
                  components: Optional[Mapping[tuple, ScalarField]] = None):
+        kind = self.field_type.default_kind if kind is None else kind
         if json_int(n, "n") < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         if json_int(p, "p") < 0:
@@ -194,12 +195,11 @@ class PForm:
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""
         self._compatible(other)
         theirs = other.components
-        return _inner(((f.coeffs, theirs[idx].coeffs)
-                       for idx, f in self.components.items() if idx in theirs),
-                      self.kind == COMPLEX, self.field_type.sq_norm)
+        return _inner(((f, theirs[idx]) for idx, f in self.components.items() if idx in theirs),
+                      self.kind == COMPLEX)
 
     def norm_sq(self):
-        return _norm_sq((f.coeffs for f in self.components.values()), self.field_type.sq_norm)
+        return _norm_sq(self.components.values())
 
     def _d_rules(self) -> tuple:
         """The coefficient rules of d, one per frame axis: d/dx_j."""
@@ -279,21 +279,27 @@ def _contract(alpha: PForm, offset: int, rules) -> dict:
     return _components(acc, alpha)
 
 
-def _require_real_frame(u: PForm):
+def _require(value, cls: type, context: str):
+    if not isinstance(value, cls):
+        raise DomainError(f"{context} needs a {cls.__name__}, got {type(value).__name__}")
+
+
+def _require_real_frame(u: PForm, context: str):
+    _require(u, PForm, context)
     if isinstance(u, ComplexForm):
         raise DomainError("d and T* act on real-frame forms; use partial and dbar")
 
 
 def exterior_d(u: PForm) -> PForm:
     """The distributional exterior derivative, sign-exact on increasing indices."""
-    _require_real_frame(u)
+    _require_real_frame(u, "d")
     return u._like(_wedge(u, 0, u._d_rules()), u.p + 1)
 
 
 def codifferential(alpha: PForm) -> PForm:
     """The formal adjoint T* of d under e^{-|x|^2}: component I gets
     -sum_j delta_j a_{jI}, with delta_j = d/dx_j - 2 x_j."""
-    _require_real_frame(alpha)
+    _require_real_frame(alpha, "T*")
     if alpha.p < 1:
         raise DomainError("the codifferential needs a form of degree >= 1")
     return alpha._like(_contract(alpha, 0, alpha._t_rules()), alpha.p - 1)
@@ -305,6 +311,7 @@ def codifferential(alpha: PForm) -> PForm:
 
 
 def complex_dimension(field: ScalarField) -> int:
+    _require(field, ScalarField, "complex calculus")
     if field.m % 2 != 0:
         raise DomainError(f"complex calculus needs an even real dimension, got {field.m}")
     return field.m // 2
@@ -441,8 +448,9 @@ class ComplexForm(PForm):
 
     @classmethod
     def function(cls, u: ScalarField) -> "ComplexForm":
-        """The complex function u as a (0,0)-form."""
-        return cls(complex_dimension(u), (0, 0), u.max_total_degree, {(): u})
+        """The complex function u as a (0,0)-form over its own basis: ItoForm for ItoField."""
+        form_type = ItoForm if isinstance(u, ItoField) else cls
+        return form_type(complex_dimension(u), (0, 0), u.max_total_degree, {(): u})
 
     @classmethod
     def from_layout(cls, bidegree: tuple[int, int], fields) -> "ComplexForm":
@@ -523,6 +531,7 @@ def require_bidegree(form, bidegree: tuple[int, int], context: str):
 
 def partial(u: ComplexForm) -> ComplexForm:
     """partial u = sum_j dz_j ^ du/dz_j, of bidegree (p+1, q)."""
+    _require(u, ComplexForm, "partial")
     n = u.n // 2
     p, q = u.bidegree
     return u._like(_wedge(u, 0, _ladder_rules(u.field_type, n, DZ)), (p + 1, q))
@@ -530,24 +539,20 @@ def partial(u: ComplexForm) -> ComplexForm:
 
 def dbar(u: ComplexForm) -> ComplexForm:
     """dbar u = sum_j dzbar_j ^ du/dzbar_j, of bidegree (p, q+1)."""
+    _require(u, ComplexForm, "dbar")
     n = u.n // 2
     p, q = u.bidegree
     return u._like(_wedge(u, n, _ladder_rules(u.field_type, n, DZBAR)), (p, q + 1))
 
 
-def _function_form(u: ScalarField) -> ComplexForm:
-    """The complex function u as a (0,0)-form over its own basis."""
-    return (ItoForm if isinstance(u, ItoField) else ComplexForm).function(u)
-
-
 def dbar_function(u: ScalarField) -> ComplexForm:
     """dbar u = sum_j (du/dzbar_j) dzbar_j."""
-    return dbar(_function_form(u))
+    return dbar(ComplexForm.function(u))
 
 
 def ddbar(u: ScalarField) -> ComplexForm:
     """partial dbar u: the coefficient of dz_i ^ dzbar_j is d^2 u / dz_i dzbar_j."""
-    return partial(dbar(_function_form(u)))
+    return partial(dbar(ComplexForm.function(u)))
 
 
 def dbar_adjoint(g: ComplexForm) -> ScalarField:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import decimal
 import functools
 import json
@@ -51,31 +50,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclasses.dataclass
-class RunConfig:
-    mode: str = "exact"
-    n: int = 2
-    degree: int = 8
-    trials: int = 20
-    seed: int = 0
-    tolerance: float = 1e-10
-    output: str | None = None
-
-    @property
-    def number(self):
-        """How a rational is written: a fraction string, or in float mode
-        the nearest double."""
-        return to_double if self.mode == "float" else str
-
-    def validate(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.degree < 2:
-            raise ValueError("capacity (--degree) must be >= 2")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (0 < self.tolerance < 1):
-            raise ValueError("tolerance must be in (0, 1)")
+def _number(mode: str | None):
+    """How a rational is written: the nearest double in float mode, else a fraction string."""
+    return to_double if mode == "float" else str
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +60,17 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
-    rng = random.Random(config.seed * 1_000_003 + trial)
-    cap = config.degree
-    n = config.n
+def _verify_trial(args, trial: int) -> list[dict]:
+    rng = random.Random(args.seed * 1_000_003 + trial)
+    cap = args.degree
+    n = args.n
+    number = _number(args.mode)
     records: list[dict] = []
 
     def rec(check: str, ok: bool, **extra):
         row = {"trial": trial, "check": check, "pass": bool(ok)}
         for key, val in extra.items():
-            row[key] = render_value(val, config.number)
+            row[key] = render_value(val, number)
         records.append(row)
 
     data_degree = max(0, cap - 2)
@@ -152,32 +130,34 @@ def _verify_trial(config: RunConfig, trial: int) -> list[dict]:
     return records
 
 
-def cmd_verify(config: RunConfig) -> int:
-    records = [row for t in range(config.trials) for row in _verify_trial(config, t)]
+def cmd_verify(args) -> int:
+    """Run the invariant suite with the parsed verify arguments."""
+    mode = args.mode or "exact"
+    records = [row for t in range(args.trials) for row in _verify_trial(args, t)]
     records.sort(key=lambda r: (r["trial"], r["check"]))
     failed = [r for r in records if not r["pass"]]
     summary = {
         "summary": True,
         "command": "verify",
-        "mode": config.mode,
-        "n": config.n,
-        "degree": config.degree,
-        "trials": config.trials,
-        "seed": config.seed,
-        "tolerance": config.tolerance,
+        "mode": mode,
+        "n": args.n,
+        "degree": args.degree,
+        "trials": args.trials,
+        "seed": args.seed,
+        "tolerance": args.tolerance,
         "measure": MEASURE_NOTE,
         "checks": len(records),
         "passed": len(records) - len(failed),
         "failed": len(failed),
     }
     _write("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in records + [summary]), config.output)
+                   for r in records + [summary]), args.output)
     if failed:
         print(f"verify: {len(failed)} check(s) failed; first: "
               f"{json.dumps(failed[0], sort_keys=True)}", file=sys.stderr)
         return EXIT_FAIL
     print(f"verify: {len(records)} checks passed "
-          f"({config.trials} trials, mode={config.mode}, n={config.n})")
+          f"({args.trials} trials, mode={mode}, n={args.n})")
     return EXIT_OK
 
 
@@ -186,18 +166,18 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(config: RunConfig, equation: str, input_path: str,
-              requested_mode: str | None) -> int:
-    if equation == "d":
+def cmd_solve(args) -> int:
+    """Solve the --equation of the parsed solve arguments on its --input."""
+    if args.equation == "d":
         read, solve = PForm.from_json, solve_d_min_norm
     else:
         read = functools.partial(ComplexForm.from_json, bidegree=(0, 1))
         solve = solve_dbar_min_norm
-    form, config, gate = _read_form(config, input_path, read, requested_mode)
+    form, mode, gate = _read_form(args, read)
     u, report = _solve(solve, form, gate)
-    rendered = _write_solution(config, equation, u, report)
+    rendered = _write_solution(args.output, mode, args.equation, u, report)
     ok = report.bound_satisfied
-    print(f"solve {equation}: ratio {rendered['ratio']} vs bound "
+    print(f"solve {args.equation}: ratio {rendered['ratio']} vs bound "
           f"{rendered['bound_constant']}; "
           f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
@@ -208,17 +188,18 @@ def cmd_solve(config: RunConfig, equation: str, input_path: str,
 # ---------------------------------------------------------------------------
 
 
-def cmd_lelong(config: RunConfig, input_path: str | None, potential: str | None,
-               requested_mode: str | None) -> int:
-    if potential is not None:
+def cmd_lelong(args) -> int:
+    """Run the ddbar pipeline on the parsed --input or --from-potential."""
+    if args.from_potential is not None:
         # ddbar of a potential is exactly closed, so it solves at gate 0
-        form, gate = ddbar(parse_potential(potential, config.n, config.degree,
-                                           double_literals=config.mode == "float")), 0
+        mode = args.mode or "exact"
+        form, gate = ddbar(parse_potential(args.from_potential, args.n, args.degree,
+                                           double_literals=mode == "float")), 0
     else:
-        form, config, gate = _read_form(config, input_path, functools.partial(
-            ComplexForm.from_json, bidegree=(1, 1)), requested_mode)
+        form, mode, gate = _read_form(args, functools.partial(
+            ComplexForm.from_json, bidegree=(1, 1)))
     u, report = _solve(solve_poincare_lelong_full, form, gate)
-    rendered = _write_solution(config, "ddbar", u, report, potential)
+    rendered = _write_solution(args.output, mode, "ddbar", u, report, args.from_potential)
     ok = report.final.bound_satisfied
     print(f"lelong: final ratio {rendered['final_ratio']} vs bound 2; "
           f"{'pass' if ok else 'FAIL'}")
@@ -299,20 +280,20 @@ def _has_numbers(tree) -> bool:
     return isinstance(tree, list) and any(_has_numbers(value) for value in tree)
 
 
-def _read_form(config: RunConfig, path: str, read, requested_mode: str | None):
-    """The form read(data) of an --input file, the config in the mode of the
-    file unless requested_mode differs (--mode float writes exact input as
+def _read_form(args, read):
+    """(form, mode, gate) of the --input file: the form read(data), the mode
+    of the file unless --mode was given (--mode float writes exact input as
     doubles, --mode exact refuses a float file), and the gate of its solve:
     --tolerance for a float file, 0 for an exact one."""
     def decode(text):
         data = json.loads(text)
         return read(data), _has_numbers(data)
 
-    form, numbers = _read_input(path, decode)
-    if numbers and requested_mode == "exact":
+    form, numbers = _read_input(args.input, decode)
+    if numbers and args.mode == "exact":
         raise ValueError("--mode exact cannot be applied to float-mode input")
-    mode = requested_mode or ("float" if numbers else "exact")
-    return form, dataclasses.replace(config, mode=mode), config.tolerance if numbers else 0
+    mode = args.mode or ("float" if numbers else "exact")
+    return form, mode, args.tolerance if numbers else 0
 
 
 def _solve(solve, form, gate: float):
@@ -334,16 +315,18 @@ def _write(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _write_solution(config: RunConfig, equation: str, u, report,
+def _write_solution(output: str | None, mode: str, equation: str, u, report,
                     potential: str | None = None) -> dict:
-    """Write a solve's file: equation, measure, u, report and the potential
-    u came from, if any.  Returns the report as written."""
-    rendered = report.to_json(config.number)
+    """Write a solve's file to ``output`` (stdout if None), its numbers in
+    ``mode``: equation, measure, u, report and the potential u came from, if
+    any.  Returns the report as written."""
+    number = _number(mode)
+    rendered = report.to_json(number)
     payload = {"equation": equation, "measure": MEASURE_NOTE,
-               "solution": u.to_json(config.number), "report": rendered}
+               "solution": u.to_json(number), "report": rendered}
     if potential is not None:
         payload["from_potential"] = potential
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.output)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
     return rendered
 
 
@@ -416,16 +399,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.input, args.output)
-        sizes = {key: getattr(args, key) for key in ("n", "degree", "trials", "seed")
-                 if hasattr(args, key)}
-        config = RunConfig(mode=args.mode or "exact", tolerance=args.tolerance,
-                           output=args.output, **sizes)
-        config.validate()
+        # the first out-of-range setting among those the command has
+        for key, low, name in (("n", 1, "n"), ("degree", 2, "capacity (--degree)"),
+                               ("trials", 1, "trials")):
+            if getattr(args, key, low) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not (0 < args.tolerance < 1):
+            raise ValueError("tolerance must be in (0, 1)")
         if args.command == "verify":
-            return cmd_verify(config)
+            return cmd_verify(args)
         if args.command == "solve":
-            return cmd_solve(config, args.equation, args.input, args.mode)
-        return cmd_lelong(config, args.input, args.from_potential, args.mode)
+            return cmd_solve(args)
+        return cmd_lelong(args)
     except NotClosedError as exc:
         code, message = EXIT_FAIL, f"input is not closed: {exc}"
     except DegreeOverflowError as exc:

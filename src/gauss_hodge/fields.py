@@ -20,8 +20,8 @@ _index_rules builds every ladder that moves one key index: d/dx_i, delta_i,
 both halves of x_i, and the Wirtinger ladders over H_{p,q}.
 
 Every weighted norm and inner product in the package is one call of _norm_sq
-or _inner over coefficient maps, weighted by the squared norms of the
-field's basis.
+or _inner over fields, each weighted by its own sq_norm: the squared norms
+of the basis that is part of its type.
 
 A complex field on R^{2n} may instead be kept over Ito's complex Hermite
 basis (ItoField): H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1,
@@ -165,14 +165,15 @@ def _product_terms(pair) -> list:
     return terms
 
 
-def _inner(map_pairs, complex_kind: bool, weight=hermite_sq_norm_vector):
-    """sum_d x_d conj(y_d) weight(d) over every pair (x, y) of coefficient
-    maps: a QC if ``complex_kind``, else the real part as a Fraction.  The
+def _inner(pairs, complex_kind: bool):
+    """sum_d x_d conj(y_d) F.sq_norm(d) over every pair (F, G) of fields of one
+    basis: a QC if ``complex_kind``, else the real part as a Fraction.  The
     pairs sum integer numerators over one running denominator, reduced once,
     as (a + b i)/d * (c - e i)/f = ((ac + be) + (bc - ae) i)/(df)."""
     re = im = 0
     den = 1
-    for mine, theirs in map_pairs:
+    for field, other in pairs:
+        weight, mine, theirs = field.sq_norm, field.coeffs, other.coeffs
         for deg in mine.keys() & theirs.keys():
             x, y = mine[deg], theirs[deg]
             a, b, d = x._a, x._b, x._d
@@ -188,12 +189,13 @@ def _inner(map_pairs, complex_kind: bool, weight=hermite_sq_norm_vector):
     return _make(re, im, den) if complex_kind else Fraction(re, den)
 
 
-def _norm_sq(maps, weight=hermite_sq_norm_vector) -> Fraction:
-    """sum_d |x_d|^2 weight(d) over every coefficient map, as one Fraction sum
-    (a^2 + b^2) weight(d) / d^2 over a running denominator."""
+def _norm_sq(fields) -> Fraction:
+    """sum_d |x_d|^2 F.sq_norm(d) over every field F, as one Fraction sum
+    (a^2 + b^2) F.sq_norm(d) / d^2 over a running denominator."""
     num, den = 0, 1
-    for coeffs in maps:
-        for deg, v in coeffs.items():
+    for field in fields:
+        weight = field.sq_norm
+        for deg, v in field.coeffs.items():
             a, b, d = v._a, v._b, v._d
             w = weight(deg)
             dd = d * d
@@ -403,11 +405,11 @@ class ScalarField:
         The result is a Fraction for real fields and a QC for complex ones.
         """
         self._compatible(other)
-        return _inner(((self.coeffs, other.coeffs),), self.kind == COMPLEX, self.sq_norm)
+        return _inner(((self, other),), self.kind == COMPLEX)
 
     def norm_sq(self) -> Fraction:
         """||F||^2 as a Fraction."""
-        return _norm_sq((self.coeffs,), self.sq_norm)
+        return _norm_sq((self,))
 
     def evaluate(self, point) -> object:
         if len(point) != self.m:

@@ -9,7 +9,8 @@ implementer-verified argument.
 Each sum of norms and real inner products is one fields._inner call, and
 numbers, fields and forms are compared with ==: every value is exact, also
 on data read from doubles, so an identity holds with zero discrepancy or
-fails.
+fails.  Each check reads its basis, He_d or H_{p,q}, from its input's type,
+so it gives one result on a form and on its image in the other basis.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .calculus import (DZ, DZBAR, ComplexForm, PForm, _pair_rules, codifferential,
+from .calculus import (DZ, DZBAR, ComplexForm, PForm, _ladder_rules, codifferential,
                        complex_dimension, dbar, dbar_function, ddbar, delta_z, delta_zbar,
                        exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
-from .fields import COMPLEX, ScalarField, _inner, _shift, hermite_sq_norm_vector
+from .fields import COMPLEX, ItoField, ScalarField, _inner, _shift
 from .multiindex import enumerate_indices, insert_axis
 from .scalars import IMAG_UNIT, QC, render_value
 
@@ -34,8 +35,7 @@ CONVEXITY = 2
 def _real_sum(fields=(), pairs=()) -> Fraction:
     """sum ||F||^2 over fields plus sum Re <F, G> over pairs (F, G), with each
     ||F||^2 taken as <F, F>."""
-    return _inner(chain(((f.coeffs, f.coeffs) for f in fields),
-                        ((f.coeffs, g.coeffs) for f, g in pairs)), False)
+    return _inner(chain(((f, f) for f in fields), pairs), False)
 
 
 def _gradients(alpha: PForm) -> dict:
@@ -135,21 +135,24 @@ def ddbar_formal_adjoint(alpha: ComplexForm) -> ScalarField:
 def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     """Independent construction of the same adjoint from duality alone.
 
-    Expands T* a in the Hermite basis by pairing against basis functions: the
-    coefficient on He_d is conj(<ddbar He_d, a>) / ||He_d||^2.  The pairing
-    runs through the weights of the lowering ladders that ddbar applies,
+    Expands T* a in the basis e_d of the form's field type (He_d or H_{p,q})
+    by pairing against basis functions: the coefficient on e_d is
+    conj(<ddbar e_d, a>) / ||e_d||^2.  The pairing runs through the weights
+    of the lowering ladders that ddbar applies in that basis,
 
-        <ddbar He_d, a> = sum_{ij} sum_{(s, w1) in DZBAR_j(d)} sum_{(t, w2) in DZ_i(s)}
-                          w1 w2 conj(a_{ij}[t]) ||He_t||^2,
+        <ddbar e_d, a> = sum_{ij} sum_{(s, w1) in DZBAR_j(d)} sum_{(t, w2) in DZ_i(s)}
+                         w1 w2 conj(a_{ij}[t]) ||e_t||^2,
 
-    so no field is built per He_d.  Entry (i, j) of ddbar He_d lowers one axis
-    x of pair i and one axis y of pair j, so only d = e + e_x + e_y with e in
+    so no field is built per e_d.  Entry (i, j) of ddbar e_d lowers one index
+    x of pair i and one index y of pair j, so only d = e + e_x + e_y with e in
     the support of a_{ij} can pair nonzero.
     """
     n = alpha.n // 2
     top = alpha.degree
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
-    lower_z, lower_zbar = _pair_rules(n, DZ), _pair_rules(n, DZBAR)
+    basis = alpha.field_type
+    sq_norm = basis.sq_norm
+    lower_z, lower_zbar = _ladder_rules(basis, n, DZ), _ladder_rules(basis, n, DZBAR)
     entries = []
     candidates = set()
     for (i, j), field in alpha.components.items():
@@ -166,10 +169,10 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
             for s, w1 in dzbar_j(deg):
                 for t, w2 in dz_i(s):
                     if t in coeffs:
-                        pairing += w1 * w2 * coeffs[t].conjugate() * hermite_sq_norm_vector(t)
+                        pairing += w1 * w2 * coeffs[t].conjugate() * sq_norm(t)
         if pairing:
-            out[deg] = pairing.conjugate() / hermite_sq_norm_vector(deg)
-    return ScalarField(alpha.n, cap, COMPLEX, out)
+            out[deg] = pairing.conjugate() / sq_norm(deg)
+    return basis(alpha.n, cap, COMPLEX, out)
 
 
 @dataclass
@@ -255,8 +258,10 @@ def conjugation_identities_check(u: ScalarField) -> tuple[bool, bool, bool]:
     (b) dbar(partial u) is the entrywise negation of ddbar(u);
     (c) entry (i, j) of ddbar(u) is
         (1/4)(d/dx_{2i-1} - i d/dx_{2i})(d/dx_{2j-1} + i d/dx_{2j}) u,
-        built from real partial derivatives alone.
+        built from real partial derivatives alone, which act on He
+        coefficients: an ItoField is converted to He first.
     """
+    u = u.to_he() if isinstance(u, ItoField) else u
     n = complex_dimension(u)  # validates evenness
     a = partial(ComplexForm.function(u.conjugate())) == dbar_function(u).conjugate()
     form = ddbar(u)

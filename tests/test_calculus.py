@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gauss_hodge.calculus import (ComplexForm, PForm,
+from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, PForm,
                                   codifferential, dbar, dbar_adjoint, dbar_function,
                                   dbar_of_01, ddbar, delta_z, delta_zbar,
                                   exterior_d,
@@ -132,6 +132,21 @@ def test_codifferential_examples():
 def test_codifferential_rejects_functions():
     with pytest.raises(DomainError):
         codifferential(PForm(2, 0, CAP, components={(): x(1)}))
+
+
+@pytest.mark.parametrize("op, arg", [
+    (partial, PForm(4, 1, 4)),
+    (dbar, ComplexFrameForm(2, 1, 4, "complex")),
+    (dbar_function, PForm(2, 1, 4)),
+    (ddbar, PForm(2, 1, 4)),
+    (exterior_d, ScalarField(2, 4)),
+    (codifferential, ScalarField(2, 4)),
+], ids=["partial-pform", "dbar-complex-frame", "dbar_function-pform", "ddbar-pform",
+        "d-field", "codifferential-field"])
+def test_operators_refuse_the_wrong_type(op, arg):
+    """An operator given an argument of another type says which type it got."""
+    with pytest.raises(DomainError, match=f"got {type(arg).__name__}$"):
+        op(arg)
 
 
 def test_adjoint_duality_random(rng):

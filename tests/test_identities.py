@@ -1,11 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from gauss_hodge import calculus, identities
-from gauss_hodge.calculus import (ComplexForm, PForm, dbar, ddbar, partial, wirtinger_dz,
-                                  wirtinger_dzbar)
+from gauss_hodge.calculus import (ComplexForm, ItoForm, PForm, dbar, ddbar, partial,
+                                  wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.cli import main
-from gauss_hodge.fields import ScalarField, hermite_sq_norm_vector
+from gauss_hodge.fields import ItoField, ScalarField, hermite_sq_norm_vector
+from gauss_hodge.potentials import parse_potential
 from gauss_hodge.identities import (_real_sum, bochner_identity_report,
                                     conjugation_identities_check,
                                     d_norm_expansion_report,
@@ -242,6 +245,37 @@ def test_conjugation_identities_random(rng):
         for _ in range(10):
             u = random_complex_function(rng, n, CAP, 6)
             assert conjugation_identities_check(u) == (True, True, True)
+
+
+# potentials whose ddbar the checks see over H_{p,q}, as parse_potential gives
+# it, and over He; the first is the README's quick-start form
+POTENTIALS = {1: [("z**2*conj(z)**2", 8), ("z**3*conj(z)**2 + 2*z*conj(z)**3", 7)],
+              2: [("z1*conj(z2)**2 + 3*z2*conj(z2)", 5)],
+              3: [("z1*conj(z2)*z3*conj(z3) + 2*z2**2*conj(z1)", 6)]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_checks_read_the_basis_from_the_type(rng, n):
+    """Every complex identity check gives one result on a (1,1)-form or a
+    function over He and on its image over H_{p,q}: the whole adjoint report,
+    the ladder and dual-basis adjoints once converted back to He, and the
+    conjugation check."""
+    functions = [random_complex_function(rng, n, 8, 4) for _ in range(2)]
+    functions += [parse_potential(text, n, cap).to_he() for text, cap in POTENTIALS[n]]
+    forms = [random_complexform11(rng, n, 8, 3) for _ in range(2)]
+    forms += [ddbar(u) for u in functions[2:]]
+    for he in forms:
+        ito = ItoForm.from_he(he)
+        assert ito.to_he() == he
+        report = ddbar_adjoint_identity_report(he)
+        assert report.duality_exact and report.discrepancy == 0
+        assert ddbar_adjoint_identity_report(ito) == report
+        assert ddbar_adjoint_dual_basis(ito).to_he() == ddbar_adjoint_dual_basis(he)
+        assert ddbar_formal_adjoint(ito).to_he() == ddbar_formal_adjoint(he)
+    for he in functions:
+        ito = ItoField.from_he(he)
+        assert conjugation_identities_check(ito) == conjugation_identities_check(he) \
+            == (True, True, True)
 
 
 def _one_ulp_off(dbar_function):

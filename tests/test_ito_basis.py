@@ -10,7 +10,7 @@ import math
 import pytest
 
 from gauss_hodge.bridge import _frame_change
-from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, codifferential,
+from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, codifferential,
                                   delta_z, delta_zbar, exterior_d, wirtinger_dz,
                                   wirtinger_dzbar)
 from gauss_hodge.errors import DimensionMismatchError, DomainError
@@ -96,13 +96,17 @@ def test_the_basis_is_part_of_the_type():
 
 def test_constructors_default_to_the_class_kind():
     """zero and constant build an ItoField of kind 'complex' without naming
-    it, as ScalarField's build kind 'real', and repr names the type."""
+    it, as ScalarField's build kind 'real', and repr names the type; a form
+    takes the kind of its field type, so a ComplexFrameForm is complex."""
     assert ItoField.zero(2, 4) == ItoField(2, 4)
     assert ItoField.constant(QC(1, 2), 2, 4).coeffs == {(0, 0): QC(1, 2)}
     assert ItoField.constant(1, 2, 4).kind == "complex"
     assert ScalarField.zero(2, 4).kind == ScalarField.constant(1, 2, 4).kind == "real"
     assert repr(ItoField(2, 4)) == "ItoField(m=2, cap=4, kind=complex, terms=0)"
     assert repr(ScalarField(2, 4)).startswith("ScalarField(m=2")
+    frame = ComplexFrameForm(2, 1, 4)
+    assert frame.kind == "complex" and frame.component((1,)) == ItoField(2, 4)
+    assert PForm(2, 1, 4).kind == "real"
 
 
 def test_coordinate_is_refused():

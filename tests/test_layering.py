@@ -1,0 +1,33 @@
+"""The basis boundary: only fields and calculus name a basis's norms or
+ladder rules.  Every other module reads them from a field's type (its
+sq_norm, a form's field_type), so it works over He_d and H_{p,q} alike."""
+
+import ast
+from pathlib import Path
+
+import gauss_hodge
+
+BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_pair_rules",
+                   "_ito_rules", "_index_rules"}
+OWNERS = {"fields", "calculus"}
+
+
+def _named(tree) -> set:
+    """The names a module imports, and the attributes it reads, e.g. fields._pair_rules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_fields_and_calculus_name_the_basis_internals():
+    package = Path(gauss_hodge.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {path.stem for path in modules} >= OWNERS | {"identities", "cli"}
+    leaks = {path.stem: sorted(_named(ast.parse(path.read_text(encoding="utf-8")))
+                               & BASIS_INTERNALS)
+             for path in modules if path.stem not in OWNERS}
+    assert {stem: names for stem, names in leaks.items() if names} == {}
