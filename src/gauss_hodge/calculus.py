@@ -60,7 +60,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import (COMPLEX, REAL, ItoField, ScalarField, _accumulate, _finish,
+from .fields import (COMPLEX, ItoField, ScalarField, _accumulate, _finish,
                      _index_rules, _inner, _norm_sq, _shift)
 from .multiindex import check_axis, check_index, insert_axis, remove_axis
 from .scalars import HALF, IMAG_UNIT, json_int
@@ -88,8 +88,7 @@ class PForm:
             raise DomainError(f"form degree must be >= 0, got {p}")
         if json_int(max_total_degree, "capacity") < 0:
             raise DomainError(f"capacity must be >= 0, got {max_total_degree}")
-        if kind not in (REAL, COMPLEX):
-            raise DomainError(f"scalar kind must be 'real' or 'complex', got {kind!r}")
+        self.field_type.zero(n, max_total_degree, kind)  # refuses a kind it cannot hold
         self.n = n
         self.p = p
         self.max_total_degree = max_total_degree

@@ -396,6 +396,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
+    # exact values of any size; the caller's int <-> str digit limit comes back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "report":
             return cmd_report(args.input, args.output)
@@ -421,6 +424,8 @@ def main(argv=None) -> int:
         code, message = EXIT_USAGE, f"bad input: {exc!r}"
     except GaussHodgeError as exc:
         code, message = EXIT_FAIL, str(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(f"{args.command}: {message}", file=sys.stderr)
     return code
 

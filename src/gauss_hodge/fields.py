@@ -28,13 +28,14 @@ basis (ItoField): H_{p,q} = prod_j (-delta^zbar_j)^{p_j} (-delta^z_j)^{q_j} 1,
 keyed by (p_1, q_1, ..., p_n, q_n), with ||H_{p,q}||^2 = prod_j p_j! q_j!
 (Ito 1952).  There the Wirtinger ladders move one index and conjugation
 swaps p and q.  The per-pair conversions come from the generating function
-e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it:
+e^{2xs-s^2+2yt-t^2} = e^{uz+v zbar-uv} with u = s-it, v = s+it.  Both read
+the integer row c_k(a, b) of (1-x)^a (1+x)^b, s = a + b (a Krawtchouk polynomial):
 
-    He_a(x) He_b(y) = i^b sum_p K(a,b,p) a! b! / (p! q!) H_{p,q}
-    H_{p,q}         = sum_a (-i)^b K(a,b,p) / 2^{a+b} He_a(x) He_b(y)
+    He_a(x) He_b(y) = i^b sum_p (-1)^p c_p(a, b) H_{p,s-p}
+    H_{p,q}         = 2^{-s} (-1)^p sum_a (-i)^{s-a} c_a(p, q) He_a(x) He_{s-a}(y)
 
-over p + q = a + b, with K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j).  Each
-conversion keeps the total degree, so a field's capacity carries over.
+and c_0 = 1, (k+1) c_{k+1} = (b-a) c_k - (s-k+1) c_{k-1} build a row in O(s)
+integer steps.  Each conversion keeps the total degree.
 """
 
 from __future__ import annotations
@@ -468,42 +469,32 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _k(a: int, b: int, p: int) -> int:
-    """K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j) with q = a + b - p."""
-    q = a + b - p
-    return sum((-1) ** (p - j) * math.comb(p, j) * math.comb(q, a - j)
-               for j in range(max(0, a - q), min(p, a) + 1))
+def _binomial_row(a: int, b: int) -> list:
+    """The coefficients c_0..c_{a+b} of P = (1-x)^a (1+x)^b, by the recurrence
+    that (1-x^2) P' = ((b-a) - (a+b) x) P gives."""
+    s, row = a + b, [0, 1]  # c_{-1}, c_0
+    for k in range(s):
+        row.append(((b - a) * row[-1] - (s - k + 1) * row[-2]) // (k + 1))
+    return row[1:]
 
 
-def _times_i_power(r: Fraction, k: int) -> QC:
-    """The scalar i^k r."""
-    return QC(*((r, 0), (0, r), (-r, 0), (0, -r))[k % 4])
+def _i_power(c: int, k: int, d: int = 1) -> QC:
+    """The scalar i^k c / d."""
+    return _make(*((c, 0), (0, c), (-c, 0), (0, -c))[k % 4], d)
 
 
 @lru_cache(maxsize=None)
 def he_to_complex_hermite(a: int, b: int) -> tuple:
     """He_a(x) He_b(y) as ((p, q), coefficient) pairs over H_{p,q}, p + q = a + b."""
-    s = a + b
-    out = []
-    for p in range(s + 1):
-        k = _k(a, b, p)
-        if k:
-            r = Fraction(k * math.factorial(a) * math.factorial(b),
-                         math.factorial(p) * math.factorial(s - p))
-            out.append(((p, s - p), _times_i_power(r, b)))
-    return tuple(out)
+    return tuple(((p, a + b - p), _i_power(c, b + 2 * p))
+                 for p, c in enumerate(_binomial_row(a, b)) if c)
 
 
 @lru_cache(maxsize=None)
 def complex_hermite_to_he(p: int, q: int) -> tuple:
     """H_{p,q} as ((a, b), coefficient) pairs over He_a(x) He_b(y), a + b = p + q."""
-    s = p + q
-    out = []
-    for a in range(s + 1):
-        k = _k(a, s - a, p)
-        if k:
-            out.append(((a, s - a), _times_i_power(Fraction(k, 2 ** s), a - s)))
-    return tuple(out)
+    return tuple(((a, p + q - a), _i_power(c, a + p - q, 2 ** (p + q)))
+                 for a, c in enumerate(_binomial_row(p, q)) if c)
 
 
 def _convert_pairs(coeffs: dict, m: int, table) -> dict:

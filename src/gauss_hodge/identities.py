@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .calculus import (DZ, DZBAR, ComplexForm, PForm, _ladder_rules, codifferential,
-                       complex_dimension, dbar, dbar_function, ddbar, delta_z, delta_zbar,
-                       exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
+from .calculus import (DELTA_Z, DELTA_ZBAR, DZ, DZBAR, ComplexForm, PForm, _ladder_rules,
+                       codifferential, complex_dimension, dbar, dbar_function, ddbar, delta_z,
+                       delta_zbar, exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
 from .errors import DomainError
-from .fields import COMPLEX, ItoField, ScalarField, _inner, _shift
+from .fields import COMPLEX, ItoField, ScalarField, _inner
 from .multiindex import enumerate_indices, insert_axis
 from .scalars import IMAG_UNIT, QC, render_value
 
@@ -143,25 +143,25 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
         <ddbar e_d, a> = sum_{ij} sum_{(s, w1) in DZBAR_j(d)} sum_{(t, w2) in DZ_i(s)}
                          w1 w2 conj(a_{ij}[t]) ||e_t||^2,
 
-    so no field is built per e_d.  Entry (i, j) of ddbar e_d lowers one index
-    x of pair i and one index y of pair j, so only d = e + e_x + e_y with e in
-    the support of a_{ij} can pair nonzero.
+    so no field is built per e_d.  Entry (i, j) of ddbar e_d lowers d by DZBAR_j
+    and DZ_i, so only targets of DELTA_Z_j then DELTA_ZBAR_i from the support
+    of a_{ij} can pair nonzero: four per term over He_d, one over H_{p,q}.
     """
     n = alpha.n // 2
     top = alpha.degree
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
     basis = alpha.field_type
     sq_norm = basis.sq_norm
-    lower_z, lower_zbar = _ladder_rules(basis, n, DZ), _ladder_rules(basis, n, DZBAR)
+    lower_z, lower_zbar, raise_z, raise_zbar = (_ladder_rules(basis, n, ladder) for ladder
+                                                in (DZ, DZBAR, DELTA_Z, DELTA_ZBAR))
     entries = []
     candidates = set()
     for (i, j), field in alpha.components.items():
         j -= n
         entries.append((lower_z[i - 1], lower_zbar[j - 1], field.coeffs))
         for e in field.coeffs:
-            for x in (2 * i - 2, 2 * i - 1):
-                for y in (2 * j - 2, 2 * j - 1):
-                    candidates.add(_shift(_shift(e, x, 1), y, 1))
+            for s, _ in raise_z[j - 1](e):
+                candidates.update(d for d, _ in raise_zbar[i - 1](s))
     out: dict = {}
     for deg in sorted(candidates, key=lambda d: (sum(d), d)):
         pairing = QC(0)

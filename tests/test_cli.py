@@ -188,8 +188,10 @@ def test_float_solve_writes_the_correctly_rounded_solution(tmp_path):
 
 
 def test_solve_missing_input_is_usage_error(tmp_path):
+    limit = sys.get_int_max_str_digits()
     assert main(["solve", "--equation", "d", "--input",
                  str(tmp_path / "missing.json")]) == 2
+    assert sys.get_int_max_str_digits() == limit  # main gives the caller's limit back
 
 
 def _input_document(command: str) -> dict:
@@ -370,6 +372,29 @@ def test_constant_to_a_huge_power_is_fast(tmp_path):
     assert main(["lelong", "--from-potential", "z*conj(z) + 1**100000", "--n", "1",
                  "--degree", "8", "--output", str(tmp_path / "out.json")]) == 0
     assert time.perf_counter() - start < 1.0
+
+
+# an integer of 5001 digits, beyond Python's default int <-> str limit
+HUGE = "1" + "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize("source", ["potential", "input"])
+def test_exact_values_of_any_size_are_read_and_written(tmp_path, source):
+    """A solve whose input or output holds more digits than the interpreter's
+    default limit exits 0, and main gives the caller's limit back."""
+    out = tmp_path / "out.json"
+    if source == "potential":
+        argv = ["lelong", "--from-potential", "10**5000*z*conj(z)", "--n", "1",
+                "--degree", "4"]
+    else:
+        path = tmp_path / "f11.json"
+        path.write_text(_one_term_text("lelong", re=f"{HUGE}/7"))
+        argv = ["lelong", "--input", str(path)]
+    limit = sys.get_int_max_str_digits()
+    assert main(argv + ["--output", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert json.loads(out.read_text())["report"]["final"]["bound_satisfied"] is True
+    assert max(map(len, out.read_text().split('"'))) > 5000
 
 
 @pytest.mark.parametrize("argv", [

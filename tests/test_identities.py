@@ -139,6 +139,39 @@ def test_ddbar_adjoint_dual_basis_matches_full_enumeration(rng):
         assert ddbar_adjoint_dual_basis(a).coeffs == _dual_basis_full(a).coeffs
 
 
+def test_ddbar_adjoint_dual_basis_over_ito_pairs_one_candidate_per_term(rng, monkeypatch):
+    """Over H_{p,q} entry (i, j) of ddbar e_d lowers p_i and q_j, so the oracle
+    pairs each candidate e + e_{p_i} + e_{q_j} (e in the support of a_{ij})
+    with each entry once: the lowering rule DZBAR_j runs once per pairing."""
+    pairings = [0]
+    ladder_rules = identities._ladder_rules
+
+    def spy(basis, n, ladder):
+        rules = ladder_rules(basis, n, ladder)
+        if ladder != calculus.DZBAR:
+            return rules
+        def counted(rule):
+            def count(d):
+                pairings[0] += 1
+                return rule(d)
+            return count
+        return tuple(map(counted, rules))
+
+    monkeypatch.setattr(identities, "_ladder_rules", spy)
+    for n in (1, 2, 3):
+        alpha = ItoForm.from_he(random_complexform11(rng, n, 8, 3))
+        candidates = set()
+        for (i, j), field in alpha.components.items():
+            for e in field.coeffs:
+                d = list(e)
+                d[2 * i - 2] += 1
+                d[2 * (j - n) - 1] += 1
+                candidates.add(tuple(d))
+        pairings[0] = 0
+        ddbar_adjoint_dual_basis(alpha)
+        assert pairings[0] == len(candidates) * len(alpha.components)
+
+
 def _with_zero_entries(rng, n, exact, top=3):
     """A random (1,1)-form on C^n with about a third of its entries zero, of
     integer data or (exact=False) read from doubles after a non-dyadic scale."""

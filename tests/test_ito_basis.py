@@ -97,7 +97,8 @@ def test_the_basis_is_part_of_the_type():
 def test_constructors_default_to_the_class_kind():
     """zero and constant build an ItoField of kind 'complex' without naming
     it, as ScalarField's build kind 'real', and repr names the type; a form
-    takes the kind of its field type, so a ComplexFrameForm is complex."""
+    takes the kind of its field type, so a ComplexFrameForm is complex, and
+    refuses at construction a kind that its field type cannot hold."""
     assert ItoField.zero(2, 4) == ItoField(2, 4)
     assert ItoField.constant(QC(1, 2), 2, 4).coeffs == {(0, 0): QC(1, 2)}
     assert ItoField.constant(1, 2, 4).kind == "complex"
@@ -107,6 +108,8 @@ def test_constructors_default_to_the_class_kind():
     frame = ComplexFrameForm(2, 1, 4)
     assert frame.kind == "complex" and frame.component((1,)) == ItoField(2, 4)
     assert PForm(2, 1, 4).kind == "real"
+    with pytest.raises(DomainError, match="kind 'complex'"):
+        ComplexFrameForm(2, 1, 4, "real")
 
 
 def test_coordinate_is_refused():

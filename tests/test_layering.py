@@ -1,5 +1,5 @@
-"""The basis boundary: only fields and calculus name a basis's norms or
-ladder rules.  Every other module reads them from a field's type (its
+"""The basis boundary: only fields and calculus name a basis's norms,
+ladder rules or conversion tables.  Every other module reads them from a field's type (its
 sq_norm, a form's field_type), so it works over He_d and H_{p,q} alike."""
 
 import ast
@@ -8,7 +8,8 @@ from pathlib import Path
 import gauss_hodge
 
 BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_pair_rules",
-                   "_ito_rules", "_index_rules"}
+                   "_ito_rules", "_index_rules", "he_to_complex_hermite",
+                   "complex_hermite_to_he", "_binomial_row"}
 OWNERS = {"fields", "calculus"}
 
 

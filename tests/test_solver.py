@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,11 +182,32 @@ def test_d_beta_inverts_the_hodge_laplacian(rng):
                 + codifferential(exterior_d(beta)) == f
 
 
+def _k(a: int, b: int, p: int) -> int:
+    """K(a,b,p) = sum_j (-1)^{p-j} C(p,j) C(q,a-j) with q = a + b - p, the
+    coefficient of x^a in (x-1)^p (1+x)^q, summed from its definition."""
+    q = a + b - p
+    return sum((-1) ** (p - j) * math.comb(p, j) * math.comb(q, a - j)
+               for j in range(max(0, a - q), min(p, a) + 1))
+
+
+def _he_to_h_entry(a: int, b: int, p: int) -> QC:
+    """i^b K(a,b,p) a! b! / (p! q!), the weight of H_{p,q} in He_a(x) He_b(y)."""
+    f = math.factorial
+    return QC(0, 1) ** b * Fraction(_k(a, b, p) * f(a) * f(b), f(p) * f(a + b - p))
+
+
+def _h_to_he_entry(p: int, q: int, a: int) -> QC:
+    """(-i)^b K(a,b,p) / 2^s with b = s - a, the weight of He_a(x) He_b(y) in H_{p,q}."""
+    s = p + q
+    return QC(0, -1) ** (s - a) * Fraction(_k(a, s - a, p), 2 ** s)
+
+
 def test_complex_hermite_tables():
-    """For each pair degree a + b <= 8 the two conversion tables are inverse,
+    """For each pair degree a + b <= 12 the two conversion tables are inverse,
     and H_{p,q} read from the table is the ladder (-delta^zbar)^p (-delta^z)^q 1
-    with ||H_{p,q}||^2 = p! q!."""
-    for s in range(9):
+    with ||H_{p,q}||^2 = p! q!.  For a + b <= 24 every entry of both tables
+    equals its defining sum."""
+    for s in range(13):
         for p in range(s + 1):
             q = s - p
             ladder = ScalarField.constant(1, 2, s, "complex")
@@ -204,6 +226,27 @@ def test_complex_hermite_tables():
                     for key, d in second(*mid):
                         composed[key] = composed.get(key, 0) + c * d
                 assert {k: v for k, v in composed.items() if v} == {(a, s - a): 1}
+    for s in range(25):
+        for u in range(s + 1):
+            keys = [(k, s - k) for k in range(s + 1)]
+            assert he_to_complex_hermite(u, s - u) == tuple(
+                (key, w) for key in keys if (w := _he_to_h_entry(u, s - u, key[0])))
+            assert complex_hermite_to_he(u, s - u) == tuple(
+                (key, w) for key in keys if (w := _h_to_he_entry(u, s - u, key[0])))
+
+
+def test_complex_hermite_tables_build_a_row_in_linear_time():
+    """From a cold cache, each table builds its row at pair degree 1000 in
+    under a second (the defining sums take O(s^2) per row), and its entries
+    equal the defining sums."""
+    for table, entry in ((he_to_complex_hermite, _he_to_h_entry),
+                         (complex_hermite_to_he, _h_to_he_entry)):
+        table.cache_clear()
+        start = time.perf_counter()
+        row = dict(table(500, 500))
+        assert time.perf_counter() - start < 1.0
+        for k in (0, 1, 2, 250, 498, 500, 501, 998, 1000):
+            assert row.get((k, 1000 - k), QC(0)) == entry(500, 500, k)
 
 
 def _two_pass_inverse(coeffs: dict, m: int) -> dict:
