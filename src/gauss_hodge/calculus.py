@@ -33,25 +33,25 @@ is a PForm over these 2n axes that also stores its bidegree (p, q).
     dbar*:   e_j = dzbar_j,  L'_j = delta^z_j = d/dz_j - zbar_j
 
 under e^{-|z|^2}; the twisted ladder of partial is delta^zbar_j = d/dzbar_j
-- z_j.  With d/dx He_a = 2a He_{a-1} and delta He_a = -He_{a+1}, all four
-Wirtinger ladders act on the pair (x_{2j-1}, x_{2j}) by one rule, with sign
--1 for z and +1 for zbar:
+- z_j.  _ladder_rules builds every Wirtinger ladder from the one-index rules
+of fields._index_rules.  Over He it is (op_{2j-1} + sign i op_{2j}) / 2 on
+the pair (x_{2j-1}, x_{2j}), sign -1 for z and +1 for zbar; with d/dx He_a
+= 2a He_{a-1} and delta He_a = -He_{a+1} that is
 
     lowering  He_a He_b -> a He_{a-1} He_b + sign i b He_a He_{b-1}
     raising   He_a He_b -> -1/2 He_{a+1} He_b - sign (i/2) He_a He_{b+1}
 
-so each sends a term to at most two terms and keeps every operator here
-degree-graded and exact.  These He pair rules (_pair_rules, kept per degree
-vector) are the only ladders not built by fields._index_rules.
+a sum of two one-index rules, kept per degree vector.  The formal adjoint
+of ddbar is -partial* dbar*, two contractions (_contract_frame).
 
-Over Ito's basis H_{p,q} (fields.ItoField) each ladder moves one index and
-comes from fields._index_rules, as d and T* do: d/dz_j and d/dzbar_j lower
-p_j and q_j with weights p_j and q_j, and delta^zbar_j and delta^z_j raise
-them with weight -1.  The basis is part of a form's type, and every
-operator takes its rules and metric from it: ComplexForm and PForm hold He
-coefficients, ItoForm is a (p,q)-form over H_{p,q}, and ComplexFrameForm is
-a real form on R^{2n} written in the complex frame over H_{p,q}, with the
-real frame's d, T* and Euclidean metric (see its docstring).
+Over Ito's basis H_{p,q} (fields.ItoField) each ladder is one index move:
+d/dz_j and d/dzbar_j lower p_j and q_j with weights p_j and q_j, and
+delta^zbar_j and delta^z_j raise them with weight -1.  The basis is part of
+a form's type, and every operator takes its rules and metric from it:
+ComplexForm and PForm hold He coefficients, ItoForm is a (p,q)-form over
+H_{p,q}, and ComplexFrameForm is a real form on R^{2n} written in the
+complex frame over H_{p,q}, with the real frame's d, T* and Euclidean
+metric (see its docstring).
 """
 
 from __future__ import annotations
@@ -342,40 +342,19 @@ class _PerDegree(dict):
 
 
 @lru_cache(maxsize=None)
-def _pair_rules(n: int, ladder: tuple) -> tuple:
-    """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n,
-    (op_{2j-1} + sign i op_{2j}) / 2 with op = d/dx (lowering) or delta
-    (raising), each built once per degree vector; the weights are built once
-    per ladder."""
+def _ladder_rules(basis: type, n: int, ladder: tuple, scale: int = 1) -> tuple:
+    """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n
+    over the basis of the field type ``basis``, times ``scale``: one index
+    move over H_{p,q}, the sum of two over He (see the module docstring)."""
     raising, sign = ladder
-    i_sign = IMAG_UNIT * sign
-    if raising:
-        wx, wy = -HALF, -HALF * i_sign
-        rules = (lambda d, x=x: ((_shift(d, x, 1), wx), (_shift(d, x + 1, 1), wy))
-                 for x in range(0, 2 * n, 2))
-    else:
-        # the lowering weights are k on x_{2j-1} and k sign i on x_{2j}, for
-        # k = d_i; each k sign i is built once
-        times_i = lru_cache(maxsize=None)(lambda k: k * i_sign)
-        rules = (lambda d, x=x: tuple((_shift(d, i, -1), w(d[i]))
-                                      for i, w in ((x, int), (x + 1, times_i)) if d[i])
-                 for x in range(0, 2 * n, 2))
-    return tuple(_PerDegree(rule).__getitem__ for rule in rules)
-
-
-def _ito_rules(n: int, ladder: tuple, scale: int = 1) -> tuple:
-    """The coefficient rules of one Wirtinger ladder over H_{p,q} on the pairs
-    j = 1..n, times ``scale``: d/dz_j H_{p,q} = p_j H_{p-e_j,q}, delta^zbar_j
-    H_{p,q} = -H_{p+e_j,q}, and d/dzbar_j and delta^z_j move q_j alike."""
-    raising, sign = ladder
-    first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
-    return _index_rules(range(first, 2 * n, 2), raising, -scale if raising else scale)
-
-
-def _ladder_rules(basis: type, n: int, ladder: tuple) -> tuple:
-    """The rules of one Wirtinger ladder on the pairs j = 1..n over the basis
-    of the field type ``basis``."""
-    return _ito_rules(n, ladder) if basis is ItoField else _pair_rules(n, ladder)
+    if basis is ItoField:
+        first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
+        return _index_rules(range(first, 2 * n, 2), raising, -scale if raising else scale)
+    w = -HALF * scale if raising else scale
+    xs = _index_rules(range(0, 2 * n, 2), raising, w)
+    ys = _index_rules(range(1, 2 * n, 2), raising, w * IMAG_UNIT * sign)
+    return tuple(_PerDegree(lambda d, x=x, y=y: x(d) + y(d)).__getitem__
+                 for x, y in zip(xs, ys))
 
 
 def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
@@ -560,9 +539,18 @@ def dbar_adjoint(g: ComplexForm) -> ScalarField:
     dbar* g = - sum_j (dg_j/dz_j - zbar_j g_j) = - sum_j delta^z_j g_j.
     """
     require_bidegree(g, (0, 1), "dbar*")
+    return _contract_frame(g, DELTA_Z).component(())
+
+
+def _contract_frame(g: ComplexForm, ladder: tuple) -> ComplexForm:
+    """-sum_j L'_j iota_j g for the raising ladder L' = ``ladder``: DELTA_Z
+    contracts the dzbar axes (dbar*), DELTA_ZBAR the dz axes (partial*)."""
     n = g.n // 2
-    return g._like(_contract(g, n, _ladder_rules(g.field_type, n, DELTA_Z)),
-                   (0, 0)).component(())
+    p, q = g.bidegree
+    on_dzbar = ladder == DELTA_Z
+    rules = _ladder_rules(g.field_type, n, ladder)
+    return g._like(_contract(g, n if on_dzbar else 0, rules),
+                   (p, q - 1) if on_dzbar else (p - 1, q))
 
 
 def dbar_of_01(g: ComplexForm) -> ComplexForm:
@@ -621,10 +609,12 @@ class ComplexFrameForm(PForm):
     field_type = ItoField
 
     def _d_rules(self) -> tuple:
-        return _ito_rules(self.n // 2, DZ) + _ito_rules(self.n // 2, DZBAR)
+        n = self.n // 2
+        return _ladder_rules(ItoField, n, DZ) + _ladder_rules(ItoField, n, DZBAR)
 
     def _t_rules(self) -> tuple:
-        return _ito_rules(self.n // 2, DELTA_ZBAR, 2) + _ito_rules(self.n // 2, DELTA_Z, 2)
+        n = self.n // 2
+        return _ladder_rules(ItoField, n, DELTA_ZBAR, 2) + _ladder_rules(ItoField, n, DELTA_Z, 2)
 
     def norm_sq(self):
         return super().norm_sq() * 2 ** self.p

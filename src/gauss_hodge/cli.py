@@ -213,11 +213,12 @@ def cmd_lelong(args) -> int:
 
 def _records(text: str) -> list[dict]:
     """The records of a JSON-lines report, one per non-blank line: JSON
-    objects whose "check", if present, is a string."""
+    objects with a string "check" or with "summary": true."""
     rows = [json.loads(line) for line in text.split("\n") if line.strip()]
     for row in rows:
-        if not isinstance(row, dict) or not isinstance(row.get("check", ""), str):
-            raise TypeError("each line must be a JSON object whose check is a string")
+        if not isinstance(row, dict) or not (isinstance(row.get("check"), str)
+                                             or row.get("summary") is True):
+            raise TypeError('each line must be an object with a string "check" or "summary": true')
     return rows
 
 
@@ -231,7 +232,7 @@ def cmd_report(input_path: str, output: str | None) -> int:
 
     by_check: dict[str, list[dict]] = {}
     for r in checks:
-        by_check.setdefault(r.get("check", "?"), []).append(r)
+        by_check.setdefault(r["check"], []).append(r)
     print(f"report: {len(checks)} check records, {len(summaries)} summary record(s)")
     for name in sorted(by_check):
         group = by_check[name]

@@ -17,7 +17,8 @@ _accumulate sums scaled contributions into a target map the caller owns,
 as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
 _index_rules builds every ladder that moves one key index: d/dx_i, delta_i,
-both halves of x_i, and the Wirtinger ladders over H_{p,q}.
+both halves of x_i, and the Wirtinger ladders over H_{p,q}; each one over He
+is the sum of two, kept per degree vector (calculus._ladder_rules).
 
 Every weighted norm and inner product in the package is one call of _norm_sq
 or _inner over fields, each weighted by its own sq_norm: the squared norms

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .calculus import (DELTA_Z, DELTA_ZBAR, DZ, DZBAR, ComplexForm, PForm, _ladder_rules,
-                       codifferential, complex_dimension, dbar, dbar_function, ddbar, delta_z,
-                       delta_zbar, exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
+from .calculus import (DELTA_Z, DELTA_ZBAR, DZ, DZBAR, ComplexForm, PForm, _contract_frame,
+                       _ladder_rules, codifferential, complex_dimension, dbar, dbar_function,
+                       ddbar, exterior_d, partial, require_bidegree, wirtinger_dz,
+                       wirtinger_dzbar)
 from .errors import DomainError
 from .fields import COMPLEX, ItoField, ScalarField, _inner
 from .multiindex import enumerate_indices, insert_axis
@@ -121,15 +122,12 @@ def ddbar_formal_adjoint(alpha: ComplexForm) -> ScalarField:
     """T* a = sum_{ij} delta^zbar_i delta^z_j a_{ij} for T = ddbar under e^{-|z|^2}.
 
     Two integrations by parts move d/dz_i and d/dzbar_j off the test function
-    and each picks up its Gaussian-twisted raising ladder.
+    and each picks up its Gaussian-twisted raising ladder, so T* a is
+    -partial* dbar* a: two contractions, of the dzbar axes with delta^z and
+    then of the dz axes with delta^zbar.
     """
-    total = None
-    n = alpha.n // 2
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            term = delta_zbar(delta_z(alpha.coefficient((i,), (j,)), j), i)
-            total = term if total is None else total + term
-    return total
+    require_bidegree(alpha, (1, 1), "the ddbar adjoint")
+    return -_contract_frame(_contract_frame(alpha, DELTA_Z), DELTA_ZBAR).component(())
 
 
 def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
@@ -147,6 +145,7 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
     and DZ_i, so only targets of DELTA_Z_j then DELTA_ZBAR_i from the support
     of a_{ij} can pair nonzero: four per term over He_d, one over H_{p,q}.
     """
+    require_bidegree(alpha, (1, 1), "the ddbar adjoint oracle")
     n = alpha.n // 2
     top = alpha.degree
     cap = max(alpha.max_total_degree, (0 if top is None else top) + 2)
@@ -202,6 +201,7 @@ class DdbarAdjointReport:
 def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     """Evaluate both sides of the eight-term adjoint-norm identity for ddbar and
     check the adjoint against the dual-basis oracle."""
+    require_bidegree(alpha, (1, 1), "the ddbar adjoint report")
     n = alpha.n // 2
     if alpha.is_zero():
         zero = Fraction(0)

@@ -356,7 +356,11 @@ def test_solve_form_with_an_empty_component(tmp_path, capsys, exact, empty):
     b'{"check": {}}\n',
     b'{"check": "dd_zero", "pass": true}\n{"check": 3, "pass": true}\n',
     b'{"check": "dd_zero"\n',
-], ids=["list", "list-after-record", "invalid-utf8", "dict-check", "int-check", "truncated"])
+    b'{}\n',
+    b'{"equation": "ddbar", "measure": "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx", '
+    b'"report": {"final_ratio": "1/2"}, "solution": {"m": 2, "coeffs": []}}\n',
+], ids=["list", "list-after-record", "invalid-utf8", "dict-check", "int-check", "truncated",
+        "empty-object", "solve-payload"])
 def test_report_bad_input_is_usage_error(tmp_path, capsys, data):
     path = tmp_path / "r.jsonl"
     path.write_bytes(data)

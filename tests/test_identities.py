@@ -7,6 +7,7 @@ from gauss_hodge import calculus, identities
 from gauss_hodge.calculus import (ComplexForm, ItoForm, PForm, dbar, ddbar, partial,
                                   wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.cli import main
+from gauss_hodge.errors import DomainError
 from gauss_hodge.fields import ItoField, ScalarField, hermite_sq_norm_vector
 from gauss_hodge.potentials import parse_potential
 from gauss_hodge.identities import (_real_sum, bochner_identity_report,
@@ -250,6 +251,22 @@ def test_ddbar_adjoint_duality_random_u(rng):
         for _ in range(5):
             u = random_complex_function(rng, n, 8, 4)
             assert ddbar(u).weighted_inner(a) == u.weighted_inner(adj)
+
+
+@pytest.mark.parametrize("check", [ddbar_formal_adjoint, ddbar_adjoint_dual_basis,
+                                   ddbar_adjoint_identity_report])
+@pytest.mark.parametrize("bidegree", [(2, 0), (0, 2), (1, 0), (0, 1)],
+                         ids=lambda b: "%d,%d" % b)
+def test_ddbar_adjoint_refuses_other_bidegrees(check, bidegree):
+    """The adjoint, its oracle and its report take only (1,1)-forms: a form of
+    another bidegree on C^2 raises DomainError, nonzero or zero, rather than
+    giving 0, a field of the wrong adjoint or an IndexError."""
+    p, q = bidegree
+    idx = tuple(range(1, p + 1)) + tuple(range(3, 3 + q))
+    one = ScalarField.constant(1, 4, CAP, "complex")
+    for form in (ComplexForm(2, bidegree, CAP, {idx: one}), ComplexForm(2, bidegree, CAP)):
+        with pytest.raises(DomainError, match=r"needs a \(1, 1\)-form"):
+            check(form)
 
 
 def test_ddbar_adjoint_report_random(rng):

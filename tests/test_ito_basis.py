@@ -46,6 +46,23 @@ def test_ito_rules_are_the_he_ladders(n):
         assert ito.norm_sq() == he.norm_sq() == 13 * math.prod(map(math.factorial, key))
 
 
+def test_he_ito_round_trip_at_total_degree_200():
+    """On C^1 at total degree 200 a few-term ItoField survives from_he(to_he)
+    and a few-term He field survives to_he(from_he) exactly.  Each term
+    converts to a dense row of about 200 terms, which the way back converts
+    term by term through a full table row, so the cost grows as the degree
+    squared: 200 takes a fraction of a second, while a dense field at degree
+    1000 takes about 8 s (10^6 bignum accumulations), too slow for this
+    suite."""
+    top = 200
+    ito = ItoField(2, top, "complex", {(100, 100): QC(2, -3), (37, 163): QC(-5, 7),
+                                       (0, 199): QC(1, 1)})
+    assert ItoField.from_he(ito.to_he()) == ito
+    he = ScalarField(2, top, "complex", {(0, 200): QC(3), (163, 37): QC(4, 9),
+                                         (150, 49): QC(0, 1)})
+    assert ItoField.from_he(he).to_he() == he
+
+
 def _complex_frame(form):
     """A real-frame form over He in the complex frame over H_{p,q}."""
     comps = _frame_change(form.promote_complex(), to_complex=True)

@@ -1,20 +1,21 @@
 """The basis boundary: only fields and calculus name a basis's norms,
 ladder rules or conversion tables.  Every other module reads them from a field's type (its
-sq_norm, a form's field_type), so it works over He_d and H_{p,q} alike."""
+sq_norm, a form's field_type), so it works over He_d and H_{p,q} alike.  The wedge and
+contraction steps stay inside calculus: every operator and adjoint is built there."""
 
 import ast
 from pathlib import Path
 
 import gauss_hodge
 
-BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_pair_rules",
-                   "_ito_rules", "_index_rules", "he_to_complex_hermite",
-                   "complex_hermite_to_he", "_binomial_row"}
+BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_index_rules",
+                   "he_to_complex_hermite", "complex_hermite_to_he", "_binomial_row"}
 OWNERS = {"fields", "calculus"}
+CALCULUS_INTERNALS = {"_wedge", "_contract"}
 
 
 def _named(tree) -> set:
-    """The names a module imports, and the attributes it reads, e.g. fields._pair_rules."""
+    """The names a module imports, and the attributes it reads, e.g. fields._index_rules."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -24,11 +25,19 @@ def _named(tree) -> set:
     return names
 
 
-def test_only_fields_and_calculus_name_the_basis_internals():
+def _leaks(internals: set, owners: set) -> dict:
+    """The internals each module outside ``owners`` names, for those that name any."""
     package = Path(gauss_hodge.__file__).parent
     modules = sorted(package.glob("*.py"))
-    assert {path.stem for path in modules} >= OWNERS | {"identities", "cli"}
-    leaks = {path.stem: sorted(_named(ast.parse(path.read_text(encoding="utf-8")))
-                               & BASIS_INTERNALS)
-             for path in modules if path.stem not in OWNERS}
-    assert {stem: names for stem, names in leaks.items() if names} == {}
+    assert {path.stem for path in modules} >= owners | {"identities", "cli"}
+    leaks = {path.stem: sorted(_named(ast.parse(path.read_text(encoding="utf-8"))) & internals)
+             for path in modules if path.stem not in owners}
+    return {stem: names for stem, names in leaks.items() if names}
+
+
+def test_only_fields_and_calculus_name_the_basis_internals():
+    assert _leaks(BASIS_INTERNALS, OWNERS) == {}
+
+
+def test_only_calculus_names_the_wedge_and_contraction():
+    assert _leaks(CALCULUS_INTERNALS, {"calculus"}) == {}
