@@ -107,11 +107,9 @@ class PForm:
                         if field.max_total_degree != max_total_degree else field
         self.components = store
 
-    def replace(self, components, max_total_degree: Optional[int] = None) -> "PForm":
-        """A form of this shape with other components (and capacity)."""
-        return type(self)(self.n, self.p,
-                          self.max_total_degree if max_total_degree is None else max_total_degree,
-                          self.kind, components)
+    def replace(self, components) -> "PForm":
+        """A form of this shape and capacity with other components, checked."""
+        return type(self)(self.n, self.p, self.max_total_degree, self.kind, components)
 
     def _like(self, components: dict, p: Optional[int] = None) -> "PForm":
         """A form of this type, dimension, kind and capacity, of degree p
@@ -151,16 +149,19 @@ class PForm:
             raise DimensionMismatchError("incompatible forms")
 
     def __add__(self, other: "PForm") -> "PForm":
+        """The sum, at the larger capacity of the two.  Both operands are
+        checked forms of one shape, so the sum is built through _like, and a
+        field of the smaller capacity is relabelled at the larger one."""
         self._compatible(other)
         out = dict(self.components)
         for idx, field in other.components.items():
             cur = out.get(idx)
-            s = field if cur is None else cur + field
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return self.replace(out, max(self.max_total_degree, other.max_total_degree))
+            out[idx] = field if cur is None else cur + field
+        big = self if self.max_total_degree >= other.max_total_degree else other
+        cap = big.max_total_degree
+        return big._like({idx: f if f.max_total_degree == cap
+                          else f._trusted(f.m, cap, f.kind, f.coeffs)
+                          for idx, f in out.items()})
 
     def __sub__(self, other: "PForm") -> "PForm":
         return self + (-other)
@@ -443,10 +444,8 @@ class ComplexForm(PForm):
         cap = max(f.max_total_degree for f in fields)
         return cls(n, bidegree, cap, dict(zip(keys, fields)))
 
-    def replace(self, components, max_total_degree: Optional[int] = None) -> "ComplexForm":
-        return type(self)(self.n // 2, self.bidegree,
-                          self.max_total_degree if max_total_degree is None else max_total_degree,
-                          components)
+    def replace(self, components) -> "ComplexForm":
+        return type(self)(self.n // 2, self.bidegree, self.max_total_degree, components)
 
     def _like(self, components: dict, bidegree: Optional[tuple] = None) -> "ComplexForm":
         """PForm._like, of bidegree ``bidegree`` (default its own)."""

@@ -25,8 +25,10 @@ import csv
 import decimal
 import functools
 import json
+import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -78,11 +80,12 @@ def _verify_trial(args, trial: int) -> list[dict]:
     # real-side invariants on R^n, cycling the form degree
     for p in range(0, min(n, 3)):
         u = random_pform(rng, n, p, cap, data_degree, REAL)
-        ddu_sq = exterior_d(exterior_d(u)).norm_sq()
+        du = exterior_d(u)
+        ddu_sq = exterior_d(du).norm_sq()
         rec("dd_zero", ddu_sq == 0, n=n, p=p, residual_sq=ddu_sq)
 
         alpha = random_pform(rng, n, p + 1, cap, data_degree, REAL)
-        lhs = exterior_d(u).weighted_inner(alpha)
+        lhs = du.weighted_inner(alpha)
         rhs = u.weighted_inner(codifferential(alpha))
         rec("adjoint_duality", lhs == rhs, n=n, p=p, lhs=lhs, rhs=rhs)
 
@@ -327,8 +330,71 @@ def _write_solution(output: str | None, mode: str, equation: str, u, report,
                "solution": u.to_json(number), "report": rendered}
     if potential is not None:
         payload["from_potential"] = potential
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
+    _write(_json_text(payload) + "\n", output)
     return rendered
+
+
+def _json_text(tree) -> str:
+    """json.dumps(tree, sort_keys=True, indent=2) of a tree whose dict keys
+    are strings, except that a NaN or an infinity raises ValueError, as with
+    allow_nan=False.  json.dumps runs its pure-Python encoder whenever it
+    indents; here every string goes through the C function that json quotes
+    with, and ints and floats are written as their repr, as json writes them."""
+    chunks: list[str] = []
+    _indented(tree, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _indented(value, newline: str, out):
+    """Pass the text of ``value`` to ``out`` in pieces (see _json_text);
+    ``newline`` is the line break and indent of the line it starts on.  The
+    common leaves, a string in a dict and an int in a list, are written by
+    their container."""
+    if isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            head = sep + encode_basestring_ascii(key) + ": "
+            if isinstance(item, str):
+                out(head + encode_basestring_ascii(item))
+            else:
+                out(head)
+                _indented(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is int:
+                out(sep + int.__repr__(item))
+            else:
+                out(sep)
+                _indented(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @functools.cache

@@ -48,7 +48,8 @@ from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
 from .multiindex import check_axis
-from .scalars import HALF, QC, _make, coerce_scalar, json_int, scalar_from_json
+from .scalars import (HALF, QC, _make, coerce_scalar, fraction_str, json_int,
+                      scalar_from_json)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -443,10 +444,12 @@ class ScalarField:
         """The field as JSON, each real and imaginary part written by
         ``number``: ``str`` for exact output, ``scalars.to_double`` for float
         output."""
-        entries = []
-        for deg in sorted(self.coeffs):
-            v = self.coeffs[deg]
-            entries.append({"deg": list(deg), "re": number(v.re), "im": number(v.im)})
+        if number is str:  # str(v.re), str(v.im) from the QC's integers, one gcd each
+            entries = [{"deg": list(deg), "re": fraction_str(v._a, v._d),
+                        "im": fraction_str(v._b, v._d)} for deg, v in sorted(self.coeffs.items())]
+        else:
+            entries = [{"deg": list(deg), "re": number(v.re), "im": number(v.im)}
+                       for deg, v in sorted(self.coeffs.items())]
         return {"m": self.m, "max_total_degree": self.max_total_degree,
                 "scalar": self.kind, "coeffs": entries}
 

@@ -232,6 +232,14 @@ def to_double(x: Fraction) -> float:
                                   f"so its double is not finite") from None
 
 
+def fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, by one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def render_value(value, number=str):
     """One report value as JSON: a bool stays a bool (tested first, since a
     bool is an int), an int (a label or count) becomes its string, and each

@@ -9,8 +9,9 @@ from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, PForm,
                                   exterior_d,
                                   partial, partial_of_10,
                                   wirtinger_dz, wirtinger_dzbar)
-from gauss_hodge.errors import DomainError
-from gauss_hodge.fields import ScalarField
+from gauss_hodge.calculus import ItoForm
+from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
+from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.randomforms import random_complex_function, random_pform
 from gauss_hodge.scalars import QC, to_double
 
@@ -337,6 +338,64 @@ def test_form_constructors_check_counts_and_kind(build):
     complex, as in ScalarField; each of these forms once constructed."""
     with pytest.raises(DomainError, match="must be an integer|scalar kind"):
         build()
+
+
+# (form of a capacity, field of a capacity, three indices, two degree vectors)
+SUM_CASES = {
+    "PForm": (lambda cap, comps: PForm(2, 1, cap, components=comps),
+              lambda cap, coeffs: ScalarField(2, cap, "real", coeffs),
+              ((1,), (2,), None), ((1, 0), (0, 2))),
+    "ItoForm": (lambda cap, comps: ItoForm(2, (1, 1), cap, comps),
+                lambda cap, coeffs: ItoField(4, cap, "complex", coeffs),
+                ((1, 3), (2, 4), (1, 4)), ((1, 0, 0, 1), (0, 2, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("case", SUM_CASES)
+def test_sum_of_forms_of_two_capacities(case):
+    """A sum is built without re-validation at the larger capacity: it and
+    each of its fields have that capacity, it equals the form the checking
+    constructor builds from the summed components, and a component that
+    cancels is dropped."""
+    build, field, (i, j, k), (a, b) = SUM_CASES[case]
+    extra = {k: field(7, {a: 5})} if k else {}
+    small = build(4, {i: field(4, {a: Fraction(1, 2)}), j: field(4, {b: 3})})
+    large = build(7, {j: field(7, {b: -3}), i: field(7, {b: Fraction(-7, 3)}), **extra})
+    expected = build(7, {i: field(7, {a: Fraction(1, 2), b: Fraction(-7, 3)}), **extra})
+    for total in (small + large, large + small, large - small.scale(-1)):
+        assert type(total) is type(expected)
+        assert total == expected
+        assert j not in total.components
+        assert total.max_total_degree == 7
+        assert all(f.max_total_degree == 7 for f in total.components.values())
+    lifted = small + build(7, {})
+    assert lifted == small and lifted.max_total_degree == 7
+    assert all(f.max_total_degree == 7 for f in lifted.components.values())
+    assert (small - small).is_zero() and (small - small).max_total_degree == 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PForm(2, 1, 6, components={(1,): ScalarField(3, 6)}),
+    lambda: PForm(2, 1, 6, components={(1,): ScalarField(2, 6, "complex")}),
+    lambda: PForm(2, 1, 6, components={(1,): ItoField(2, 6)}),
+    lambda: PForm(2, 1, 6, components={(3,): ScalarField.constant(1, 2, 6)}),
+    lambda: ItoForm(2, (1, 1), 6, {(1, 3): ScalarField.constant(1, 4, 6, "complex")}),
+    lambda: ItoForm(2, (1, 1), 6, {(1, 2): ItoField(4, 6, "complex", {(0, 0, 0, 0): 1})}),
+    lambda: ItoForm(2, (1, 1), 2, {(1, 3): ItoField(4, 6, "complex", {(3, 0, 0, 0): 1})}),
+    lambda: ItoForm(2, (1, 1), 6, {(1, 3): ItoField(4, 6, "complex", {(0, 0, 0): 1})}),
+], ids=["dimension", "kind", "field-type", "index", "ito-field-type", "bidegree",
+        "capacity", "degree-vector"])
+def test_form_constructors_still_check_components(build):
+    with pytest.raises((DegreeOverflowError, DomainError)):
+        build()
+
+
+def test_sum_refuses_forms_of_another_shape():
+    one = ScalarField.constant(1, 2, 6)
+    with pytest.raises(DimensionMismatchError):
+        PForm(2, 1, 6, components={(1,): one}) + PForm(2, 2, 6, components={(1, 2): one})
+    with pytest.raises(DimensionMismatchError):
+        PForm(2, 1, 6) + PForm(2, 1, 6, "complex")
 
 
 def test_line_form_json_frame_validation(rng):

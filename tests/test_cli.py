@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gauss_hodge
 from gauss_hodge import cli
@@ -424,6 +425,60 @@ def test_lelong_from_potential(tmp_path):
     assert payload["report"]["final"]["bound_satisfied"] is True
     assert payload["report"]["final"]["residual"] == "0"
     assert payload["from_potential"] == "z*conj(z)"
+
+
+# JSON trees as json.dumps accepts them: every leaf type, ints of any size,
+# the extreme and signed doubles, strings with control and non-ASCII
+# characters, tuples next to lists, and empty containers
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(-10 ** 300, 10 ** 300)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308, -0.0, 0.0])
+               | st.text() | st.sampled_from(["", "\x00\x1f\t\n\r\"\\/", "\u00a0é—\u2028😀"]))
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_trees)
+def test_solution_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_solution_writer_refuses_non_finite_floats(value):
+    for tree in (value, [1, value], {"re": value}):
+        with pytest.raises(ValueError):
+            cli._json_text(tree)
+        with pytest.raises(ValueError):
+            json.dumps(tree, allow_nan=False)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("potential", ["z*\tconj(z)\n", "z*\u00a0conj(z)"])
+def test_lelong_file_is_json_dumps_of_its_payload(tmp_path, mode, potential):
+    """Whitespace that the potential tokenizer skips is echoed into
+    from_potential, and the file still reads as json.dumps writes it."""
+    out = tmp_path / "out.json"
+    assert main(["lelong", "--from-potential", potential, "--n", "1", "--degree", "4",
+                 "--mode", mode, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert payload["from_potential"] == potential
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_file_is_json_dumps_of_its_payload(dx1dx2_file, tmp_path, mode):
+    out = tmp_path / "out.json"
+    assert main(["solve", "--equation", "d", "--input", str(dx1dx2_file), "--mode", mode,
+                 "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_lelong_from_form_file(tmp_path):

@@ -327,6 +327,40 @@ def test_json_roundtrip_exact_and_float():
     assert back.coeffs[(1, 0)] == f.coeffs[(1, 0)]
 
 
+# 0, integers, proper fractions and numerators of several hundred digits, of both signs
+BIG = 3 ** 600 + 2
+JSON_PARTS = [0, 1, -1, 12, -12, Fraction(1, 3), Fraction(-2, 3), Fraction(5, 8),
+              Fraction(BIG, 7 ** 350), Fraction(-BIG, 2 ** 900), Fraction(7 ** 300, BIG), -BIG]
+
+
+@pytest.mark.parametrize("field_type", [ScalarField, ItoField])
+def test_json_parts_are_the_fraction_strings_and_doubles(field_type):
+    """Exact output writes each part as str(Fraction) of its value, and
+    float output as to_double of it, over He and over H_{p,q}."""
+    values = [QC(re, im) for re in JSON_PARTS for im in JSON_PARTS if re or im]
+    field = field_type(2, len(values), "complex",
+                       {(k, len(values) - k): v for k, v in enumerate(values)})
+    he = field.to_he() if field_type is ItoField else field
+    for number in (str, to_double):
+        entries = field.to_json(number)["coeffs"]
+        assert [tuple(e["deg"]) for e in entries] == sorted(he.coeffs)
+        assert [(e["re"], e["im"]) for e in entries] == [
+            (number(he.coeffs[d].re), number(he.coeffs[d].im)) for d in sorted(he.coeffs)]
+    # the stored coefficients themselves, written without a change of basis
+    assert {(e["re"], e["im"]) for e in ScalarField.to_json(field)["coeffs"]} == {
+        (str(Fraction(re)), str(Fraction(im))) for re in JSON_PARTS for im in JSON_PARTS
+        if re or im}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 400, 10 ** 400), st.integers(-10 ** 400, 10 ** 400),
+       st.integers(1, 10 ** 400))
+def test_exact_json_part_of_any_qc(a, b, d):
+    v = QC(Fraction(a, d), Fraction(b, d))
+    entries = ScalarField(1, 0, "complex", {(0,): v}).to_json()["coeffs"]
+    assert entries == ([{"deg": [0], "re": str(v.re), "im": str(v.im)}] if v else [])
+
+
 def assert_field_invariants(f: ScalarField):
     """What the public constructor enforces and internal operations must keep:
     every coefficient is a nonzero QC in lowest terms, real in a real field."""
