@@ -64,7 +64,7 @@ from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _component
 from .errors import DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
-from .scalars import HALF, IMAG_UNIT, render_value
+from .scalars import HALF, IMAG_UNIT, fraction_str, render_value
 from .solver import (SolveReport, _check_capacity, _finish, _make_report, negligible,
                      solve_d_min_norm_full, solve_dbar_min_norm_full)
 
@@ -182,7 +182,7 @@ class PipelineReport:
     final: SolveReport
     conjugation_ratios: dict = dc_field(default_factory=dict)
 
-    def to_json(self, number=str) -> dict:
+    def to_json(self, number=fraction_str) -> dict:
         """The report as JSON, each value written by ``number`` (see
         scalars.render_value)."""
         stages = ("d_solve_re", "d_solve_im", "dbar_solve_re", "dbar_solve_im")

@@ -63,7 +63,7 @@ from .errors import DimensionMismatchError, DomainError
 from .fields import (COMPLEX, ItoField, ScalarField, _accumulate, _finish,
                      _index_rules, _inner, _norm_sq, _shift)
 from .multiindex import check_axis, check_index, insert_axis, remove_axis
-from .scalars import HALF, IMAG_UNIT, json_int
+from .scalars import HALF, IMAG_UNIT, fraction_str, json_int
 
 
 class PForm:
@@ -222,7 +222,7 @@ class PForm:
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, p={self.p}, components={len(self.components)})"
 
-    def to_json(self, number=str) -> dict:
+    def to_json(self, number=fraction_str) -> dict:
         """The form as JSON, each coefficient part written by ``number`` (see
         ScalarField.to_json)."""
         comps = []
@@ -471,7 +471,7 @@ class ComplexForm(PForm):
             comps[key] = -field.conjugate() if p * q % 2 else field.conjugate()
         return self._like(comps, (q, p))
 
-    def to_json(self, number=str) -> dict:
+    def to_json(self, number=fraction_str) -> dict:
         n = self.n // 2
         keys = _layout(n, self.bidegree)
         if self.bidegree == (1, 1):

@@ -42,7 +42,7 @@ from .identities import (bochner_identity_report, conjugation_identities_check,
 from .potentials import parse_potential
 from .randomforms import (random_complex_function, random_complexform11,
                           random_pform)
-from .scalars import render_value, to_double
+from .scalars import fraction_str, render_value, to_double
 from .solver import solve_d_min_norm, solve_dbar_min_norm
 
 MEASURE_NOTE = "normalized Gaussian pi^(-m/2) exp(-|x|^2) dx"
@@ -54,7 +54,7 @@ EXIT_USAGE = 2
 
 def _number(mode: str | None):
     """How a rational is written: the nearest double in float mode, else a fraction string."""
-    return to_double if mode == "float" else str
+    return to_double if mode == "float" else fraction_str
 
 
 # ---------------------------------------------------------------------------

@@ -440,16 +440,12 @@ class ScalarField:
 
     # -- serialization ---------------------------------------------------------------
 
-    def to_json(self, number=str) -> dict:
-        """The field as JSON, each real and imaginary part written by
-        ``number``: ``str`` for exact output, ``scalars.to_double`` for float
-        output."""
-        if number is str:  # str(v.re), str(v.im) from the QC's integers, one gcd each
-            entries = [{"deg": list(deg), "re": fraction_str(v._a, v._d),
-                        "im": fraction_str(v._b, v._d)} for deg, v in sorted(self.coeffs.items())]
-        else:
-            entries = [{"deg": list(deg), "re": number(v.re), "im": number(v.im)}
-                       for deg, v in sorted(self.coeffs.items())]
+    def to_json(self, number=fraction_str) -> dict:
+        """The field as JSON, each real and imaginary part written from the
+        QC's integers by ``number(num, den)``: ``scalars.fraction_str`` for
+        exact output, ``scalars.to_double`` for float output."""
+        entries = [{"deg": list(deg), "re": number(v._a, v._d), "im": number(v._b, v._d)}
+                   for deg, v in sorted(self.coeffs.items())]
         return {"m": self.m, "max_total_degree": self.max_total_degree,
                 "scalar": self.kind, "coeffs": entries}
 
@@ -571,5 +567,5 @@ class ItoField(ScalarField):
     def evaluate(self, point) -> object:
         return self.to_he().evaluate(point)
 
-    def to_json(self, number=str) -> dict:
+    def to_json(self, number=fraction_str) -> dict:
         return self.to_he().to_json(number)

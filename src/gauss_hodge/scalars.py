@@ -4,12 +4,13 @@ Every coefficient is a :class:`QC`, stored as (a + b i) / d with one reduced
 integer triple, so products and sums run on integers with a single gcd.  Real
 and complex coefficients alike are ``QC`` values; a real one has b == 0.
 ``fractions.Fraction`` appears only where real values leave the package:
-``.re``/``.im``, norms, real inner products, evaluations, reports and JSON.
+``.re``/``.im``, norms, real inner products, evaluations and reports.
 
 Doubles exist only at the file boundary.  Every double is a dyadic rational,
-so a JSON number is read as its exact value (NaN and inf are refused), and
-float mode writes each rational once rounded to the nearest double
-(``to_double``); the arithmetic in between is the same in both modes.
+so a JSON number is read as its exact value (NaN and inf are refused).  JSON
+parts are written from integers, ``number(num, den)``: ``fraction_str`` in
+exact mode, the nearest double (``to_double``) in float mode; the arithmetic
+in between is the same in both modes.
 """
 
 from __future__ import annotations
@@ -221,13 +222,14 @@ def coerce_scalar(value, complex_kind: bool) -> QC:
     raise DomainError(f"cannot coerce {value!r} to an exact {kind} scalar")
 
 
-def to_double(x: Fraction) -> float:
-    """x rounded once to the nearest double, as float mode writes it; a value
-    beyond the double range raises SolveNumericalError."""
+def to_double(num: int, den: int) -> float:
+    """num / den (den > 0) rounded once to the nearest double, as float mode
+    writes it; a value beyond the double range raises SolveNumericalError."""
     try:
-        return float(x)  # numerator / denominator, correctly rounded
+        return num / den  # int true division is correctly rounded
     except OverflowError:
-        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        g = math.gcd(num, den)
+        bits = (num // g).bit_length() - (den // g).bit_length()
         raise SolveNumericalError(f"a value near 2^{bits} is outside the double range, "
                                   f"so its double is not finite") from None
 
@@ -240,18 +242,18 @@ def fraction_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def render_value(value, number=str):
+def render_value(value, number=fraction_str):
     """One report value as JSON: a bool stays a bool (tested first, since a
     bool is an int), an int (a label or count) becomes its string, and each
-    rational is written by ``number``, a QC as its [re, im] pair.  ``number``
-    is ``str`` for exact output or ``to_double`` for float output."""
+    rational is written from its integers by ``number(num, den)``, a QC as its
+    [re, im] pair: ``fraction_str`` for exact output, ``to_double`` for float."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, QC):
-        return [number(value.re), number(value.im)]
-    return number(value)
+        return [number(value._a, value._d), number(value._b, value._d)]
+    return number(value.numerator, value.denominator)
 
 
 def json_int(value, name: str) -> int:

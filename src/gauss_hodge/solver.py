@@ -34,7 +34,7 @@ from fractions import Fraction
 from .calculus import (ComplexForm, ItoForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import DegreeOverflowError, DomainError, NotClosedError
-from .scalars import render_value
+from .scalars import fraction_str, render_value
 
 
 @dataclass
@@ -55,7 +55,7 @@ class SolveReport:
     bound_satisfied: bool
     blocks_solved: int
 
-    def to_json(self, number=str) -> dict:
+    def to_json(self, number=fraction_str) -> dict:
         """The report as JSON, each norm written by ``number`` (see
         scalars.render_value)."""
         return {

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,15 @@ from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelon
                                 two_form_complex_parts)
 from gauss_hodge.calculus import ComplexForm, ItoForm, PForm, ddbar
 from gauss_hodge.errors import InvariantViolationError, NotClosedError
-from gauss_hodge.fields import ScalarField
+from gauss_hodge.fields import ItoField, ScalarField
+from gauss_hodge.identities import ddbar_formal_adjoint
+from gauss_hodge.potentials import parse_potential
 from gauss_hodge.randomforms import (random_closed_complexform11, random_complexform11,
                                      random_pform)
 from gauss_hodge.scalars import QC
 
 from conftest import doubles, zzbar_poly_field
+from test_output_digests import LELONG_DIGESTS
 
 CAP = 10
 
@@ -278,3 +282,48 @@ def test_pipeline_exact_and_float_agree(rng):
     assert rep_f.to_json() == rep_e.to_json()
     assert rep_f.final.residual_norm_sq == 0
 
+
+
+def _direct_ddbar_solve(f: ComplexForm):
+    """The spectral solve of ddbar u = f for a closed (1,1)-form, built apart
+    from the pipeline.  Over H_{a,b} the two weighted Laplacians act on a
+    (1,1) coefficient as |a| + 1 and |b| + 1, so u = ddbar*(g) with g the
+    coefficients of f divided by their product.  Returns (f over H_{p,q}, u
+    over H_{p,q}, u over the basis of f)."""
+    h = ItoForm.of(f)
+    g = ItoForm(h.n // 2, (1, 1), h.max_total_degree, {
+        idx: ItoField(field.m, field.max_total_degree, "complex",
+                      {key: v / ((sum(key[0::2]) + 1) * (sum(key[1::2]) + 1))
+                       for key, v in field.coeffs.items()})
+        for idx, field in h.components.items()})
+    u = ddbar_formal_adjoint(g)
+    return h, u, (u if isinstance(f, ItoForm) else u.to_he())
+
+
+def _oracle_inputs() -> list:
+    """The six potentials of the lelong digests, over H_{p,q}, and twelve
+    seeded closed (1,1)-forms over He on C^1..C^3."""
+    forms = []
+    for argv, _ in LELONG_DIGESTS.values():
+        opts = dict(zip(argv[0::2], argv[1::2]))
+        forms.append(ddbar(parse_potential(opts["--from-potential"], int(opts["--n"]),
+                                           int(opts["--degree"]))))
+    rng = random.Random(20191)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            forms.append(random_closed_complexform11(rng, n, 6, 4)[1])
+    return forms
+
+
+def test_pipeline_solution_is_the_direct_spectral_solve():
+    """The pipeline's u is the minimum-norm solution, u = ddbar*(G f): equal
+    under == to the direct spectral solve, which solves ddbar u = f on its own,
+    and within the sharp constant 1/(pq) = 1 at (1,1)."""
+    forms = _oracle_inputs()
+    assert sum(isinstance(f, ItoForm) for f in forms) == 6 and len(forms) == 18
+    for f in forms:
+        h, direct_ito, direct = _direct_ddbar_solve(f)
+        assert ddbar(direct_ito) == h
+        u, _ = solve_poincare_lelong_full(f)
+        assert u == direct
+        assert u.norm_sq() <= f.norm_sq()

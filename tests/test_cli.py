@@ -15,7 +15,7 @@ from gauss_hodge.calculus import ComplexForm, PForm, exterior_d
 from gauss_hodge.cli import main
 from gauss_hodge.solver import solve_d_min_norm
 from gauss_hodge.fields import ScalarField
-from gauss_hodge.scalars import to_double
+from gauss_hodge.scalars import fraction_str, to_double
 
 
 @pytest.fixture
@@ -337,7 +337,7 @@ def test_solve_form_with_an_empty_component(tmp_path, capsys, exact, empty):
     fields = {(1,): ScalarField(3, 6, "real", {(0, 0, 0): 1}),
               (2,): ScalarField(3, 6, "real", {(0, 0, 0): -1}),
               (3,): ScalarField(3, 6, "real", {(0, 0, 0): 1})}
-    data = PForm(3, 1, 6, "real", fields).to_json(str if exact else to_double)
+    data = PForm(3, 1, 6, "real", fields).to_json(fraction_str if exact else to_double)
     data["components"][empty]["field"]["coeffs"] = []
     path = tmp_path / "f.json"
     path.write_text(json.dumps(data))

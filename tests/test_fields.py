@@ -3,19 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gauss_hodge.bridge import decompose_11, split_bidegree, two_form_complex_parts
 from gauss_hodge.calculus import (codifferential, dbar, dbar_adjoint, delta_z, delta_zbar,
                                   exterior_d, partial, wirtinger_dz, wirtinger_dzbar)
-from gauss_hodge.errors import DegreeOverflowError, DimensionMismatchError, DomainError
+from gauss_hodge.errors import (DegreeOverflowError, DimensionMismatchError, DomainError,
+                                SolveNumericalError)
 from gauss_hodge.fields import ItoField, ScalarField, hermite_sq_norm_vector
 from gauss_hodge.hermite import (HermiteSeries, apply_delta, differentiate, inner_product_1d,
                                   multiply_by_coordinate)
 from gauss_hodge.randomforms import (random_closed_pform, random_complexform11,
                                      random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
-from gauss_hodge.scalars import QC, to_double
+from gauss_hodge.scalars import QC, fraction_str, to_double
 from gauss_hodge.solver import solve_d_min_norm_full, solve_dbar_min_norm_full
 
 from conftest import doubles, gaussian_moment
@@ -336,16 +337,16 @@ JSON_PARTS = [0, 1, -1, 12, -12, Fraction(1, 3), Fraction(-2, 3), Fraction(5, 8)
 @pytest.mark.parametrize("field_type", [ScalarField, ItoField])
 def test_json_parts_are_the_fraction_strings_and_doubles(field_type):
     """Exact output writes each part as str(Fraction) of its value, and
-    float output as to_double of it, over He and over H_{p,q}."""
+    float output as float of it, over He and over H_{p,q}."""
     values = [QC(re, im) for re in JSON_PARTS for im in JSON_PARTS if re or im]
     field = field_type(2, len(values), "complex",
                        {(k, len(values) - k): v for k, v in enumerate(values)})
     he = field.to_he() if field_type is ItoField else field
-    for number in (str, to_double):
+    for number, expected in ((fraction_str, str), (to_double, float)):
         entries = field.to_json(number)["coeffs"]
         assert [tuple(e["deg"]) for e in entries] == sorted(he.coeffs)
         assert [(e["re"], e["im"]) for e in entries] == [
-            (number(he.coeffs[d].re), number(he.coeffs[d].im)) for d in sorted(he.coeffs)]
+            (expected(he.coeffs[d].re), expected(he.coeffs[d].im)) for d in sorted(he.coeffs)]
     # the stored coefficients themselves, written without a change of basis
     assert {(e["re"], e["im"]) for e in ScalarField.to_json(field)["coeffs"]} == {
         (str(Fraction(re)), str(Fraction(im))) for re in JSON_PARTS for im in JSON_PARTS
@@ -359,6 +360,41 @@ def test_exact_json_part_of_any_qc(a, b, d):
     v = QC(Fraction(a, d), Fraction(b, d))
     entries = ScalarField(1, 0, "complex", {(0,): v}).to_json()["coeffs"]
     assert entries == ([{"deg": [0], "re": str(v.re), "im": str(v.im)}] if v else [])
+
+
+def _double(x: Fraction):
+    """float(x), or None where it overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 400, 10 ** 400), st.integers(-10 ** 400, 10 ** 400),
+       st.integers(1, 10 ** 400))
+@example(3, 0, 2 ** 1075)  # subnormal, a tie rounded to even: 2^-1073
+@example(-1, 1, 10 ** 400)  # below the least subnormal: -0.0 and 0.0
+@example(2 ** 1024 - 2 ** 970, 1, 1)  # rounds up past the largest double
+@example(2 ** 1024 - 2 ** 970 - 1, -(2 ** 1024), 1)  # the largest double, then out of range
+@example(2, 3, 4)  # 2/4 is a part not in lowest terms on its own
+def test_float_json_part_of_any_qc(a, b, d):
+    """Float output writes each part of (a + b i) / d as float(Fraction(part, d)),
+    and refuses a part beyond the double range with the value's power of two."""
+    v = QC(Fraction(a, d), Fraction(b, d))
+    field = ScalarField(1, 0, "complex", {(0,): v})
+    parts = [Fraction(a, d), Fraction(b, d)]
+    written = [_double(x) for x in parts]
+    if None in written:
+        x = parts[written.index(None)]
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        with pytest.raises(SolveNumericalError, match=rf"^a value near 2\^{bits} is outside"):
+            field.to_json(to_double)
+        return
+    entries = field.to_json(to_double)["coeffs"]
+    # repr tells -0.0 from 0.0, which JSON writes apart
+    assert [(e["deg"], repr(e["re"]), repr(e["im"])) for e in entries] == (
+        [([0], repr(written[0]), repr(written[1]))] if v else [])
 
 
 def assert_field_invariants(f: ScalarField):

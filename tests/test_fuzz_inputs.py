@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gauss_hodge.calculus import ComplexForm, PForm
 from gauss_hodge.cli import main
 from gauss_hodge.fields import ScalarField
-from gauss_hodge.scalars import to_double
+from gauss_hodge.scalars import fraction_str, to_double
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -50,7 +50,7 @@ def _field(kind: str) -> ScalarField:
 def _valid_documents() -> list:
     """One exact and one float file for each command's input layout."""
     docs = []
-    for number in (str, to_double):
+    for number in (fraction_str, to_double):
         docs.append(("d", PForm(2, 2, 4, "real",
                                 {(1, 2): _field("real")}).to_json(number)))
         docs.append(("dbar", ComplexForm.from_layout(

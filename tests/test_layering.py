@@ -1,7 +1,8 @@
 """The basis boundary: only fields and calculus name a basis's norms,
 ladder rules or conversion tables.  Every other module reads them from a field's type (its
 sq_norm, a form's field_type), so it works over He_d and H_{p,q} alike.  The wedge and
-contraction steps stay inside calculus: every operator and adjoint is built there."""
+contraction steps stay inside calculus: every operator and adjoint is built there.  The
+writers hand each rational to ``number`` as its integers, in both modes."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,25 @@ def test_only_fields_and_calculus_name_the_basis_internals():
 
 def test_only_calculus_names_the_wedge_and_contraction():
     assert _leaks(CALCULUS_INTERNALS, {"calculus"}) == {}
+
+
+WRITERS = {"to_json", "render_value"}
+FRACTION_READS = {"re", "im", "real", "imag", "Fraction"}
+
+
+def test_writers_write_each_rational_from_its_integers():
+    """No to_json in the package, and not render_value, reads a value's
+    Fraction parts (.re, .im, .real, .imag) or names Fraction: each rational
+    reaches the writer as (num, den)."""
+    package = Path(gauss_hodge.__file__).parent
+    seen, reads = set(), {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in WRITERS:
+                seen.add(f"{path.stem}.{node.name}")
+                names = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+                names |= {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+                if names & FRACTION_READS:
+                    reads[f"{path.stem}.{node.name}:{node.lineno}"] = sorted(names & FRACTION_READS)
+    assert {"scalars.render_value", "fields.to_json", "solver.to_json", "bridge.to_json"} <= seen
+    assert reads == {}

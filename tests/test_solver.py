@@ -16,7 +16,7 @@ from gauss_hodge.fields import (ItoField, ScalarField, _convert_pairs, complex_h
                                 he_to_complex_hermite, hermite_sq_norm_vector)
 from gauss_hodge.multiindex import enumerate_indices
 from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
-from gauss_hodge.scalars import QC, to_double
+from gauss_hodge.scalars import QC, fraction_str, to_double
 from gauss_hodge.solver import (_make_report, negligible, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
                                 solve_dbar_min_norm_full)
@@ -106,7 +106,7 @@ def test_zero_input_solves_to_zero_at_any_capacity(cap, exact):
     """Zero input runs the general solve: u and beta are the zero forms of
     the input's shape and capacity, and the report, written exactly or
     (exact=False) as doubles, is all zeros with the solve's bound."""
-    number = str if exact else to_double
+    number = fraction_str if exact else to_double
     for p in (1, 2):
         f = PForm(2, p, cap, "real")
         u, beta, rep = solve_d_min_norm_full(f)
