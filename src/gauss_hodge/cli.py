@@ -469,11 +469,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.input, args.output)
-        # the first out-of-range setting among those the command has
-        for key, low, name in (("n", 1, "n"), ("degree", 2, "capacity (--degree)"),
-                               ("trials", 1, "trials")):
-            if getattr(args, key, low) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        # the first out-of-range setting among those the command reads;
+        # lelong --input reads its sizes from the file
+        if getattr(args, "from_potential", "") is not None:
+            for key, low, name in (("n", 1, "n"), ("degree", 2, "capacity (--degree)"),
+                                   ("trials", 1, "trials")):
+                if getattr(args, key, low) < low:
+                    raise ValueError(f"{name} must be >= {low}")
         if not (0 < args.tolerance < 1):
             raise ValueError("tolerance must be in (0, 1)")
         if args.command == "verify":

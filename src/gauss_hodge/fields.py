@@ -159,10 +159,10 @@ def _map_terms(terms, rule, capacity: int) -> dict:
     return _finish(acc, capacity)
 
 
-def _product_terms(pair) -> list:
+def _product_terms(da, db) -> list:
     """He_da He_db as (degree, integer weight) pairs, one 1-D linearization per axis."""
     terms = [((), 1)]
-    for a, b in zip(*pair):
+    for a, b in zip(da, db):
         terms = [(prefix + (k,), w * c) for prefix, w in terms
                  for k, c in hermite_product_1d(a, b)]
     return terms
@@ -345,24 +345,16 @@ class ScalarField:
     def promote_complex(self) -> "ScalarField":
         """The same values as a complex field: a relabel, since real
         coefficients already are QC values."""
-        if self.kind == COMPLEX:
-            return self
         return self._trusted(self.m, self.max_total_degree, COMPLEX, self.coeffs)
 
     def conjugate(self) -> "ScalarField":
-        if self.kind == REAL:
-            return self
         return self.replace({d: v.conjugate() for d, v in self.coeffs.items()})
 
     def real_part(self) -> "ScalarField":
-        if self.kind == REAL:
-            return self
         vals = {d: _make(v._a, 0, v._d) for d, v in self.coeffs.items() if v._a}
         return self._trusted(self.m, self.max_total_degree, REAL, vals)
 
     def imag_part(self) -> "ScalarField":
-        if self.kind == REAL:
-            return self.replace({})
         vals = {d: _make(v._b, 0, v._d) for d, v in self.coeffs.items() if v._b}
         return self._trusted(self.m, self.max_total_degree, REAL, vals)
 
@@ -396,9 +388,10 @@ class ScalarField:
         """
         self._compatible(other)
         cap = self.max_total_degree + other.max_total_degree
-        products = (((da, db), va * vb) for da, va in self.coeffs.items()
-                    for db, vb in other.coeffs.items())
-        return self._trusted(self.m, cap, self.kind, _map_terms(products, _product_terms, cap))
+        acc: dict = {}
+        for da, va in self.coeffs.items():
+            _accumulate(acc, other.coeffs.items(), lambda db: _product_terms(da, db), va)
+        return self._trusted(self.m, cap, self.kind, _finish(acc, cap))
 
     # -- metric and evaluation -------------------------------------------------------
 

@@ -491,6 +491,25 @@ def test_lelong_from_form_file(tmp_path):
     assert payload["report"]["final_ratio"] == "1"
 
 
+def test_lelong_input_ignores_the_sizes_it_does_not_read(tmp_path, capsys):
+    """--n and --degree size a --from-potential only: lelong --input takes
+    its sizes from the file, so out-of-range values there change nothing."""
+    f = ComplexForm.from_layout((1, 1), [[ScalarField.constant(1, 2, 6, "complex")]])
+    path = tmp_path / "f11.json"
+    path.write_text(json.dumps(f.to_json()))
+    runs = []
+    for k, sizes in enumerate(([], ["--degree", "1", "--n", "0"])):
+        out = tmp_path / f"sol{k}.json"
+        assert main(["lelong", "--input", str(path), "--output", str(out)] + sizes) == 0
+        runs.append((out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    # a potential still needs them in range
+    for sizes, message in ((["--n", "1", "--degree", "1"], "capacity (--degree) must be >= 2"),
+                           (["--n", "0", "--degree", "4"], "n must be >= 1")):
+        assert main(["lelong", "--from-potential", "z*conj(z)"] + sizes) == 2
+        assert capsys.readouterr().err == f"lelong: {message}\n"
+
+
 def test_lelong_float_input_with_zero_entry(tmp_path):
     # ddbar of z1 zbar1 z2 has the zero entry (2, 2); it serializes as an
     # empty coefficient list, which once read back as exact mode

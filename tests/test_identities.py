@@ -92,6 +92,37 @@ def test_bochner_constant_forms_attain_margin_zero(rng):
         assert rep.coercivity_margin == 0
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["integers", "doubles"])
+def test_bochner_hessian_term_is_the_signed_component_sum(rng, exact):
+    """Each p-index J is jI for exactly p pairs (I, j), so the literal Hessian
+    sum sum'_I sum_j ||a_{jI}||^2 is p ||a||^2, the value the report takes."""
+    from gauss_hodge.identities import CONVEXITY
+    from gauss_hodge.multiindex import enumerate_indices
+    for n in range(1, 5):
+        for p in range(1, min(n, 3) + 1):
+            a = random_pform(rng, n, p, CAP, 4)
+            a = a if exact else doubles(a)
+            literal = sum((a.signed_component(j, I).norm_sq()
+                           for I in enumerate_indices(n, p - 1) for j in range(1, n + 1)),
+                          Fraction(0))
+            assert literal == p * a.norm_sq(), (n, p)
+            assert literal == bochner_identity_report(a).rhs_hessian / CONVEXITY, (n, p)
+
+
+def test_ddbar_adjoint_report_of_zero_carries_eight_zero_terms():
+    """The zero form takes the general path: its report has the term keys of
+    every other report, each zero."""
+    keys = ("norm_sq", "ddbar_sq", "partial_sq", "dbar_sq", "mixed_second_sq", "cross",
+            "grad_z_sq", "grad_zbar_sq")
+    one = ScalarField.constant(1, 4, CAP, "complex")
+    assert set(ddbar_adjoint_identity_report(
+        ComplexForm.from_layout((1, 1), [[one, one], [one, one]])).terms) == set(keys)
+    rep = ddbar_adjoint_identity_report(ComplexForm(2, (1, 1), CAP))
+    assert rep.terms == dict.fromkeys(keys, 0)
+    assert (rep.lhs, rep.rhs, rep.discrepancy, rep.duality_exact) == (0, 0, 0, True)
+    assert rep.to_json()["terms"] == dict.fromkeys(keys, "0")
+
+
 def test_ddbar_adjoint_examples():
     zero_rep = ddbar_adjoint_identity_report(ComplexForm(1, (1, 1), CAP))
     assert zero_rep.lhs == 0 and zero_rep.rhs == 0 and zero_rep.discrepancy == 0
