@@ -23,18 +23,20 @@ checks them.
 
 The pipeline runs the constructive proof without changing frame, in the
 complex frame over Ito's basis H_{p,q} (calculus.ItoForm and
-ComplexFrameForm), where every operator it applies moves one index:
+ComplexFrameForm), where every operator it applies moves one index.  There
+f is a complex 2-form g, and its real parts under the frame conjugation c,
 
-    f1 = (f + conj f)/2,   f2 = (f - conj f)/(2i)
+    f1 = Re_1 g = (g + cg)/2,   f2 = Re_2 g = (g - cg)/(2i),
 
-are the real 2-forms with f = f1 + i f2, written in the complex frame.  It
-solves d v_k = f_k with bound 1/4 (norms in the Euclidean metric, 2^deg
-times the Ito norms), reads the (1,0) and (0,1) parts of v_k off the frame
-(each carrying a quarter of the squared norm), solves dbar u_k = v_k^{0,1}
-with bound 2, and assembles u = (u_1 - conj u_1) + i (u_2 - conj u_2),
-giving ||u||^2 <= 2 ||f||^2.  A (1,1)-form over He is converted to H_{p,q}
-once on the way in, and u once on the way out; a potential's ddbar is
-already over H_{p,q}.
+are the real 2-forms with f = f1 + i f2.  Under e^{-|z|^2}, d, T* and
+Delta = dT* + T*d are real, so they commute with c, and the one solve
+v = T* Delta^{-1} g gives v_k = Re_k v with d v_k = f_k and bound 1/4 (norms
+in the Euclidean metric, 2^deg times the Ito norms).  It reads the (1,0) and
+(0,1) parts of v_k off the frame (each carrying a quarter of the squared
+norm), solves dbar u_k = v_k^{0,1} with bound 2, and assembles
+u = (u_1 - conj u_1) + i (u_2 - conj u_2), giving ||u||^2 <= 2 ||f||^2.  A
+(1,1)-form over He is converted to H_{p,q} once on the way in, and u once on
+the way out; a potential's ddbar is already over H_{p,q}.
 
 The gates, in order, by stage; every norm gate is ``solver.negligible``, with
 the scale of a nonzero tolerance in brackets:
@@ -47,9 +49,13 @@ the scale of a nonzero tolerance in brackets:
     final_residual    ddbar u = f [||f||^2]
     final_bound       ||u||^2 <= 2 ||f||^2
 
-df = 0 iff df_1 = df_2 = 0 by type separation.  Past the d solves every gate
-holds for closed input by construction, so a failure there, a NotClosedError
-included, raises InvariantViolationError naming its stage.
+Each d_solve_k gate and report is that of f_k's own solve: the one solve
+passes if both would (||x||^2 = ||Re_1 x||^2 + ||Re_2 x||^2), each part is
+exact if dv = g, and else each f_k is gated on Re_k dg, re first; then its
+residual -T* Delta^{-1} df_k, at most ||df_k||^2 / 6 squared, passes.  Past
+the d solves every gate holds for closed input by construction, so a failure
+there, a NotClosedError included, raises InvariantViolationError naming its
+stage.
 """
 
 from __future__ import annotations
@@ -59,14 +65,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, ddbar,
-                       partial_of_10, require_bidegree)
+from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, _real_parts,
+                       ddbar, exterior_d, partial_of_10, require_bidegree)
 from .errors import DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
 from .scalars import HALF, IMAG_UNIT, fraction_str, render_value
-from .solver import (SolveReport, _check_capacity, _finish, _make_report, negligible,
-                     solve_d_min_norm_full, solve_dbar_min_norm_full)
+from .solver import (_D_NEED, SolveReport, _check_capacity, _finish, _make_report,
+                     _require_closed, negligible, solve_d_min_norm_full, solve_dbar_min_norm_full)
 
 
 def _frame_table(n: int, to_complex: bool) -> dict:
@@ -226,23 +232,30 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
 
     _check_capacity(f.degree, f.max_total_degree, 2, "pipeline")
 
-    # (1) the real 2-forms f1 = (f + conj f)/2 and f2 = (f - conj f)/(2i)
+    # (1) f as a 2-form g = f1 + i f2 on R^{2n}, written in the complex frame
     h = ItoForm.of(f)
-    conj = h.conjugate()
-    f1, f2 = (ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, g.components).scale(s)
-              for g, s in ((h + conj, HALF), (h - conj, -IMAG_UNIT * HALF)))
+    g = ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, h.components)
+    fs = _real_parts(g)
 
-    # (2) weighted Poincare solves d v_k = f_k, bound 1/4; each refuses a
-    #     non-closed f_k
-    v1, _, rep_d1 = solve_d_min_norm_full(f1, tolerance)
-    v2, _, rep_d2 = solve_d_min_norm_full(f2, tolerance)
-    _check_stage_bound(rep_d1, "d_solve_re")
-    _check_stage_bound(rep_d2, "d_solve_im")
+    # (2) one weighted Poincare solve d v = g, bound 1/4 for each v_k = Re_k v;
+    #     dg != 0 gates each f_k as its own solve would, re first
+    try:
+        v, _, whole = solve_d_min_norm_full(g, tolerance)
+    except NotClosedError:  # then some f_k is open, and the gates below name the first
+        v = None
+    if v is None or whole.residual_norm_sq:
+        for fk, dfk in zip(fs, _real_parts(exterior_d(g))):
+            _require_closed(dfk.norm_sq(), fk.norm_sq(), tolerance, _D_NEED)
+    vs = _real_parts(v)
+    images = _real_parts(exterior_d(v)) if whole.residual_norm_sq else fs
+    reports = [_finish(vk, dvk, fk, fk.norm_sq(), Fraction(1, 4), tolerance)
+               for vk, dvk, fk in zip(vs, images, fs)]
+    for name, rep_d in zip(("re", "im"), reports):
+        _check_stage_bound(rep_d, f"d_solve_{name}")
 
     us = []
-    reports = [rep_d1, rep_d2]
     conj_ratios = {}
-    for name, vk, rep_d in (("re", v1, rep_d1), ("im", v2, rep_d2)):
+    for name, vk, rep_d in zip(("re", "im"), vs, reports[:2]):
         # (3) the (1,0) and (0,1) parts of v_k; the (2,0) piece of d v_k must
         #     vanish (the dbar solve checks the (0,2) piece)
         v10, v01 = _type_parts(vk, vk.components, ItoForm)
@@ -270,8 +283,8 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
 
     # (6) ddbar u = f, with the bound ||u||^2 <= 2 ||f||^2
     u = us[0] + us[1].scale(IMAG_UNIT)
-    final = _stage("final_residual", _finish, u, ddbar(u), h, h.norm_sq(), two,
-                   sum(rep.blocks_solved for rep in reports), tolerance)
+    final = _stage("final_residual", _finish, u, ddbar(u), h, h.norm_sq(), two, tolerance,
+                   sum(rep.blocks_solved for rep in reports))
     _check_stage_bound(final, "final_bound")
     report = PipelineReport(*reports, final, conj_ratios)
     return (u if h is f else u.to_he()), report

@@ -61,9 +61,9 @@ from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
 from .fields import (COMPLEX, ItoField, ScalarField, _accumulate, _finish,
-                     _index_rules, _inner, _norm_sq, _shift)
+                     _index_rules, _inner, _norm_sq, _shift, _swap_pairs)
 from .multiindex import check_axis, check_index, insert_axis, remove_axis
-from .scalars import HALF, IMAG_UNIT, fraction_str, json_int
+from .scalars import HALF, IMAG_UNIT, _make, fraction_str, json_int
 
 
 class PForm:
@@ -620,3 +620,29 @@ class ComplexFrameForm(PForm):
 
     def weighted_inner(self, other: "PForm"):
         return super().weighted_inner(other) * 2 ** self.p
+
+
+def _real_parts(x: ComplexFrameForm) -> tuple:
+    """(Re_1 x, Re_2 x) = ((x + cx)/2, (x - cx)/(2i)) for the frame conjugation
+    c(F dz^I ^ dzbar^J) = (-1)^{|I||J|} conj(F) dz^J ^ dzbar^I, with conj(H_{p,q})
+    = H_{q,p}.  Where x is (a + bi)/d and cx is (c + ei)/f, Re_1 x is
+    ((af + cd) + (bf + ed) i)/2df and Re_2 x is ((bf - ed) - (af - cd) i)/2df."""
+    n, comps, parts = x.n // 2, x.components, ({}, {})
+    mirrors = {idx: tuple(sorted(a + n if a <= n else a - n for a in idx)) for idx in comps}
+    for idx, mirror in {**{m: idx for idx, m in mirrors.items()}, **mirrors}.items():
+        ours, theirs, p = comps.get(idx), comps.get(mirror), sum(a <= n for a in idx)
+        s = -1 if p * (len(idx) - p) % 2 else 1
+        conj = {_swap_pairs(k): (s * w._a, -s * w._b, w._d)
+                for k, w in theirs.coeffs.items()} if theirs else {}
+        re, im = {}, {}
+        for key, v in ours.coeffs.items() if ours else ():
+            (a, b, d), (c, e, f) = (v._a, v._b, v._d), conj.pop(key, (0, 0, 1))
+            x1, y1, x2, y2 = a * f + c * d, b * f + e * d, a * f - c * d, b * f - e * d
+            if x1 or y1:
+                re[key] = _make(x1, y1, 2 * d * f)
+            if x2 or y2:
+                im[key] = _make(y2, -x2, 2 * d * f)
+        for key, (c, e, f) in conj.items():
+            re[key], im[key] = _make(c, e, 2 * f), _make(-e, c, 2 * f)
+        parts[0][idx], parts[1][idx] = (ours or theirs).replace(re), (ours or theirs).replace(im)
+    return tuple(x._like(part) for part in parts)

@@ -23,7 +23,8 @@ gated before the division and the residual op(u) - f after it (_finish), both
 through ``negligible``: zero at tolerance 0, else at most tolerance^2 ||f||^2,
 which lets an input closed only up to the rounding of its doubles through.
 op(u) - f is built only if op(u) != f.  The Poincare-Lelong pipeline (bridge)
-gates its capacity and final residual with the same _check_capacity and _finish.
+gates its capacity, the parts of its one d solve and its final residual with
+the same _check_capacity, _require_closed and _finish.
 """
 
 from __future__ import annotations
@@ -91,14 +92,25 @@ def _check_capacity(top: int | None, capacity: int, raise_by: int = 1, what: str
             f"above the data degree {top}), have {capacity}", required_capacity=top + raise_by)
 
 
-def _finish(u, image, f, f_sq, bound, blocks, tolerance) -> SolveReport:
+def _finish(u, image, f, f_sq, bound, tolerance, blocks=None) -> SolveReport:
     """Gate the equation residual image - f and report; image = op(u) and f
-    is the right-hand side, f_sq = ||f||^2.  The residual is built only if
+    is the right-hand side, f_sq = ||f||^2, and blocks by default the number
+    of distinct total Hermite degrees in f.  The residual is built only if
     image != f."""
     res_sq = Fraction(0) if image == f else (image - f).norm_sq()
     if not negligible(res_sq, f_sq, tolerance):
         raise NotClosedError("solve left a residual above the tolerance", residual_norm_sq=res_sq)
+    if blocks is None:
+        blocks = len({sum(key) for field in f.components.values() for key in field.coeffs})
     return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks)
+
+
+def _require_closed(closure_sq, f_sq, tolerance, need: str):
+    """The closedness gate: a NotClosedError whose message starts with ``need``."""
+    if not negligible(closure_sq, f_sq, tolerance):
+        raise NotClosedError(need if not tolerance else
+                             f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
+                             f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
 
 
 def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need: str):
@@ -108,23 +120,20 @@ def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need:
     op(u) - f gated by _finish.  A NotClosedError's message starts with
     ``need``."""
     f_sq = f.norm_sq()
-    closure_sq = closure(f).norm_sq()
-    if not negligible(closure_sq, f_sq, tolerance):
-        raise NotClosedError(need if not tolerance else
-                             f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
-                             f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
+    _require_closed(closure(f).norm_sq(), f_sq, tolerance, need)
     _check_capacity(f.degree, f.max_total_degree)
     beta = f._like({idx: field.replace({key: val / eigenvalue(key)
                                         for key, val in field.coeffs.items()})
                     for idx, field in f.components.items()})
     u = adjoint(beta)
-    levels = len({sum(key) for field in f.components.values() for key in field.coeffs})
-    return u, beta, _finish(u, op(u), f, f_sq, bound, levels, tolerance)
+    return u, beta, _finish(u, op(u), f, f_sq, bound, tolerance)
 
 
 # ---------------------------------------------------------------------------
 # du = f
 # ---------------------------------------------------------------------------
+
+_D_NEED = "du = f needs df = 0"
 
 
 def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
@@ -135,7 +144,7 @@ def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
     return _spectral_solve(f, exterior_d, lambda key: 2 * (sum(key) + f.p), codifferential,
-                           exterior_d, Fraction(1, 2 * f.p), tolerance, "du = f needs df = 0")
+                           exterior_d, Fraction(1, 2 * f.p), tolerance, _D_NEED)
 
 
 def solve_d_min_norm(f: PForm, tolerance: float = 0):

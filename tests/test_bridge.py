@@ -7,14 +7,15 @@ from gauss_hodge import bridge
 from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelong,
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
-from gauss_hodge.calculus import ComplexForm, ItoForm, PForm, ddbar
+from gauss_hodge.calculus import ComplexForm, ComplexFrameForm, ItoForm, PForm, ddbar, exterior_d
 from gauss_hodge.errors import InvariantViolationError, NotClosedError
 from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.identities import ddbar_formal_adjoint
 from gauss_hodge.potentials import parse_potential
 from gauss_hodge.randomforms import (random_closed_complexform11, random_complexform11,
                                      random_pform)
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import HALF, IMAG_UNIT, QC
+from gauss_hodge.solver import solve_d_min_norm_full
 
 from conftest import doubles, zzbar_poly_field
 from test_output_digests import LELONG_DIGESTS
@@ -327,3 +328,99 @@ def test_pipeline_solution_is_the_direct_spectral_solve():
         u, _ = solve_poincare_lelong_full(f)
         assert u == direct
         assert u.norm_sq() <= f.norm_sq()
+
+
+def _per_part_d_solves(f, tolerance=0):
+    """The d stage solved part by part: f1 = (f + conj f)/2 and
+    f2 = (f - conj f)/(2i) as real 2-forms in the complex frame, each solved
+    on its own, re first.  Returns [(v_k, report_k)], or the NotClosedError
+    of the first part refused."""
+    h = ItoForm.of(f)
+    conj = h.conjugate()
+    out = []
+    for g, s in ((h + conj, HALF), (h - conj, -IMAG_UNIT * HALF)):
+        fk = ComplexFrameForm(h.n, 2, h.max_total_degree, "complex", g.components).scale(s)
+        try:
+            vk, _, rep = solve_d_min_norm_full(fk, tolerance)
+        except NotClosedError as exc:
+            return exc
+        out.append((vk, rep))
+    return out
+
+
+def _pipeline_d_stage(monkeypatch, f, tolerance=0):
+    """The pipeline's v_1, v_2 and d stage reports."""
+    seen = []
+    honest = bridge._type_parts
+
+    def spy(v, comps, form_type):
+        seen.append(v)
+        return honest(v, comps, form_type)
+
+    monkeypatch.setattr(bridge, "_type_parts", spy)
+    _, report = solve_poincare_lelong_full(f, tolerance)
+    return list(zip(seen, (report.d_solve_re, report.d_solve_im)))
+
+
+def test_d_stage_is_the_per_part_solves(monkeypatch):
+    """The one complex d solve gives each part what its own solve gives:
+    v_k and its report under ==, on closed (1,1)-forms on C^1..C^3 and on
+    their doubles, whose stage residuals at tolerance 1e-10 are not zero."""
+    rng = random.Random(26)
+    residuals = []
+    for n in (1, 2, 3):
+        for k in range(4):
+            _, f = random_closed_complexform11(rng, n, 7, 5 if n < 3 else 4)
+            tolerance = 0
+            if k % 2:
+                f, tolerance = doubles(f, QC(Fraction(1, 3), Fraction(1, 5))), 1e-10
+            parts = _pipeline_d_stage(monkeypatch, f, tolerance)
+            assert parts == _per_part_d_solves(f, tolerance)
+            residuals += [rep.residual_norm_sq for _, rep in parts]
+    assert any(residuals) and not all(residuals)
+
+
+def _real_part(f):
+    """(f + conj f)/2, a real (1,1)-form: closed when f is."""
+    return (f + f.conjugate()).scale(HALF)
+
+
+@pytest.mark.parametrize("tolerance", [0, 1e-3])
+@pytest.mark.parametrize("open_parts", ["re", "im", "both"])
+def test_d_stage_refuses_as_the_per_part_solves(open_parts, tolerance):
+    """A (1,1)-form whose real part, imaginary part or both are open is
+    refused with the message and residual of the first open part's own solve,
+    its ||df_k||^2."""
+    rng = random.Random(2026)
+    closed = _real_part(random_closed_complexform11(rng, 2, 7, 4)[1])
+    opened = [_real_part(random_complexform11(rng, 2, 7, 3)) for _ in range(2)]
+    re, im = {"re": (opened[0], closed), "im": (closed, opened[0]),
+              "both": opened}[open_parts]
+    f = re + im.scale(IMAG_UNIT)
+    oracle = _per_part_d_solves(f, tolerance)
+    assert isinstance(oracle, NotClosedError)
+    with pytest.raises(NotClosedError) as err:
+        solve_poincare_lelong_full(f, tolerance)
+    assert str(err.value) == str(oracle)
+    assert err.value.residual_norm_sq == oracle.residual_norm_sq > 0
+    first = re if open_parts != "im" else im
+    assert oracle.residual_norm_sq == exterior_d(
+        ComplexFrameForm(4, 2, 7, "complex", ItoForm.of(first).components)).norm_sq()
+
+
+def test_a_small_open_part_is_refused_although_f_passes_whole():
+    """Doubles of a tiny open real part next to a large closed imaginary part:
+    df is negligible against ||f||^2, but df_1 is not against ||f_1||^2, so
+    the d stage refuses f as the real part's own solve does."""
+    rng = random.Random(11)
+    small = doubles(_real_part(random_complexform11(rng, 2, 7, 3)), Fraction(1, 2 ** 40))
+    large = doubles(_real_part(random_closed_complexform11(rng, 2, 7, 4)[1]))
+    f = small + large.scale(IMAG_UNIT)
+    h = ItoForm.of(f)
+    solve_d_min_norm_full(ComplexFrameForm(4, 2, 7, "complex", h.components), 1e-10)
+    oracle = _per_part_d_solves(f, 1e-10)
+    assert isinstance(oracle, NotClosedError)
+    with pytest.raises(NotClosedError) as err:
+        solve_poincare_lelong_full(f, 1e-10)
+    assert (str(err.value), err.value.residual_norm_sq) == (str(oracle),
+                                                            oracle.residual_norm_sq)

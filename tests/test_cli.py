@@ -632,3 +632,23 @@ def test_report_missing_file(capsys):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_lelong_of_a_pluriharmonic_potential_writes_zero_stages(tmp_path):
+    """ddbar of z1 + conj(z2) + z1 z2 + 3 is zero: u = 0, every stage report
+    is zero with its bound constant, and no conjugation ratio is written."""
+    out = tmp_path / "out.json"
+    assert main(["lelong", "--from-potential", "z1 + conj(z2) + z1*z2 + 3", "--n", "2",
+                 "--degree", "4", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["solution"]["coeffs"] == []
+    report = data["report"]
+    assert report["conjugation_ratios"] == {}
+    zero = {"residual": "0", "input_norm_sq": "0", "output_norm_sq": "0", "ratio": "0",
+            "bound_satisfied": True, "blocks_solved": 0}
+    bounds = {"d_solve_re": "1/4", "d_solve_im": "1/4", "dbar_solve_re": "2",
+              "dbar_solve_im": "2"}
+    assert report["stages"] == {stage: {**zero, "bound_constant": bound}
+                                for stage, bound in bounds.items()}
+    assert report["final"] == {**zero, "bound_constant": "2"}
+    assert report["final_ratio"] == "0"

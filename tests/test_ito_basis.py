@@ -10,13 +10,15 @@ import math
 import pytest
 
 from gauss_hodge.bridge import _frame_change
-from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, codifferential,
-                                  delta_z, delta_zbar, exterior_d, wirtinger_dz,
-                                  wirtinger_dzbar)
+from gauss_hodge.calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _real_parts,
+                                  codifferential, delta_z, delta_zbar, exterior_d,
+                                  wirtinger_dz, wirtinger_dzbar)
 from gauss_hodge.errors import DimensionMismatchError, DomainError
 from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.randomforms import random_pform
-from gauss_hodge.scalars import QC
+from gauss_hodge.scalars import HALF, IMAG_UNIT, QC
+
+from conftest import bubble_sort_parity
 
 LADDERS = (wirtinger_dz, wirtinger_dzbar, delta_z, delta_zbar)
 
@@ -86,6 +88,43 @@ def test_complex_frame_carries_the_real_metric_d_and_codifferential(rng, n):
             assert frame.weighted_inner(_complex_frame(other)) == form.weighted_inner(other)
             assert exterior_d(frame) == _complex_frame(exterior_d(form))
             assert codifferential(frame) == _complex_frame(codifferential(form))
+
+
+def _frame_conjugate(x):
+    """c x: conj(F dz^I ^ dzbar^J) = conj(F) dzbar^I ^ dz^J, re-sorted with the
+    parity of a bubble sort, with conj(H_{p,q}) = H_{q,p}."""
+    n = x.n // 2
+    comps = {}
+    for idx, field in x.components.items():
+        swapped = [a + n if a <= n else a - n for a in idx]
+        conj = field.conjugate()
+        comps[tuple(sorted(swapped))] = conj if bubble_sort_parity(swapped) == 1 else -conj
+    return x.replace(comps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_parts_split_the_frame_conjugation(rng, n):
+    """Random complex forms of degree 0..4 on C^n in the complex frame, with
+    every component and with half of them: c is an involution that commutes
+    with d and T*, ||x||^2 = ||Re_1 x||^2 + ||Re_2 x||^2, and the one-pass
+    split is (x + cx)/2 and (x - cx)/(2i), each part fixed by c."""
+    for p in range(min(4, 2 * n) + 1):
+        for sparse in (False, True):
+            x = _complex_frame(random_pform(rng, 2 * n, p, 7, 4, "complex"))
+            if sparse:
+                x = x.replace({idx: f for k, (idx, f) in enumerate(x.components.items())
+                               if k % 2})
+            cx = _frame_conjugate(x)
+            assert _frame_conjugate(cx) == x
+            assert exterior_d(cx) == _frame_conjugate(exterior_d(x))
+            if p:
+                assert codifferential(cx) == _frame_conjugate(codifferential(x))
+            re, im = _real_parts(x)
+            assert re == (x + cx).scale(HALF)
+            assert im == (x - cx).scale(-IMAG_UNIT * HALF)
+            assert _frame_conjugate(re) == re and _frame_conjugate(im) == im
+            assert x.norm_sq() == re.norm_sq() + im.norm_sq()
+            assert re + im.scale(IMAG_UNIT) == x
 
 
 def test_the_basis_is_part_of_the_type():

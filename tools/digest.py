@@ -9,10 +9,11 @@ The commands are every workload's pool in bench/workloads.py for the seeds
 in SEEDS, ``verify --mode float``, ``solve --equation d``, ``solve
 --equation dbar`` and ``lelong --input`` each on an exact and a float file,
 ``lelong`` on a potential whose ddbar is zero, a solve of a form that is not
-closed (exit 1) and of a file that is not JSON (exit 2).  The input files are
-written once, from a fixed seed, by this checkout's package, into a temporary
-directory that is every command's working directory; each is named by its
-role, and every command writes its ``--output`` to OUTPUT there, so no
+closed and ``lelong --input`` on an exact and a float (1,1)-form that are not
+closed (exit 1), and a solve of a file that is not JSON (exit 2).  The input
+files are written once, from a fixed seed, by this checkout's package, into a
+temporary directory that is every command's working directory; each is named
+by its role, and every command writes its ``--output`` to OUTPUT there, so no
 temporary path reaches the digest.  For each command in order, its argv, its
 exit code, its stdout and stderr and its output bytes go into the hash.
 
@@ -65,6 +66,8 @@ def commands() -> list[list[str]]:
     out += [["lelong", "--from-potential", "z1 + conj(z2) + z1*z2 + 3", "--n", "2",
              "--degree", "4"],
             ["solve", "--equation", "d", "--input", "not-closed.json"],
+            ["lelong", "--input", "ddbar-open-exact.json"],
+            ["lelong", "--input", "ddbar-open-float.json"],
             ["solve", "--equation", "d", "--input", "not-json.json"]]
     return out
 
@@ -72,10 +75,13 @@ def commands() -> list[list[str]]:
 def _write_inputs():
     """The input files of commands(), in the working directory: closed forms
     for d, dbar and ddbar, each exact and then scaled by 1/3 and rounded to
-    doubles, a 2-form that is not closed, and a file that is not JSON."""
+    doubles, a 2-form that is not closed, a (1,1)-form that is not closed,
+    the doubles of its real part times 2^-40 plus i/3 times a closed real
+    (1,1)-form, open only in its small real part, and a file that is not JSON."""
     from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
-                                         random_dbar_closed_form01, random_pform)
-    from gauss_hodge.scalars import fraction_str, to_double
+                                         random_complexform11, random_dbar_closed_form01,
+                                         random_pform)
+    from gauss_hodge.scalars import QC, fraction_str, to_double
 
     rng = random.Random(INPUT_SEED)
     forms = {"d": random_closed_pform(rng, 3, 2, 8, 3),
@@ -86,6 +92,12 @@ def _write_inputs():
         Path(f"{role}-float.json").write_text(
             json.dumps(form.scale(Fraction(1, 3)).to_json(to_double)))
     Path("not-closed.json").write_text(json.dumps(random_pform(rng, 3, 2, 8, 3).to_json()))
+    opened = random_complexform11(rng, 2, 8, 3)
+    closed = random_closed_complexform11(rng, 2, 8, 4)[1]
+    Path("ddbar-open-exact.json").write_text(json.dumps(opened.to_json(fraction_str)))
+    small, large = ((f + f.conjugate()).scale(s) for f, s in (
+        (opened, Fraction(1, 2 ** 41)), (closed, QC(0, Fraction(1, 6)))))
+    Path("ddbar-open-float.json").write_text(json.dumps((small + large).to_json(to_double)))
     Path("not-json.json").write_text("{")
 
 
