@@ -55,7 +55,7 @@ exact if dv = g, and else each f_k is gated on Re_k dg, re first; then its
 residual -T* Delta^{-1} df_k, at most ||df_k||^2 / 6 squared, passes.  Past
 the d solves every gate holds for closed input by construction, so a failure
 there, a NotClosedError included, raises InvariantViolationError naming its
-stage.
+stage.  A zero input runs this same path; it records no conjugation ratios.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ from .errors import DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
 from .scalars import HALF, IMAG_UNIT, fraction_str, render_value
-from .solver import (_D_NEED, SolveReport, _check_capacity, _finish, _make_report,
-                     _require_closed, negligible, solve_d_min_norm_full, solve_dbar_min_norm_full)
+from .solver import (_D_NEED, SolveReport, _check_capacity, _finish, _require_closed,
+                     negligible, solve_d_min_norm_full, solve_dbar_min_norm_full)
 
 
 def _frame_table(n: int, to_complex: bool) -> dict:
@@ -223,13 +223,6 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
     returns (u, report), with u over the basis of f."""
     require_bidegree(f, (1, 1), "ddbar u = f")
 
-    zero, two = Fraction(0), Fraction(2)
-    if f.is_zero():
-        u = f.field_type.zero(f.n, f.max_total_degree, COMPLEX)
-        empty = _make_report(zero, zero, zero, Fraction(1, 4), 0)
-        empty_dbar = _make_report(zero, zero, zero, two, 0)
-        return u, PipelineReport(empty, empty, empty_dbar, empty_dbar, empty_dbar)
-
     _check_capacity(f.degree, f.max_total_degree, 2, "pipeline")
 
     # (1) f as a 2-form g = f1 + i f2 on R^{2n}, written in the complex frame
@@ -278,12 +271,13 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
             raise InvariantViolationError(
                 f"conjugation_{name}", "||u - conj u||^2 > 4 ||u||^2",
                 lhs=wk_sq, rhs=uk_sq)
-        conj_ratios[name] = wk_sq / uk_sq if uk_sq != 0 else zero
+        if f.components:  # a zero input records no ratios
+            conj_ratios[name] = wk_sq / uk_sq if uk_sq else Fraction(0)
         us.append(wk)
 
     # (6) ddbar u = f, with the bound ||u||^2 <= 2 ||f||^2
     u = us[0] + us[1].scale(IMAG_UNIT)
-    final = _stage("final_residual", _finish, u, ddbar(u), h, h.norm_sq(), two, tolerance,
+    final = _stage("final_residual", _finish, u, ddbar(u), h, h.norm_sq(), Fraction(2), tolerance,
                    sum(rep.blocks_solved for rep in reports))
     _check_stage_bound(final, "final_bound")
     report = PipelineReport(*reports, final, conj_ratios)

@@ -9,7 +9,9 @@ Grammar (case-sensitive):
     atom   := integer | 'i' | variable | 'conj' '(' expr ')' | '(' expr ')'
 
 Variables are ``z`` (only when n = 1) or ``z1`` .. ``zn``.  Division is only
-allowed by constant subexpressions, keeping everything polynomial.
+allowed by constant subexpressions, keeping everything polynomial.  A variable,
+product or power of degree above the capacity is refused before it is built;
+no other step raises the degree, so the result is not checked again.
 
 The parser's values are sparse polynomials in z and zbar: maps from keys
 (a_1, b_1, ..., a_n, b_n) for prod_j z_j^{a_j} zbar_j^{b_j} to coefficients.
@@ -85,8 +87,8 @@ class _Parser:
         return tok
 
     def check_degree(self, degree: int):
-        """Refuse a product before it is built when its degree, which is the
-        sum of its factors' degrees, exceeds the capacity."""
+        """Refuse a variable (degree 1) or a product (the sum of its factors'
+        degrees) before it is built when its degree exceeds the capacity."""
         if degree > self.capacity:
             raise DomainError(f"potential degree {degree} exceeds capacity {self.capacity}")
 
@@ -108,6 +110,7 @@ class _Parser:
     def variable(self, j: int) -> dict:
         if j < 1 or j > self.n:
             raise DomainError(f"variable z{j} outside 1..{self.n}")
+        self.check_degree(1)
         key = [0] * (2 * self.n)
         key[2 * j - 2] = 1
         return {tuple(key): QC(1)}
@@ -126,14 +129,12 @@ class _Parser:
         return out
 
     def expr(self) -> dict:
-        out = self.term()
+        acc: dict = {}
+        _accumulate(acc, self.term().items(), _identity_rule)
         while self.peek() in ("+", "-"):
-            op = self.take()
-            acc: dict = {}
-            _accumulate(acc, out.items(), _identity_rule)
-            _accumulate(acc, self.term().items(), _identity_rule, 1 if op == "+" else -1)
-            out = _finish(acc, self.capacity)
-        return out
+            sign = 1 if self.take() == "+" else -1
+            _accumulate(acc, self.term().items(), _identity_rule, sign)
+        return _finish(acc, self.capacity)
 
     def term(self) -> dict:
         out = self.factor()
@@ -231,8 +232,5 @@ def parse_potential(text: str, n: int, capacity: int,
         parsed = _Parser(tokens, n, capacity, double_literals).parse()
     except RecursionError:
         raise DomainError("potential nests too deeply") from None
-    top = _degree(parsed) or 0
-    if top > capacity:
-        raise DomainError(f"potential degree {top} exceeds capacity {capacity}")
     return ItoField._trusted(2 * n, capacity, COMPLEX,
                              _convert_pairs(parsed, 2 * n, _monomial_to_ito))

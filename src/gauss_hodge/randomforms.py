@@ -53,17 +53,22 @@ def random_pform(rng: random.Random, n: int, p: int, capacity: int, max_degree: 
     return PForm(n, p, capacity, kind, comps)
 
 
+def _nonzero_image(op, draw, *args) -> tuple:
+    """(w, op(w)) for the first of 65 draws w = draw(*args) whose image is not
+    zero, or for the 65th draw whatever its image."""
+    for attempt in range(65):
+        w = draw(*args)
+        f = op(w)
+        if attempt == 64 or not f.is_zero():
+            return w, f
+
+
 def random_closed_pform(rng: random.Random, n: int, p_plus_1: int, capacity: int,
                         max_degree: int, kind: str = REAL, terms: int = 2) -> PForm:
     """A d-closed (p+1)-form of coefficient degree <= max_degree, built as
     d of a random p-form of degree <= max_degree + 1."""
-    for _ in range(64):
-        g = random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1, kind, terms)
-        f = exterior_d(g)
-        if not f.is_zero():
-            return f
-    return exterior_d(random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1,
-                                   kind, terms))
+    return _nonzero_image(exterior_d, random_pform, rng, n, p_plus_1 - 1, capacity,
+                          max_degree + 1, kind, terms)[1]
 
 
 def random_complex_function(rng: random.Random, n: int, capacity: int, max_degree: int,
@@ -81,12 +86,8 @@ def random_form01(rng: random.Random, n: int, capacity: int, max_degree: int,
 def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
                               max_degree: int, terms: int = 3) -> ComplexForm:
     """A dbar-closed (0,1)-form, built as dbar of a random function."""
-    for _ in range(64):
-        u = random_complex_function(rng, n, capacity, max_degree + 1, terms)
-        g = dbar_function(u)
-        if not g.is_zero():
-            return g
-    return dbar_function(random_complex_function(rng, n, capacity, max_degree + 1, terms))
+    return _nonzero_image(dbar_function, random_complex_function, rng, n, capacity,
+                          max_degree + 1, terms)[1]
 
 
 def random_complexform11(rng: random.Random, n: int, capacity: int, max_degree: int,
@@ -100,10 +101,5 @@ def random_closed_complexform11(rng: random.Random, n: int, capacity: int,
                                 potential_degree: int,
                                 terms: int = 3) -> tuple[ScalarField, ComplexForm]:
     """A d-closed (1,1)-form as ddbar of a random potential (returned with it)."""
-    for _ in range(64):
-        w = random_complex_function(rng, n, capacity, potential_degree, terms)
-        f = ddbar(w)
-        if not f.is_zero():
-            return w, f
-    w = random_complex_function(rng, n, capacity, potential_degree, terms)
-    return w, ddbar(w)
+    return _nonzero_image(ddbar, random_complex_function, rng, n, capacity, potential_degree,
+                          terms)

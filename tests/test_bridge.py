@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from gauss_hodge import bridge
-from gauss_hodge.bridge import (decompose_11, recompose_11, solve_poincare_lelong,
+from gauss_hodge.bridge import (PipelineReport, decompose_11, recompose_11, solve_poincare_lelong,
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
 from gauss_hodge.calculus import ComplexForm, ComplexFrameForm, ItoForm, PForm, ddbar, exterior_d
@@ -14,8 +15,8 @@ from gauss_hodge.identities import ddbar_formal_adjoint
 from gauss_hodge.potentials import parse_potential
 from gauss_hodge.randomforms import (random_closed_complexform11, random_complexform11,
                                      random_pform)
-from gauss_hodge.scalars import HALF, IMAG_UNIT, QC
-from gauss_hodge.solver import solve_d_min_norm_full
+from gauss_hodge.scalars import HALF, IMAG_UNIT, QC, to_double
+from gauss_hodge.solver import SolveReport, solve_d_min_norm_full
 
 from conftest import doubles, zzbar_poly_field
 from test_output_digests import LELONG_DIGESTS
@@ -171,6 +172,43 @@ def test_pipeline_from_potential():
 def test_pipeline_zero():
     u, rep = solve_poincare_lelong(ComplexForm(1, (1, 1), CAP))
     assert u.is_zero() and rep.ratio == 0
+
+
+def _zero_inputs(tmp_path) -> list:
+    """(f, tolerance) for zero (1,1)-forms on C^2: over He at capacities 0 and
+    6, read from a float file whose every entry is an explicit 0.0, and the
+    ddbar, over H_{p,q}, of a pluriharmonic potential."""
+    data = ComplexForm(2, (1, 1), 6).to_json(to_double)
+    for row in data["entries"]:
+        for entry in row:
+            entry["coeffs"] = [{"deg": [0, 0, 0, 0], "re": 0.0, "im": 0.0},
+                               {"deg": [1, 0, 2, 1], "re": -0.0, "im": 0.0}]
+    path = tmp_path / "zero-float.json"
+    path.write_text(json.dumps(data))
+    return [(ComplexForm(2, (1, 1), 0), 0), (ComplexForm(2, (1, 1), 6), 0),
+            (ComplexForm.from_json(json.loads(path.read_text()), (1, 1)), 1e-10),
+            (ddbar(parse_potential("z1 + conj(z2) + z1*z2 + 3", 2, 4)), 0)]
+
+
+def test_zero_input_solves_to_zero_with_the_zero_report(tmp_path):
+    """A zero (1,1)-form, at any capacity, in either basis and from a float
+    file, solves to a zero u in the input's basis and shape, with every stage
+    and final report zero at its bound constant and no conjugation ratio."""
+    zero = Fraction(0)
+
+    def empty(bound):
+        return SolveReport(zero, zero, zero, bound, zero, True, 0)
+
+    d_rep, dbar_rep = empty(Fraction(1, 4)), empty(Fraction(2))
+    expected = PipelineReport(d_rep, d_rep, dbar_rep, dbar_rep, dbar_rep, {})
+    inputs = _zero_inputs(tmp_path)
+    assert [type(f) for f, _ in inputs] == [ComplexForm] * 3 + [ItoForm]
+    for f, tolerance in inputs:
+        assert f.is_zero()
+        u, report = solve_poincare_lelong_full(f, tolerance)
+        assert u.is_zero() and type(u) is f.field_type
+        assert (u.m, u.max_total_degree, u.kind) == (f.n, f.max_total_degree, f.kind)
+        assert report == expected
 
 
 def test_pipeline_stage_reports(rng):

@@ -26,12 +26,13 @@ def test_input_files_are_named_by_role(workdir):
 
 
 def test_file_commands_exit_as_their_role_says(workdir):
-    """Every command after the workload pools: the closed files and the zero
-    potential solve, the open forms exit 1 and the file that is not JSON 2."""
-    argvs = digest.commands()[-12:]
+    """Every command after the workload pools: the closed files, the zero
+    potential and the zero files solve, the open forms exit 1 and the file
+    that is not JSON 2."""
+    argvs = digest.commands()[-14:]
     assert argvs[0][:3] == ["verify", "--mode", "float"]
     result = digest.run(SRC, argvs, workdir)
-    assert result["codes"] == [0] * 8 + [1, 1, 1, 2]
+    assert result["codes"] == [0] * 10 + [1, 1, 1, 2]
     assert not (workdir / digest.OUTPUT).exists()
 
 

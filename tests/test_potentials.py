@@ -270,6 +270,8 @@ def test_error_messages_are_unchanged(exact):
     cases = [("z**7", 6, "potential degree 7 exceeds capacity 6"),
              ("(z + conj(z))**4*z**3", 6, "potential degree 7 exceeds capacity 6"),
              ("z", 0, "potential degree 1 exceeds capacity 0"),
+             ("z + 1", 0, "potential degree 1 exceeds capacity 0"),
+             ("conj(z) - 2", 0, "potential degree 1 exceeds capacity 0"),
              ("z*conj(z)/(2 - 2)", 6, "division by zero in potential"),
              ("z/conj(z)", 6, "division is only allowed by constants")]
     for text, cap, message in cases:

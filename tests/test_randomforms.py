@@ -1,0 +1,67 @@
+"""The closed-form generators make the same draws as the loop they replaced:
+up to 64 draws until the image is not zero, then one more whatever it is.
+The tool's input files and every seeded test depend on those draws."""
+
+import random
+
+import pytest
+
+from gauss_hodge.calculus import dbar_function, ddbar, exterior_d
+from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
+                                     random_complex_function, random_dbar_closed_form01,
+                                     random_pform)
+
+
+def _loop_closed_pform(rng, n, p_plus_1, capacity, max_degree):
+    for _ in range(64):
+        g = random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1)
+        f = exterior_d(g)
+        if not f.is_zero():
+            return f
+    return exterior_d(random_pform(rng, n, p_plus_1 - 1, capacity, max_degree + 1))
+
+
+def _loop_dbar_closed_form01(rng, n, capacity, max_degree):
+    for _ in range(64):
+        u = random_complex_function(rng, n, capacity, max_degree + 1)
+        g = dbar_function(u)
+        if not g.is_zero():
+            return g
+    return dbar_function(random_complex_function(rng, n, capacity, max_degree + 1))
+
+
+def _loop_closed_complexform11(rng, n, capacity, potential_degree):
+    for _ in range(64):
+        w = random_complex_function(rng, n, capacity, potential_degree)
+        f = ddbar(w)
+        if not f.is_zero():
+            return w, f
+    w = random_complex_function(rng, n, capacity, potential_degree)
+    return w, ddbar(w)
+
+
+# (generator, reference loop, arguments after rng); the second of each pair
+# has only zero images (d of constants, dbar of constants, ddbar of a
+# potential of degree 1), so the loop makes all 65 draws
+CASES = [(random_closed_pform, _loop_closed_pform, (3, 2, 8, 3)),
+         (random_closed_pform, _loop_closed_pform, (2, 1, 4, -1)),
+         (random_dbar_closed_form01, _loop_dbar_closed_form01, (2, 8, 3)),
+         (random_dbar_closed_form01, _loop_dbar_closed_form01, (1, 4, -1)),
+         (random_closed_complexform11, _loop_closed_complexform11, (2, 8, 4)),
+         (random_closed_complexform11, _loop_closed_complexform11, (1, 4, 1))]
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_generators_make_the_draws_of_the_loop(case):
+    """A retry that drew once too often or too rarely, or returned another
+    draw than the first nonzero one, changes the form or the state left in
+    the generator."""
+    generator, loop, args = CASES[case]
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        out = generator(ours, *args)
+        assert out == loop(theirs, *args)
+        assert ours.getstate() == theirs.getstate()
+        # a zero result is the 65th draw: each of the 64 before it was zero too
+        form = out[1] if isinstance(out, tuple) else out
+        assert form.is_zero() == (case % 2 == 1)

@@ -8,14 +8,16 @@ Run from anywhere inside the repository:
 The commands are every workload's pool in bench/workloads.py for the seeds
 in SEEDS, ``verify --mode float``, ``solve --equation d``, ``solve
 --equation dbar`` and ``lelong --input`` each on an exact and a float file,
-``lelong`` on a potential whose ddbar is zero, a solve of a form that is not
-closed and ``lelong --input`` on an exact and a float (1,1)-form that are not
-closed (exit 1), and a solve of a file that is not JSON (exit 2).  The input
-files are written once, from a fixed seed, by this checkout's package, into a
-temporary directory that is every command's working directory; each is named
-by its role, and every command writes its ``--output`` to OUTPUT there, so no
-temporary path reaches the digest.  For each command in order, its argv, its
-exit code, its stdout and stderr and its output bytes go into the hash.
+``lelong`` on a potential whose ddbar is zero, ``lelong --input`` on a zero
+(1,1)-form in an exact file and in a float file of explicit zero entries, a
+solve of a form that is not closed and ``lelong --input`` on an exact and a
+float (1,1)-form that are not closed (exit 1), and a solve of a file that is
+not JSON (exit 2).  The input files are written once, from a fixed seed, by
+this checkout's package, into a temporary directory that is every command's
+working directory; each is named by its role, and every command writes its
+``--output`` to OUTPUT there, so no temporary path reaches the digest.  For
+each command in order, its argv, its exit code, its stdout and stderr and its
+output bytes go into the hash.
 
 REF (a commit, branch or tag) is extracted with tools/ab.py's ``extract``.
 Each side runs all the commands in one child process that imports the
@@ -65,6 +67,8 @@ def commands() -> list[list[str]]:
                 ["lelong", "--input", f"ddbar-{mode}.json"]]
     out += [["lelong", "--from-potential", "z1 + conj(z2) + z1*z2 + 3", "--n", "2",
              "--degree", "4"],
+            ["lelong", "--input", "ddbar-zero-exact.json"],
+            ["lelong", "--input", "ddbar-zero-float.json"],
             ["solve", "--equation", "d", "--input", "not-closed.json"],
             ["lelong", "--input", "ddbar-open-exact.json"],
             ["lelong", "--input", "ddbar-open-float.json"],
@@ -75,9 +79,11 @@ def commands() -> list[list[str]]:
 def _write_inputs():
     """The input files of commands(), in the working directory: closed forms
     for d, dbar and ddbar, each exact and then scaled by 1/3 and rounded to
-    doubles, a 2-form that is not closed, a (1,1)-form that is not closed,
-    the doubles of its real part times 2^-40 plus i/3 times a closed real
+    doubles, a zero (1,1)-form, exact and as doubles that write each entry's
+    zero, a 2-form that is not closed, a (1,1)-form that is not closed, the
+    doubles of its real part times 2^-40 plus i/3 times a closed real
     (1,1)-form, open only in its small real part, and a file that is not JSON."""
+    from gauss_hodge.calculus import ComplexForm
     from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
                                          random_complexform11, random_dbar_closed_form01,
                                          random_pform)
@@ -91,6 +97,12 @@ def _write_inputs():
         Path(f"{role}-exact.json").write_text(json.dumps(form.to_json(fraction_str)))
         Path(f"{role}-float.json").write_text(
             json.dumps(form.scale(Fraction(1, 3)).to_json(to_double)))
+    zero = ComplexForm(2, (1, 1), 8).to_json(fraction_str)
+    Path("ddbar-zero-exact.json").write_text(json.dumps(zero))
+    for entry in (entry for row in zero["entries"] for entry in row):
+        entry["coeffs"] = [{"deg": [0, 0, 0, 0], "re": 0.0, "im": 0.0},
+                           {"deg": [2, 0, 1, 1], "re": 0.0, "im": -0.0}]
+    Path("ddbar-zero-float.json").write_text(json.dumps(zero))
     Path("not-closed.json").write_text(json.dumps(random_pform(rng, 3, 2, 8, 3).to_json()))
     opened = random_complexform11(rng, 2, 8, 3)
     closed = random_closed_complexform11(rng, 2, 8, 4)[1]
