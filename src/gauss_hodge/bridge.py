@@ -42,20 +42,19 @@ The gates, in order, by stage; every norm gate is ``solver.negligible``, with
 the scale of a nonzero tolerance in brackets:
 
     capacity          data degree + 2 <= capacity: DegreeOverflowError
-    d_solve_re/im     df_k = 0 [||f_k||^2]: NotClosedError; stage bound 1/4
+    d_solve_re/im     df_k = 0, dv_k = f_k [||f_k||^2]: NotClosedError; stage bound 1/4
     type_purity_k     partial v_k^{1,0} = 0 [max(||v_k||^2, 1)]
     dbar_solve_k      dbar v_k^{0,1} = 0 [||v_k^{0,1}||^2]; stage bound 2
     conjugation_k     ||u_k - conj u_k||^2 <= 4 ||u_k||^2
     final_residual    ddbar u = f [||f||^2]
     final_bound       ||u||^2 <= 2 ||f||^2
 
-Each d_solve_k gate and report is that of f_k's own solve: the one solve
-passes if both would (||x||^2 = ||Re_1 x||^2 + ||Re_2 x||^2), each part is
-exact if dv = g, and else each f_k is gated on Re_k dg, re first; then its
-residual -T* Delta^{-1} df_k, at most ||df_k||^2 / 6 squared, passes.  Past
-the d solves every gate holds for closed input by construction, so a failure
-there, a NotClosedError included, raises InvariantViolationError naming its
-stage.  A zero input runs this same path; it records no conjugation ratios.
+The d solve is split by Re_k (solver._solve_d with calculus._real_parts):
+d commutes with c, so Re_k dg = df_k and Re_k dv = dv_k, and each
+d_solve_k gate and report is that of f_k's own solve, re first.  Past the d
+solves every gate holds for closed input by construction, so a failure there,
+a NotClosedError included, raises InvariantViolationError naming its stage.
+A zero input runs this same path; it records no conjugation ratios.
 """
 
 from __future__ import annotations
@@ -66,13 +65,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, _real_parts,
-                       ddbar, exterior_d, partial_of_10, require_bidegree)
+                       ddbar, partial_of_10, require_bidegree)
 from .errors import DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
 from .scalars import HALF, IMAG_UNIT, fraction_str, render_value
-from .solver import (_D_NEED, SolveReport, _check_capacity, _finish, _require_closed,
-                     negligible, solve_d_min_norm_full, solve_dbar_min_norm_full)
+from .solver import (SolveReport, _check_capacity, _finish, _solve_d, negligible,
+                     solve_dbar_min_norm_full)
 
 
 def _frame_table(n: int, to_complex: bool) -> dict:
@@ -228,26 +227,13 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
     # (1) f as a 2-form g = f1 + i f2 on R^{2n}, written in the complex frame
     h = ItoForm.of(f)
     g = ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, h.components)
-    fs = _real_parts(g)
 
-    # (2) one weighted Poincare solve d v = g, bound 1/4 for each v_k = Re_k v;
-    #     dg != 0 gates each f_k as its own solve would, re first
-    try:
-        v, _, whole = solve_d_min_norm_full(g, tolerance)
-    except NotClosedError:  # then some f_k is open, and the gates below name the first
-        v = None
-    if v is None or whole.residual_norm_sq:
-        for fk, dfk in zip(fs, _real_parts(exterior_d(g))):
-            _require_closed(dfk.norm_sq(), fk.norm_sq(), tolerance, _D_NEED)
-    vs = _real_parts(v)
-    images = _real_parts(exterior_d(v)) if whole.residual_norm_sq else fs
-    reports = [_finish(vk, dvk, fk, fk.norm_sq(), Fraction(1, 4), tolerance)
-               for vk, dvk, fk in zip(vs, images, fs)]
+    # (2) one weighted Poincare solve d v = g, each v_k = Re_k v as f_k's own; bound 1/4
+    vs, _, reports = _solve_d(g, _real_parts, tolerance)
     for name, rep_d in zip(("re", "im"), reports):
         _check_stage_bound(rep_d, f"d_solve_{name}")
 
-    us = []
-    conj_ratios = {}
+    us, conj_ratios = [], {}
     for name, vk, rep_d in zip(("re", "im"), vs, reports[:2]):
         # (3) the (1,0) and (0,1) parts of v_k; the (2,0) piece of d v_k must
         #     vanish (the dbar solve checks the (0,2) piece)

@@ -24,12 +24,12 @@ import argparse
 import csv
 import decimal
 import functools
+import io
 import json
 import math
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import __version__
 from .bridge import (decompose_11, recompose_11, solve_poincare_lelong_full,
@@ -247,13 +247,14 @@ def cmd_report(input_path: str, output: str | None) -> int:
               f"mode={s.get('mode')} seed={s.get('seed')}")
 
     if output:
-        fieldnames = sorted({key for r in rows for key in r})
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            for r in rows:
-                writer.writerow({k: json.dumps(v) if isinstance(v, (dict, list)) else v
-                                 for k, v in r.items()})
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=sorted({key for r in rows for key in r}),
+                                restval="")
+        writer.writeheader()
+        for r in rows:
+            writer.writerow({k: json.dumps(v) if isinstance(v, (dict, list)) else v
+                             for k, v in r.items()})
+        _write(text.getvalue(), output, newline="")
         print(f"report: wrote CSV to {output}")
     return EXIT_OK
 
@@ -264,10 +265,15 @@ def cmd_report(input_path: str, output: str | None) -> int:
 
 
 def _read_input(path: str, decode):
-    """decode(text) of an --input file.  Malformed content, including a
-    coefficient degree above its field's own capacity, is a usage error
-    (ValueError)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """decode(text) of an --input file.  A file that cannot be read and
+    malformed content, including a coefficient degree above its field's own
+    capacity, are usage errors (ValueError) naming the path."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"bad input: {type(exc).__name__}: cannot read {path}: "
+                         f"{exc.strerror}") from None
+    with fh:
         try:
             return decode(fh.read())
         except (AttributeError, DegreeOverflowError, IndexError, KeyError, RecursionError,
@@ -312,11 +318,16 @@ def _solve(solve, form, gate: float):
         raise NotClosedError(f"{exc} (residual_sq={shown})", r) from None
 
 
-def _write(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+def _write(text: str, output: str | None, newline: str | None = None):
+    """Write text to --output, else stdout; a failed write names the file (ValueError)."""
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        with open(output, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _write_solution(output: str | None, mode: str, equation: str, u, report,
@@ -489,8 +500,8 @@ def main(argv=None) -> int:
         code, message = EXIT_FAIL, f"{exc} (required capacity {exc.required_capacity})"
     except ValueError as exc:  # bad input or configuration, DomainError included
         code, message = EXIT_USAGE, str(exc)
-    except OSError as exc:
-        code, message = EXIT_USAGE, f"bad input: {exc!r}"
+    except OSError as exc:  # one that no file path names, such as writing stdout
+        code, message = EXIT_USAGE, f"I/O error: {exc.strerror or exc}"
     except GaussHodgeError as exc:
         code, message = EXIT_FAIL, str(exc)
     finally:

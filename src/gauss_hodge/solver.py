@@ -18,13 +18,13 @@ dbar-closed (0,1)-forms dbar dbar* is L + 1 on each component, where
 L = -sum_j delta^z_j d/dzbar_j multiplies Ito's H_{p,q} by |q|; a g over He
 is converted to H_{p,q} once on the way in, and u and beta once on the way out.
 
-No polynomial form is harmonic, so every closed input solves.  Closedness is
-gated before the division and the residual op(u) - f after it (_finish), both
-through ``negligible``: zero at tolerance 0, else at most tolerance^2 ||f||^2,
-which lets an input closed only up to the rounding of its doubles through.
-op(u) - f is built only if op(u) != f.  The Poincare-Lelong pipeline (bridge)
-gates its capacity, the parts of its one d solve and its final residual with
-the same _check_capacity, _require_closed and _finish.
+No polynomial form is harmonic, so every closed input solves.  A solve splits
+f by ``parts``, linear and commuting with the operators: (f,), or the real
+parts of the Poincare-Lelong pipeline (bridge).  Each part's closedness is
+gated before the division and its residual op(u) - f after it (_finish, built
+only if op(u) != f), through ``negligible``: zero at tolerance 0, else at most
+tolerance^2 ||f_k||^2, which lets rounded doubles through.  The pipeline gates
+its capacity and final residual with the same _check_capacity and _finish.
 """
 
 from __future__ import annotations
@@ -105,46 +105,48 @@ def _finish(u, image, f, f_sq, bound, tolerance, blocks=None) -> SolveReport:
     return _make_report(res_sq, f_sq, u.norm_sq(), bound, blocks)
 
 
-def _require_closed(closure_sq, f_sq, tolerance, need: str):
-    """The closedness gate: a NotClosedError whose message starts with ``need``."""
-    if not negligible(closure_sq, f_sq, tolerance):
-        raise NotClosedError(need if not tolerance else
-                             f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
-                             f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
-
-
-def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need: str):
-    """Solve op(u) = f for closed f: gate ||closure(f)||^2, divide each
-    coefficient by eigenvalue(key), the Laplacian's eigenvalue on its basis
-    term, and return (u, beta, report) with u = adjoint(beta), the residual
-    op(u) - f gated by _finish.  A NotClosedError's message starts with
-    ``need``."""
-    f_sq = f.norm_sq()
-    _require_closed(closure(f).norm_sq(), f_sq, tolerance, need)
+def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need: str, parts):
+    """Solve op(u) = f for closed f, part by part: gate each part of closure(f)
+    on its own ||f_k||^2, first part first (a NotClosedError's message starts
+    with ``need``), divide each coefficient by eigenvalue(key), the Laplacian's
+    eigenvalue on its basis term, and return (parts(u), beta, reports)."""
+    fs = parts(f)
+    fs_sq = [fk.norm_sq() for fk in fs]
+    for fk_sq, ck in zip(fs_sq, parts(closure(f))):
+        closure_sq = ck.norm_sq()
+        if not negligible(closure_sq, fk_sq, tolerance):
+            raise NotClosedError(need if not tolerance else
+                                 f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
+                                 f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
     _check_capacity(f.degree, f.max_total_degree)
     beta = f._like({idx: field.replace({key: val / eigenvalue(key)
                                         for key, val in field.coeffs.items()})
                     for idx, field in f.components.items()})
     u = adjoint(beta)
-    return u, beta, _finish(u, op(u), f, f_sq, bound, tolerance)
+    us, image = parts(u), op(u)
+    images = fs if image == f else parts(image)
+    return us, beta, [_finish(*part, bound, tolerance) for part in zip(us, images, fs, fs_sq)]
 
 
 # ---------------------------------------------------------------------------
 # du = f
 # ---------------------------------------------------------------------------
 
-_D_NEED = "du = f needs df = 0"
 
-
-def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
-    """Solve du = f with the weighted Poincare bound; returns (u, beta, report).
-
-    beta = Delta^{-1} f for the Hodge Laplacian Delta = dT* + T*d under e^{-|x|^2}.
-    """
+def _solve_d(f: PForm, parts, tolerance: float):
+    """du = f split by ``parts``: (parts(u), beta, reports), see _spectral_solve."""
     if f.p < 1:
         raise DomainError("du = f needs f of degree >= 1")
     return _spectral_solve(f, exterior_d, lambda key: 2 * (sum(key) + f.p), codifferential,
-                           exterior_d, Fraction(1, 2 * f.p), tolerance, _D_NEED)
+                           exterior_d, Fraction(1, 2 * f.p), tolerance, "du = f needs df = 0",
+                           parts)
+
+
+def solve_d_min_norm_full(f: PForm, tolerance: float = 0):
+    """Solve du = f with the weighted Poincare bound; returns (u, beta, report),
+    beta = Delta^{-1} f for the Hodge Laplacian Delta = dT* + T*d under e^{-|x|^2}."""
+    (u,), beta, (report,) = _solve_d(f, lambda x: (x,), tolerance)
+    return u, beta, report
 
 
 def solve_d_min_norm(f: PForm, tolerance: float = 0):
@@ -158,23 +160,23 @@ def solve_d_min_norm(f: PForm, tolerance: float = 0):
 
 
 def _solve_dbar(g: ComplexForm, tolerance: float):
-    """The dbar solve over H_{p,q}, for g over either basis: (u, beta, report)
-    with u and beta over H_{p,q}.  A g over He is converted once."""
+    """The dbar solve over H_{p,q}, for g over either basis: ((u,), beta,
+    (report,)) with u and beta over H_{p,q}.  A g over He is converted once."""
     require_bidegree(g, (0, 1), "dbar u = g")
     return _spectral_solve(ItoForm.of(g), dbar_of_01, lambda key: sum(key[1::2]) + 1,
                            dbar_adjoint, dbar_function, Fraction(2), tolerance,
-                           "dbar u = g needs dbar g = 0")
+                           "dbar u = g needs dbar g = 0", lambda x: (x,))
 
 
 def solve_dbar_min_norm_full(g: ComplexForm, tolerance: float = 0):
     """Solve dbar u = g with the Hormander-type bound 2 under e^{-|z|^2};
     returns (u, beta, report) with u and beta over the basis of g."""
-    u, beta, report = _solve_dbar(g, tolerance)
+    (u,), beta, (report,) = _solve_dbar(g, tolerance)
     if not isinstance(g, ItoForm):
         u, beta = u.to_he(), beta.to_he()
     return u, beta, report
 
 
 def solve_dbar_min_norm(g: ComplexForm, tolerance: float = 0):
-    u, _, report = _solve_dbar(g, tolerance)
+    (u,), _, (report,) = _solve_dbar(g, tolerance)
     return (u if isinstance(g, ItoForm) else u.to_he()), report

@@ -9,7 +9,7 @@ from pathlib import Path
 import gauss_hodge.cli  # noqa: F401  imports every module the tracer patches
 from gauss_hodge import bridge
 from gauss_hodge.fields import ScalarField
-from gauss_hodge.solver import solve_d_min_norm_full
+from gauss_hodge.solver import solve_dbar_min_norm_full
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -25,10 +25,10 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     tracer.install()
     try:
         assert ScalarField.__dict__["norm_sq"] is not norm_sq
-        assert bridge.solve_d_min_norm_full is not solve_d_min_norm_full
+        assert bridge.solve_dbar_min_norm_full is not solve_dbar_min_norm_full
         ScalarField.constant(1, 1, 2).norm_sq()
         assert tracer.take_totals()["calls"]["fields.norm_sq"] == 1
     finally:
         tracer.uninstall()
     assert ScalarField.__dict__["norm_sq"] is norm_sq
-    assert bridge.solve_d_min_norm_full is solve_d_min_norm_full
+    assert bridge.solve_dbar_min_norm_full is solve_dbar_min_norm_full

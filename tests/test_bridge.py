@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -462,3 +463,39 @@ def test_a_small_open_part_is_refused_although_f_passes_whole():
         solve_poincare_lelong_full(f, 1e-10)
     assert (str(err.value), err.value.residual_norm_sq) == (str(oracle),
                                                             oracle.residual_norm_sq)
+
+
+def _exterior_d_calls(monkeypatch) -> list:
+    """The forms that every exterior_d call in the package is made on."""
+    seen, honest = [], exterior_d
+
+    def spy(u):
+        seen.append(u)
+        return honest(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gauss_hodge") and getattr(module, "exterior_d", None) is honest:
+            monkeypatch.setattr(module, "exterior_d", spy)
+    return seen
+
+
+@pytest.mark.parametrize("source", ["doubles", "potential"])
+def test_d_stage_computes_dg_and_dv_once(monkeypatch, source):
+    """The pipeline applies d once to g, the closure gate of every part, and
+    once to v, the residual of every part: also when the stage residuals are
+    not zero, where d g and d v were once computed a second time."""
+    if source == "doubles":
+        rng = random.Random(26)  # the eighth form of test_d_stage_is_the_per_part_solves
+        forms = [random_closed_complexform11(rng, n, 7, 5)[1] for n in (1,) * 4 + (2,) * 4]
+        f, tolerance = doubles(forms[-1], QC(Fraction(1, 3), Fraction(1, 5))), 1e-10
+    else:
+        f = ddbar(parse_potential("z1**2*conj(z1)*conj(z2) + 3*z2*conj(z2)**2", 2, 6))
+        tolerance = 0
+    seen = _exterior_d_calls(monkeypatch)
+    _, report = solve_poincare_lelong_full(f, tolerance)
+    h = ItoForm.of(f)
+    assert len(seen) == 2
+    assert seen[0] == ComplexFrameForm(h.n, 2, h.max_total_degree, "complex", h.components)
+    assert seen[1].p == 1
+    residuals = (report.d_solve_re.residual_norm_sq, report.d_solve_im.residual_norm_sq)
+    assert all(residuals) if source == "doubles" else not any(residuals)

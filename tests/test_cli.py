@@ -630,6 +630,32 @@ def test_report_missing_file(capsys):
     assert capsys.readouterr().err.startswith("report: bad input: FileNotFoundError")
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "lelong", "report"])
+def test_file_errors_name_their_path(tmp_path, capsys, dx1dx2_file, command):
+    """An --output that cannot be written was once reported as bad input, and
+    neither it nor a missing --input was named: each now exits 2 with one
+    line naming its path (verify reads no file)."""
+    records = tmp_path / "r.jsonl"
+    assert main(["verify", "--n", "1", "--degree", "2", "--trials", "1",
+                 "--output", str(records)]) == 0
+    argv = {"verify": ["verify", "--n", "1", "--degree", "2", "--trials", "1"],
+            "solve": SOLVE_D + [str(dx1dx2_file)],
+            "lelong": ["lelong", "--from-potential", "z*conj(z)", "--n", "1", "--degree", "4"],
+            "report": ["report", "--input", str(records)]}[command]
+    out = tmp_path / "no-such-dir" / "out"
+    capsys.readouterr()
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == (f"{command}: cannot write {out}: "
+                                       "No such file or directory\n")
+    if command != "verify":
+        missing = tmp_path / "missing.json"
+        reads = {"solve": SOLVE_D, "lelong": ["lelong", "--input"],
+                 "report": ["report", "--input"]}[command]
+        assert main(reads + [str(missing)]) == 2
+        assert capsys.readouterr().err == (f"{command}: bad input: FileNotFoundError: "
+                                           f"cannot read {missing}: No such file or directory\n")
+
+
 def test_version_flag():
     assert main(["--version"]) == 0
 

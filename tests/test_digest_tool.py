@@ -28,11 +28,12 @@ def test_input_files_are_named_by_role(workdir):
 def test_file_commands_exit_as_their_role_says(workdir):
     """Every command after the workload pools: the closed files, the zero
     potential and the zero files solve, the open forms exit 1 and the file
-    that is not JSON 2."""
-    argvs = digest.commands()[-14:]
+    that is not JSON 2; report summarises a verify file, exits 1 on an empty
+    file and 2 on a record with no check."""
+    argvs = digest.commands()[-17:]
     assert argvs[0][:3] == ["verify", "--mode", "float"]
     result = digest.run(SRC, argvs, workdir)
-    assert result["codes"] == [0] * 10 + [1, 1, 1, 2]
+    assert result["codes"] == [0] * 10 + [1, 1, 1, 2] + [0, 1, 2]
     assert not (workdir / digest.OUTPUT).exists()
 
 

@@ -11,9 +11,11 @@ in SEEDS, ``verify --mode float``, ``solve --equation d``, ``solve
 ``lelong`` on a potential whose ddbar is zero, ``lelong --input`` on a zero
 (1,1)-form in an exact file and in a float file of explicit zero entries, a
 solve of a form that is not closed and ``lelong --input`` on an exact and a
-float (1,1)-form that are not closed (exit 1), and a solve of a file that is
-not JSON (exit 2).  The input files are written once, from a fixed seed, by
-this checkout's package, into a temporary directory that is every command's
+float (1,1)-form that are not closed (exit 1), a solve of a file that is not
+JSON (exit 2), and ``report --input`` on a verify JSON-lines file (exit 0,
+writing its CSV), on an empty file (exit 1) and on a line that is not a check
+(exit 2).  The input files are written once, from a fixed seed, by this
+checkout's package, into a temporary directory that is every command's
 working directory; each is named by its role, and every command writes its
 ``--output`` to OUTPUT there, so no temporary path reaches the digest.  For
 each command in order, its argv, its exit code, its stdout and stderr and its
@@ -43,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 11)
 INPUT_SEED = 20240817
 OUTPUT = "output"
+REPORT_INPUTS = ("verify.jsonl", "empty.jsonl", "not-a-check.jsonl")
 
 
 def _load(name: str, path: Path):
@@ -73,6 +76,7 @@ def commands() -> list[list[str]]:
             ["lelong", "--input", "ddbar-open-exact.json"],
             ["lelong", "--input", "ddbar-open-float.json"],
             ["solve", "--equation", "d", "--input", "not-json.json"]]
+    out += [["report", "--input", name] for name in REPORT_INPUTS]
     return out
 
 
@@ -82,8 +86,10 @@ def _write_inputs():
     doubles, a zero (1,1)-form, exact and as doubles that write each entry's
     zero, a 2-form that is not closed, a (1,1)-form that is not closed, the
     doubles of its real part times 2^-40 plus i/3 times a closed real
-    (1,1)-form, open only in its small real part, and a file that is not JSON."""
+    (1,1)-form, open only in its small real part, a file that is not JSON, and
+    REPORT_INPUTS: a verify report, an empty file and a record with no check."""
     from gauss_hodge.calculus import ComplexForm
+    from gauss_hodge.cli import main
     from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
                                          random_complexform11, random_dbar_closed_form01,
                                          random_pform)
@@ -111,6 +117,11 @@ def _write_inputs():
         (opened, Fraction(1, 2 ** 41)), (closed, QC(0, Fraction(1, 6)))))
     Path("ddbar-open-float.json").write_text(json.dumps((small + large).to_json(to_double)))
     Path("not-json.json").write_text("{")
+    with redirect_stdout(io.StringIO()):  # stdout carries the child's result
+        main(["verify", "--n", "2", "--degree", "4", "--trials", "2", "--seed", "3",
+              "--output", REPORT_INPUTS[0]])
+    Path(REPORT_INPUTS[1]).write_text("")
+    Path(REPORT_INPUTS[2]).write_text('{"trial": 0, "pass": true}\n')
 
 
 def _run_commands(argvs: list) -> dict:
