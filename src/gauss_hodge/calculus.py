@@ -125,7 +125,8 @@ class PForm:
         return self.field_type.zero(self.n, self.max_total_degree, self.kind)
 
     def component(self, idx) -> ScalarField:
-        return self.components.get(check_index(idx, self.n, self.p), self._zero_field())
+        field = self.components.get(check_index(idx, self.n, self.p))
+        return self._zero_field() if field is None else field
 
     def signed_component(self, j: int, idx: tuple) -> ScalarField:
         """The coefficient a_{jI}: zero when j is in I, else the sign-adjusted
@@ -186,10 +187,12 @@ class PForm:
         return max((f.degree for f in self.components.values()), default=None)
 
     def promote_complex(self) -> "PForm":
+        """The same components as a complex form: each field relabelled."""
         if self.kind == COMPLEX:
             return self
-        return PForm(self.n, self.p, self.max_total_degree, COMPLEX,
-                     {i: f.promote_complex() for i, f in self.components.items()})
+        form = self._like({i: f.promote_complex() for i, f in self.components.items()})
+        form.kind = COMPLEX
+        return form
 
     def weighted_inner(self, other: "PForm"):
         """sum' <f_I, g_I>; conjugates the second argument for complex kinds."""

@@ -7,14 +7,18 @@ stated for compactly supported smooth forms.  See the README notes for the
 implementer-verified argument.
 
 Each sum of norms is one fields._norm_sq call and each sum of real inner
-products one fields._inner call, and numbers, fields and forms are compared
-with ==: every value is exact, also on data read from doubles, so an identity
-holds with zero discrepancy or fails.  Each check reads its basis, He_d or H_{p,q}, from its input's type,
-so it gives one result on a form and on its image in the other basis.
+products one fields._inner call; the dual-basis oracle sums each pairing the
+same way, as integer numerators over a running denominator, reduced once per
+basis element.  Numbers, fields and forms are compared with ==: every value
+is exact, also on data read from doubles, so an identity holds with zero
+discrepancy or fails.  Each check reads its basis, He_d or H_{p,q}, from its
+input's type, so it gives one result on a form and on its image in the other
+basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +29,7 @@ from .calculus import (DELTA_Z, DELTA_ZBAR, DZ, DZBAR, ComplexForm, PForm, _cont
 from .errors import DomainError
 from .fields import COMPLEX, ItoField, ScalarField, _inner, _norm_sq
 from .multiindex import enumerate_indices, insert_axis
-from .scalars import IMAG_UNIT, QC, render_value
+from .scalars import IMAG_UNIT, _make, render_value
 
 # phi(x) = |x|^2 has Hessian CONVEXITY * Id, so its convexity constant is
 # attained: the Bochner Hessian term CONVEXITY * sum'_I sum_j ||a_{jI}||^2 is
@@ -134,7 +138,9 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
         <ddbar e_d, a> = sum_{ij} sum_{(s, w1) in DZBAR_j(d)} sum_{(t, w2) in DZ_i(s)}
                          w1 w2 conj(a_{ij}[t]) ||e_t||^2,
 
-    so no field is built per e_d.  Entry (i, j) of ddbar e_d lowers d by DZBAR_j
+    so no field is built per e_d: its conjugate sums conj(w1 w2) a_{ij}[t]
+    ||e_t||^2 as integer numerators over a running denominator, and the
+    coefficient is reduced once.  Entry (i, j) of ddbar e_d lowers d by DZBAR_j
     and DZ_i, so only targets of DELTA_Z_j then DELTA_ZBAR_i from the support
     of a_{ij} can pair nonzero: four per term over He_d, one over H_{p,q}.
     """
@@ -156,15 +162,30 @@ def ddbar_adjoint_dual_basis(alpha: ComplexForm) -> ScalarField:
                 candidates.update(d for d, _ in raise_zbar[i - 1](s))
     out: dict = {}
     for deg in sorted(candidates, key=lambda d: (sum(d), d)):
-        pairing = QC(0)
+        # (re + im i)/den = conj(<ddbar e_d, a>); conj(w1) = (c + e i)/f,
+        # conj(w2) = (g + h i)/k, their product (x + y i)/fk, a_ij[t] = (a + b i)/d
+        re = im = 0
+        den = 1
         for dz_i, dzbar_j, coeffs in entries:
             for s, w1 in dzbar_j(deg):
+                c, e, f = (w1, 0, 1) if type(w1) is int else (w1._a, -w1._b, w1._d)
                 for t, w2 in dz_i(s):
-                    if t in coeffs:
-                        pairing += w1 * w2 * coeffs[t].conjugate() * sq_norm(t)
-        if pairing:
-            out[deg] = pairing.conjugate() / sq_norm(deg)
-    return basis(alpha.n, cap, COMPLEX, out)
+                    v = coeffs.get(t)
+                    if v is None:
+                        continue
+                    g, h, k = (w2, 0, 1) if type(w2) is int else (w2._a, -w2._b, w2._d)
+                    x, y = c * g - e * h, c * h + e * g
+                    a, b, q = v._a, v._b, f * k * v._d
+                    w = sq_norm(t)
+                    if q != den:
+                        m = q // math.gcd(den, q)
+                        re, im, den = re * m, im * m, den * m
+                        w *= den // q
+                    re += (x * a - y * b) * w
+                    im += (x * b + y * a) * w
+        if re or im:
+            out[deg] = _make(re, im, den * sq_norm(deg))
+    return basis._trusted(alpha.n, cap, COMPLEX, out)
 
 
 @dataclass
@@ -207,12 +228,11 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     t_partial = partial(alpha).norm_sq()
     t_dbar = dbar_alpha.norm_sq()
 
-    def a(i, j):
-        return alpha.coefficient((i,), (j,))
-
-    # first[i, j, l] = d a_ij / dzbar_l and second[i, j, k, l] = d first[i, j, l] / dz_k
+    # a[i, j] = a_ij, first[i, j, l] = d a_ij / dzbar_l and
+    # second[i, j, k, l] = d first[i, j, l] / dz_k
     axes = range(1, n + 1)
-    first = {(i, j, l): wirtinger_dzbar(a(i, j), l) for i in axes for j in axes for l in axes}
+    a = {(i, j): alpha.coefficient((i,), (j,)) for i in axes for j in axes}
+    first = {(i, j, l): wirtinger_dzbar(a[i, j], l) for i in axes for j in axes for l in axes}
     second = {(i, j, k, l): wirtinger_dz(first[i, j, l], k)
               for i in axes for j in axes for k in axes for l in axes}
     seconds = []
@@ -225,7 +245,7 @@ def ddbar_adjoint_identity_report(alpha: ComplexForm) -> DdbarAdjointReport:
     t_mixed_sq = _real_sum(seconds)
     # the full ijkl sum is conjugate-symmetric, so it is real
     t_cross = _real_sum(pairs=crosses)
-    t_grad_z = _real_sum([wirtinger_dz(a(i, l), k) for i in axes for l in axes for k in axes])
+    t_grad_z = _real_sum([wirtinger_dz(a[i, l], k) for i in axes for l in axes for k in axes])
     t_grad_zbar = _real_sum(first.values())
 
     terms = {"norm_sq": t_norm, "ddbar_sq": t_ddbar, "partial_sq": t_partial,

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 from .calculus import ComplexForm, PForm, dbar_function, ddbar, exterior_d
+from .errors import DegreeOverflowError
 from .fields import COMPLEX, REAL, ScalarField
 from .multiindex import enumerate_indices
-from .scalars import QC
+from .scalars import QC, _raw
 
 
 def random_degree_vector(rng: random.Random, m: int, max_degree: int) -> tuple[int, ...]:
@@ -30,19 +31,27 @@ def _random_coefficient(rng: random.Random, kind: str):
         im = rng.randint(-9, 9)
         if re == 0 and im == 0:
             re = 1
+        # the constructor, not _raw: bench/test_bench.py counts QC constructions
         return QC(re, im)
     if re == 0:
         re = 1
-    return re
+    return _raw(re, 0, 1)
 
 
 def random_scalar_field(rng: random.Random, m: int, capacity: int, max_degree: int,
                         kind: str = REAL, terms: int = 3) -> ScalarField:
+    """A field of ``terms`` draws, each a degree vector of total degree at
+    most ``max_degree`` and a nonzero coefficient.  The shape is checked once,
+    before any draw: every draw then fits it, so the field is built trusted."""
+    zero = ScalarField.zero(m, capacity, kind)  # refuses a bad m, capacity or kind
+    if max_degree > capacity:
+        raise DegreeOverflowError(f"degree {max_degree} exceeds capacity {capacity}",
+                                  required_capacity=max_degree)
     coeffs: dict = {}
     for _ in range(terms):
         deg = random_degree_vector(rng, m, max_degree)
         coeffs[deg] = _random_coefficient(rng, kind)
-    return ScalarField(m, capacity, kind, coeffs)
+    return zero.replace(coeffs)
 
 
 def random_pform(rng: random.Random, n: int, p: int, capacity: int, max_degree: int,

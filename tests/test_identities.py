@@ -225,6 +225,32 @@ def test_ddbar_adjoint_dual_basis_float_matches_exact(rng):
             assert ddbar_adjoint_identity_report(a).duality_exact
 
 
+def test_ddbar_adjoint_dual_basis_sums_mixed_denominators(rng):
+    """Coefficients over 3, 7 and 5 make the pairing's running denominator
+    rescale within one pairing; the oracle still equals the ladder adjoint,
+    over He (and the full enumeration there) and over H_{p,q}."""
+    scales = itertools.cycle((QC(Fraction(1, 3)), QC(Fraction(2, 7)),
+                              QC(Fraction(1, 5), Fraction(1, 5))))
+
+    def mixed(field):
+        return ScalarField(field.m, field.max_total_degree, "complex",
+                           {d: v * next(scales) for d, v in field.coeffs.items()})
+
+    for n in (1, 2, 3):
+        for _ in range(3):
+            a = ComplexForm.from_layout((1, 1), [[mixed(random_scalar_field(rng, 2 * n, 8, 3,
+                                                                            "complex", 3))
+                                                  for _ in range(n)] for _ in range(n)])
+            dens = {v._d for f in a.components.values() for v in f.coeffs.values()}
+            assert n == 1 or dens >= {3, 7, 5}
+            adjoint = ddbar_formal_adjoint(a)
+            assert ddbar_adjoint_dual_basis(a) == adjoint
+            if n < 3:
+                assert adjoint == _dual_basis_full(a)
+            ito = ItoForm.from_he(a)
+            assert ddbar_adjoint_dual_basis(ito) == ddbar_formal_adjoint(ito)
+
+
 def _adjoint_report_reference(alpha):
     """The eight terms, lhs and rhs of the adjoint-norm display, each mixed
     second derivative taken by its own pair of ladders wherever it appears."""

@@ -1,15 +1,20 @@
 """The closed-form generators make the same draws as the loop they replaced:
 up to 64 draws until the image is not zero, then one more whatever it is.
-The tool's input files and every seeded test depend on those draws."""
+The tool's input files and every seeded test depend on those draws.  The
+fields they draw are built trusted, and equal the checked construction."""
 
 import random
 
 import pytest
 
 from gauss_hodge.calculus import dbar_function, ddbar, exterior_d
+from gauss_hodge.errors import DegreeOverflowError, DomainError
+from gauss_hodge.fields import ScalarField
 from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
-                                     random_complex_function, random_dbar_closed_form01,
-                                     random_pform)
+                                     random_complex_function, random_complexform11,
+                                     random_dbar_closed_form01, random_pform,
+                                     random_scalar_field)
+from gauss_hodge.scalars import QC
 
 
 def _loop_closed_pform(rng, n, p_plus_1, capacity, max_degree):
@@ -65,3 +70,30 @@ def test_generators_make_the_draws_of_the_loop(case):
         # a zero result is the 65th draw: each of the 64 before it was zero too
         form = out[1] if isinstance(out, tuple) else out
         assert form.is_zero() == (case % 2 == 1)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_generated_fields_are_the_checked_construction(kind):
+    for seed in range(8):
+        rng = random.Random(seed)
+        fields = [random_scalar_field(rng, 4, 8, 5, kind, terms=6)]
+        fields += random_pform(rng, 3, 2, 8, 4, kind).components.values()
+        fields += random_complexform11(rng, 2, 8, 3).components.values()
+        for field in fields:
+            assert field.max_total_degree == 8
+            assert all(type(v) is QC for v in field.coeffs.values())
+            assert field == ScalarField(field.m, 8, field.kind, field.coeffs)
+        assert fields[0].kind == kind
+
+
+@pytest.mark.parametrize("args, error", [((0, 8, 3, "real"), DomainError),
+                                         ((4, -1, 0, "real"), DomainError),
+                                         ((4, 8, 3, "bogus"), DomainError),
+                                         ((4, 3, 4, "real"), DegreeOverflowError),
+                                         ((4, 3, 4, "complex"), DegreeOverflowError)])
+def test_generated_fields_refuse_a_bad_shape(args, error):
+    """A bad dimension, capacity or kind, and a degree above the capacity,
+    are refused for every seed, whatever the draws would have been."""
+    for seed in range(8):
+        with pytest.raises(error):
+            random_scalar_field(random.Random(seed), *args)
