@@ -55,6 +55,12 @@ d_solve_k gate and report is that of f_k's own solve, re first.  Past the d
 solves every gate holds for closed input by construction, so a failure there,
 a NotClosedError included, raises InvariantViolationError naming its stage.
 A zero input runs this same path; it records no conjugation ratios.
+
+Public constructors check their input; an operator's output is built
+trusted.  So each (p, q) part that _type_parts reads off an operator's form,
+grouped by its own bidegree, is built by ComplexForm._typed, g relabels the
+components of h, and the pipeline's only checked constructions are those of
+ComplexForm.function, through which dbar_function and ddbar take a function.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from functools import lru_cache
 
 from .calculus import (ComplexForm, ComplexFrameForm, ItoForm, PForm, _components, _real_parts,
                        ddbar, partial_of_10, require_bidegree)
-from .errors import DomainError, InvariantViolationError, NotClosedError
+from .errors import DimensionMismatchError, DomainError, InvariantViolationError, NotClosedError
 from .fields import COMPLEX, REAL, _accumulate, _identity_rule
 from .multiindex import insert_axis
 from .scalars import HALF, IMAG_UNIT, fraction_str, render_value
@@ -124,24 +130,30 @@ def _frame_change(form: PForm, to_complex: bool) -> dict:
 def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
     """Split a (1,1)-form into real 2-forms with f = f1 + i f2."""
     g = _frame_change(f, to_complex=False)
-    f1 = PForm(f.n, f.p, f.max_total_degree, REAL, {idx: c.real_part() for idx, c in g.items()})
-    f2 = PForm(f.n, f.p, f.max_total_degree, REAL, {idx: c.imag_part() for idx, c in g.items()})
+    f1 = PForm._trusted(f.n, f.p, f.max_total_degree, REAL,
+                        {idx: c.real_part() for idx, c in g.items()})
+    f2 = PForm._trusted(f.n, f.p, f.max_total_degree, REAL,
+                        {idx: c.imag_part() for idx, c in g.items()})
     return f1, f2
 
 
 def _type_parts(v: PForm, comps: dict, form_type) -> tuple[ComplexForm, ...]:
     """The (p, 0), (p-1, 1), ..., (0, p) parts of a p-form on R^{2n} from its
-    complex-frame components, as forms of ``form_type``."""
+    complex-frame components, as forms of ``form_type``: grouped by their own
+    bidegree, they are built trusted."""
     n = v.n // 2
     parts: dict = {}
     for idx, field in comps.items():
         parts.setdefault(sum(a <= n for a in idx), {})[idx] = field
-    return tuple(form_type(n, (p, v.p - p), v.max_total_degree, parts.get(p))
+    return tuple(form_type._typed(n, (p, v.p - p), v.max_total_degree, parts.get(p, {}))
                  for p in range(v.p, -1, -1))
 
 
 def _complex_parts(v: PForm) -> tuple[ComplexForm, ...]:
-    """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}."""
+    """The (p, 0), (p-1, 1), ..., (0, p) parts of a real-frame p-form on R^{2n}
+    over He; a form in the complex frame or over H_{p,q} is refused."""
+    if type(v) is not PForm:
+        raise DimensionMismatchError(f"expected a real-frame PForm, got {type(v).__name__}")
     return _type_parts(v, _frame_change(v.promote_complex(), to_complex=True), ComplexForm)
 
 
@@ -226,7 +238,7 @@ def solve_poincare_lelong_full(f: ComplexForm, tolerance: float = 0):
 
     # (1) f as a 2-form g = f1 + i f2 on R^{2n}, written in the complex frame
     h = ItoForm.of(f)
-    g = ComplexFrameForm(h.n, 2, h.max_total_degree, COMPLEX, h.components)
+    g = ComplexFrameForm._trusted(h.n, 2, h.max_total_degree, COMPLEX, h.components)
 
     # (2) one weighted Poincare solve d v = g, each v_k = Re_k v as f_k's own; bound 1/4
     vs, _, reports = _solve_d(g, _real_parts, tolerance)

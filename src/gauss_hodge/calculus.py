@@ -111,15 +111,20 @@ class PForm:
         """A form of this shape and capacity with other components, checked."""
         return type(self)(self.n, self.p, self.max_total_degree, self.kind, components)
 
-    def _like(self, components: dict, p: Optional[int] = None) -> "PForm":
-        """A form of this type, dimension, kind and capacity, of degree p
-        (default its own), over fields that an operator built: they already
-        fit that shape, so only the zero ones are dropped."""
-        form = object.__new__(type(self))
-        form.n, form.max_total_degree, form.kind = self.n, self.max_total_degree, self.kind
-        form.p = self.p if p is None else p
+    @classmethod
+    def _trusted(cls, n: int, p: int, max_total_degree: int, kind: str,
+                 components: dict) -> "PForm":
+        """A form of this type over fields that an operator built: they already
+        fit its shape, so only the zero ones are dropped and nothing is checked."""
+        form = object.__new__(cls)
+        form.n, form.p, form.max_total_degree, form.kind = n, p, max_total_degree, kind
         form.components = {idx: f for idx, f in components.items() if f.coeffs}
         return form
+
+    def _like(self, components: dict, p: Optional[int] = None) -> "PForm":
+        """_trusted of this form's shape, of degree p (default its own)."""
+        return self._trusted(self.n, self.p if p is None else p, self.max_total_degree,
+                             self.kind, components)
 
     def _zero_field(self) -> ScalarField:
         return self.field_type.zero(self.n, self.max_total_degree, self.kind)
@@ -450,12 +455,18 @@ class ComplexForm(PForm):
     def replace(self, components) -> "ComplexForm":
         return type(self)(self.n // 2, self.bidegree, self.max_total_degree, components)
 
-    def _like(self, components: dict, bidegree: Optional[tuple] = None) -> "ComplexForm":
-        """PForm._like, of bidegree ``bidegree`` (default its own)."""
-        bidegree = self.bidegree if bidegree is None else bidegree
-        form = super()._like(components, sum(bidegree))
+    @classmethod
+    def _typed(cls, n: int, bidegree: tuple, max_total_degree: int,
+               components: dict) -> "ComplexForm":
+        """PForm._trusted for a form on C^n over components of bidegree ``bidegree``."""
+        form = cls._trusted(2 * n, sum(bidegree), max_total_degree, COMPLEX, components)
         form.bidegree = bidegree
         return form
+
+    def _like(self, components: dict, bidegree: Optional[tuple] = None) -> "ComplexForm":
+        """_typed of this form's shape, of bidegree ``bidegree`` (default its own)."""
+        return self._typed(self.n // 2, self.bidegree if bidegree is None else bidegree,
+                           self.max_total_degree, components)
 
     def _shape(self) -> tuple:
         return super()._shape() + (self.bidegree,)
@@ -581,8 +592,8 @@ class ItoForm(ComplexForm):
     def from_he(cls, form: ComplexForm) -> "ItoForm":
         if type(form) is not ComplexForm:
             raise DomainError(f"expected a ComplexForm over He, got {type(form).__name__}")
-        return cls(form.n // 2, form.bidegree, form.max_total_degree,
-                   {idx: ItoField.from_he(f) for idx, f in form.components.items()})
+        return cls._typed(form.n // 2, form.bidegree, form.max_total_degree,
+                          {idx: ItoField.from_he(f) for idx, f in form.components.items()})
 
     @classmethod
     def of(cls, form: ComplexForm) -> "ItoForm":
@@ -590,8 +601,8 @@ class ItoForm(ComplexForm):
         return form if isinstance(form, ItoForm) else cls.from_he(form)
 
     def to_he(self) -> ComplexForm:
-        return ComplexForm(self.n // 2, self.bidegree, self.max_total_degree,
-                           {idx: f.to_he() for idx, f in self.components.items()})
+        return ComplexForm._typed(self.n // 2, self.bidegree, self.max_total_degree,
+                                  {idx: f.to_he() for idx, f in self.components.items()})
 
 
 class ComplexFrameForm(PForm):

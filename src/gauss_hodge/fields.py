@@ -294,21 +294,27 @@ class ScalarField:
 
     # -- basic algebra ----------------------------------------------------------
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
+    def _combine(self, other: "ScalarField", subtract: bool) -> "ScalarField":
+        """self + other or self - other in one pass, at the larger capacity."""
         self._compatible(other)
         out = dict(self.coeffs)
         for deg, val in other.coeffs.items():
             if deg in out:
-                val = out[deg] + val
+                val = out[deg] - val if subtract else out[deg] + val
                 if not val:
                     del out[deg]
                     continue
+            elif subtract:
+                val = -val
             out[deg] = val
         return self._trusted(self.m, max(self.max_total_degree, other.max_total_degree),
                              self.kind, out)
 
+    def __add__(self, other: "ScalarField") -> "ScalarField":
+        return self._combine(other, False)
+
     def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self + (-other)
+        return self._combine(other, True)
 
     def __neg__(self) -> "ScalarField":
         return self.replace({d: -v for d, v in self.coeffs.items()})

@@ -44,7 +44,9 @@ from .fields import (COMPLEX, ItoField, _accumulate, _convert_pairs, _finish, _i
                      _swap_pairs)
 from .scalars import IMAG_UNIT, QC, coerce_scalar, json_int
 
-_TOKEN = re.compile(r"\s*(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)")
+# re.ASCII: \d is 0-9 only, so a digit of another script cannot tokenize; the
+# skipped whitespace stays Unicode's
+_TOKEN = re.compile(r"(?u:\s*)(\*\*|[()+\-*/^]|conj|i\b|z\d*|\d+)", re.ASCII)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -129,8 +131,12 @@ class _Parser:
         return out
 
     def expr(self) -> dict:
+        """A sum of terms; a lone term is returned as built, already reduced."""
+        first = self.term()
+        if self.peek() not in ("+", "-"):
+            return first
         acc: dict = {}
-        _accumulate(acc, self.term().items(), _identity_rule)
+        _accumulate(acc, first.items(), _identity_rule)
         while self.peek() in ("+", "-"):
             sign = 1 if self.take() == "+" else -1
             _accumulate(acc, self.term().items(), _identity_rule, sign)
@@ -170,15 +176,16 @@ class _Parser:
                 raise DomainError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             k = int(exp_tok)
             self.check_degree((_degree(base) or 0) * k)
-            # by squaring; every square has degree at most that of the result
-            out = self.constant(1)
+            # by squaring from the base itself; every square has degree at most
+            # that of the result
+            out = None
             while k:
                 if k & 1:
-                    out = self.multiply(out, base)
+                    out = base if out is None else self.multiply(out, base)
                 k >>= 1
                 if k:
                     base = self.multiply(base, base)
-            return out
+            return self.constant(1) if out is None else out
         return base
 
     def atom(self) -> dict:

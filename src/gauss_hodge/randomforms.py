@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .calculus import ComplexForm, PForm, dbar_function, ddbar, exterior_d
+from .calculus import ComplexForm, PForm, _layout, dbar_function, ddbar, exterior_d
 from .errors import DegreeOverflowError
 from .fields import COMPLEX, REAL, ScalarField
 from .multiindex import enumerate_indices
@@ -56,10 +56,11 @@ def random_scalar_field(rng: random.Random, m: int, capacity: int, max_degree: i
 
 def random_pform(rng: random.Random, n: int, p: int, capacity: int, max_degree: int,
                  kind: str = REAL, terms: int = 2) -> PForm:
-    comps = {}
-    for idx in enumerate_indices(n, p):
-        comps[idx] = random_scalar_field(rng, n, capacity, max_degree, kind, terms)
-    return PForm(n, p, capacity, kind, comps)
+    """Built trusted, as are the forms of random_form01 and random_complexform11:
+    enumerate_indices checks (n, p), and random_scalar_field each field's shape."""
+    return PForm._trusted(n, p, capacity, kind, {
+        idx: random_scalar_field(rng, n, capacity, max_degree, kind, terms)
+        for idx in enumerate_indices(n, p)})
 
 
 def _nonzero_image(op, draw, *args) -> tuple:
@@ -87,9 +88,9 @@ def random_complex_function(rng: random.Random, n: int, capacity: int, max_degre
 
 def random_form01(rng: random.Random, n: int, capacity: int, max_degree: int,
                   terms: int = 2) -> ComplexForm:
-    return ComplexForm.from_layout((0, 1), [
-        random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, terms)
-        for _ in range(n)])
+    return ComplexForm._typed(n, (0, 1), capacity, {
+        key: random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, terms)
+        for key in _layout(n, (0, 1))})
 
 
 def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
@@ -101,9 +102,9 @@ def random_dbar_closed_form01(rng: random.Random, n: int, capacity: int,
 
 def random_complexform11(rng: random.Random, n: int, capacity: int, max_degree: int,
                          terms: int = 2) -> ComplexForm:
-    return ComplexForm.from_layout((1, 1), [[random_scalar_field(rng, 2 * n, capacity,
-                                                                 max_degree, COMPLEX, terms)
-                                             for _ in range(n)] for _ in range(n)])
+    return ComplexForm._typed(n, (1, 1), capacity, {
+        key: random_scalar_field(rng, 2 * n, capacity, max_degree, COMPLEX, terms)
+        for row in _layout(n, (1, 1)) for key in row})
 
 
 def random_closed_complexform11(rng: random.Random, n: int, capacity: int,

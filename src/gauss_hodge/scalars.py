@@ -192,7 +192,9 @@ def _make(a: int, b: int, d: int) -> QC:
     g = math.gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
-    return _raw(a, b, d)
+    q = _new(QC)
+    q._a, q._b, q._d = a, b, d
+    return q
 
 
 def _divide(x: tuple, y: tuple) -> QC:

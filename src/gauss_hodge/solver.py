@@ -25,6 +25,9 @@ gated before the division and its residual op(u) - f after it (_finish, built
 only if op(u) != f), through ``negligible``: zero at tolerance 0, else at most
 tolerance^2 ||f_k||^2, which lets rounded doubles through.  The pipeline gates
 its capacity and final residual with the same _check_capacity and _finish.
+
+Public constructors check their input; an operator's output is built
+trusted, so beta and u are built over f's own shape and never re-checked.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from .calculus import (ComplexForm, ItoForm, PForm, codifferential, dbar_adjoint,
                        dbar_function, dbar_of_01, exterior_d, require_bidegree)
 from .errors import DegreeOverflowError, DomainError, NotClosedError
-from .scalars import fraction_str, render_value
+from .scalars import _make, fraction_str, render_value
 
 
 @dataclass
@@ -108,8 +111,9 @@ def _finish(u, image, f, f_sq, bound, tolerance, blocks=None) -> SolveReport:
 def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need: str, parts):
     """Solve op(u) = f for closed f, part by part: gate each part of closure(f)
     on its own ||f_k||^2, first part first (a NotClosedError's message starts
-    with ``need``), divide each coefficient by eigenvalue(key), the Laplacian's
-    eigenvalue on its basis term, and return (parts(u), beta, reports)."""
+    with ``need``), divide each coefficient (a + b i)/d by eigenvalue(key), the
+    Laplacian's positive integer eigenvalue on its basis term, as one reduced
+    (a + b i)/(d eigenvalue), and return (parts(u), beta, reports)."""
     fs = parts(f)
     fs_sq = [fk.norm_sq() for fk in fs]
     for fk_sq, ck in zip(fs_sq, parts(closure(f))):
@@ -119,7 +123,7 @@ def _spectral_solve(f, closure, eigenvalue, adjoint, op, bound, tolerance, need:
                                  f"{need}; its squared norm exceeds tolerance^2 ||f||^2 at "
                                  f"tolerance {tolerance:.1e}", residual_norm_sq=closure_sq)
     _check_capacity(f.degree, f.max_total_degree)
-    beta = f._like({idx: field.replace({key: val / eigenvalue(key)
+    beta = f._like({idx: field.replace({key: _make(val._a, val._b, val._d * eigenvalue(key))
                                         for key, val in field.coeffs.items()})
                     for idx, field in f.components.items()})
     u = adjoint(beta)

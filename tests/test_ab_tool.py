@@ -32,3 +32,46 @@ def test_summary_medians_quartiles_and_wins():
 
 def test_quartiles_of_one_value():
     assert ab.quartiles([2.5]) == (2.5, 2.5, 2.5)
+
+
+def _pairs(base, change, name="op_ms_p50"):
+    return [({name: b}, {name: c}) for b, c in zip(base, change)]
+
+
+# median 2.245, quartiles 2.2225 and 2.2675: a spread of 0.045
+BASE = [2.20, 2.22, 2.24, 2.25, 2.26, 2.28, 2.30, 2.21, 2.27, 2.23]
+
+
+def test_verdict_gain_needs_nine_in_ten_and_the_median_past_the_spread():
+    faster = [b - 0.10 for b in BASE]
+    row = ab.summarize(_pairs(BASE, faster), {"op_ms_p50": "lower"}, {"op_ms_p50": 0.25})
+    assert row["op_ms_p50"]["verdict"] == "gain"
+    assert ab.format_summary("w", row).endswith("won 10/10  gain")
+    # 8 of 10 pairs won: no gain, though the median moved as far
+    eight = faster[:8] + [b + 0.01 for b in BASE[8:]]
+    assert ab.summarize(_pairs(BASE, eight), {"op_ms_p50": "lower"})["op_ms_p50"][
+        "verdict"] == "-"
+    # every pair won, but the median moved less than the base's quartile spread
+    close = [b - 0.01 for b in BASE]
+    assert ab.summarize(_pairs(BASE, close), {"op_ms_p50": "lower"})["op_ms_p50"][
+        "verdict"] == "-"
+    # a higher-is-better metric gains upward
+    rates = ab.summarize(_pairs([1000 / b for b in BASE], [1000 / c for c in faster],
+                                "ops_per_s"), {"ops_per_s": "higher"})
+    assert rates["ops_per_s"]["verdict"] == "gain"
+
+
+def test_verdict_worse_is_past_the_bound_times_the_base_median():
+    median = 2.245
+    row = ab.summarize(_pairs(BASE, [median * 1.26] * 10), {"op_ms_p50": "lower"},
+                       {"op_ms_p50": 0.25})["op_ms_p50"]
+    assert row["verdict"] == "worse"
+    # within the bound, or with no bound known, it is not
+    assert ab.summarize(_pairs(BASE, [median * 1.24] * 10), {"op_ms_p50": "lower"},
+                        {"op_ms_p50": 0.25})["op_ms_p50"]["verdict"] == "-"
+    assert ab.summarize(_pairs(BASE, [median * 2] * 10),
+                        {"op_ms_p50": "lower"})["op_ms_p50"]["verdict"] == "-"
+    # lower is worse for a higher-is-better metric
+    assert ab.summarize(_pairs([100.0] * 10, [89.0] * 10, "peak"), {"peak": "higher"},
+                        {"peak": 0.1})["peak"]["verdict"] == "worse"
+

@@ -10,7 +10,7 @@ from gauss_hodge.bridge import (PipelineReport, decompose_11, recompose_11, solv
                                 solve_poincare_lelong_full, split_bidegree,
                                 two_form_complex_parts)
 from gauss_hodge.calculus import ComplexForm, ComplexFrameForm, ItoForm, PForm, ddbar, exterior_d
-from gauss_hodge.errors import InvariantViolationError, NotClosedError
+from gauss_hodge.errors import DimensionMismatchError, InvariantViolationError, NotClosedError
 from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.identities import ddbar_formal_adjoint
 from gauss_hodge.potentials import parse_potential
@@ -499,3 +499,75 @@ def test_d_stage_computes_dg_and_dv_once(monkeypatch, source):
     assert seen[1].p == 1
     residuals = (report.d_solve_re.residual_norm_sq, report.d_solve_im.residual_norm_sq)
     assert all(residuals) if source == "doubles" else not any(residuals)
+
+
+def _checked(part):
+    """The form the checked constructor builds from the components of ``part``."""
+    return type(part)(part.n // 2, part.bidegree, part.max_total_degree, part.components)
+
+
+def test_type_parts_are_the_checked_construction():
+    """Each (p, q) part, built trusted, equals with its capacity the form the
+    checked constructor builds from the same components: for He real-frame 1-
+    and 2-forms, for complex-frame forms over H_{p,q}, and for an empty part,
+    which keeps its bidegree and capacity."""
+    rng = random.Random(30)
+    cases = []
+    for n in (1, 2, 3):
+        for p in (1, 2):
+            v = random_pform(rng, 2 * n, p, 7, 4)
+            cases.append((v, bridge._frame_change(v.promote_complex(), to_complex=True),
+                          ComplexForm))
+            x = random_pform(rng, 2 * n, p, 7, 4, "complex")
+            x = ComplexFrameForm(2 * n, p, 7, "complex",
+                                 {i: ItoField.from_he(f) for i, f in x.components.items()})
+            cases.append((x, x.components, ItoForm))
+    # dz1 ^ dzbar1 alone: its (2,0) and (0,2) parts are empty
+    pure11 = ComplexFrameForm(2, 2, 7, "complex", {(1, 2): ItoField.constant(1, 2, 7)})
+    cases.append((pure11, pure11.components, ItoForm))
+    for v, comps, form_type in cases:
+        parts = bridge._type_parts(v, comps, form_type)
+        assert [part.bidegree for part in parts] == [(k, v.p - k) for k in range(v.p, -1, -1)]
+        for part in parts:
+            assert type(part) is form_type
+            assert part == _checked(part)
+            assert (part.max_total_degree, part.n, part.p) == (v.max_total_degree, v.n, v.p)
+    assert [part.is_zero() for part in bridge._type_parts(pure11, pure11.components, ItoForm)] \
+        == [True, False, True]
+
+
+def test_complex_parts_refuse_forms_not_in_the_real_frame_over_he():
+    """split_bidegree and two_form_complex_parts read real-frame axes and He
+    coefficients: a form over H_{p,q} is refused, as the checked constructor
+    once refused its parts, and so is a form already in the complex frame,
+    whose dz_1 was once split as if it were dx_1."""
+    one, ito = ScalarField.constant(1, 2, 5, "complex"), ItoField.constant(1, 2, 5)
+    for split, forms in ((split_bidegree, [ComplexForm.from_layout((1, 0), [one]),
+                                           ComplexFrameForm(2, 1, 5, "complex", {(1,): ito})]),
+                         (two_form_complex_parts, [const11(1),
+                                                   ComplexFrameForm(2, 2, 5, "complex",
+                                                                    {(1, 2): ito})])):
+        for form in forms:
+            with pytest.raises(DimensionMismatchError, match="real-frame"):
+                split(form)
+
+
+def test_pipeline_checks_only_the_functions_it_differentiates(monkeypatch):
+    """During the solve of a potential's ddbar, every checked PForm
+    constructor call comes from ComplexForm.function, the public entry of
+    dbar_function and ddbar: the u of each dbar residual and of the final
+    residual.  Every other form is an operator's output, built trusted."""
+    f = ddbar(parse_potential("z1**2*conj(z1)*conj(z2) + 3*z2*conj(z2)**2", 2, 6))
+    function_code = ComplexForm.function.__func__.__code__
+    honest, callers = PForm.__init__, []
+
+    def spy(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not function_code:
+            frame = frame.f_back
+        callers.append(frame is not None)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(PForm, "__init__", spy)
+    solve_poincare_lelong_full(f)
+    assert callers == [True] * 3

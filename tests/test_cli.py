@@ -239,10 +239,11 @@ SOLVE_DBAR = ["solve", "--equation", "dbar", "--input"]
       "9" * 400 + "*z*conj(z)"], None),
     (["lelong", "--n", "1", "--degree", "6", "--mode", "float", "--from-potential",
       "z*conj(z)/" + "9" * 400], None),
+    (["lelong", "--n", "1", "--degree", "6", "--from-potential", "z**\u0663*conj(z)"], None),
 ], ids=["list-d", "list-dbar", "list-lelong", "zero-denominator", "null-degree",
         "nan", "inf", "minus-inf-imag", "potential-degree", "degree-above-capacity",
         "potential-division-by-zero", "float-potential-huge-factor",
-        "float-potential-huge-divisor"])
+        "float-potential-huge-divisor", "potential-arabic-indic-digit"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     if text is not None:
         path = tmp_path / "bad.json"

@@ -470,3 +470,30 @@ def test_internal_operations_keep_field_invariants(exact):
             assert_field_invariants(comp)
     assert not v.is_zero()
     assert_field_invariants(v)
+
+
+def test_subtraction_is_adding_the_negative():
+    """a - b, in one pass, equals a + (-b): under full cancellation, over
+    mixed capacities (the result takes the larger), over H_{p,q}; a field of
+    another kind or basis is refused."""
+    rng = random.Random(30)
+    for kind in ("real", "complex"):
+        for _ in range(6):
+            a = random_scalar_field(rng, 4, 6, 4, kind, terms=5)
+            b = random_scalar_field(rng, 4, 9, 4, kind, terms=5)
+            b = b + a.with_capacity(9).scale(2)  # shares keys with a
+            for x, y in ((a, b), (b, a), (a, a), (a, a.scale(QC(1, 0)))):
+                diff = x - y
+                assert diff == x + (-y)
+                assert diff.max_total_degree == max(x.max_total_degree, y.max_total_degree)
+                assert all(diff.coeffs.values())
+            assert (a - a).is_zero() and (a - a).max_total_degree == 6
+            assert (a - b.with_capacity(6)).max_total_degree == 6
+    u = ItoField.from_he(random_scalar_field(rng, 4, 6, 4, "complex"))
+    assert u - u.conjugate() == u + (-u.conjugate())
+    assert (u - u).is_zero()
+    real = random_scalar_field(rng, 4, 6, 4, "real")
+    with pytest.raises(DimensionMismatchError):
+        real - real.promote_complex()
+    with pytest.raises(DimensionMismatchError):
+        u - u.to_he()

@@ -60,6 +60,11 @@ def test_parse_errors():
         parse_potential("z**", 1, CAP)
     with pytest.raises(DomainError):
         parse_potential("z**10", 1, 4)  # degree above capacity
+    # a digit of another script is not a digit of the grammar
+    for text, n in (("z**\u0663*conj(z)", 1), ("\u0663*z\u0661", 1), ("z\u0661", 1),
+                    ("\uff13*z", 1), ("z1**\u0968", 2)):
+        with pytest.raises(DomainError, match="cannot tokenize"):
+            parse_potential(text, n, CAP)
 
 
 @pytest.mark.parametrize("n, capacity", [(1, 4.5), (True, 4), (1, True), (1.0, 4), ("1", 4)])

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from gauss_hodge.calculus import dbar_function, ddbar, exterior_d
+from gauss_hodge.calculus import ComplexForm, PForm, dbar_function, ddbar, exterior_d
 from gauss_hodge.errors import DegreeOverflowError, DomainError
 from gauss_hodge.fields import ScalarField
 from gauss_hodge.randomforms import (random_closed_complexform11, random_closed_pform,
                                      random_complex_function, random_complexform11,
-                                     random_dbar_closed_form01, random_pform,
+                                     random_dbar_closed_form01, random_form01, random_pform,
                                      random_scalar_field)
 from gauss_hodge.scalars import QC
 
@@ -74,16 +74,30 @@ def test_generators_make_the_draws_of_the_loop(case):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_generated_fields_are_the_checked_construction(kind):
+    """The drawn fields, and the forms built trusted over them, equal with
+    their capacity what the checked constructors build from the same data."""
     for seed in range(8):
         rng = random.Random(seed)
         fields = [random_scalar_field(rng, 4, 8, 5, kind, terms=6)]
-        fields += random_pform(rng, 3, 2, 8, 4, kind).components.values()
-        fields += random_complexform11(rng, 2, 8, 3).components.values()
+        forms = [random_pform(rng, 3, 2, 8, 4, kind), random_complexform11(rng, 2, 8, 3),
+                 random_form01(rng, 2, 8, 3)]
+        for form in forms:
+            fields += form.components.values()
         for field in fields:
             assert field.max_total_degree == 8
             assert all(type(v) is QC for v in field.coeffs.values())
             assert field == ScalarField(field.m, 8, field.kind, field.coeffs)
         assert fields[0].kind == kind
+        pform, form11, form01 = forms
+        checked = [PForm(3, 2, 8, kind, pform.components),
+                   ComplexForm.from_layout((1, 1), [[form11.coefficient((i,), (j,))
+                                                     for j in (1, 2)] for i in (1, 2)]),
+                   ComplexForm.from_layout((0, 1), [form01.coefficient(dzbar=(j,))
+                                                    for j in (1, 2)])]
+        for form, check in zip(forms, checked):
+            assert type(form) is type(check) and form == check
+            assert form.max_total_degree == check.max_total_degree == 8
+            assert len(form.components) == len(check.components) > 0
 
 
 @pytest.mark.parametrize("args, error", [((0, 8, 3, "real"), DomainError),

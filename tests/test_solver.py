@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from gauss_hodge.errors import (DegreeOverflowError, InvariantViolationError, No
 from gauss_hodge.fields import (ItoField, ScalarField, _convert_pairs, complex_hermite_to_he,
                                 he_to_complex_hermite, hermite_sq_norm_vector)
 from gauss_hodge.multiindex import enumerate_indices
-from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01
+from gauss_hodge.randomforms import random_closed_pform, random_dbar_closed_form01, random_pform
 from gauss_hodge.scalars import QC, fraction_str, to_double
 from gauss_hodge.solver import (_make_report, negligible, solve_d_min_norm,
                                 solve_d_min_norm_full, solve_dbar_min_norm,
@@ -703,3 +704,56 @@ def test_report_json_keys():
     assert set(data) == {"residual", "input_norm_sq", "output_norm_sq",
                          "bound_constant", "ratio", "bound_satisfied", "blocks_solved"}
     assert data["ratio"] == "1/4" and data["bound_satisfied"] is True
+
+
+
+_MIXED = (Fraction(1, 3), Fraction(2, 7), QC(Fraction(1, 5), Fraction(1, 5)))
+
+
+def _mixed_sum(forms):
+    """1/3, 2/7 and (1+i)/5 times three closed forms: closed, with complex
+    coefficients over mixed denominators."""
+    out = forms[0].scale(_MIXED[0])
+    for form, s in zip(forms[1:], _MIXED[1:]):
+        out = out + form.scale(s)
+    assert len({v._d for field in out.components.values() for v in field.coeffs.values()}) > 1
+    return out
+
+
+def _divided(f, eigenvalue):
+    """f with each coefficient divided by eigenvalue(key) through QC division,
+    rebuilt by the checked constructors."""
+    comps = {idx: type(field)(field.m, field.max_total_degree, field.kind,
+                              {key: val / eigenvalue(key) for key, val in field.coeffs.items()})
+             for idx, field in f.components.items()}
+    if isinstance(f, ComplexForm):
+        return type(f)(f.n // 2, f.bidegree, f.max_total_degree, comps)
+    return type(f)(f.n, f.p, f.max_total_degree, f.kind, comps)
+
+
+def _closed_frame_form(rng, n, p):
+    """d of a random complex-frame (p-1)-form over H_{p,q} on R^{2n}."""
+    he = random_pform(rng, 2 * n, p - 1, 7, 5, "complex")
+    return exterior_d(ComplexFrameForm(2 * n, p - 1, 7, "complex",
+                                       {i: ItoField.from_he(f) for i, f in he.components.items()}))
+
+
+def test_spectral_division_on_mixed_denominators():
+    """beta = Delta^{-1} f, divided as one reduced (a + b i)/(d lambda) per
+    coefficient, equals QC division by the eigenvalue on complex data over
+    mixed denominators: for the d solve over He and in the complex frame over
+    H_{p,q}, and for the dbar solve over He and over H_{p,q}."""
+    rng = random.Random(30)
+    dbar_eigenvalue = lambda key: sum(key[1::2]) + 1  # noqa: E731
+    for n in (1, 2):
+        for p in (1, 2):
+            for f in (_mixed_sum([random_closed_pform(rng, 2 * n, p, 7, 4, "complex")
+                                  for _ in range(3)]),
+                      _mixed_sum([_closed_frame_form(rng, n, p) for _ in range(3)])):
+                _, beta, _ = solve_d_min_norm_full(f)
+                assert beta == _divided(f, lambda key: 2 * (sum(key) + p))
+        g = _mixed_sum([random_dbar_closed_form01(rng, n, 7, 4) for _ in range(3)])
+        _, beta, _ = solve_dbar_min_norm_full(g)
+        assert beta == _divided(ItoForm.of(g), dbar_eigenvalue).to_he()
+        _, beta, _ = solve_dbar_min_norm_full(ItoForm.of(g))
+        assert beta == _divided(ItoForm.of(g), dbar_eigenvalue)

@@ -12,8 +12,16 @@ temporary directory, so the repository's .git is only read.  Each pair runs
 once in that tree (base) and once in this checkout (change); the side that
 goes first alternates from pair to pair, and pair k uses the k-th seed given,
 cycling.  For every workload and end-to-end metric of BENCHMARK.json it then
-prints each side's median with its quartiles and the number of pairs the
-change won.  Standard library only.
+prints each side's median with its quartiles, the number of pairs the change
+won, and a verdict:
+
+    gain   the change won at least 9 in 10 of the pairs, and its median is
+           better than the base's by more than the base's quartile spread;
+    worse  its median is worse than the base's by more than the metric's
+           ``bound`` in BENCHMARK.json times the base median;
+    -      neither.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,21 +46,35 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def verdict(row: dict, direction: str, bound=None) -> str:
+    """"gain", "worse" or "-" for one summary row (see the module docstring);
+    without a bound a row is never "worse"."""
+    (bq1, bm, bq3), (_, cm, _) = row["base"], row["change"]
+    gained = (bm - cm) if direction == "lower" else (cm - bm)
+    if 10 * row["won"] >= 9 * row["pairs"] and gained > bq3 - bq1:
+        return "gain"
+    if bound is not None and -gained > bound * abs(bm):
+        return "worse"
+    return "-"
+
+
+def summarize(pairs: list, better: dict, bounds=None) -> dict:
     """Per metric of ``better`` (name -> "lower" or "higher"), over the
     (base, change) pairs of metric maps: {"base": (q1, median, q3),
     "change": (q1, median, q3), "won": pairs where the change is strictly
-    better, "pairs": pairs that have the metric on both sides}."""
+    better, "pairs": pairs that have the metric on both sides, "verdict":
+    see verdict, with the bound of ``bounds`` (name -> bound)}."""
     out = {}
     for name, direction in better.items():
         both = [(b[name], c[name]) for b, c in pairs if name in b and name in c]
         if not both:
             continue
         sign = 1 if direction == "lower" else -1
-        out[name] = {"base": quartiles([b for b, _ in both]),
-                     "change": quartiles([c for _, c in both]),
-                     "won": sum(1 for b, c in both if sign * (c - b) < 0),
-                     "pairs": len(both)}
+        row = out[name] = {"base": quartiles([b for b, _ in both]),
+                           "change": quartiles([c for _, c in both]),
+                           "won": sum(1 for b, c in both if sign * (c - b) < 0),
+                           "pairs": len(both)}
+        row["verdict"] = verdict(row, direction, (bounds or {}).get(name))
     return out
 
 
@@ -63,7 +85,7 @@ def format_summary(workload: str, summary: dict) -> str:
         change = f"{100 * (cm - bm) / bm:+.1f}%" if bm else "n/a"
         lines.append(f"  {name}: base {bm:.4g} [{bq1:.4g}, {bq3:.4g}]  "
                      f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  {change}  "
-                     f"won {row['won']}/{row['pairs']}")
+                     f"won {row['won']}/{row['pairs']}  {row['verdict']}")
     return "\n".join(lines)
 
 
@@ -105,6 +127,7 @@ def main(argv=None) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in config["workloads"]]
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in config["end_to_end"] if "bound" in m}
     seeds = args.seed or [7]
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base = Path(tmp)
@@ -119,7 +142,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: op_ms_p50 "
                       f"base {runs[base].get('op_ms_p50')} change {runs[ROOT].get('op_ms_p50')}",
                       file=sys.stderr, flush=True)
-            print(format_summary(workload, summarize(pairs, better)), flush=True)
+            print(format_summary(workload, summarize(pairs, better, bounds)), flush=True)
     return 0
 
 
