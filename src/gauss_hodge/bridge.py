@@ -128,7 +128,11 @@ def _frame_change(form: PForm, to_complex: bool) -> dict:
 
 
 def decompose_11(f: ComplexForm) -> tuple[PForm, PForm]:
-    """Split a (1,1)-form into real 2-forms with f = f1 + i f2."""
+    """Split a (1,1)-form over He into real 2-forms with f = f1 + i f2; any
+    other form is refused."""
+    if type(f) is not ComplexForm or f.bidegree != (1, 1):
+        raise DimensionMismatchError(f"expected a (1,1) ComplexForm over He, got "
+                                     f"{type(f).__name__} of degree {getattr(f, 'bidegree', f.p)}")
     g = _frame_change(f, to_complex=False)
     f1 = PForm._trusted(f.n, f.p, f.max_total_degree, REAL,
                         {idx: c.real_part() for idx, c in g.items()})

@@ -227,9 +227,6 @@ class PForm:
     def evaluate(self, point) -> dict[tuple[int, ...], object]:
         return {idx: f.evaluate(point) for idx, f in self.components.items()}
 
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, p={self.p}, components={len(self.components)})"
-
     def to_json(self, number=fraction_str) -> dict:
         """The form as JSON, each coefficient part written by ``number`` (see
         ScalarField.to_json)."""

@@ -331,9 +331,6 @@ class ScalarField:
         return (type(self) is type(other) and self.m == other.m and self.kind == other.kind
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.m, self.kind, frozenset(self.coeffs.items())))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

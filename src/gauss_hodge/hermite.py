@@ -86,15 +86,6 @@ class HermiteSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "HermiteSeries(0)"
-        terms = " + ".join(f"({c})*H{k}" for k, c in enumerate(self.coeffs) if c)
-        return f"HermiteSeries({terms})"
-
     def to_json(self) -> dict:
         return {str(k): str(c) for k, c in enumerate(self.coeffs) if c}
 

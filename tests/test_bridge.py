@@ -552,6 +552,19 @@ def test_complex_parts_refuse_forms_not_in_the_real_frame_over_he():
                 split(form)
 
 
+@pytest.mark.parametrize("form", [
+    PForm(2, 2, 5, "real", {(1, 2): ScalarField.constant(1, 2, 5)}),
+    ComplexForm.from_layout((1, 0), [ScalarField.constant(1, 2, 5, "complex")]),
+    ComplexForm.from_layout((0, 1), [ScalarField.constant(1, 2, 5, "complex")]),
+    PForm(3, 2, 5, "real", {(1, 2): ScalarField.constant(1, 3, 5)}),
+    ItoForm.from_he(const11(1))], ids=["dx1^dx2", "(1,0)", "(0,1)", "R^3", "over-Ito"])
+def test_decompose_refuses_all_but_a_11_form_over_he(form):
+    """decompose_11 reads its input as a (1,1)-form over He: it once read the
+    real dx_1 ^ dx_2 as dz_1 ^ dzbar_1 and split forms of other degrees too."""
+    with pytest.raises(DimensionMismatchError, match=r"expected a \(1,1\) ComplexForm over He"):
+        decompose_11(form)
+
+
 def test_pipeline_checks_only_the_functions_it_differentiates(monkeypatch):
     """During the solve of a potential's ddbar, every checked PForm
     constructor call comes from ComplexForm.function, the public entry of

@@ -256,6 +256,35 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert err.startswith(argv[0] + ": ")
 
 
+BAD_FILE = "bad input {path}: DomainError: "
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["lelong", "--input"],
+     json.dumps({"n": 1, "entries": [[{"m": 2, "max_total_degree": 4, "scalar": "complex",
+                                       "coeffs": [{"deg": [4, 0], "re": "1", "im": "0"}]}]]}),
+     1, "pipeline needs capacity 6 (two above the data degree 4), have 4 (required capacity 6)"),
+    (SOLVE_D[:-1] + ["--tolerance", "0", "--input"], json.dumps(_input_document("d")),
+     2, "tolerance must be in (0, 1)"),
+    (SOLVE_D[:-1] + ["--tolerance", "1.5", "--input"], json.dumps(_input_document("d")),
+     2, "tolerance must be in (0, 1)"),
+    (SOLVE_D, _one_term_text("d", im="1"), 2, BAD_FILE + "nonzero imaginary part in a real field"),
+    (SOLVE_D, json.dumps({"n": 0, "p": 1, "components": []}),
+     2, BAD_FILE + "ambient dimension must be >= 1, got 0"),
+    (SOLVE_D, json.dumps({"n": 2, "p": 0, "components": []}), 2, "du = f needs f of degree >= 1"),
+    (SOLVE_DBAR, json.dumps({**_input_document("dbar"), "n": 2}),
+     2, BAD_FILE + "n is 2, but the layout is for n = 1"),
+], ids=["lelong-capacity", "tolerance-zero", "tolerance-above-one", "real-field-imaginary",
+        "dimension-zero", "d-of-a-function", "dbar-n-not-the-layout"])
+def test_refusals_name_their_cause(tmp_path, capsys, argv, text, code, message):
+    """Refusals of bad settings and bad files, each with its exit code and
+    its whole stderr line."""
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == code
+    assert capsys.readouterr().err == f"{argv[0]}: {message.format(path=path)}\n"
+
+
 INPUT_ARGV = {"d": SOLVE_D, "dbar": SOLVE_DBAR, "lelong": ["lelong", "--input"]}
 D_FIELD = ("components", 0, "field")
 
