@@ -34,15 +34,15 @@ is a PForm over these 2n axes that also stores its bidegree (p, q).
 
 under e^{-|z|^2}; the twisted ladder of partial is delta^zbar_j = d/dzbar_j
 - z_j.  _ladder_rules builds every Wirtinger ladder from the one-index rules
-of fields._index_rules.  Over He it is (op_{2j-1} + sign i op_{2j}) / 2 on
+of fields._index_rule.  Over He it is (op_{2j-1} + sign i op_{2j}) / 2 on
 the pair (x_{2j-1}, x_{2j}), sign -1 for z and +1 for zbar; with d/dx He_a
 = 2a He_{a-1} and delta He_a = -He_{a+1} that is
 
     lowering  He_a He_b -> a He_{a-1} He_b + sign i b He_a He_{b-1}
     raising   He_a He_b -> -1/2 He_{a+1} He_b - sign (i/2) He_a He_{b+1}
 
-a sum of two one-index rules, kept per degree vector.  The formal adjoint
-of ddbar is -partial* dbar*, two contractions (_contract_frame).
+a sum of two one-index rules in one table.  The formal adjoint of ddbar
+is -partial* dbar*, two contractions (_contract_frame).
 
 Over Ito's basis H_{p,q} (fields.ItoField) each ladder is one index move:
 d/dz_j and d/dzbar_j lower p_j and q_j with weights p_j and q_j, and
@@ -60,8 +60,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import (COMPLEX, ItoField, ScalarField, _accumulate, _finish,
-                     _index_rules, _inner, _norm_sq, _shift, _swap_pairs)
+from .fields import (COMPLEX, ItoField, ScalarField, _PerDegree, _accumulate, _finish,
+                     _index_rule, _index_rules, _inner, _norm_sq, _swap_pairs)
 from .multiindex import check_axis, check_index, insert_axis, remove_axis
 from .scalars import HALF, IMAG_UNIT, _make, fraction_str, json_int
 
@@ -331,22 +331,6 @@ def _require_complex(field: ScalarField):
 DZ, DZBAR, DELTA_Z, DELTA_ZBAR = (False, -1), (False, 1), (True, -1), (True, 1)
 
 
-class _PerDegree(dict):
-    """A coefficient rule whose (target, weight) tuple is built once per
-    degree vector: its ``__getitem__`` is the rule.  A dict keyed by the
-    degree vector itself keeps less per entry than lru_cache, which also
-    keeps each call's argument tuple."""
-
-    __slots__ = ("rule",)
-
-    def __init__(self, rule):
-        self.rule = rule
-
-    def __missing__(self, d):
-        out = self[d] = self.rule(d)
-        return out
-
-
 @lru_cache(maxsize=None)
 def _ladder_rules(basis: type, n: int, ladder: tuple, scale: int = 1) -> tuple:
     """The coefficient rules of one Wirtinger ladder on the pairs j = 1..n
@@ -357,10 +341,10 @@ def _ladder_rules(basis: type, n: int, ladder: tuple, scale: int = 1) -> tuple:
         first = int((sign == 1) != raising)  # 0: the rule moves p_j, 1: q_j
         return _index_rules(range(first, 2 * n, 2), raising, -scale if raising else scale)
     w = -HALF * scale if raising else scale
-    xs = _index_rules(range(0, 2 * n, 2), raising, w)
-    ys = _index_rules(range(1, 2 * n, 2), raising, w * IMAG_UNIT * sign)
-    return tuple(_PerDegree(lambda d, x=x, y=y: x(d) + y(d)).__getitem__
-                 for x, y in zip(xs, ys))
+    wy = w * IMAG_UNIT * sign
+    pairs = ((_index_rule(2 * j, raising, w), _index_rule(2 * j + 1, raising, wy))
+             for j in range(n))
+    return tuple(_PerDegree(lambda d, x=x, y=y: x(d) + y(d)).__getitem__ for x, y in pairs)
 
 
 def _pair_ladder(u: ScalarField, j: int, ladder: tuple) -> ScalarField:
@@ -566,12 +550,14 @@ def _contract_frame(g: ComplexForm, ladder: tuple) -> ComplexForm:
 def dbar_of_01(g: ComplexForm) -> ComplexForm:
     """dbar of a (0,1)-form: the coefficient of dzbar_j ^ dzbar_k (j<k) is
     dg_k/dzbar_j - dg_j/dzbar_k."""
+    require_bidegree(g, (0, 1), "dbar of a (0,1)-form")
     return dbar(g)
 
 
 def partial_of_10(h: ComplexForm) -> ComplexForm:
     """partial of a (1,0)-form: the coefficient of dz_j ^ dz_k (j<k) is
     dh_k/dz_j - dh_j/dz_k."""
+    require_bidegree(h, (1, 0), "partial of a (1,0)-form")
     return partial(h)
 
 
@@ -638,12 +624,12 @@ def _real_parts(x: ComplexFrameForm) -> tuple:
     c(F dz^I ^ dzbar^J) = (-1)^{|I||J|} conj(F) dz^J ^ dzbar^I, with conj(H_{p,q})
     = H_{q,p}.  Where x is (a + bi)/d and cx is (c + ei)/f, Re_1 x is
     ((af + cd) + (bf + ed) i)/2df and Re_2 x is ((bf - ed) - (af - cd) i)/2df."""
-    n, comps, parts = x.n // 2, x.components, ({}, {})
+    n, comps, parts, swap = x.n // 2, x.components, ({}, {}), _swap_pairs(x.n)
     mirrors = {idx: tuple(sorted(a + n if a <= n else a - n for a in idx)) for idx in comps}
     for idx, mirror in {**{m: idx for idx, m in mirrors.items()}, **mirrors}.items():
         ours, theirs, p = comps.get(idx), comps.get(mirror), sum(a <= n for a in idx)
         s = -1 if p * (len(idx) - p) % 2 else 1
-        conj = {_swap_pairs(k): (s * w._a, -s * w._b, w._d)
+        conj = {swap(k): (s * w._a, -s * w._b, w._d)
                 for k, w in theirs.coeffs.items()} if theirs else {}
         re, im = {}, {}
         for key, v in ours.coeffs.items() if ours else ():

@@ -18,7 +18,8 @@ as unreduced integer numerators over a running denominator, and
 _finish checks the capacity and reduces each target coefficient once.
 _index_rules builds every ladder that moves one key index: d/dx_i, delta_i,
 both halves of x_i, and the Wirtinger ladders over H_{p,q}; each one over He
-is the sum of two, kept per degree vector (calculus._ladder_rules).
+is the sum of two (calculus._ladder_rules).  Every ladder is a _PerDegree
+table, built once per degree vector and then one dict lookup per use.
 
 Every weighted norm and inner product in the package is one call of _norm_sq
 or _inner over fields, each weighted by its own sq_norm: the squared norms
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import DegreeOverflowError, DimensionMismatchError, DomainError
@@ -81,36 +83,50 @@ def hermite_product_1d(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _shift(deg: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
-    """The degree vector deg with entry i moved by k."""
-    return deg[:i] + (deg[i] + k,) + deg[i + 1:]
-
-
 def _identity_rule(d):
     """The rule that keeps every term where it is: a sum, or a change of
     frame that keeps every Hermite degree."""
     return ((d, 1),)
 
 
+class _PerDegree(dict):
+    """A coefficient rule whose (target, weight) tuple is built once per
+    degree vector: its ``__getitem__`` is the rule, a C-level lookup."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, d):
+        out = self[d] = self.rule(d)
+        return out
+
+
+def _index_rule(i: int, raising: bool, weight):
+    """The one-index move along 0-based index i: raising sends d to
+    weight (d + e_i), lowering sends it to weight d_i (d - e_i)."""
+    if raising:
+        return lambda d: ((d[:i] + (d[i] + 1,) + d[i + 1:], weight),)
+    return lambda d: ((d[:i] + (d[i] - 1,) + d[i + 1:], weight * d[i]),) if d[i] else ()
+
+
 @lru_cache(maxsize=None)
 def _index_rules(axes, raising: bool, weight) -> tuple:
-    """The coefficient rules of a ladder that moves one key index, one rule
-    per 0-based index i in ``axes``: raising sends d to weight (d + e_i),
-    lowering sends it to weight d_i (d - e_i).  Every one-index ladder is
-    built here, once per (axes, raising, weight)."""
-    if raising:
-        return tuple((lambda d, i=i: ((_shift(d, i, 1), weight),)) for i in axes)
-    return tuple((lambda d, i=i: ((_shift(d, i, -1), weight * d[i]),) if d[i] else ())
-                 for i in axes)
+    """The coefficient rules of a ladder that moves one key index, one
+    _PerDegree table per 0-based index i in ``axes`` (see _index_rule).
+    Every one-index ladder is built here, once per (axes, raising, weight)."""
+    return tuple(_PerDegree(_index_rule(i, raising, weight)).__getitem__ for i in axes)
 
 
 def _accumulate(acc: dict, terms, rule, scale=1):
     """Add scale * sum_{(src, val) in terms} sum_{(t, w) in rule(src)} val w He_t
     into ``acc``, a map from target degree vectors that the caller owns.
 
-    Weights and ``scale`` are ints or QC values.  Terms are summed as
-    unreduced integer entries [re, im, den] for (re + im i)/den, so no term
-    pays a gcd until _finish reduces each target once.
+    Every ladder's ``rule`` is a _PerDegree lookup.  Weights and ``scale``
+    are ints or QC values.  Terms are summed as unreduced integer entries
+    [re, im, den] for (re + im i)/den, so no term pays a gcd until _finish
+    reduces each target once.
     """
     scaled = scale != 1
     sc, se, sf = (scale, 0, 1) if type(scale) is int else (scale._a, scale._b, scale._d)
@@ -503,12 +519,11 @@ def _convert_pairs(coeffs: dict, m: int, table) -> dict:
     return coeffs
 
 
-def _swap_pairs(key: tuple) -> tuple:
-    """The key with each pair (a_j, b_j) swapped: of conj(z^a zbar^b) for a
-    monomial key, of conj(H_{p,q}) = H_{q,p} for an Ito key."""
-    out = [0] * len(key)
-    out[0::2], out[1::2] = key[1::2], key[0::2]
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _swap_pairs(length: int):
+    """The map swapping each pair (a_j, b_j) of a key of ``length`` entries:
+    of conj(z^a zbar^b) for a monomial key, of conj(H_{p,q}) = H_{q,p}."""
+    return itemgetter(*(i ^ 1 for i in range(length)))
 
 
 def _he_only(name: str):
@@ -558,7 +573,8 @@ class ItoField(ScalarField):
 
     def conjugate(self) -> "ItoField":
         """conj(c H_{p,q}) = conj(c) H_{q,p}."""
-        return self.replace({_swap_pairs(d): v.conjugate() for d, v in self.coeffs.items()})
+        swap = _swap_pairs(self.m)
+        return self.replace({swap(d): v.conjugate() for d, v in self.coeffs.items()})
 
     def evaluate(self, point) -> object:
         return self.to_he().evaluate(point)

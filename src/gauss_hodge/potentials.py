@@ -70,14 +70,14 @@ def _degree(poly: dict):
 
 class _Parser:
     def __init__(self, tokens: list[str], n: int, capacity: int, double_literals: bool):
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # the sentinel that peek reads at the end
         self.pos = 0
         self.n = n
         self.capacity = capacity
         self.double_literals = double_literals
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self, expected=None):
         tok = self.peek()
@@ -115,10 +115,16 @@ class _Parser:
         self.check_degree(1)
         key = [0] * (2 * self.n)
         key[2 * j - 2] = 1
+        # the constructor, not a shared constant: bench/test_bench.py counts QC
+        # constructions, and this is the only one on the lelong path
         return {tuple(key): QC(1)}
 
     def multiply(self, p: dict, q: dict) -> dict:
-        """The product: each pair of monomials adds its exponents."""
+        """The product: each pair of monomials adds its exponents.  Two
+        monomials make one key sum and one QC product."""
+        if len(p) == 1 == len(q):
+            (kp, vp), (kq, vq) = *p.items(), *q.items()
+            return {tuple(map(add, kp, kq)): vp * vq}
         acc: dict = {}
         for kp, vp in p.items():
             _accumulate(acc, q.items(), lambda kq: ((tuple(map(add, kp, kq)), 1),), vp)
@@ -127,7 +133,7 @@ class _Parser:
     def parse(self) -> dict:
         out = self.expr()
         if self.peek() is not None:
-            raise DomainError(f"trailing tokens in potential: {self.tokens[self.pos:]}")
+            raise DomainError(f"trailing tokens in potential: {self.tokens[self.pos:-1]}")
         return out
 
     def expr(self) -> dict:
@@ -198,7 +204,8 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return {_swap_pairs(key): val.conjugate() for key, val in inner.items()}
+            swap = _swap_pairs(2 * self.n)
+            return {swap(key): val.conjugate() for key, val in inner.items()}
         if tok == "(":
             inner = self.expr()
             self.take(")")

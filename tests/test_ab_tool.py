@@ -1,6 +1,7 @@
 """The summary of tools/ab.py on fixed results; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,30 @@ def test_verdict_worse_is_past_the_bound_times_the_base_median():
     assert ab.summarize(_pairs([100.0] * 10, [89.0] * 10, "peak"), {"peak": "higher"},
                         {"peak": 0.1})["peak"]["verdict"] == "worse"
 
+
+
+def test_record_is_the_summary_as_json():
+    pairs = _pairs(BASE, [b - 0.10 for b in BASE])
+    summary = ab.summarize(pairs, {"op_ms_p50": "lower"}, {"op_ms_p50": 0.25})
+    refs = {"base": "abc1234", "change": "def5678-dirty"}
+    out = json.loads(json.dumps(ab.record(refs, [7, 11], 10, 6.0, {"lelong-float": summary})))
+    assert set(out) == {"refs", "seeds", "pairs", "seconds", "workloads"}
+    assert (out["refs"], out["seeds"], out["pairs"], out["seconds"]) == (refs, [7, 11], 10, 6.0)
+    assert list(out["workloads"]) == ["lelong-float"]
+    row = out["workloads"]["lelong-float"]["op_ms_p50"]
+    assert set(row) == {"base", "change", "won", "pairs", "verdict"}
+    assert row["base"] == pytest.approx([2.2225, 2.245, 2.2675])
+    assert row["change"] == pytest.approx([2.1225, 2.145, 2.1675])
+    assert (row["won"], row["pairs"], row["verdict"]) == (10, 10, "gain")
+
+
+def test_record_flag_is_parsed_as_a_path(monkeypatch, tmp_path):
+    """--record writes the record; with --pairs 0 no benchmark runs."""
+    monkeypatch.setattr(ab, "extract", lambda ref, into: None)
+    monkeypatch.setattr(ab, "describe", lambda *args: "base" if args == ("HEAD",) else "change")
+    path = tmp_path / "record.json"
+    assert ab.main(["HEAD", "--workload", "lelong-exact", "--pairs", "0",
+                    "--record", str(path)]) == 0
+    out = json.loads(path.read_text())
+    assert out["refs"] == {"base": "base", "change": "change"}
+    assert out["workloads"] == {"lelong-exact": {}} and out["pairs"] == 0

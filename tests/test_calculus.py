@@ -314,6 +314,29 @@ def test_partial_of_10_on_gradient_is_zero(rng):
         assert partial_of_10(partial(ComplexForm.function(u))).is_zero()
 
 
+def test_dbar_of_01_refuses_other_bidegrees():
+    u = zzbar_poly_field(2, CAP, {((1, 0), (1, 1)): 3})
+    for form in (ComplexForm.function(u), partial(ComplexForm.function(u)), ddbar(u),
+                 ItoForm.from_he(partial(ComplexForm.function(u)))):
+        with pytest.raises(DomainError, match=r"dbar of a \(0,1\)-form needs a \(0, 1\)-form"):
+            dbar_of_01(form)
+    with pytest.raises(DomainError, match="got PForm"):
+        dbar_of_01(PForm(4, 1, CAP, "complex"))
+    assert dbar_of_01(ItoForm.from_he(dbar_function(u))).is_zero()
+
+
+def test_partial_of_10_refuses_other_bidegrees():
+    u = zzbar_poly_field(2, CAP, {((1, 0), (1, 1)): 3})
+    for form in (ComplexForm.function(u), dbar_function(u), ddbar(u),
+                 ItoForm.from_he(dbar_function(u))):
+        with pytest.raises(DomainError,
+                           match=r"partial of a \(1,0\)-form needs a \(1, 0\)-form"):
+            partial_of_10(form)
+    with pytest.raises(DomainError, match="got PForm"):
+        partial_of_10(PForm(4, 1, CAP, "complex"))
+    assert partial_of_10(ItoForm.from_he(partial(ComplexForm.function(u)))).is_zero()
+
+
 def test_pform_component_signs():
     f = PForm(3, 2, CAP, components={(1, 2): x(1, m=3)})
     # a_{(2,1)} = -a_{(1,2)}

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import gauss_hodge
 
-BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_index_rules",
-                   "he_to_complex_hermite", "complex_hermite_to_he", "_binomial_row"}
+BASIS_INTERNALS = {"hermite_sq_norm_vector", "ito_sq_norm_vector", "_index_rule",
+                   "_index_rules", "he_to_complex_hermite", "complex_hermite_to_he",
+                   "_binomial_row"}
 OWNERS = {"fields", "calculus"}
 CALCULUS_INTERNALS = {"_wedge", "_contract"}
 

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gauss_hodge import potentials
+from gauss_hodge.bridge import solve_poincare_lelong_full
+from gauss_hodge.calculus import ddbar
 from gauss_hodge.errors import DomainError
-from gauss_hodge.fields import ScalarField
+from gauss_hodge.fields import ItoField, ScalarField
 from gauss_hodge.potentials import parse_potential
 from gauss_hodge.scalars import QC
 
@@ -308,3 +311,174 @@ def test_degree_above_capacity_fails_before_any_product(monkeypatch):
             assert built == []
     parse_potential("(1 + z)**3*(conj(z) - i)**3", 1, 6)
     assert max(built) == 6
+
+
+# -- Ito's table as the oracle -------------------------------------------------
+# Random products of monomials are parsed and compared with an expansion built
+# here, one complex pair at a time, z^a zbar^b = sum_k k! C(a,k) C(b,k)
+# H_{a-k,b-k}, with each complex coefficient kept as a (re, im) Fraction pair.
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ito_expansion(monomials: dict) -> dict:
+    """sum c z^a zbar^b over monomial keys (a_1, b_1, ..., a_n, b_n) as a map
+    from Ito keys (p_1, q_1, ..., p_n, q_n) to nonzero QC coefficients."""
+    out: dict = {}
+    for key, (re, im) in monomials.items():
+        terms = [((), 1)]
+        for a, b in zip(key[0::2], key[1::2]):
+            terms = [(prefix + (a - k, b - k),
+                      w * math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+                     for prefix, w in terms for k in range(min(a, b) + 1)]
+        for ito, w in terms:
+            x, y = out.get(ito, (0, 0))
+            out[ito] = (x + w * re, y + w * im)
+    return {key: QC(re, im) for key, (re, im) in out.items() if re or im}
+
+
+def _random_product(rng, n: int, budget: int):
+    """(text, monomial key, (re, im)) of a random product of at most
+    ``budget`` variables with powers, conj, i, literals and division by
+    constants, e.g. -3*conj(z2)**2/(4 - 1*i)*i*conj(2*i*z1)."""
+    key, coeff, factors = [0] * (2 * n), (Fraction(1), Fraction(0)), []
+    for _ in range(rng.randint(1, 5)):
+        pick = rng.random()
+        j = rng.randint(1, n)
+        var = "z" if n == 1 else f"z{j}"
+        k = rng.randint(0, min(3, budget))
+        if pick < 0.45 and k:
+            budget -= k
+            conj = rng.random() < 0.5
+            key[2 * j - 2 + conj] += k
+            form = rng.choice(["conj({v})**{k}", "conj({v}**{k})"] if conj else ["{v}**{k}"])
+            if k == 1 and rng.random() < 0.5:
+                form = "conj({v})" if conj else "{v}"
+            factors.append("*" + form.format(v=var, k=k))
+        elif pick < 0.55 and budget:
+            budget -= 1
+            key[2 * j - 1] += 1
+            c = rng.randint(1, 9)
+            coeff = _cmul(coeff, (c, -c))  # conj(c (1 + i))
+            factors.append(f"*conj({c}*(1 + i)*{var})")
+        elif pick < 0.7:
+            coeff = _cmul(coeff, (0, 1))
+            factors.append("*i")
+        elif pick < 0.85:
+            c = rng.randint(1, 9)
+            coeff = _cmul(coeff, (c, 0))
+            factors.append(f"*{c}")
+        else:
+            c, m = rng.randint(1, 9), rng.randint(0, 4)
+            den = c * c + m * m
+            coeff = _cmul(coeff, (Fraction(c, den), Fraction(m, den)))  # 1/(c - m i)
+            factors.append(f"/({c} - {m}*i)" if m else f"/{c}")
+    if factors[0][0] == "/":
+        factors.insert(0, "*1")
+    text = "".join(factors)[1:]
+    if rng.random() < 0.3:
+        text, coeff = "-" + text, (-coeff[0], -coeff[1])
+    return text, tuple(key), coeff
+
+
+def _render_monomial(key: tuple, coeff: tuple, n: int) -> str:
+    re, im = coeff
+    parts = [f"(({re.numerator})/{re.denominator} + ({im.numerator})/{im.denominator}*i)"]
+    for j in range(n):
+        var = "z" if n == 1 else f"z{j + 1}"
+        a, b = key[2 * j], key[2 * j + 1]
+        parts += [f"{var}**{a}"] * bool(a) + [f"conj({var})**{b}"] * bool(b)
+    return "*".join(parts)
+
+
+def test_products_of_monomials_follow_itos_table():
+    rng = random.Random(32)
+    texts = []
+    for k in range(150):
+        n = 1 + k % 3
+        text, key, coeff = _random_product(rng, n, 6)
+        cap = sum(key) + rng.randint(0, 2)
+        want = _ito_expansion({key: coeff})
+        for double_literals in (False, True):
+            assert parse_potential(text, n, cap, double_literals).coeffs == want, text
+        texts.append(text)
+    joined = " ".join(texts)
+    assert all(piece in joined for piece in ("**", "conj(", "*i", "/(", "-"))
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for kp, cp in p.items():
+        for kq, cq in q.items():
+            key = tuple(a + b for a, b in zip(kp, kq))
+            x, y = out.get(key, (0, 0))
+            c = _cmul(cp, cq)
+            out[key] = (x + c[0], y + c[1])
+    return {key: c for key, c in out.items() if c != (0, 0)}
+
+
+def test_a_product_of_sums_is_the_sum_of_its_monomials():
+    rng = random.Random(33)
+    for k in range(45):
+        n = 1 + k % 3
+        terms = [_random_product(rng, n, 2) for _ in range(rng.randint(2, 3))]
+        power = rng.randint(1, 3)
+        other, other_key, other_coeff = _random_product(rng, n, 2)
+        text = f"({' + '.join(t for t, _, _ in terms)})**{power}*({other})"
+        base: dict = {}
+        for _, key, c in terms:
+            x, y = base.get(key, (0, 0))
+            base[key] = (x + c[0], y + c[1])
+        base = {key: c for key, c in base.items() if c != (0, 0)}
+        poly = {(0,) * (2 * n): (Fraction(1), Fraction(0))}
+        for _ in range(power):
+            poly = _poly_mul(poly, base)
+        poly = _poly_mul(poly, {other_key: other_coeff})
+        cap = max(sum(key) for _, key, _ in terms) * power + sum(other_key)
+        expanded = " + ".join(_render_monomial(key, c, n) for key, c in poly.items()) or "0"
+        got = parse_potential(text, n, cap)
+        assert got == parse_potential(expanded, n, cap), text
+        assert got.coeffs == _ito_expansion(poly), text
+    assert parse_potential("(z1+z2)**2*conj(z1)", 2, 3) == parse_potential(
+        "z1**2*conj(z1) + 2*z1*z2*conj(z1) + z2**2*conj(z1)", 2, 3)
+
+
+def test_lelong_u_is_the_potential_without_its_pluriharmonic_terms():
+    """ddbar H_{p,q} = sum_{i,j} p_i q_j H_{p-e_i,q-e_j} dz_i ^ dzbar_j vanishes
+    exactly when |p| = 0 or |q| = 0, and those terms span the kernel, so the
+    minimal-norm u is w with them removed, ||u||^2 = sum |c_{p,q}|^2 p! q!
+    and ||ddbar u||^2 = sum |c_{p,q}|^2 p! q! |p| |q|.  Neither side uses the
+    solver or the spectrum."""
+    rng = random.Random(34)
+    kept_terms = 0
+    for k in range(90):
+        n, cap = SIZES[k % len(SIZES)]
+        products = [_random_product(rng, n, cap - 2) for _ in range(rng.randint(1, 4))]
+        for m, (text, key, c) in enumerate(products):
+            if rng.random() < 0.7:  # times z_a conj(z_b)
+                a, b = rng.randint(1, n), rng.randint(1, n)
+                key = tuple(v + (i == 2 * a - 2) + (i == 2 * b - 1) for i, v in enumerate(key))
+                text = (f"z*conj(z)*({text})" if n == 1
+                        else f"z{a}*conj(z{b})*({text})")
+                products[m] = text, key, c
+        monomials: dict = {}
+        for _, key, (re, im) in products:
+            x, y = monomials.get(key, (0, 0))
+            monomials[key] = (x + re, y + im)
+        kept = {key: c for key, c in _ito_expansion(monomials).items()
+                if any(key[0::2]) and any(key[1::2])}
+        text = " + ".join(t for t, _, _ in products)
+        u, report = solve_poincare_lelong_full(ddbar(parse_potential(text, n, cap)))
+        assert u == ItoField(2 * n, cap, None, kept), text
+        kept_terms += len(kept)
+        levels = [((c.re ** 2 + c.im ** 2) * math.prod(map(math.factorial, key)),
+                   sum(key[0::2]) * sum(key[1::2])) for key, c in kept.items()]
+        out_sq = Fraction(sum(w for w, _ in levels))
+        in_sq = Fraction(sum(w * pq for w, pq in levels))
+        final = report.to_json()["final"]
+        assert final["output_norm_sq"] == str(out_sq), text
+        assert final["input_norm_sq"] == str(in_sq), text
+        assert final["ratio"] == str(out_sq / in_sq if in_sq else Fraction(0)), text
+    assert kept_terms > 120

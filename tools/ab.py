@@ -4,6 +4,9 @@ Run from anywhere inside the repository:
 
     python3 tools/ab.py REF --workload lelong-exact --pairs 10 --seed 7 --seed 11
 
+With ``--record PATH`` it also writes the summary as JSON (see record), a
+perf trajectory file to keep with the change.
+
 REF (a commit, branch or tag) is extracted with ``git archive`` into a
 temporary directory, so the repository's .git is only read.  Each pair runs
 
@@ -89,6 +92,21 @@ def format_summary(workload: str, summary: dict) -> str:
     return "\n".join(lines)
 
 
+def record(refs: dict, seeds: list, pairs: int, seconds: float, summaries: dict) -> dict:
+    """The JSON record of one run: the refs compared ({"base": ..., "change":
+    ...}), the seeds, pairs and seconds per run, and per workload and metric
+    the summary row of summarize: base and change quartiles (q1, median,
+    q3), the pairs won, the pairs and the verdict."""
+    return {"refs": refs, "seeds": seeds, "pairs": pairs, "seconds": seconds,
+            "workloads": summaries}
+
+
+def describe(*args: str) -> str:
+    """``git describe --always`` of a ref, or with --dirty of the checkout."""
+    return subprocess.run(["git", "-C", str(ROOT), "describe", "--always", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def extract(ref: str, into: Path):
     """The files of ``ref`` under ``into``, by git archive."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
@@ -122,6 +140,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append",
                         help="bench seed (repeatable, cycled over the pairs; default: 7)")
     parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--record", type=Path, default=None,
+                        help="also write the summary as JSON to this path")
     args = parser.parse_args(argv)
 
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -129,6 +149,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in config["end_to_end"] if "bound" in m}
     seeds = args.seed or [7]
+    summaries = {}
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base = Path(tmp)
         extract(args.ref, base)
@@ -142,7 +163,12 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: op_ms_p50 "
                       f"base {runs[base].get('op_ms_p50')} change {runs[ROOT].get('op_ms_p50')}",
                       file=sys.stderr, flush=True)
-            print(format_summary(workload, summarize(pairs, better, bounds)), flush=True)
+            summaries[workload] = summarize(pairs, better, bounds)
+            print(format_summary(workload, summaries[workload]), flush=True)
+    if args.record is not None:
+        refs = {"base": describe(args.ref), "change": describe("--dirty")}
+        args.record.write_text(json.dumps(record(refs, seeds, args.pairs, args.seconds,
+                                                 summaries), indent=2) + "\n")
     return 0
 
 
